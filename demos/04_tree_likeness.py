@@ -5,9 +5,8 @@ treewidth?  The answer depends on the ontology AND on the schema.
 from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import core
 from omqlab.model import EMPTY_ONTOLOGY, FULL_SCHEMA, OMQ, Schema
-from omqlab.surface import parse_ontology, parse_query, serialize_query
+from omqlab.surface import parse_ontology, parse_query
 from omqlab.treelike import (
-    decide_tw_equiv_full,
     decide_tw_equiv_general,
     maximum_contractions,
     rewriting,
@@ -21,23 +20,24 @@ cq = query.disjuncts[0]
 print("query treewidth:", cq_treewidth(cq), "| core is itself:", core(cq) == cq)
 
 # Plain query: stuck at width 2.
-print("no ontology, k=1:", decide_tw_equiv_full(
+print("no ontology, k=1:", decide_tw_equiv_general(
     OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, query), 1).outcome)
 
 # One axiom changes the verdict: A2 <= A4 lets x4 fold onto x2.
 Q1 = OMQ(parse_ontology("A2 <= A4"), FULL_SCHEMA, query)
-verdict = decide_tw_equiv_full(Q1, 1)
+verdict = decide_tw_equiv_general(Q1, 1)
 print("with A2 <= A4, k=1:", verdict.outcome)
-print("witness:", serialize_query(verdict.witness.query).strip())
 
 # Equivalence-preserving contractions and a width-minimal rewriting.
 print("maximum contractions:",
       [sorted(m.query.disjuncts[0].variables()) for m in maximum_contractions(Q1)])
 print("rewriting width:", cq_treewidth(rewriting(Q1).query.disjuncts[0]))
 
-# The width-k approximation collects every tree-like contraction.
+# The width-k approximation collects every tree-like contraction; a "yes"
+# verdict returns it as the witness.
 Qa = ucq_k_approximation(Q1, 1)
-print("approximation disjuncts:", len(Qa.query.disjuncts))
+print("approximation disjuncts:", len(Qa.query.disjuncts),
+      "| is the witness:", verdict.witness == Qa)
 
 # Schema sensitivity: over the full schema this ontology does NOT make
 # the cycle tree-like, and a concrete counterexample database exists;

@@ -14,10 +14,16 @@ import sys
 from pathlib import Path
 
 from . import surface
-from .model import Database, FULL_SCHEMA, OMQ, Ontology, QueryError, Schema, DialectError
+from .model import FULL_SCHEMA, OMQ, Ontology, QueryError, Schema, DialectError
 from .chase import ChaseCapExceeded, InconsistentInput, canonical_model, oblivious_chase
 from .entailment import UnsupportedDialect, is_consistent
-from .evaluation import SchemaViolation, TreewidthPrecondition, evaluate_fpt, evaluate_naive
+from .evaluation import (
+    EvalResult,
+    SchemaViolation,
+    TreewidthPrecondition,
+    evaluate_fpt,
+    evaluate_naive,
+)
 from .graphalg import CapExceeded, cq_treewidth, k_unravel
 from .homtools import core
 from .pebble import PebblePrecondition, pebble_answers
@@ -96,15 +102,8 @@ def cmd_eval(args) -> int:
         res = evaluate_fpt(Q, d, max(1, k))
     elif args.algo == "pebble":
         k = args.k if args.k is not None else 1
-        answers = pebble_answers(Q, d, k)
-        consistent = is_consistent(d, Q.ontology)
-
-        class R:
-            pass
-
-        res = R()
-        res.consistent = consistent
-        res.answers = answers
+        res = EvalResult(is_consistent(d, Q.ontology), pebble_answers(Q, d, k),
+                         "pebble")
     else:
         raise ValueError(f"unknown algorithm {args.algo}")
     _emit_answers(args, res)
@@ -264,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="omqlab",
         description="Ontology-mediated query evaluation and analysis")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="upper bound on internal parallelism (evaluation is "
-                        "deterministic regardless)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, onto=True, query=True, db=False, schema=True, k=False):

@@ -40,7 +40,7 @@ from .treelike import (
     TwEquivVerdict,
     cq_canonical,
     contains_full_schema,
-    decide_tw_equiv_full,
+    decide_tw_equiv_general,
 )
 
 REW_VARIABLE_CAP = 10
@@ -372,7 +372,8 @@ def rew(Q: OMQ) -> UCQ:
 def decide_ubcq1_equiv(Q: OMQ) -> TwEquivVerdict:
     """Width-1 equivalence of a Boolean DL-LiteF OMQ over the full schema,
     via the functionality-respecting contraction and the exact full-schema
-    decision for the inclusion part."""
+    decision for the inclusion part; a "yes" witness is the width-1
+    approximation."""
     if not Q.schema.full:
         raise QueryError("the width-1 decision is defined over the full schema")
     if not Q.query.is_boolean():
@@ -380,7 +381,7 @@ def decide_ubcq1_equiv(Q: OMQ) -> TwEquivVerdict:
     split = split_ontology(Q.ontology)
     q2 = id_functional(Q.query, split.functionalities)
     Q2 = OMQ(_elhi_view(split.inclusions), FULL_SCHEMA, q2)
-    verdict = decide_tw_equiv_full(Q2, 1)
+    verdict = decide_tw_equiv_general(Q2, 1)
     if verdict.is_yes():
         witness = OMQ(Q.ontology, FULL_SCHEMA, verdict.witness.query)
         return TwEquivVerdict("yes", witness=witness)

@@ -1,4 +1,4 @@
-"""Ontology normal form, subsumption, type computation, extended-database
+"""Ontology normal form, subsumption, type computation, database
 saturation, and consistency.
 
 The engine works on a normalized rule set over concept *names*:
@@ -21,7 +21,7 @@ generating axiom), which keeps the computation finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import (
@@ -38,11 +38,8 @@ from .model import (
     DLLITE_FAMILY,
     Exists,
     Fact,
-    Functionality,
     Ontology,
-    RangeRestriction,
     Role,
-    RoleDisjointness,
     RoleFact,
     RoleInclusion,
     TOP,
@@ -152,9 +149,6 @@ class NormalOntology:
                                  key=lambda r: (r.body, str(r.role), r.succ))
 
     # -- views ---------------------------------------------------------------
-
-    def fresh_name_map(self) -> dict[Concept, str]:
-        return {c: n for c, n in self.defname.items() if not isinstance(c, Atomic)}
 
     def axioms(self) -> list:
         """The rule system rendered back as inclusion axioms."""
@@ -367,30 +361,12 @@ def subsumes(o: Ontology, c: Concept, d: Concept) -> bool:
     return onorm.defname[d] in onorm.root_type(seed)
 
 
-@dataclass(frozen=True)
-class ExtendedDatabase:
-    """A database plus complex-concept facts (over sub-concepts)."""
-
-    base: Database
-    concept_facts: frozenset = frozenset()  # of (Concept, constant)
-
-    def facts_at(self, a: str) -> frozenset:
-        return frozenset(c for c, b in self.concept_facts if b == a)
-
-    @staticmethod
-    def of(d: Database | "ExtendedDatabase") -> "ExtendedDatabase":
-        if isinstance(d, ExtendedDatabase):
-            return d
-        return ExtendedDatabase(d)
-
-
 @dataclass
 class Saturation:
     """Result of saturating a database: closed facts and per-constant types."""
 
     database: Database                 # role facts + concept-name facts, closed
     types: dict                        # constant -> frozenset of names
-    extended: ExtendedDatabase         # complex concept facts made explicit
     onorm: NormalOntology
 
     def type_concepts(self, a: str) -> frozenset:
@@ -400,22 +376,19 @@ class Saturation:
         return any(self.onorm.is_unsat(t) for t in self.types.values())
 
 
-def saturate(d: Database | ExtendedDatabase, o: Ontology | NormalOntology) -> Saturation:
-    """Close a (possibly extended) database under consequence: concept
-    facts entailed by each constant's conjunction, existential premises
-    along explicit role facts, and the role hierarchy."""
+def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
+    """Close a database under consequence: concept facts entailed by each
+    constant's conjunction, existential premises along explicit role
+    facts, and the role hierarchy."""
     onorm = o if isinstance(o, NormalOntology) else normalize(_elhi_view(o))
-    ext = ExtendedDatabase.of(d)
 
     role_facts: set[RoleFact] = set()
-    types: dict[str, set] = {a: set() for a in ext.base.dom}
-    for f in ext.base.facts:
+    types: dict[str, set] = {a: set() for a in d.dom}
+    for f in d.facts:
         if isinstance(f, ConceptFact):
             types.setdefault(f.a, set()).add(f.name)
         else:
             role_facts.add(f)
-    for c, a in ext.concept_facts:
-        types.setdefault(a, set()).add(onorm.defname[c])
 
     # role hierarchy closure
     closed: set[RoleFact] = set()
@@ -454,19 +427,14 @@ def saturate(d: Database | ExtendedDatabase, o: Ontology | NormalOntology) -> Sa
                         changed = True
 
     db_facts: set[Fact] = set(role_facts)
-    complex_facts: set = set()
     for a, t in types.items():
         for n in sorted(t):
             c = onorm.name_concept.get(n)
-            if c is None:
-                db_facts.add(ConceptFact(n, a))   # database name outside sub(O)
-            elif isinstance(c, Atomic):
+            # concept names, including database names outside sub(O)
+            if c is None or isinstance(c, Atomic):
                 db_facts.add(ConceptFact(n, a))
-            elif not isinstance(c, Top):
-                complex_facts.add((c, a))
-    final = Database(db_facts)
-    return Saturation(final, {a: frozenset(t) for a, t in types.items()},
-                      ExtendedDatabase(final, frozenset(complex_facts)), onorm)
+    return Saturation(Database(db_facts),
+                      {a: frozenset(t) for a, t in types.items()}, onorm)
 
 
 def entailed_concept_fact(d: Database, o: Ontology, c: Concept, a: str) -> bool:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .model import (
     CQ,
-    ConceptFact,
     Database,
     Fact,
     QueryError,
@@ -273,32 +272,40 @@ def _directed_pairs(d: Database) -> set:
 def is_ditree(d: Database) -> bool:
     """True iff the directed role graph is a tree (multi-edges fine,
     reflexive loops not)."""
+    return not d.dom or _ditree_root(d, root_loops=False) is not None
+
+
+def _ditree_root(d: Database, root_loops: bool) -> Optional[str]:
+    """The root of the directed role graph if it is a tree, else None;
+    reflexive loops are allowed only at the root, and only if
+    ``root_loops``."""
     pairs = _directed_pairs(d)
-    if any(a == b for a, b in pairs):
-        return False
-    if not d.dom:
-        return True
+    loops = {a for a, b in pairs if a == b}
+    pairs -= {(a, a) for a in loops}
     indeg = {v: 0 for v in d.dom}
     for _, b in pairs:
         indeg[b] += 1
     roots = [v for v, k in indeg.items() if k == 0]
     if len(roots) != 1 or any(k > 1 for k in indeg.values()):
-        return False
+        return None
+    root = roots[0]
     if len(pairs) != len(d.dom) - 1:
-        return False
+        return None
+    if loops and not (root_loops and loops == {root}):
+        return None
     # connectivity from the root
     children: dict = {}
     for a, b in pairs:
         children.setdefault(a, set()).add(b)
-    seen = {roots[0]}
-    stack = [roots[0]]
+    seen = {root}
+    stack = [root]
     while stack:
         u = stack.pop()
         for w in children.get(u, ()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen == set(d.dom)
+    return root if seen == set(d.dom) else None
 
 
 def dtree_merge(q: CQ) -> CQ:
@@ -336,26 +343,17 @@ def dtree_merge(q: CQ) -> CQ:
     return q.rename(rep)
 
 
-def dtree(q: CQ) -> Optional[CQ]:
+def dtree(q: CQ, root_loops: bool = False) -> Optional[CQ]:
     """Initial ditree the connected Boolean query maps into, as a CQ whose
-    root is the single answer variable; ``None`` if no ditree preimage."""
+    root is the single answer variable; ``None`` if no ditree preimage.
+    With ``root_loops``, self-loops at the root are tolerated."""
     if not q.is_boolean():
         raise QueryError("dtree is defined for Boolean queries")
     if q.atoms and not gaifman_graph(cq_as_database(q)).is_connected():
         raise QueryError("dtree needs a connected query")
     merged = dtree_merge(q)
-    db = cq_as_database(merged)
-    if not is_ditree(db):
-        return None
-    root = _ditree_root(db, merged)
-    return CQ((root,), merged.atoms)
-
-
-def _ditree_root(db: Database, q: CQ) -> str:
-    pairs = _directed_pairs(db)
-    targets = {b for _, b in pairs}
-    roots = sorted(v for v in q.variables() if v not in targets)
-    return roots[0]
+    root = _ditree_root(cq_as_database(merged), root_loops)
+    return None if root is None else CQ((root,), merged.atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ order is lexicographic, so the first solution is deterministic.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .model import (
     CQ,
@@ -238,14 +238,6 @@ def contractions(q: CQ, proper_only: bool = False) -> Iterator[tuple]:
         if not ok:
             continue
         yield q.rename(rep), tuple(sorted(partition))
-
-
-def is_contraction_of(qc: CQ, q: CQ) -> bool:
-    """True iff some variable identification of ``q`` yields ``qc`` exactly."""
-    for cand, _ in contractions(q):
-        if cand == qc:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -32,21 +32,19 @@ from typing import Iterable, Optional
 
 from .model import (
     CQ,
-    ConceptFact,
     Database,
     Dialect,
     OMQ,
     QueryError,
     RoleFact,
-    UCQ,
     cq_as_database,
     gaifman_graph,
     single_cq_omq,
 )
 from .entailment import is_consistent, normalize, saturate, _elhi_view
-from .evaluation import _TreeEvaluator, evaluate_naive
-from .graphalg import dtree_merge, is_ditree
-from .treelike import extend_with_entailed_atoms
+from .evaluation import _TreeEvaluator
+from .graphalg import dtree
+from .treelike import entailed_concept_trees
 
 PEBBLE_DIALECTS = {Dialect.EL, Dialect.EL_BOT, Dialect.ELH_BOT, Dialect.ELHDR_BOT}
 
@@ -147,47 +145,6 @@ class ReachSystem:
         return frozenset(self.levels)
 
 
-def _boundary_dtree(q: CQ, members: Iterable[str]) -> Optional[CQ]:
-    """Initial ditree of the reach restriction, rooted at the level-0
-    class; self-loops are tolerated at the root only (they stand for
-    database facts at the anchor constant)."""
-    sub = q.restrict(members)
-    merged = dtree_merge(CQ((), sub.atoms))
-    vars_all = {t for at in merged.atoms for t in at.terms()}
-    loops = {at for at in merged.atoms
-             if isinstance(at, RoleFact) and at.a == at.b}
-    pairs = {(at.a, at.b) for at in merged.atoms
-             if isinstance(at, RoleFact) and at.a != at.b}
-    targets = [b for _, b in pairs]
-    indeg = {v: 0 for v in vars_all}
-    for b in targets:
-        indeg[b] += 1
-    roots = sorted(v for v, k in indeg.items() if k == 0)
-    if len(roots) != 1 or any(k > 1 for k in indeg.values()):
-        return None
-    root = roots[0]
-    if len(pairs) != len(vars_all) - 1:
-        return None
-    if any(at.a != root for at in loops):
-        return None
-    # reachability from the root (acyclicity)
-    children: dict = {}
-    for s, t in pairs:
-        children.setdefault(s, set()).add(t)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in children.get(u, ()):
-            if w in seen:
-                return None
-            seen.add(w)
-            stack.append(w)
-    if seen != vars_all:
-        return None
-    return CQ((root,), merged.atoms)
-
-
 def analyze_pair(q: CQ, pair: tuple) -> ReachSystem:
     levels = reach(q, pair)
     members = frozenset(levels)
@@ -202,7 +159,8 @@ def analyze_pair(q: CQ, pair: tuple) -> ReachSystem:
         if cand == pair or reach(q, cand) == levels:
             rep = cand
             break
-    dt = _boundary_dtree(q, members)
+    # self-loops at the root class stand for database facts at the anchor
+    dt = dtree(CQ((), q.restrict(members).atoms), root_loops=True)
     return ReachSystem(pair, rep, levels, dt is not None, dt)
 
 
@@ -224,17 +182,6 @@ def exists_mccs(q: CQ) -> list[frozenset]:
         if atoms:
             out.append(atoms)
     return sorted(out, key=lambda s: sorted(map(str, s)))
-
-
-def _strict_dtree(q: CQ) -> Optional[CQ]:
-    merged = dtree_merge(CQ((), q.atoms))
-    if not is_ditree(cq_as_database(merged)):
-        return None
-    pairs = {(at.a, at.b) for at in merged.atoms if isinstance(at, RoleFact)}
-    targets = {b for _, b in pairs}
-    vars_all = {t for at in merged.atoms for t in at.terms()}
-    roots = sorted(vars_all - targets)
-    return CQ((roots[0],), merged.atoms) if roots else None
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +223,7 @@ class LabelContext:
     def _exist_ok(self) -> frozenset:
         ok = set()
         for atoms in exists_mccs(self.q):
-            dt = _strict_dtree(CQ((), atoms))
+            dt = dtree(CQ((), atoms))
             if dt is None:
                 continue
             if self.trees.holds_somewhere(CQ((), dt.atoms)):
@@ -397,41 +344,8 @@ def is_d_labeling(Q: OMQ, d: Database, labels: dict, on_vars: Iterable[str]) -> 
     return ctx.is_labeling(dict(labels), frozenset(on_vars))
 
 
-def extend_query_plus(Q: OMQ) -> CQ:
-    """The query extended with a fresh copy of every axiom left-hand side
-    its chase satisfies at a variable (rewritings are subqueries of this)."""
-    return extend_with_entailed_atoms(Q)
-
-
 # ---------------------------------------------------------------------------
 # The modified existential pebble game
-
-
-def _const_requirements(Q: OMQ) -> dict:
-    """Rooted tree queries per variable: every axiom left-hand side the
-    query's chase satisfies at the variable (the rewriting decorations,
-    expressed as certification conditions)."""
-    from .model import concept_as_cq, FreshVars
-    from .entailment import entailed_concept_fact
-    q = Q.query.disjuncts[0]
-    o = _elhi_view(Q.ontology)
-    dq = cq_as_database(q)
-    out: dict = {}
-    fresh = FreshVars("_c")
-    seen: set = set()
-    for ci in o.concept_inclusions():
-        c = ci.lhs
-        if c.contains_bot():
-            continue
-        for x in sorted(q.variables()):
-            if (x, c) in seen:
-                continue
-            if entailed_concept_fact(dq, o, c, x):
-                seen.add((x, c))
-                tree = concept_as_cq(c, rooted=True, fresh=fresh)
-                if tree.atoms:
-                    out.setdefault(x, []).append(tree)
-    return out
 
 
 def pebble_evaluate(Q: OMQ, d: Database, a: tuple, k: int) -> bool:
@@ -454,7 +368,9 @@ def pebble_evaluate(Q: OMQ, d: Database, a: tuple, k: int) -> bool:
     # Entailed concept copies are folded into per-variable certification
     # conditions instead of fresh atoms: the game then runs on the original
     # variable set.
-    requirements = _const_requirements(Q)
+    requirements: dict = {}
+    for x, tree in entailed_concept_trees(Q):
+        requirements.setdefault(x, []).append(tree)
     ctx = LabelContext(Q, d, const_requirements=requirements)
     pins = {x: Const(c) for x, c in zip(base.answer_vars, a)}
     if not ctx.is_labeling(pins, frozenset()):

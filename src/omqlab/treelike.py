@@ -1,11 +1,11 @@
 """Semantic tree-likeness machinery: UCQ_k-approximation, full-schema
 containment and emptiness, maximum contractions, rewritings, the
-tree-likeness decision procedures, and witness-bounded containment for
+tree-likeness decision, and witness-bounded containment for
 the DL-Lite(R,horn) family.
 
 Everything here runs at desk scale: contraction spaces are enumerated
-exhaustively (Bell numbers of the variable count) and candidate
-subqueries smallest-first, so verdicts and witnesses are deterministic.
+exhaustively (Bell numbers of the variable count), in a fixed order, so
+verdicts and witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ from typing import Iterable, Optional
 from .model import (
     Atomic,
     CQ,
-    Concept,
     ConceptFact,
-    ConceptInclusion,
     Database,
     Dialect,
     DLLITE_FAMILY,
     ELHI_FAMILY,
-    Exists,
-    FULL_SCHEMA,
     FreshVars,
     OMQ,
     Ontology,
@@ -33,23 +29,25 @@ from .model import (
     Role,
     RoleFact,
     Schema,
-    TOP,
+    Top,
     UCQ,
     concept_as_cq,
     cq_as_database,
     conj,
-    single_cq_omq,
 )
 from .chase import canonical_model
 from .entailment import (
+    UnsupportedDialect,
     _elhi_view,
-    entailed_concept_fact,
+    _role_closure,
     is_consistent,
     normalize,
+    saturate,
+    subsumes,
 )
 from .evaluation import chase_steps, evaluate_naive
 from .graphalg import cq_treewidth
-from .homtools import contractions, find_homomorphism, iter_homomorphisms
+from .homtools import contractions, find_homomorphism
 
 
 class SchemaPrecondition(ValueError):
@@ -133,16 +131,6 @@ def _unsatisfiable_disjunct(Q: OMQ) -> CQ:
     return CQ(avs, atoms)
 
 
-def disjunct_contained(o: Ontology, q1: CQ, q2: CQ) -> bool:
-    """(o, full, q1) <= (o, full, q2) via the chase-homomorphism criterion."""
-    d1 = cq_as_database(q1)
-    if not is_consistent(d1, o):
-        return True
-    cm = canonical_model(d1, o, chase_steps(UCQ((q2,))))
-    fixed = dict(zip(q2.answer_vars, q1.answer_vars))
-    return find_homomorphism(q2, cm.database, fixed) is not None
-
-
 def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
     """Q1 <= Q2 over the full schema: every consistent disjunct database of
     Q1 must admit a homomorphism from some disjunct of Q2 into its chase,
@@ -151,20 +139,22 @@ def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
         raise SchemaPrecondition("containment check requires the full schema")
     if Q1.arity != Q2.arity:
         return False
+    return _uncontained_disjunct(Q1, Q2) is None
+
+
+def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
+    """The first consistent disjunct database of Q1 into whose chase no
+    disjunct of Q2 maps (fixing the answer tuple); None if there is none."""
     for q1 in Q1.query.disjuncts:
         d1 = cq_as_database(q1)
         if not is_consistent(d1, Q1.ontology):
             continue
         cm = canonical_model(d1, Q2.ontology, chase_steps(Q2.query))
-        hit = False
-        for q2 in Q2.query.disjuncts:
-            fixed = dict(zip(q2.answer_vars, q1.answer_vars))
-            if find_homomorphism(q2, cm.database, fixed) is not None:
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+        if not any(find_homomorphism(q2, cm.database,
+                                     dict(zip(q2.answer_vars, q1.answer_vars)))
+                   is not None for q2 in Q2.query.disjuncts):
+            return d1
+    return None
 
 
 def equivalent_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
@@ -228,29 +218,44 @@ def maximum_contractions(Q: OMQ) -> list[OMQ]:
     return result
 
 
+def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
+    """Yield (variable, rooted tree) for every axiom left side, neither top
+    nor containing bot, that the chase of the query database satisfies at
+    a variable (of ``variables``, by default of the query): sorted axioms,
+    then sorted variables, each pair once.  The tree is a fresh copy of the
+    left side whose answer variable is its root."""
+    q = Q.query.disjuncts[0]
+    o = _elhi_view(Q.ontology)
+    onorm = normalize(o)
+    types = saturate(cq_as_database(q), onorm).types
+    xs = sorted(q.variables() if variables is None else variables)
+    fresh = FreshVars("_e")
+    seen: set = set()
+    for ci in o.concept_inclusions():
+        c = ci.lhs
+        if c in seen or c.contains_bot() or isinstance(c, Top):
+            continue
+        seen.add(c)
+        for x in xs:
+            if onorm.defname[c] in types.get(x, ()):
+                yield x, concept_as_cq(c, rooted=True, fresh=fresh)
+
+
+def _attach_trees(q: CQ, atoms: Iterable, trees) -> CQ:
+    """``q``'s answer tuple over ``atoms`` plus each tree, its root
+    identified with its variable."""
+    out = set(atoms)
+    for x, tree in trees:
+        out.update(at.rename({tree.answer_vars[0]: x}) for at in tree.atoms)
+    return CQ(q.answer_vars, out)
+
+
 def extend_with_entailed_atoms(Q: OMQ) -> CQ:
     """Attach, at every variable satisfying an axiom's left side in the
     chase of the query database, a fresh copy of that side (one copy per
     variable and concept)."""
     q = Q.query.disjuncts[0]
-    o = _elhi_view(Q.ontology)
-    dq = cq_as_database(q)
-    atoms = set(q.atoms)
-    fresh = FreshVars("_e")
-    done: set = set()
-    for ci in o.concept_inclusions():
-        c = ci.lhs
-        if c.contains_bot() or isinstance(c, type(TOP)):
-            continue
-        for x in sorted(q.variables()):
-            if (x, c) in done:
-                continue
-            if entailed_concept_fact(dq, o, c, x):
-                done.add((x, c))
-                qc = concept_as_cq(c, rooted=True, fresh=fresh)
-                rename = {qc.answer_vars[0]: x}
-                atoms.update(at.rename(rename) for at in qc.atoms)
-    return CQ(q.answer_vars, atoms)
+    return _attach_trees(q, q.atoms, entailed_concept_trees(Q))
 
 
 def rewriting(Q: OMQ) -> OMQ:
@@ -281,146 +286,41 @@ def rewriting(Q: OMQ) -> OMQ:
                 below.add(p.parent)
                 break
             p = cm.provenance.get(p.parent)
-    V = kept | below
-    restricted = q.restrict(kept)
-    atoms = set(restricted.atoms)
-    fresh = FreshVars("_e")
-    for ci in o.concept_inclusions():
-        c = ci.lhs
-        if c.contains_bot():
-            continue
-        for x in sorted(V):
-            if entailed_concept_fact(dq, o, c, x):
-                qcq = concept_as_cq(c, rooted=True, fresh=fresh)
-                atoms.update(at.rename({qcq.answer_vars[0]: x}) for at in qcq.atoms)
-    out = CQ(q.answer_vars, atoms)
+    out = _attach_trees(q, q.restrict(kept).atoms,
+                        entailed_concept_trees(Q, kept | below))
     return Q.with_query(UCQ((out,)))
 
 
 # ---------------------------------------------------------------------------
 # Deciding tree-likeness
 
-
-def _prune_disjuncts(Q: OMQ) -> list[CQ]:
-    """Drop inconsistent disjuncts and ones contained in another disjunct."""
-    o = Q.ontology
-    live = [cq for cq in Q.query.disjuncts
-            if is_consistent(cq_as_database(cq), o)]
-    keep: list[CQ] = []
-    for i, p in enumerate(live):
-        redundant = False
-        for j, other in enumerate(live):
-            if i == j:
-                continue
-            if disjunct_contained(o, p, other):
-                # keep the earlier of mutually equivalent disjuncts
-                if not disjunct_contained(o, other, p) or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append(p)
-    return keep
-
-
-def _full_contraction(q: CQ) -> CQ:
-    """Collapse all quantified variables into one (or onto an answer var)."""
-    var = sorted(q.variables())
-    answers = set(q.answer_vars)
-    quant = [v for v in var if v not in answers]
-    if not quant:
-        return q
-    rep = quant[0]
-    m = {v: rep for v in quant}
-    return q.rename(m)
-
-
-def _subquery_candidates(qp: CQ, k: int):
-    """Atom subsets of the extended query, smallest first, that keep all
-    answer variables and have tree width at most ``k``."""
-    atoms = qp.sorted_atoms()
-    answers = set(qp.answer_vars)
-    for size in range(1, len(atoms) + 1):
-        for combo in itertools.combinations(atoms, size):
-            bound = {t for at in combo for t in at.terms()}
-            if answers and not answers <= bound:
-                continue
-            cand = CQ(qp.answer_vars, combo)
-            if cq_treewidth(cand) <= k:
-                yield cand
-
-
-def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
-    """Exact tree-likeness decision over the full schema: per pruned
-    disjunct, extend the query with entailed concept copies and search its
-    subqueries of width at most ``k`` for an equivalent one."""
-    if not Q.schema.full:
-        raise SchemaPrecondition("the exact decision requires the full schema")
-    if Q.ontology.dialect not in ELHI_FAMILY | {Dialect.DLLITE_R, Dialect.DLLITE_R_HORN}:
-        raise ValueError(f"dialect {Q.ontology.dialect.value} not supported here")
-    live = _prune_disjuncts(Q)
-    if not live:
-        witness = Q.with_query(UCQ((_full_contraction(Q.query.disjuncts[0]),)))
-        return TwEquivVerdict("yes", witness=witness, note="empty query")
-    found: list[CQ] = []
-    for p in live:
-        qp = extend_with_entailed_atoms(single_cq_omq(Q.ontology, Q.schema, p))
-        cmp_model = None
-        hit = None
-        for cand in _subquery_candidates(qp, k):
-            dq = cq_as_database(cand)
-            if not is_consistent(dq, Q.ontology):
-                continue
-            cm = canonical_model(dq, Q.ontology, chase_steps(UCQ((p,))))
-            fixed = {x: x for x in p.answer_vars}
-            if find_homomorphism(p, cm.database, fixed) is not None:
-                hit = cand
-                break
-        if hit is None:
-            return TwEquivVerdict("no")
-        found.append(hit)
-    witness = Q.with_query(UCQ(found))
-    return TwEquivVerdict("yes", witness=witness)
+TW_EQUIV_DIALECTS = ELHI_FAMILY | {Dialect.DLLITE_R, Dialect.DLLITE_R_HORN}
 
 
 def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
-    """Full schema: exact, delegating to the approximation containment.
+    """Full schema: exact, by containment in the UCQ_k-approximation.
     Otherwise a bounded counterexample search (an honest semi-decision:
     a returned "unknown" means no separating database was found)."""
+    if Q.ontology.dialect not in TW_EQUIV_DIALECTS:
+        raise UnsupportedDialect(
+            f"width-k equivalence handles the ELHI family and DL-LiteR(-horn), "
+            f"got {Q.ontology.dialect.value}; DL-LiteF width-1 equivalence is "
+            f"decided by decide_ubcq1_equiv (omqlab dlf-equiv1)")
     Qa = ucq_k_approximation(Q, k)
     if Q.schema.full:
-        if contains_full_schema(Q, Qa):
+        cex = _uncontained_disjunct(Q, Qa)
+        if cex is None:
             return TwEquivVerdict("yes", witness=Qa)
-        cex = _full_schema_counterexample(Q, Qa)
         return TwEquivVerdict("no", counterexample=cex)
     for d in _candidate_databases(Q, budget):
         if len(d.dom) > budget or not d.uses_only(Q.schema):
             continue
-        try:
-            r1 = evaluate_naive(Q, d)
-            r2 = evaluate_naive(Qa, d)
-        except Exception:
-            continue
+        r1 = evaluate_naive(Q, d)
+        r2 = evaluate_naive(Qa, d)
         if r1.consistent and r1.answers - r2.answers:
             return TwEquivVerdict("no", counterexample=d)
     return TwEquivVerdict("unknown",
                           note=f"no separating database within {budget} constants")
-
-
-def _full_schema_counterexample(Q: OMQ, Qa: OMQ) -> Optional[Database]:
-    for q1 in Q.query.disjuncts:
-        d1 = cq_as_database(q1)
-        if not is_consistent(d1, Q.ontology):
-            continue
-        cm = canonical_model(d1, Q.ontology, chase_steps(Qa.query))
-        hit = False
-        for q2 in Qa.query.disjuncts:
-            fixed = dict(zip(q2.answer_vars, q1.answer_vars))
-            if find_homomorphism(q2, cm.database, fixed) is not None:
-                hit = True
-                break
-        if not hit:
-            return d1
-    return None
 
 
 def _candidate_databases(Q: OMQ, budget: int):
@@ -448,15 +348,8 @@ def _candidate_databases(Q: OMQ, budget: int):
             slots = sorted(dropped)
             for x in slots:
                 needed = conj(*dropped[x])
-                subs = [None]
-                for b in s_concepts:
-                    try:
-                        from .entailment import subsumes
-                        if subsumes(o, Atomic(b), needed):
-                            subs.append(b)
-                    except Exception:
-                        continue
-                options.append(subs)
+                options.append([None] + [b for b in s_concepts
+                                         if subsumes(o, Atomic(b), needed)])
             for combo in itertools.product(*options) if slots else [()]:
                 facts = list(keep)
                 for x, b in zip(slots, combo):
@@ -481,7 +374,6 @@ def _sourcing_variants(o: Ontology, d: Database, schema: Schema, answers: tuple)
     sourced by any schema concept that entails it, a role fact by any
     schema (sub-)role implying it; facts outside the schema must be
     re-sourced or the candidate dies."""
-    from .entailment import subsumes, _role_closure
     sup = _role_closure(_elhi_view(o))
     vocab_c = sorted({s.name for ax in _elhi_view(o).concept_inclusions()
                       for side in (ax.lhs, ax.rhs)
@@ -562,10 +454,7 @@ def contains_dllite_horn(Q1: OMQ, Q2: OMQ) -> bool:
 
 
 def _separates(Q1: OMQ, Q2: OMQ, d: Database, a: tuple) -> bool:
-    try:
-        r1 = evaluate_naive(OMQ(Q1.ontology, Q1.schema, Q1.query), d)
-    except Exception:
-        return False
+    r1 = evaluate_naive(OMQ(Q1.ontology, Q1.schema, Q1.query), d)
     if not r1.consistent:
         r2 = evaluate_naive(OMQ(Q2.ontology, Q2.schema, Q2.query), d)
         return r2.consistent

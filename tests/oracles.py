@@ -1,10 +1,16 @@
 """Independent oracles used to cross-check the engine.
 
 These deliberately take the dumb route: bounded oblivious chase plus
-plain homomorphism search, with a depth-stability re-check.
+plain homomorphism search, with a depth-stability re-check, and an
+exhaustive subquery search for tree-likeness.
 """
 
-from omqlab.chase import oblivious_chase
+import itertools
+
+from omqlab.chase import canonical_model, oblivious_chase
+from omqlab.entailment import is_consistent
+from omqlab.evaluation import chase_steps
+from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import all_answers, find_homomorphism
 from omqlab.model import (
     CQ,
@@ -13,8 +19,19 @@ from omqlab.model import (
     Conj,
     Database,
     Exists,
+    OMQ,
+    Ontology,
+    UCQ,
     concept_as_cq,
     concept_extension,
+    cq_as_database,
+    single_cq_omq,
+)
+from omqlab.treelike import (
+    TW_EQUIV_DIALECTS,
+    SchemaPrecondition,
+    TwEquivVerdict,
+    extend_with_entailed_atoms,
 )
 
 
@@ -69,3 +86,97 @@ def oracle_answers(Q, d: Database, depth: int = 6) -> frozenset:
                                restrict_to=d.dom))
     assert a1 == a2, "chase depth instability"
     return a1
+
+
+# ---------------------------------------------------------------------------
+# Tree-likeness by exhaustive subquery search
+
+
+def disjunct_contained(o: Ontology, q1: CQ, q2: CQ) -> bool:
+    """(o, full, q1) <= (o, full, q2) via the chase-homomorphism criterion."""
+    d1 = cq_as_database(q1)
+    if not is_consistent(d1, o):
+        return True
+    cm = canonical_model(d1, o, chase_steps(UCQ((q2,))))
+    fixed = dict(zip(q2.answer_vars, q1.answer_vars))
+    return find_homomorphism(q2, cm.database, fixed) is not None
+
+
+def _prune_disjuncts(Q: OMQ) -> list:
+    """Drop inconsistent disjuncts and ones contained in another disjunct."""
+    o = Q.ontology
+    live = [cq for cq in Q.query.disjuncts
+            if is_consistent(cq_as_database(cq), o)]
+    keep = []
+    for i, p in enumerate(live):
+        redundant = False
+        for j, other in enumerate(live):
+            if i == j:
+                continue
+            if disjunct_contained(o, p, other):
+                # keep the earlier of mutually equivalent disjuncts
+                if not disjunct_contained(o, other, p) or j < i:
+                    redundant = True
+                    break
+        if not redundant:
+            keep.append(p)
+    return keep
+
+
+def _full_contraction(q: CQ) -> CQ:
+    """Collapse all quantified variables into one (or onto an answer var)."""
+    var = sorted(q.variables())
+    answers = set(q.answer_vars)
+    quant = [v for v in var if v not in answers]
+    if not quant:
+        return q
+    rep = quant[0]
+    m = {v: rep for v in quant}
+    return q.rename(m)
+
+
+def _subquery_candidates(qp: CQ, k: int):
+    """Atom subsets of the extended query, smallest first, that keep all
+    answer variables and have tree width at most ``k``."""
+    atoms = qp.sorted_atoms()
+    answers = set(qp.answer_vars)
+    for size in range(1, len(atoms) + 1):
+        for combo in itertools.combinations(atoms, size):
+            bound = {t for at in combo for t in at.terms()}
+            if answers and not answers <= bound:
+                continue
+            cand = CQ(qp.answer_vars, combo)
+            if cq_treewidth(cand) <= k:
+                yield cand
+
+
+def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
+    """Exact tree-likeness decision over the full schema: per pruned
+    disjunct, extend the query with entailed concept copies and search its
+    subqueries of width at most ``k`` for an equivalent one (2^|atoms|
+    candidates; a cross-check for ``decide_tw_equiv_general``)."""
+    if not Q.schema.full:
+        raise SchemaPrecondition("the exact decision requires the full schema")
+    if Q.ontology.dialect not in TW_EQUIV_DIALECTS:
+        raise ValueError(f"dialect {Q.ontology.dialect.value} not supported here")
+    live = _prune_disjuncts(Q)
+    if not live:
+        witness = Q.with_query(UCQ((_full_contraction(Q.query.disjuncts[0]),)))
+        return TwEquivVerdict("yes", witness=witness, note="empty query")
+    found = []
+    for p in live:
+        qp = extend_with_entailed_atoms(single_cq_omq(Q.ontology, Q.schema, p))
+        hit = None
+        for cand in _subquery_candidates(qp, k):
+            dq = cq_as_database(cand)
+            if not is_consistent(dq, Q.ontology):
+                continue
+            cm = canonical_model(dq, Q.ontology, chase_steps(UCQ((p,))))
+            fixed = {x: x for x in p.answer_vars}
+            if find_homomorphism(p, cm.database, fixed) is not None:
+                hit = cand
+                break
+        if hit is None:
+            return TwEquivVerdict("no")
+        found.append(hit)
+    return TwEquivVerdict("yes", witness=Q.with_query(UCQ(found)))

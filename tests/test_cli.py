@@ -80,6 +80,39 @@ def test_tw_equiv_unknown_exit_code(files, capsys):
     assert out.strip() == "UNKNOWN"
 
 
+def test_tw_equiv_rejects_functional_roles(files, capsys):
+    # disjunct databases that violate func r must not count as inconsistent:
+    # the width-1 approximation misses A(b) r(a,b) r(b,c) r(c,d) s(c,a)
+    (files / "func.dl").write_text("func r\n")
+    (files / "cyc.cq").write_text(
+        "q() :- A(x1), r(x0,x1), r(x1,x2), r(x1,x3), r(x2,x4), s(x2,x0)\n")
+    code, out, err = run(capsys, "tw-equiv", "--onto", str(files / "func.dl"),
+                         "--query", str(files / "cyc.cq"), "-k", "1")
+    assert code == 3
+    assert out == "" and "dlf-equiv1" in err
+    code, out, _ = run(capsys, "dlf-equiv1", "--onto", str(files / "func.dl"),
+                       "--query", str(files / "cyc.cq"))
+    assert code == 0
+    assert out.strip() == "NO"
+
+
+def test_contain_cap_is_not_a_verdict(files, capsys, monkeypatch):
+    # a cap hit while evaluating Q1 must not read as "not separating"
+    import omqlab.treelike
+    from omqlab.graphalg import CapExceeded
+
+    def capped(Q, d):
+        raise CapExceeded("cap hit")
+
+    monkeypatch.setattr(omqlab.treelike, "evaluate_naive", capped)
+    (files / "s.schema").write_text("A2\nr\n")
+    code, out, err = run(capsys, "contain", "--query", str(files / "unary.cq"),
+                         "--query2", str(files / "unary.cq"),
+                         "--schema", str(files / "s.schema"))
+    assert code == 5
+    assert out == "" and "cap exceeded" in err
+
+
 def test_parse_error_exit_code(files, capsys):
     (files / "bad.dl").write_text("A( <=\n")
     code, _, err = run(capsys, "eval", "--onto", str(files / "bad.dl"),

@@ -22,13 +22,13 @@ from omqlab.pebble import (
     PebblePrecondition,
     exists_eligible,
     exists_mccs,
-    extend_query_plus,
     is_d_labeling,
     pebble_answers,
     pebble_evaluate,
     reach,
 )
 from omqlab.surface import parse_database, parse_ontology, parse_query
+from omqlab.treelike import extend_with_entailed_atoms
 from fixtures import Q1, d_example1, fig2, fig2_cq, omega1
 
 import sys, os
@@ -79,13 +79,13 @@ def test_exists_mccs():
 
 
 def test_extend_query_plus():
-    assert extend_query_plus(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2)).atoms == \
+    assert extend_with_entailed_atoms(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2)).atoms == \
         fig2_cq.atoms
     o = parse_ontology("A <= B")
     q = parse_query("q() :- A(x), r(x,y)")
-    qp = extend_query_plus(OMQ(o, FULL_SCHEMA, q))
+    qp = extend_with_entailed_atoms(OMQ(o, FULL_SCHEMA, q))
     assert qp.atoms == q.disjuncts[0].atoms  # the A-copy collapses onto A(x)
-    qp1 = extend_query_plus(Q1)
+    qp1 = extend_with_entailed_atoms(Q1)
     assert qp1.atoms == fig2_cq.atoms  # A2-copy at x2 is already there
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from omqlab.entailment import _elhi_view, entailed_concept_fact
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import core
@@ -9,18 +10,22 @@ from omqlab.model import (
     CQ,
     EMPTY_ONTOLOGY,
     FULL_SCHEMA,
+    FreshVars,
     OMQ,
     QueryError,
     Schema,
+    Top,
     UCQ,
+    concept_as_cq,
+    cq_as_database,
 )
 from omqlab.surface import parse_database, parse_ontology, parse_query
 from omqlab.treelike import (
     SchemaPrecondition,
     contains_dllite_horn,
     contains_full_schema,
-    decide_tw_equiv_full,
     decide_tw_equiv_general,
+    entailed_concept_trees,
     equivalent_full_schema,
     is_empty_full_schema,
     maximum_contractions,
@@ -40,7 +45,8 @@ from fixtures import (
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
-from gen import rand_cq, rand_database, rand_elhdr_ontology
+from gen import rand_cq, rand_database, rand_eli_ontology, rand_elhdr_ontology
+from oracles import decide_tw_equiv_full
 
 
 def test_approximation_example1():
@@ -122,17 +128,17 @@ def test_rewriting_inverse_example():
 
 
 def test_decide_full_example1():
-    v = decide_tw_equiv_full(Q1, 1)
+    v = decide_tw_equiv_general(Q1, 1)
     assert v.is_yes()
     assert all(cq_treewidth(c) <= 1 for c in v.witness.query.disjuncts)
     assert equivalent_full_schema(v.witness, Q1)
-    assert decide_tw_equiv_full(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2), 1).outcome == "no"
-    assert decide_tw_equiv_full(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2), 2).is_yes()
+    assert decide_tw_equiv_general(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2), 1).outcome == "no"
+    assert decide_tw_equiv_general(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2), 2).is_yes()
 
 
 def test_decide_full_empty_query():
     Q = OMQ(parse_ontology("A <= bot"), FULL_SCHEMA, parse_query("q() :- A(x), r(x,y)"))
-    v = decide_tw_equiv_full(Q, 1)
+    v = decide_tw_equiv_general(Q, 1)
     assert v.is_yes()
 
 
@@ -143,7 +149,7 @@ def test_decide_full_agrees_with_core_on_empty_ontology():
         Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, UCQ((q,)))
         for k in (1, 2):
             want = cq_treewidth(core(q)) <= k
-            assert decide_tw_equiv_full(Q, k).is_yes() == want
+            assert decide_tw_equiv_general(Q, k).is_yes() == want
 
 
 def test_decide_general_full_schema_delegates():
@@ -165,7 +171,7 @@ def test_decide_general_q2():
 def test_ucq_pruning_keeps_semantics():
     q = parse_query("q() :- A(x)\nq() :- A(x), B(y)")
     Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, q)
-    v = decide_tw_equiv_full(Q, 1)
+    v = decide_tw_equiv_general(Q, 1)
     assert v.is_yes()
     assert equivalent_full_schema(v.witness, Q)
 
@@ -226,4 +232,53 @@ def test_decision_matches_maximum_contraction_widths():
         maxes = maximum_contractions(Q)
         for k in (1, 2):
             want = all(cq_treewidth(m.query.disjuncts[0]) <= k for m in maxes)
-            assert decide_tw_equiv_full(Q, k).is_yes() == want
+            assert decide_tw_equiv_general(Q, k).is_yes() == want
+
+
+def test_decision_agrees_with_subset_search_oracle():
+    rng = random.Random(62)
+    cases = []
+    for _ in range(60):
+        q = rand_cq(rng, rng.randint(1, 5), 0, names=["A", "B"], roles=["r", "s"])
+        cases.append(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, UCQ((q,))))
+    for draw in (rand_elhdr_ontology, rand_eli_ontology):
+        for _ in range(40):
+            o = draw(rng, rng.randint(1, 3), names=["A", "B"], roles=["r"], depth=1)
+            arity = rng.choice([0, 1])
+            q = rand_cq(rng, rng.randint(max(arity, 1), 3), arity,
+                        names=["A", "B"], roles=["r"])
+            cases.append(OMQ(o, FULL_SCHEMA, UCQ((q,))))
+    outcomes = set()
+    for Q in cases:
+        for k in (1, 2):
+            yes = decide_tw_equiv_general(Q, k).is_yes()
+            assert yes == decide_tw_equiv_full(Q, k).is_yes(), (Q, k)
+            outcomes.add(yes)
+    assert outcomes == {True, False}
+
+
+def test_entailed_concept_trees_match_per_pair_entailment():
+    rng = random.Random(2024)
+    names, roles = ["A1", "A2", "A3", "B1"], ["r", "s"]
+    pairs_seen = 0
+    for _ in range(60):
+        o = rand_elhdr_ontology(rng, rng.randint(1, 8), names=names, roles=roles)
+        arity = rng.choice([0, 0, 1])
+        q = rand_cq(rng, rng.randint(max(arity, 1), 6), arity,
+                    names=names, roles=roles, max_tw=2)
+        Q = OMQ(o, FULL_SCHEMA, UCQ((q,)))
+        dq = cq_as_database(q)
+        fresh = FreshVars("_e")
+        want = []
+        lhss = []
+        for ci in _elhi_view(o).concept_inclusions():
+            c = ci.lhs
+            if c not in lhss and not c.contains_bot() and not isinstance(c, Top):
+                lhss.append(c)
+        for c in lhss:
+            for x in sorted(q.variables()):
+                if entailed_concept_fact(dq, o, c, x):
+                    want.append((x, concept_as_cq(c, rooted=True, fresh=fresh)))
+        assert list(entailed_concept_trees(Q)) == want
+        pairs_seen += len(want)
+    assert pairs_seen > 0

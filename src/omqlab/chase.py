@@ -8,8 +8,8 @@ Fresh constants are numbered deterministically (`_n<k>` for chase nodes,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .model import (
     Atomic,
@@ -17,21 +17,17 @@ from .model import (
     CQ,
     Concept,
     ConceptFact,
-    ConceptInclusion,
     Database,
     Fact,
     Ontology,
     Role,
     RoleFact,
-    RoleInclusion,
     concept_as_cq,
     concept_extension,
     cq_as_database,
-    FreshVars,
-    axiom_key,
+    restrict_database,
 )
 from .entailment import (
-    NormalOntology,
     Saturation,
     _elhi_view,
     normalize,
@@ -72,13 +68,7 @@ class ChaseDb:
         return frozenset(a for a, p in self.provenance.items() if p.kind == "original")
 
     def restriction(self) -> Database:
-        keep = self.original_constants()
-        return Database(f for f in self.facts.facts
-                        if all(t in keep for t in f.terms()))
-
-
-def chase_restriction(c: ChaseDb) -> Database:
-    return c.restriction()
+        return restrict_database(self.facts, self.original_constants())
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +91,18 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
     changed = True
     while changed:
         changed = False
-        current = Database(facts)
-        # rule 2: role inclusions
+        # rule 2: role inclusions, over the role facts as the round starts
+        role_facts = [f for f in facts if isinstance(f, RoleFact)]
         for ri in role_incs:
-            for f in sorted(current.role_facts(), key=lambda f: (f.name, f.a, f.b)):
-                pairs = []
-                if not ri.lhs.inverted and f.name == ri.lhs.name:
-                    pairs.append((f.a, f.b))
-                elif ri.lhs.inverted and f.name == ri.lhs.name:
-                    pairs.append((f.b, f.a))
-                for a, b in pairs:
-                    g = (RoleFact(ri.rhs.name, b, a) if ri.rhs.inverted
-                         else RoleFact(ri.rhs.name, a, b))
-                    if g not in facts:
-                        facts.add(g)
-                        changed = True
+            for f in role_facts:
+                if f.name != ri.lhs.name:
+                    continue
+                a, b = (f.b, f.a) if ri.lhs.inverted else (f.a, f.b)
+                g = (RoleFact(ri.rhs.name, b, a) if ri.rhs.inverted
+                     else RoleFact(ri.rhs.name, a, b))
+                if g not in facts:
+                    facts.add(g)
+                    changed = True
         current = Database(facts)
         # rule 1: concept inclusions
         for ax in inclusions:
@@ -229,6 +216,7 @@ def canonical_model(d: Database, o: Ontology, steps: int,
                 if isinstance(cc, Atomic):
                     facts.add(ConceptFact(n, c))
 
+    # not the Database index: this map grows while the rounds below read it
     succ_index: dict[tuple, set] = {}
 
     def successors(a: str, role: Role) -> set:
@@ -238,8 +226,9 @@ def canonical_model(d: Database, o: Ontology, steps: int,
         succ_index.setdefault((f.a, Role(f.name)), set()).add(f.b)
         succ_index.setdefault((f.b, Role(f.name, True)), set()).add(f.a)
 
-    for f in Database(facts).role_facts():
-        index_fact(f)
+    for f in facts:
+        if isinstance(f, RoleFact):
+            index_fact(f)
 
     for round_no in range(steps):
         additions: list[tuple[str, Role, frozenset]] = []

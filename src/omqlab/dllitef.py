@@ -13,29 +13,24 @@ from typing import Callable, Iterable, Optional
 from .model import (
     Atomic,
     CQ,
-    Concept,
     ConceptFact,
     Database,
     Dialect,
-    DLLITE_FAMILY,
-    Exists,
     FULL_SCHEMA,
     FreshVars,
     OMQ,
     Ontology,
     QueryError,
-    Role,
     RoleFact,
-    TOP,
     UCQ,
     cq_as_database,
     gaifman_graph,
     single_cq_omq,
 )
-from .entailment import _elhi_view, is_consistent
+from .entailment import _elhi_view
 from .evaluation import evaluate_naive
-from .graphalg import MINOR_VERTEX_CAP, CapExceeded, is_minor
-from .homtools import contractions, find_homomorphism
+from .graphalg import CapExceeded, is_minor
+from .homtools import contractions
 from .treelike import (
     TwEquivVerdict,
     cq_canonical,
@@ -59,14 +54,6 @@ def split_ontology(o: Ontology) -> FunctionalSplit:
     rest = [ax for ax in o.sorted_axioms() if not isinstance(ax, Functionality)]
     return FunctionalSplit(Ontology(rest, Dialect.DLLITE_F),
                            frozenset(o.functional_roles()))
-
-
-def satisfies_functionality(d: Database, funcs: Iterable[str]) -> bool:
-    for r in funcs:
-        for a in d.dom:
-            if len(d.successors(a, Role(r))) > 1:
-                return False
-    return True
 
 
 def id_functional(q: UCQ, funcs: Iterable[str]) -> UCQ:

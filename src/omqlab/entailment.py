@@ -402,12 +402,7 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
             g = RoleFact(s.name, f.b, f.a) if s.inverted else RoleFact(s.name, f.a, f.b)
             if g not in closed:
                 frontier.append(g)
-    role_facts = closed
-
-    succ: dict[tuple[str, Role], set] = {}
-    for f in role_facts:
-        succ.setdefault((f.a, Role(f.name)), set()).add(f.b)
-        succ.setdefault((f.b, Role(f.name, True)), set()).add(f.a)
+    roles = Database(closed).index
 
     changed = True
     while changed:
@@ -418,15 +413,16 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
                 types[a] |= t
                 changed = True
         for rule in onorm.exists_rules:
-            for (a, r), bs in list(succ.items()):
-                if r != rule.role:
+            along = roles.pred if rule.role.inverted else roles.succ
+            for (name, a), bs in along.items():
+                if name != rule.role.name:
                     continue
                 if rule.head not in types.get(a, set()):
                     if any(rule.filler in types.get(b, set()) for b in bs):
                         types.setdefault(a, set()).add(rule.head)
                         changed = True
 
-    db_facts: set[Fact] = set(role_facts)
+    db_facts: set[Fact] = set(closed)
     for a, t in types.items():
         for n in sorted(t):
             c = onorm.name_concept.get(n)
@@ -502,16 +498,23 @@ def _elhi_view(o: Ontology) -> Ontology:
     return Ontology(axioms, Dialect.ELHI_BOT)
 
 
+def satisfies_functionality(d: Database, funcs: Iterable[str]) -> bool:
+    """No constant of ``d`` has two successors along a role in ``funcs``."""
+    funcs = frozenset(funcs)
+    return all(len(bs) < 2 for (name, _), bs in d.index.succ.items()
+               if name in funcs)
+
+
 def is_consistent(d: Database, o: Ontology) -> bool:
     """Consistency of a database with an ontology (ELHI_bot or DL-Lite)."""
     if o.dialect in DLLITE_FAMILY:
-        for fr in o.functional_roles():
-            for a in d.dom:
-                if len(d.successors(a, Role(fr))) > 1:
-                    return False
+        if not satisfies_functionality(d, o.functional_roles()):
+            return False
         sup = _role_closure(_elhi_view(o))
         pairs: dict[tuple, set] = {}
-        for f in d.role_facts():
+        for f in d.facts:
+            if not isinstance(f, RoleFact):
+                continue
             for s in sup.get(Role(f.name), frozenset({Role(f.name)})):
                 key = (f.b, f.a) if s.inverted else (f.a, f.b)
                 pairs.setdefault(key, set()).add(s.name)

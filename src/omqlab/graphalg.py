@@ -249,16 +249,13 @@ def _decomposition_from_order(g: UndirectedGraph, order: list) -> tuple[list, se
 
 
 def cq_treewidth(q: CQ) -> int:
-    """Treewidth of the quantified-variable restriction; 1 when that
-    restriction has no binary atoms."""
+    """Treewidth of the quantified-variable restriction, at least 1.
+    Variables without an edge to another variable add no width, so they
+    stay out of the exact search and its vertex cap."""
     quantified = q.quantified_vars()
     restricted = [at for at in q.atoms if all(t in quantified for t in at.terms())]
-    if not any(isinstance(at, RoleFact) for at in restricted):
-        return 1
     g = gaifman_graph(Database(restricted))
-    for v in quantified:
-        g.add_vertex(v)
-    return treewidth(g)[0]
+    return max(1, treewidth(g.subgraph(v for v in g.vertices if g.degree(v)))[0])
 
 
 # ---------------------------------------------------------------------------

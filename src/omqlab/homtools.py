@@ -33,24 +33,9 @@ def _var_order(q: CQ, fixed: Iterable[str] = ()) -> list[str]:
     return sorted(free, key=lambda v: (-deg.get(v, 0), v))
 
 
-def _atom_indexes(target: Database):
-    concepts: dict[str, set] = {}
-    out_edges: dict[tuple, set] = {}
-    in_edges: dict[tuple, set] = {}
-    pairs: set = set()
-    for f in target.facts:
-        if isinstance(f, ConceptFact):
-            concepts.setdefault(f.name, set()).add(f.a)
-        else:
-            out_edges.setdefault((f.name, f.a), set()).add(f.b)
-            in_edges.setdefault((f.name, f.b), set()).add(f.a)
-            pairs.add((f.name, f.a, f.b))
-    return concepts, out_edges, in_edges, pairs
-
-
 def _candidates(q: CQ, target: Database, allowed=None):
     """Per-variable candidate constants from unary atoms (plus `allowed`)."""
-    concepts, *_ = _atom_indexes(target)
+    concepts = target.index.concepts
     cand: dict[str, set] = {}
     base = set(target.dom)
     for v in q.variables():
@@ -75,7 +60,7 @@ def iter_homomorphisms(
             raise HomError(f"fixed variable {v} does not occur in the query")
         if c not in target.dom and q.atoms:
             return
-    concepts, out_edges, in_edges, pairs = _atom_indexes(target)
+    concepts, succ, pred = target.index
     cand = _candidates(q, target, allowed)
     for v, c in fixed.items():
         if q.atoms and c not in cand[v]:
@@ -102,7 +87,7 @@ def iter_homomorphisms(
 
     h0 = dict(fixed)
     for at in upfront:
-        if not _atom_holds(at, h0, concepts, pairs):
+        if not _atom_holds(at, h0, concepts, succ):
             return
 
     def candidates(v: str, h: dict):
@@ -110,9 +95,9 @@ def iter_homomorphisms(
         out = cand[v]
         for at in narrow_at[v]:
             if at.b == v and at.a in h:
-                out = out & out_edges.get((at.name, h[at.a]), frozenset())
+                out = out & succ.get((at.name, h[at.a]), frozenset())
             elif at.a == v and at.b in h:
-                out = out & in_edges.get((at.name, h[at.b]), frozenset())
+                out = out & pred.get((at.name, h[at.b]), frozenset())
             if not out:
                 break
         return out
@@ -129,7 +114,7 @@ def iter_homomorphisms(
         advanced = False
         for c in iters[-1]:
             h[v] = c
-            if all(_atom_holds(at, h, concepts, pairs) for at in check_at[v]):
+            if all(_atom_holds(at, h, concepts, succ) for at in check_at[v]):
                 advanced = True
                 break
         if not advanced:
@@ -142,10 +127,10 @@ def iter_homomorphisms(
         iters.append(iter(sorted(candidates(order[i + 1], h))))
 
 
-def _atom_holds(at, h, concepts, pairs) -> bool:
+def _atom_holds(at, h, concepts, succ) -> bool:
     if isinstance(at, ConceptFact):
         return h[at.a] in concepts.get(at.name, ())
-    return (at.name, h[at.a], h[at.b]) in pairs
+    return h[at.b] in succ.get((at.name, h[at.a]), ())
 
 
 def find_homomorphism(q: CQ, target: Database, fixed: Optional[dict] = None) -> Optional[dict]:

@@ -8,9 +8,8 @@ equal concepts compare equal regardless of how they were written down.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +536,26 @@ def sorted_facts(facts: Iterable[Fact]) -> list:
     return sorted(facts, key=fact_key)
 
 
-class Database:
-    """A finite set of unary and binary facts, with precomputed indexes."""
+class FactIndex(NamedTuple):
+    """Lookups into one database's facts by name and constant."""
 
-    __slots__ = ("facts", "dom", "_hash")
+    concepts: dict  # concept name -> constants carrying it
+    succ: dict      # (role name, a) -> constants b with r(a,b)
+    pred: dict      # (role name, b) -> constants a with r(a,b)
+
+
+_NONE: frozenset = frozenset()
+
+
+class Database:
+    """A finite set of unary and binary facts.
+
+    Lookups by name or constant read ``index``, one ``FactIndex`` built on
+    first use and kept for the database's lifetime: concept name to
+    constants, and (role name, constant) to successors and predecessors.
+    """
+
+    __slots__ = ("facts", "dom", "_hash", "_index")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         object.__setattr__(self, "facts", frozenset(facts))
@@ -574,16 +589,32 @@ class Database:
     def role_facts(self) -> Iterator[RoleFact]:
         return (f for f in sorted_facts(self.facts) if isinstance(f, RoleFact))
 
-    def concept_names_at(self, a: str) -> frozenset:
-        return frozenset(f.name for f in self.facts
-                         if isinstance(f, ConceptFact) and f.a == a)
+    @property
+    def index(self) -> FactIndex:
+        try:
+            return self._index
+        except AttributeError:
+            pass
+        concepts: dict = {}
+        succ: dict = {}
+        pred: dict = {}
+        for f in self.facts:
+            if isinstance(f, ConceptFact):
+                concepts.setdefault(f.name, set()).add(f.a)
+            else:
+                succ.setdefault((f.name, f.a), set()).add(f.b)
+                pred.setdefault((f.name, f.b), set()).add(f.a)
+
+        def frozen(m: dict) -> dict:
+            return {k: frozenset(v) for k, v in m.items()}
+
+        object.__setattr__(self, "_index",
+                           FactIndex(frozen(concepts), frozen(succ), frozen(pred)))
+        return self._index
 
     def successors(self, a: str, role: Role) -> frozenset:
-        if role.inverted:
-            return frozenset(f.a for f in self.facts
-                             if isinstance(f, RoleFact) and f.name == role.name and f.b == a)
-        return frozenset(f.b for f in self.facts
-                         if isinstance(f, RoleFact) and f.name == role.name and f.a == a)
+        idx = self.index
+        return (idx.pred if role.inverted else idx.succ).get((role.name, a), _NONE)
 
     def names(self) -> frozenset:
         return frozenset(f.name for f in self.facts)
@@ -911,13 +942,14 @@ def concept_extension(d: Database, c: Concept) -> frozenset:
     if isinstance(c, Bot):
         return frozenset()
     if isinstance(c, Atomic):
-        return frozenset(a for a in d.dom if c.name in d.concept_names_at(a))
+        return d.index.concepts.get(c.name, _NONE)
     if isinstance(c, Conj):
         out = d.dom
         for p in c.parts:
             out = out & concept_extension(d, p)
         return out
     if isinstance(c, Exists):
-        filler = concept_extension(d, c.filler)
-        return frozenset(a for a in d.dom if d.successors(a, c.role) & filler)
+        back = c.role.inverse()
+        return frozenset(a for b in concept_extension(d, c.filler)
+                         for a in d.successors(b, back))
     raise TypeError(f"not a concept: {c!r}")

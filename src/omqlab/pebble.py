@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .model import (
     CQ,
@@ -164,11 +164,6 @@ def analyze_pair(q: CQ, pair: tuple) -> ReachSystem:
     return ReachSystem(pair, rep, levels, dt is not None, dt)
 
 
-def exists_eligible(q: CQ, pair: tuple) -> tuple[bool, Optional[CQ]]:
-    sys = analyze_pair(q, pair)
-    return sys.eligible, sys.dtree
-
-
 def exists_mccs(q: CQ) -> list[frozenset]:
     """Atom sets of the maximal connected components containing only
     quantified variables."""
@@ -256,6 +251,9 @@ class LabelContext:
     # -- the conditions ------------------------------------------------------
 
     def is_labeling(self, labels: dict, on_vars: frozenset) -> bool:
+        """Do the labeling conditions hold on the restriction of the query
+        to ``on_vars`` (plus the answer variables)?  Label values:
+        constants, ``EXIST``, or ``Anchored(pair, constant)``."""
         sub = self.restricted(on_vars)
         for x in sub.answer_vars:
             if not is_const(labels.get(x)):
@@ -334,14 +332,6 @@ class LabelContext:
             if 0 not in sysm.level_set(px) or 1 not in sysm.level_set(py):
                 return False
         return True
-
-
-def is_d_labeling(Q: OMQ, d: Database, labels: dict, on_vars: Iterable[str]) -> bool:
-    """Do the labeling conditions hold on the restriction of the query to
-    ``on_vars`` (plus the answer variables)?  Label values: constants,
-    ``EXIST``, or ``Anchored(pair, constant)``."""
-    ctx = LabelContext(Q, d)
-    return ctx.is_labeling(dict(labels), frozenset(on_vars))
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def _sourcing_variants(o: Ontology, d: Database, schema: Schema, answers: tuple)
     vocab_c = sorted({s.name for ax in _elhi_view(o).concept_inclusions()
                       for side in (ax.lhs, ax.rhs)
                       for s in side.subconcepts() if isinstance(s, Atomic)}
-                     | {f.name for f in d.concept_facts()})
+                     | set(d.index.concepts))
     vocab_c = [n for n in vocab_c if schema.admits(n)]
     per_fact: list[list] = []
     for f in sorted(d.facts, key=str):

@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check the engine.
 
-These deliberately take the dumb route: bounded oblivious chase plus
-plain homomorphism search, with a depth-stability re-check, and an
-exhaustive subquery search for tree-likeness.
+These deliberately take the dumb route: fact lookups by scanning every
+fact, bounded oblivious chase plus plain homomorphism search, with a
+depth-stability re-check, and an exhaustive subquery search for
+tree-likeness.
 """
 
 import itertools
@@ -13,6 +14,8 @@ from omqlab.evaluation import chase_steps
 from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import all_answers, find_homomorphism
 from omqlab.model import (
+    Atomic,
+    Bot,
     CQ,
     Concept,
     ConceptFact,
@@ -21,6 +24,9 @@ from omqlab.model import (
     Exists,
     OMQ,
     Ontology,
+    Role,
+    RoleFact,
+    Top,
     UCQ,
     concept_as_cq,
     concept_extension,
@@ -33,6 +39,50 @@ from omqlab.treelike import (
     TwEquivVerdict,
     extend_with_entailed_atoms,
 )
+
+
+# ---------------------------------------------------------------------------
+# Fact lookups by scanning, the reference for ``Database.index``
+
+
+def scan_concept_names_at(d: Database, a: str) -> frozenset:
+    return frozenset(f.name for f in d.facts
+                     if isinstance(f, ConceptFact) and f.a == a)
+
+
+def scan_successors(d: Database, a: str, role: Role) -> frozenset:
+    if role.inverted:
+        return frozenset(f.a for f in d.facts
+                         if isinstance(f, RoleFact) and f.name == role.name and f.b == a)
+    return frozenset(f.b for f in d.facts
+                     if isinstance(f, RoleFact) and f.name == role.name and f.a == a)
+
+
+def scan_concept_extension(d: Database, c: Concept) -> frozenset:
+    if isinstance(c, Top):
+        return d.dom
+    if isinstance(c, Bot):
+        return frozenset()
+    if isinstance(c, Atomic):
+        return frozenset(a for a in d.dom if c.name in scan_concept_names_at(d, a))
+    if isinstance(c, Conj):
+        out = d.dom
+        for p in c.parts:
+            out = out & scan_concept_extension(d, p)
+        return out
+    if isinstance(c, Exists):
+        filler = scan_concept_extension(d, c.filler)
+        return frozenset(a for a in d.dom if scan_successors(d, a, c.role) & filler)
+    raise TypeError(f"not a concept: {c!r}")
+
+
+def scan_satisfies_functionality(d: Database, funcs) -> bool:
+    return all(len(scan_successors(d, a, Role(r))) <= 1
+               for r in funcs for a in d.dom)
+
+
+# ---------------------------------------------------------------------------
+# Subsumption and answers by bounded chase
 
 
 def concept_depth(c: Concept) -> int:

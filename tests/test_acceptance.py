@@ -14,10 +14,9 @@ from omqlab.dllitef import (
     decide_ubcq1_equiv,
     id_functional,
     rew,
-    satisfies_functionality,
     split_ontology,
 )
-from omqlab.entailment import is_consistent, subsumes
+from omqlab.entailment import is_consistent, satisfies_functionality, subsumes
 from omqlab.evaluation import evaluate_fpt, evaluate_naive
 from omqlab.graphalg import cq_treewidth, k_unravel, treewidth
 from omqlab.homtools import all_answers, core, find_homomorphism

@@ -6,7 +6,6 @@ from omqlab.chase import (
     InconsistentInput,
     canonical_model,
     chase_of_cq,
-    chase_restriction,
     oblivious_chase,
 )
 from omqlab.entailment import is_consistent
@@ -55,12 +54,12 @@ def test_chase_depth_bound():
 
 def test_chase_restriction():
     ch = oblivious_chase(parse_database("A(a)"), parse_ontology("A <= exists r . B"), 1)
-    assert chase_restriction(ch) == parse_database("A(a)")
+    assert ch.restriction() == parse_database("A(a)")
     o = Ontology([RoleInclusion(Role("r"), Role("s"))], Dialect.ELH_BOT)
     ch2 = oblivious_chase(parse_database("r(a,b)"), o, 2)
-    assert chase_restriction(ch2) == parse_database("r(a,b)\ns(a,b)")
+    assert ch2.restriction() == parse_database("r(a,b)\ns(a,b)")
     ch3 = oblivious_chase(d_example1, omega1, 2)
-    assert ConceptFact("A4", "b") in chase_restriction(ch3).facts
+    assert ConceptFact("A4", "b") in ch3.restriction().facts
 
 
 def test_chase_of_cq_matches_database_chase():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omqlab
 from omqlab.cli import main
 from fixtures import FIG2_TEXT
 
@@ -212,3 +217,45 @@ def test_determinism(files, capsys):
                         "--query", str(files / "fig2.cq"), "-k", "1")
         outs.add(out)
     assert len(outs) == 1
+
+
+HASH_SEED_ONTOLOGY = """\
+A <= exists r . (B & exists s . C)
+B <= exists r . A
+B & C <= D
+exists s . C <= E
+r <= t
+range t <= B
+"""
+HASH_SEED_DATABASE = "A(a)\nB(b)\nr(a,b)\ns(b,c)\nC(c)\nr(c,a)\nt(d,a)\nA(d)\n"
+
+
+def test_output_is_byte_identical_across_hash_seeds(tmp_path):
+    (tmp_path / "o.dl").write_text(HASH_SEED_ONTOLOGY)
+    (tmp_path / "d.db").write_text(HASH_SEED_DATABASE)
+    (tmp_path / "u.cq").write_text(
+        "q(x) :- r(x,y), B(y), s(y,z), E(y)\nq(x) :- t(x,y), A(y)\n")
+    (tmp_path / "b.cq").write_text("q() :- r(x,y), r(y,z), r(z,x), B(y)\n")
+    onto, db = ["--onto", "o.dl"], ["--db", "d.db"]
+    invocations = [["eval", *onto, "--query", "u.cq", *db, "--algo", algo]
+                   for algo in ("naive", "fpt", "pebble")]
+    invocations += [["chase", *onto, *db, "--depth", "2"],
+                    ["chase", *onto, *db, "--depth", "2", "--canonical", "--steps", "2"],
+                    ["rewrite", *onto, "--query", "b.cq"],
+                    ["tw-equiv", *onto, "--query", "b.cq", "-k", "1"]]
+    src = str(Path(omqlab.__file__).resolve().parent.parent)
+    outputs = {}
+    for seed in ("0", "1", "2"):
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        for argv in invocations:
+            res = subprocess.run([sys.executable, "-m", "omqlab.cli", *argv],
+                                 cwd=tmp_path, env=env, capture_output=True,
+                                 text=True, timeout=60)
+            assert res.returncode == 0, (argv, res.stderr)
+            outputs.setdefault(tuple(argv), set()).add(res.stdout)
+    for argv, outs in outputs.items():
+        assert len(outs) == 1, argv
+    assert "_n" in outputs[tuple(invocations[3])].pop()
+    assert "_e" in outputs[tuple(invocations[5])].pop()

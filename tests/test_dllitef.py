@@ -8,11 +8,10 @@ from omqlab.dllitef import (
     id_functional,
     rew,
     rewrite_family,
-    satisfies_functionality,
     split_ontology,
     ubcq_equiv_via_disjuncts,
 )
-from omqlab.entailment import _elhi_view, is_consistent
+from omqlab.entailment import _elhi_view, is_consistent, satisfies_functionality
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.model import (

@@ -69,6 +69,10 @@ def test_cq_treewidth_fig2():
     assert cq_treewidth(fig2_cq.restrict({"x1", "x2", "x3"})) == 1
     all_answered = CQ(("x1", "x2", "x3", "x4"), fig2_cq.atoms)
     assert cq_treewidth(all_answered) == 1
+    for text in ("q() :- A(x)", "q() :- r(x,x), A(x)", "q(x) :- r(x,y), r(y,y)"):
+        assert cq_treewidth(parse_query(text).disjuncts[0]) == 1
+    loops = ", ".join(f"r(x{i},x{i}), A(x{i})" for i in range(30))
+    assert cq_treewidth(parse_query(f"q() :- {loops}").disjuncts[0]) == 1
 
 
 def test_is_ditree():

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from omqlab.entailment import satisfies_functionality
 from omqlab.model import (
     Atomic,
     BOT,
@@ -28,6 +31,12 @@ from omqlab.model import (
     restrict_database,
 )
 from fixtures import fig2_cq
+from gen import rand_concept, rand_database
+from oracles import (
+    scan_concept_extension,
+    scan_satisfies_functionality,
+    scan_successors,
+)
 
 
 def test_role_inverse_normalizes():
@@ -129,6 +138,28 @@ def test_concept_extension():
     assert concept_extension(d, Exists(Role("r"), Atomic("B"))) == {"a"}
     assert concept_extension(d, Exists(Role("r", True), Atomic("A"))) == {"b"}
     assert concept_extension(d, TOP) == d.dom
+
+
+def test_index_agrees_with_scan_reference():
+    rng = random.Random(303)
+    names, roles = ["A", "B", "C"], ["r", "s"]
+    dbs = [Database(), rand_database(rng, 3, n_facts=0),
+           Database([RoleFact("r", "a", "a"), ConceptFact("A", "a")])]
+    dbs += [rand_database(rng, rng.randint(1, 5), names=names, roles=roles)
+            for _ in range(200)]
+    assert sum(any(f.terms() == (f.a, f.a) for f in d.role_facts()) for d in dbs) > 20
+    all_roles = [Role(n, inv) for n in roles + ["t"] for inv in (False, True)]
+    for d in dbs:
+        for a in sorted(d.dom) + ["zz"]:
+            for role in all_roles:
+                assert d.successors(a, role) == scan_successors(d, a, role)
+        for _ in range(8):
+            c = rand_concept(rng, names + ["Z"], roles, 3, allow_inverse=True)
+            assert concept_extension(d, c) == scan_concept_extension(d, c)
+        assert concept_extension(d, BOT) == scan_concept_extension(d, BOT)
+        for funcs in ([], ["r"], ["s"], ["r", "s", "t"]):
+            assert (satisfies_functionality(d, funcs)
+                    == scan_satisfies_functionality(d, funcs))
 
 
 def test_repeated_answer_variable_rejected():

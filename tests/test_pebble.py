@@ -19,10 +19,10 @@ from omqlab.pebble import (
     Anchored,
     Const,
     EXIST,
+    LabelContext,
     PebblePrecondition,
-    exists_eligible,
+    analyze_pair,
     exists_mccs,
-    is_d_labeling,
     pebble_answers,
     pebble_evaluate,
     reach,
@@ -61,11 +61,13 @@ def test_reach_rejects_answer_second():
 
 
 def test_eligibility():
-    ok, dt = exists_eligible(_q("q() :- r(x,y)"), ("x", "y"))
+    s = analyze_pair(_q("q() :- r(x,y)"), ("x", "y"))
+    ok, dt = s.eligible, s.dtree
     assert ok and dt.arity == 1
-    ok, dt = exists_eligible(_q("q() :- r(x,y), r(z,y)"), ("x", "y"))
+    s = analyze_pair(_q("q() :- r(x,y), r(z,y)"), ("x", "y"))
+    ok, dt = s.eligible, s.dtree
     assert ok and len(dt.variables()) == 2  # x and z merge into the root
-    ok, _ = exists_eligible(_q("q() :- r(x,y), s(y,xp), t(xp,y)"), ("x", "y"))
+    ok = analyze_pair(_q("q() :- r(x,y), s(y,xp), t(xp,y)"), ("x", "y")).eligible
     assert not ok
 
 
@@ -93,7 +95,7 @@ def test_is_d_labeling_const_hom():
     d = parse_database("A1(a)\nA2(b)\nA3(c)\nr(b,a)\nr(b,c)")
     labels = {"x1": Const("a"), "x2": Const("b"), "x3": Const("c"),
               "x4": Const("b")}
-    assert is_d_labeling(Q1, d, labels, {"x1", "x2", "x3", "x4"})
+    assert LabelContext(Q1, d).is_labeling(labels, frozenset({"x1", "x2", "x3", "x4"}))
 
 
 def test_is_d_labeling_condition3():
@@ -101,7 +103,7 @@ def test_is_d_labeling_condition3():
     Q = OMQ(o, FULL_SCHEMA, parse_query("q() :- r(x,y), A(x)"))
     d = parse_database("A(a)")
     labels = {"x": EXIST, "y": Const("a")}
-    assert not is_d_labeling(Q, d, labels, {"x", "y"})
+    assert not LabelContext(Q, d).is_labeling(labels, frozenset({"x", "y"}))
 
 
 def test_is_d_labeling_anchored():
@@ -109,9 +111,9 @@ def test_is_d_labeling_anchored():
     Q = OMQ(o, FULL_SCHEMA, parse_query("q() :- A(x), r(x,y)"))
     d = parse_database("A(a)")
     labels = {"x": Const("a"), "y": Anchored(("x", "y"), "a")}
-    assert is_d_labeling(Q, d, labels, {"x", "y"})
+    assert LabelContext(Q, d).is_labeling(labels, frozenset({"x", "y"}))
     labels_bad = {"x": Const("a"), "y": Anchored(("x", "y"), "zz")}
-    assert not is_d_labeling(Q, d, labels_bad, {"x", "y"})
+    assert not LabelContext(Q, d).is_labeling(labels_bad, frozenset({"x", "y"}))
 
 
 def test_pebble_matches_naive_on_example1():
@@ -191,7 +193,6 @@ def test_hom_induced_labelings_validate():
     from omqlab.chase import canonical_model
     from omqlab.evaluation import chase_steps
     from omqlab.homtools import iter_homomorphisms
-    from omqlab.pebble import LabelContext, analyze_pair
 
     rng = random.Random(67)
     checked = 0

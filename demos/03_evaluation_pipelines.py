@@ -5,7 +5,7 @@ collapses it onto the database.
 
 from omqlab.evaluation import evaluate_fpt, evaluate_naive
 from omqlab.model import FULL_SCHEMA, OMQ
-from omqlab.pebble import pebble_answers
+from omqlab.pebble import evaluate_pebble
 from omqlab.surface import parse_database, parse_ontology, parse_query
 
 query = parse_query(
@@ -32,7 +32,7 @@ print("fpt:  ", evaluate_fpt(Q, db, 2).boolean())
 # Pebble game: no materialized chase at all; positions carry labels that
 # certify a homomorphism locally.  Exact here because the OMQ is
 # equivalent to a width-1 query.
-print("game: ", () in pebble_answers(Q, db, 1))
+print("game: ", () in evaluate_pebble(Q, db, 1).answers)
 
 # Without the ontology the cycle cannot fold onto the two edges.
 from omqlab.model import EMPTY_ONTOLOGY

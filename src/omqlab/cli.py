@@ -18,7 +18,6 @@ from .model import FULL_SCHEMA, OMQ, Ontology, QueryError, Schema, DialectError
 from .chase import ChaseCapExceeded, InconsistentInput, canonical_model, oblivious_chase
 from .entailment import UnsupportedDialect, is_consistent
 from .evaluation import (
-    EvalResult,
     SchemaViolation,
     TreewidthPrecondition,
     evaluate_fpt,
@@ -26,7 +25,7 @@ from .evaluation import (
 )
 from .graphalg import CapExceeded, cq_treewidth, k_unravel
 from .homtools import core
-from .pebble import PebblePrecondition, pebble_answers
+from .pebble import PebblePrecondition, evaluate_pebble
 from .surface import ParseError
 from .treelike import (
     SchemaPrecondition,
@@ -102,8 +101,7 @@ def cmd_eval(args) -> int:
         res = evaluate_fpt(Q, d, max(1, k))
     elif args.algo == "pebble":
         k = args.k if args.k is not None else 1
-        res = EvalResult(is_consistent(d, Q.ontology), pebble_answers(Q, d, k),
-                         "pebble")
+        res = evaluate_pebble(Q, d, k)
     else:
         raise ValueError(f"unknown algorithm {args.algo}")
     _emit_answers(args, res)

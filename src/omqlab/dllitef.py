@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .model import (
-    Atomic,
     CQ,
     ConceptFact,
     Database,
@@ -173,10 +172,7 @@ def _is_pendant_tree(atoms: frozenset, root: str) -> bool:
 def _generator_atoms(o: Ontology, q_names: Iterable[str], x: str, fresh: FreshVars):
     """Candidate generating atoms anchored at ``x``: A(x), S(x,z), S(z,x)."""
     onames = _elhi_view(o)
-    concepts = sorted({s.name for ax in onames.concept_inclusions()
-                       for side in (ax.lhs, ax.rhs)
-                       for s in side.subconcepts() if isinstance(s, Atomic)}
-                      | set(q_names))
+    concepts = sorted(o.concept_names() | set(q_names))
     roles = sorted({r.name for ax in onames.concept_inclusions()
                     for side in (ax.lhs, ax.rhs) for r in side.roles()}
                    | {ri.lhs.name for ri in onames.role_inclusions()}

@@ -7,6 +7,7 @@ carry an explicit ``consistent`` flag so the caller can surface this.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -21,10 +22,10 @@ from .model import (
     UCQ,
     gaifman_graph,
 )
-from .chase import CanonicalModel, canonical_model
-from .entailment import is_consistent
+from .chase import canonical_model
+from .entailment import Saturation, is_consistent
 from .graphalg import cq_treewidth, treewidth
-from .homtools import all_answers, iter_homomorphisms
+from .homtools import find_homomorphism, iter_homomorphisms
 
 
 class SchemaViolation(ValueError):
@@ -52,10 +53,6 @@ def _check_schema(Q: OMQ, d: Database) -> None:
         raise SchemaViolation(f"database uses names outside the schema: {extra}")
 
 
-def _all_tuples(d: Database, arity: int) -> frozenset:
-    return frozenset(itertools.product(sorted(d.dom), repeat=arity))
-
-
 def chase_steps(q: UCQ) -> int:
     """Successor rounds generous enough for any disjunct-sized match: a
     connected image inside an anonymous tree spans at most as many levels
@@ -64,51 +61,63 @@ def chase_steps(q: UCQ) -> int:
     return max(len(cq.variables()) for cq in q.disjuncts) + 1
 
 
+def _certain_answers(Q: OMQ, d: Database, algorithm: str, prepare) -> EvalResult:
+    """The one certain-answers loop of the three pipelines.  ``prepare()``
+    runs once ``d`` is known consistent with the ontology and returns the
+    result's stats and the per-disjunct preparation, which runs once per
+    disjunct and returns the test for one candidate tuple."""
+    _check_schema(Q, d)
+    candidates = list(itertools.product(sorted(d.dom), repeat=Q.arity))
+    if not is_consistent(d, Q.ontology):
+        return EvalResult(False, frozenset(candidates), algorithm)
+    stats, per_disjunct = prepare()
+    answers: set = set()
+    for cq in Q.query.disjuncts:
+        holds = per_disjunct(cq)
+        for a in candidates:
+            if a not in answers and holds(a):
+                answers.add(a)
+    return EvalResult(True, frozenset(answers), algorithm, stats)
+
+
+def _over_canonical_model(Q: OMQ, d: Database, algorithm: str,
+                          per_disjunct) -> EvalResult:
+    """The naive and fpt pipelines: the truncated canonical model is built
+    once, and ``per_disjunct(cq, target)`` prepares each disjunct against
+    it."""
+    def prepare():
+        cm = canonical_model(d, Q.ontology, chase_steps(Q.query))
+        stats = {"chase_constants": len(cm.database.dom), "chase_facts": len(cm.database)}
+        return stats, lambda cq: per_disjunct(cq, cm.database)
+    return _certain_answers(Q, d, algorithm, prepare)
+
+
 def evaluate_naive(Q: OMQ, d: Database) -> EvalResult:
     """Certain answers via the truncated canonical model and plain
     homomorphism search."""
-    _check_schema(Q, d)
-    if not is_consistent(d, Q.ontology):
-        return EvalResult(False, _all_tuples(d, Q.arity), "naive")
-    cm = canonical_model(d, Q.ontology, chase_steps(Q.query))
-    answers = all_answers(Q.query, cm.database, restrict_to=cm.original)
-    stats = {"chase_constants": len(cm.database.dom), "chase_facts": len(cm.database)}
-    return EvalResult(True, frozenset(answers), "naive", stats)
+    def per_disjunct(cq: CQ, target: Database):
+        return lambda a: find_homomorphism(
+            cq, target, dict(zip(cq.answer_vars, a))) is not None
+    return _over_canonical_model(Q, d, "naive", per_disjunct)
 
 
 def evaluate_fpt(Q: OMQ, d: Database, k: int) -> EvalResult:
     """Same canonical model, then width-``k`` dynamic programming per
     disjunct and candidate tuple."""
-    _check_schema(Q, d)
-    for cq in Q.query.disjuncts:
-        w = cq_treewidth(cq)
-        if w > k:
-            raise TreewidthPrecondition(f"disjunct has tree width {w} > {k}")
-    if not is_consistent(d, Q.ontology):
-        return EvalResult(False, _all_tuples(d, Q.arity), "fpt")
-    cm = canonical_model(d, Q.ontology, chase_steps(Q.query))
-    answers = set()
-    candidates = sorted(itertools.product(sorted(d.dom), repeat=Q.arity))
-    for cq in Q.query.disjuncts:
-        for a in candidates:
-            if a in answers:
-                continue
-            if evaluate_tw_cq(cq, cm.database, k, a,
-                              anonymous_ok=frozenset(cm.database.dom)):
-                answers.add(a)
-    stats = {"chase_constants": len(cm.database.dom), "chase_facts": len(cm.database)}
-    return EvalResult(True, frozenset(answers), "fpt", stats)
+    plans = {cq: _WidthPlan(cq, k) for cq in Q.query.disjuncts}
+
+    def per_disjunct(cq: CQ, target: Database):
+        return functools.partial(plans[cq].holds, target, target.dom)
+    return _over_canonical_model(Q, d, "fpt", per_disjunct)
 
 
 class _TreeEvaluator:
     """Certain answers of downward-tree queries, decided directly over the
     saturation and the type engine (no materialized canonical model)."""
 
-    def __init__(self, o, d: Database):
-        from .entailment import _elhi_view, normalize, saturate
-        self.onorm = normalize(_elhi_view(o))
-        self.sat = saturate(d, self.onorm)
-        self.d = d
+    def __init__(self, sat: Saturation):
+        self.onorm = sat.onorm
+        self.sat = sat
         self._memo: dict = {}
         self._children_cache: dict = {}
 
@@ -122,10 +131,10 @@ class _TreeEvaluator:
             self._children_cache[seed] = hit
         return hit
 
-    def _reachable(self, seed: frozenset) -> frozenset:
-        return self.onorm.reachable_types(seed)
-
     def _parse_tree(self, q: CQ):
+        """Root, shape and root loops of a tree query; the shape is
+        (atoms, concept names per variable, child edges per variable), and
+        its atoms key the memo, which serves every tree query."""
         root = q.answer_vars[0]
         concept_at: dict = {}
         down: dict = {}
@@ -142,15 +151,15 @@ class _TreeEvaluator:
         # edges[parent] = [(child, sorted role names of the multi-edge)]
         edges = {p: sorted((w, tuple(sorted(names))) for w, names in kids.items())
                  for p, kids in down.items()}
-        return root, concept_at, edges, loops
+        return root, (q.atoms, concept_at, edges), loops
 
     def answers(self, q: CQ) -> frozenset:
         """Real constants at which the rooted tree query certainly holds."""
-        root, concept_at, edges, loops = self._parse_tree(q)
+        root, shape, loops = self._parse_tree(q)
         out = set()
-        for e in sorted(self.d.dom):
+        for e in sorted(self.sat.types):
             if all(RoleFact(n, e, e) in self.sat.database.facts for n in loops) \
-                    and self._match_real(root, e, concept_at, edges):
+                    and self._match_real(root, e, shape):
                 out.add(e)
         return frozenset(out)
 
@@ -165,19 +174,20 @@ class _TreeEvaluator:
             roots = sorted(q.variables() - targets)
             root = roots[0]
             q = CQ((root,), q.atoms)
-        _, concept_at, edges, loops = self._parse_tree(q)
+        _, shape, loops = self._parse_tree(q)
         if not loops:
             seen = set()
             for a in sorted(self.sat.types):
-                for t in self._reachable(self.sat.types[a]):
+                for t in self.onorm.reachable_types(self.sat.types[a]):
                     if t in seen:
                         continue
                     seen.add(t)
-                    if self._match_anon(root, t, concept_at, edges):
+                    if self._match_anon(root, t, shape):
                         return True
         return bool(self.answers(q))
 
-    def _match_real(self, v: str, e: str, concept_at, edges) -> bool:
+    def _match_real(self, v: str, e: str, shape) -> bool:
+        _, concept_at, edges = shape
         names = self.sat.types.get(e, frozenset())
         for n in concept_at.get(v, ()):
             if n not in names:
@@ -191,22 +201,23 @@ class _TreeEvaluator:
                 if not succs:
                     break
             for b in sorted(succs or ()):
-                if self._match_real(w, b, concept_at, edges):
+                if self._match_real(w, b, shape):
                     ok = True
                     break
             if not ok:
                 for role, child in self._children(self.sat.types.get(e, frozenset())):
                     sups = self.onorm.super_roles.get(role, {role})
                     if all(Role(rn) in sups for rn in role_names):
-                        if self._match_anon(w, child, concept_at, edges):
+                        if self._match_anon(w, child, shape):
                             ok = True
                             break
             if not ok:
                 return False
         return True
 
-    def _match_anon(self, v: str, t: frozenset, concept_at, edges) -> bool:
-        key = (v, t)
+    def _match_anon(self, v: str, t: frozenset, shape) -> bool:
+        atoms, concept_at, edges = shape
+        key = (atoms, v, t)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -218,7 +229,7 @@ class _TreeEvaluator:
                 for role, child in self._children(t):
                     sups = self.onorm.super_roles.get(role, {role})
                     if all(Role(rn) in sups for rn in role_names):
-                        if self._match_anon(w, child, concept_at, edges):
+                        if self._match_anon(w, child, shape):
                             found = True
                             break
                 if not found:
@@ -228,82 +239,65 @@ class _TreeEvaluator:
         return ok
 
 
-def evaluate_tw_cq(q: CQ, d: Database, k: int, a: tuple,
-                   anonymous_ok: frozenset | None = None) -> bool:
-    """Join of partial homomorphisms along a width-``k`` decomposition of
-    the quantified part, answer variables pinned to ``a``.
+class _WidthPlan:
+    """The part of the width-``k`` join that depends on the query alone:
+    the decomposition of the quantified part, the bag charged with each
+    atom and a rooted bag order.  ``holds`` runs the join for one tuple."""
 
-    ``anonymous_ok`` widens the range of quantified variables beyond
-    ``dom(d)`` (used when matching into a chase, where answer variables
-    stay on the original constants but quantified ones may roam)."""
-    if cq_treewidth(q) > k:
-        raise TreewidthPrecondition(f"query tree width exceeds {k}")
-    if len(a) != q.arity:
-        raise QueryError(f"candidate arity {len(a)} != query arity {q.arity}")
-    pin = dict(zip(q.answer_vars, a))
-    dom = anonymous_ok if anonymous_ok is not None else d.dom
+    def __init__(self, q: CQ, k: int):
+        w = cq_treewidth(q)
+        if w > k:
+            raise TreewidthPrecondition(f"disjunct has tree width {w} > {k}")
+        answer = set(q.answer_vars)
+        self.answer_vars = q.answer_vars
+        # atoms entirely over answer variables: checked once per tuple
+        self.fixed_atoms = [at for at in q.sorted_atoms() if set(at.terms()) <= answer]
+        quantified = sorted(q.quantified_vars())
+        self.order: list = []
+        if not quantified:
+            return
 
-    # atoms entirely over answer variables: check once
-    fixed_atoms = [at for at in q.sorted_atoms()
-                   if all(t in pin for t in at.terms())]
-    for at in fixed_atoms:
-        if at.rename(pin) not in d.facts:
-            return False
+        restricted = [at for at in q.atoms
+                      if all(t in quantified for t in at.terms())]
+        g = gaifman_graph(Database(restricted))
+        for v in quantified:
+            g.add_vertex(v)
+        _, td = treewidth(g)
 
-    quantified = sorted(q.quantified_vars())
-    if not quantified:
-        return True
+        # atom -> the bag charged with checking it (all quantified terms inside)
+        self.bags = bags = [set(b) for b in td.bags]
+        charge: dict[int, list] = {i: [] for i in range(len(bags))}
+        for at in q.sorted_atoms():
+            qvars = set(at.terms()) - answer
+            if qvars:
+                home = next((i for i, b in enumerate(bags) if qvars <= b), None)
+                if home is None:
+                    raise AssertionError("decomposition misses an atom")
+                charge[home].append(at)
+        # per bag: sorted variables, charged atoms, the answer variables
+        # they pin and the bag variables they miss
+        self.bag_queries = []
+        for b, atoms in zip(bags, charge.values()):
+            sub = CQ((), atoms)
+            self.bag_queries.append((sorted(b), sub, sorted(sub.variables() & answer),
+                                     [v for v in sorted(b) if v not in sub.variables()]))
 
-    restricted = [at for at in q.atoms
-                  if all(t in quantified for t in at.terms())]
-    g = gaifman_graph(Database(restricted))
-    for v in quantified:
-        g.add_vertex(v)
-    _, td = treewidth(g)
+        # root the bag tree and order children
+        adj = td._adj()
+        self.parent = {0: None}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            self.order.append(u)
+            for w in sorted(adj[u]):
+                if w not in self.parent:
+                    self.parent[w] = u
+                    stack.append(w)
+        self.children = {i: [w for w in adj[i] if self.parent.get(w) == i] for i in adj}
 
-    # atom -> the bag charged with checking it (all quantified terms inside)
-    bags = [set(b) for b in td.bags]
-    charge: dict[int, list] = {i: [] for i in range(len(bags))}
-    for at in q.sorted_atoms():
-        qvars = [t for t in at.terms() if t in set(quantified)]
-        if not qvars:
-            continue
-        home = None
-        for i, b in enumerate(bags):
-            if set(qvars) <= b:
-                home = i
-                break
-        if home is None:
-            raise AssertionError("decomposition misses an atom")
-        charge[home].append(at)
-
-    # root the bag tree and order children
-    adj: dict[int, set] = {i: set() for i in range(len(bags))}
-    for e in td.edges:
-        i, j = tuple(e)
-        adj[i].add(j)
-        adj[j].add(i)
-    order = []
-    parent = {0: None}
-    stack = [0]
-    seen = {0}
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                stack.append(w)
-
-    messages: dict[int, set] = {}
-
-    def bag_assignments(i: int):
-        vars_i = sorted(bags[i])
-        atoms_i = charge[i]
-        sub = CQ((), atoms_i)
-        fixed = {v: pin[v] for at in atoms_i for v in at.terms() if v in pin}
-        extra = [v for v in vars_i if v not in sub.variables()]
+    def _bag_assignments(self, i: int, d: Database, pin: dict, dom):
+        vars_i, sub, pinned, extra = self.bag_queries[i]
+        fixed = {v: pin[v] for v in pinned}
         allowed = {v: dom for v in vars_i}
         for h in iter_homomorphisms(sub, d, fixed=fixed, allowed=allowed):
             base = {v: h[v] for v in vars_i if v in h}
@@ -315,25 +309,49 @@ def evaluate_tw_cq(q: CQ, d: Database, k: int, a: tuple,
             else:
                 yield base
 
-    ok_tables: dict[int, set] = {}
-    for i in reversed(order):
-        children = [w for w in adj[i] if parent.get(w) == i]
-        table = set()
-        for th in bag_assignments(i):
-            good = True
-            for w in children:
-                sep = tuple(sorted((v, th[v]) for v in bags[i] & bags[w]))
-                if sep not in messages[w]:
-                    good = False
-                    break
-            if good:
-                table.add(tuple(sorted(th.items())))
-        if not table:
-            return False
-        up = parent[i]
-        if up is not None:
-            sepvars = bags[i] & bags[up]
-            messages[i] = {tuple(sorted((v, c) for v, c in th if v in sepvars))
-                           for th in table}
-        ok_tables[i] = table
-    return bool(ok_tables[order[0]])
+    def holds(self, d: Database, dom, a: tuple) -> bool:
+        """Join of partial homomorphisms into ``d`` along the decomposition,
+        answer variables pinned to ``a``, quantified ones ranging over
+        ``dom``."""
+        pin = dict(zip(self.answer_vars, a))
+        for at in self.fixed_atoms:
+            if at.rename(pin) not in d.facts:
+                return False
+        if not self.order:
+            return True
+
+        bags = self.bags
+        messages: dict[int, set] = {}
+        for i in reversed(self.order):
+            table = set()
+            for th in self._bag_assignments(i, d, pin, dom):
+                good = True
+                for w in self.children[i]:
+                    sep = tuple(sorted((v, th[v]) for v in bags[i] & bags[w]))
+                    if sep not in messages[w]:
+                        good = False
+                        break
+                if good:
+                    table.add(tuple(sorted(th.items())))
+            if not table:
+                return False
+            up = self.parent[i]
+            if up is not None:
+                sepvars = bags[i] & bags[up]
+                messages[i] = {tuple(sorted((v, c) for v, c in th if v in sepvars))
+                               for th in table}
+        return True
+
+
+def evaluate_tw_cq(q: CQ, d: Database, k: int, a: tuple,
+                   anonymous_ok: frozenset | None = None) -> bool:
+    """Join of partial homomorphisms along a width-``k`` decomposition of
+    the quantified part, answer variables pinned to ``a``.
+
+    ``anonymous_ok`` widens the range of quantified variables beyond
+    ``dom(d)`` (used when matching into a chase, where answer variables
+    stay on the original constants but quantified ones may roam)."""
+    plan = _WidthPlan(q, k)
+    if len(a) != q.arity:
+        raise QueryError(f"candidate arity {len(a)} != query arity {q.arity}")
+    return plan.holds(d, anonymous_ok if anonymous_ok is not None else d.dom, a)

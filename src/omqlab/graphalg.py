@@ -386,6 +386,55 @@ def _automorphisms(d: Database, fixed: set) -> list[dict]:
     return autos
 
 
+def _grow_bags(dom: list, src: Database, autos: list, k: int, levels: range,
+               root: dict) -> tuple[set, list, list, set]:
+    """The bag loop shared by the unravelings: from the root bag, whose
+    constants ``root`` maps to themselves or to nothing, one child bag per
+    automorphism orbit of at most ``k + 1`` constants of ``dom`` not
+    already in the parent's image, with fresh copies of the new constants
+    and the facts of ``src`` over them.  Returns the copied facts, the
+    fresh nodes, the bags (root first) and the bag edges."""
+    fresh_count = itertools.count()
+    facts: set[Fact] = set()
+    nodes: list[UnravelNode] = []
+    bags: list[frozenset] = [frozenset(root.values())]
+    edges: set = set()
+    # frontier entries: (bag id, {original constant -> copy})
+    frontier: list[tuple[int, dict]] = [(0, root)]
+    for level in levels:
+        next_frontier: list[tuple[int, dict]] = []
+        for bag_id, proj in frontier:
+            image = set(proj)
+            stable = [m for m in autos if all(m.get(p, p) == p for p in image)]
+            seen_children: set = set()
+            for size in range(1, k + 2):
+                for comb in itertools.combinations(dom, size):
+                    cset = set(comb)
+                    if cset <= image:
+                        continue  # nothing fresh; the parent bag covers it
+                    orbit = min(tuple(sorted(m.get(c, c) for c in comb)) for m in stable)
+                    if orbit in seen_children:
+                        continue
+                    seen_children.add(orbit)
+                    mapping: dict = {}
+                    for c in comb:
+                        if c in proj:
+                            mapping[c] = proj[c]
+                        else:
+                            copy = f"_u{next(fresh_count)}"
+                            mapping[c] = copy
+                            nodes.append(UnravelNode(copy, c, len(bags), level))
+                    for f in src.facts:
+                        if set(f.terms()) <= cset:
+                            facts.add(f.rename(mapping))
+                    child_id = len(bags)
+                    bags.append(frozenset(mapping.values()))
+                    edges.add(frozenset({bag_id, child_id}))
+                    next_frontier.append((child_id, {c: mapping[c] for c in comb}))
+        frontier = next_frontier
+    return facts, nodes, bags, edges
+
+
 def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     """Truncated width-``k`` unraveling of ``d`` up to the tuple ``a``:
     the tuple's facts stay verbatim, the rest unravels into bags of at
@@ -398,51 +447,14 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     (fact-free) bag copies; dropping them would lose certain answers.
     """
     anchors = set(a)
-    base_facts = [f for f in d.facts if not (set(f.terms()) & anchors)]
-    base = Database(base_facts)
+    base = Database([f for f in d.facts if not (set(f.terms()) & anchors)])
     base_dom = sorted(set(d.dom) - anchors)
     autos = _automorphisms(d, anchors) if len(base_dom) <= 7 else [
         {c: c for c in base_dom}]
 
-    fresh_count = itertools.count()
-    facts: set[Fact] = set(f for f in d.facts if set(f.terms()) <= anchors)
-    nodes: list[UnravelNode] = []
-    bags: list[frozenset] = [frozenset()]
-    edges: set = set()
-    # frontier entries: (bag id, {original constant -> copy})
-    frontier: list[tuple[int, dict]] = [(0, {})]
-
-    for level in range(depth + 1):
-        next_frontier: list[tuple[int, dict]] = []
-        for bag_id, proj in frontier:
-            image = set(proj)
-            stable = [m for m in autos if all(m[p] == p for p in image)]
-            seen_children: set = set()
-            for size in range(1, k + 2):
-                for comb in itertools.combinations(base_dom, size):
-                    cset = set(comb)
-                    if cset <= image:
-                        continue  # nothing fresh; the parent bag covers it
-                    orbit = min(tuple(sorted(m[c] for c in comb)) for m in stable)
-                    if orbit in seen_children:
-                        continue
-                    seen_children.add(orbit)
-                    mapping: dict = {}
-                    for c in comb:
-                        if c in proj:
-                            mapping[c] = proj[c]
-                        else:
-                            copy = f"_u{next(fresh_count)}"
-                            mapping[c] = copy
-                            nodes.append(UnravelNode(copy, c, len(bags), level))
-                    for f in base.facts:
-                        if set(f.terms()) <= cset:
-                            facts.add(f.rename(mapping))
-                    child_id = len(bags)
-                    bags.append(frozenset(mapping.values()))
-                    edges.add(frozenset({bag_id, child_id}))
-                    next_frontier.append((child_id, {c: mapping[c] for c in comb}))
-        frontier = next_frontier
+    facts, nodes, bags, edges = _grow_bags(base_dom, base, autos, k,
+                                           range(depth + 1), {})
+    facts |= {f for f in d.facts if set(f.terms()) <= anchors}
 
     # re-attach crossing facts along the projection
     proj_all: dict[str, list] = {}
@@ -474,49 +486,13 @@ def unravel1_at(d: Database, a: str, depth: int) -> Unraveling:
     itself), truncated after ``depth`` extra bag generations."""
     if a not in d.dom:
         raise ValueError(f"{a} is not a constant of the database")
-    fresh_count = itertools.count()
-    facts: set[Fact] = {f for f in d.facts if set(f.terms()) <= {a}}
-    nodes: list[UnravelNode] = [UnravelNode(a, a, 0, 0)]
-    bags: list[frozenset] = [frozenset({a})]
-    edges: set = set()
-    frontier: list[tuple[int, dict]] = [(0, {a: a})]
     dom = sorted(d.dom)
     autos = _automorphisms(d, set()) if len(dom) <= 7 else [{c: c for c in dom}]
-
-    for level in range(1, depth + 1):
-        next_frontier = []
-        for bag_id, proj in frontier:
-            image = set(proj)
-            stable = [m for m in autos if all(m.get(p, p) == p for p in image)]
-            seen_children: set = set()
-            for size in (1, 2):
-                for comb in itertools.combinations(dom, size):
-                    cset = set(comb)
-                    if cset <= image:
-                        continue
-                    orbit = min(tuple(sorted(m.get(c, c) for c in comb)) for m in stable)
-                    if orbit in seen_children:
-                        continue
-                    seen_children.add(orbit)
-                    mapping = {}
-                    for c in comb:
-                        if c in proj:
-                            mapping[c] = proj[c]
-                        else:
-                            copy = f"_u{next(fresh_count)}"
-                            mapping[c] = copy
-                            nodes.append(UnravelNode(copy, c, len(bags), level))
-                    for f in d.facts:
-                        if set(f.terms()) <= cset:
-                            facts.add(f.rename(mapping))
-                    child_id = len(bags)
-                    bags.append(frozenset(mapping.values()))
-                    edges.add(frozenset({bag_id, child_id}))
-                    next_frontier.append((child_id, dict(zip(comb, (mapping[c] for c in comb)))))
-        frontier = next_frontier
-
+    facts, nodes, bags, edges = _grow_bags(dom, d, autos, 1, range(1, depth + 1),
+                                           {a: a})
+    facts |= {f for f in d.facts if set(f.terms()) <= {a}}
     td = TreeDecomposition(tuple(bags), frozenset(edges))
-    return Unraveling(Database(facts), tuple(nodes), td)
+    return Unraveling(Database(facts), (UnravelNode(a, a, 0, 0), *nodes), td)
 
 
 # ---------------------------------------------------------------------------

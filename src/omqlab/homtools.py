@@ -16,7 +16,6 @@ from .model import (
     Database,
     QueryError,
     RoleFact,
-    UCQ,
     cq_as_database,
     gaifman_graph,
 )
@@ -145,29 +144,6 @@ def cq_homomorphism(q1: CQ, q2: CQ) -> Optional[dict]:
     """Homomorphism between CQs fixing the (shared) answer variables."""
     fixed = {x: x for x in q1.answer_vars}
     return find_homomorphism(q1, cq_as_database(q2), fixed)
-
-
-def all_answers(q: UCQ | CQ, d: Database, restrict_to: Optional[frozenset] = None) -> set:
-    """All answer tuples of ``q`` on ``d``; optionally only tuples whose
-    components lie in ``restrict_to``.  One existence check per candidate
-    tuple, so the search never enumerates whole homomorphism spaces."""
-    import itertools
-
-    disjuncts = q.disjuncts if isinstance(q, UCQ) else (q,)
-    out: set = set()
-    pool = sorted(restrict_to if restrict_to is not None else d.dom)
-    for cq in disjuncts:
-        if not cq.answer_vars:
-            if () not in out and find_homomorphism(cq, d) is not None:
-                out.add(())
-            continue
-        for combo in itertools.product(pool, repeat=len(cq.answer_vars)):
-            if combo in out:
-                continue
-            fixed = dict(zip(cq.answer_vars, combo))
-            if find_homomorphism(cq, d, fixed) is not None:
-                out.add(combo)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ agreement suite exercises all of them):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -42,7 +43,7 @@ from .model import (
     single_cq_omq,
 )
 from .entailment import is_consistent, normalize, saturate, _elhi_view
-from .evaluation import _TreeEvaluator
+from .evaluation import EvalResult, _TreeEvaluator, _certain_answers
 from .graphalg import dtree
 from .treelike import entailed_concept_trees
 
@@ -188,12 +189,7 @@ class LabelContext:
     against one database."""
 
     def __init__(self, Q: OMQ, d: Database, const_requirements=None):
-        if Q.ontology.dialect not in PEBBLE_DIALECTS:
-            raise PebblePrecondition(
-                f"labelings are defined for the inverse-free dialects, got "
-                f"{Q.ontology.dialect.value}")
-        if not Q.schema.full:
-            raise PebblePrecondition("labelings require the full schema")
+        _check_pebble_input(Q)
         if len(Q.query.disjuncts) != 1:
             raise PebblePrecondition("labelings are per-CQ")
         # var -> rooted tree queries that must certify at the variable's
@@ -207,7 +203,7 @@ class LabelContext:
         if sat.clashes():
             raise PebblePrecondition("database is inconsistent with the ontology")
         self.chminus = sat.database
-        self.trees = _TreeEvaluator(Q.ontology, d)
+        self.trees = _TreeEvaluator(sat)
         self._systems: dict = {}
         self._dtree_answers: dict = {}
         self._restrict_cache: dict = {}
@@ -338,23 +334,48 @@ class LabelContext:
 # The modified existential pebble game
 
 
+def _check_pebble_input(Q: OMQ) -> None:
+    if Q.ontology.dialect not in PEBBLE_DIALECTS:
+        raise PebblePrecondition(
+            f"labelings are defined for the inverse-free dialects, got "
+            f"{Q.ontology.dialect.value}")
+    if not Q.schema.full:
+        raise PebblePrecondition("labelings require the full schema")
+
+
+def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
+    """Certain answers through the (k+1)-pebble labeling game, one game
+    per disjunct and candidate tuple."""
+    _check_pebble_input(Q)
+
+    def prepare():
+        return {}, lambda cq: _prepare_game(single_cq_omq(Q.ontology, Q.schema, cq),
+                                            d, k)
+    return _certain_answers(Q, d, "pebble", prepare)
+
+
 def pebble_evaluate(Q: OMQ, d: Database, a: tuple, k: int) -> bool:
     """Does the candidate tuple survive the (k+1)-pebble labeling game on
     the extended query?  Exact on width-k-equivalent inputs; otherwise a
     sound over-approximation of the certain answers."""
     if len(Q.query.disjuncts) != 1:
         raise PebblePrecondition("the game takes a single-CQ query")
-    if Q.ontology.dialect not in PEBBLE_DIALECTS:
-        raise PebblePrecondition(f"unsupported dialect {Q.ontology.dialect.value}")
-    if not Q.schema.full:
-        raise PebblePrecondition("the game requires the full schema")
+    _check_pebble_input(Q)
     if len(a) != Q.arity:
         raise QueryError("candidate arity mismatch")
     if not is_consistent(d, Q.ontology):
         return True
-    base = Q.query.disjuncts[0]
-    if not is_consistent(cq_as_database(base), Q.ontology):
-        return False
+    return _prepare_game(Q, d, k)(a)
+
+
+def _prepare_game(Q: OMQ, d: Database, k: int):
+    """The game's work that does not depend on the candidate tuple, for
+    the single CQ of ``Q`` over a database consistent with the ontology:
+    the consistency of the query database, the labeling context and the
+    anchored labels.  Returns the test for one candidate tuple."""
+    q = Q.query.disjuncts[0]
+    if not is_consistent(cq_as_database(q), Q.ontology):
+        return lambda a: False
     # Entailed concept copies are folded into per-variable certification
     # conditions instead of fresh atoms: the game then runs on the original
     # variable set.
@@ -362,22 +383,17 @@ def pebble_evaluate(Q: OMQ, d: Database, a: tuple, k: int) -> bool:
     for x, tree in entailed_concept_trees(Q):
         requirements.setdefault(x, []).append(tree)
     ctx = LabelContext(Q, d, const_requirements=requirements)
-    pins = {x: Const(c) for x, c in zip(base.answer_vars, a)}
-    if not ctx.is_labeling(pins, frozenset()):
-        return False
 
-    quantified = sorted(base.quantified_vars())
+    quantified = sorted(q.quantified_vars())
     size = min(k + 1, len(quantified))
     # positions over maximal pebble sets decide the game: smaller positions
     # are restrictions of surviving maximal ones
     vsets = [frozenset(c) for c in itertools.combinations(quantified, size)]
-    if not vsets:
-        return True  # no quantified variables; the pins were checked above
 
     dom = sorted(d.dom)
     anchor_labels: dict[str, list] = {v: [] for v in quantified}
     seen_anchor: dict[str, set] = {v: set() for v in quantified}
-    for pair in guarded_pairs(base):
+    for pair in guarded_pairs(q):
         sysm = ctx.system(pair)
         if not sysm.eligible or sysm.dtree is None:
             continue
@@ -395,11 +411,24 @@ def pebble_evaluate(Q: OMQ, d: Database, a: tuple, k: int) -> bool:
                 dt = rep_sys.dtree if rep_sys.dtree is not None else sysm.dtree
                 if ctx.dtree_holds_at(dt, c):
                     anchor_labels[v].append(lab)
+    return functools.partial(_play, ctx, quantified, vsets, anchor_labels)
+
+
+def _play(ctx: LabelContext, quantified: list, vsets: list, anchor_labels: dict,
+          a: tuple) -> bool:
+    """The game for one candidate tuple: pin the answer variables, then
+    let Duplicator answer on the maximal pebble sets ``vsets``."""
+    pins = {x: Const(c) for x, c in zip(ctx.q.answer_vars, a)}
+    if not ctx.is_labeling(pins, frozenset()):
+        return False
+    if not vsets:
+        return True  # no quantified variables; the pins were checked above
 
     # per-variable universe, prefiltered by singleton validity
+    consts = [Const(c) for c in sorted(ctx.d.dom)]
     universe: dict[str, list] = {}
     for v in quantified:
-        cands = [Const(c) for c in dom] + [EXIST] + anchor_labels.get(v, [])
+        cands = consts + [EXIST] + anchor_labels[v]
         keep = []
         for l in cands:
             labels = dict(pins)
@@ -526,16 +555,3 @@ def _duplicator_survives(vsets: list, valid: dict) -> bool:
                     if alive.get(dep, False):
                         dead.append(dep)
     return all(remaining[V] > 0 for V in vsets)
-
-
-def pebble_answers(Q: OMQ, d: Database, k: int) -> frozenset:
-    """All tuples surviving the game (union over disjuncts)."""
-    if not is_consistent(d, Q.ontology):
-        return frozenset(itertools.product(sorted(d.dom), repeat=Q.arity))
-    out = set()
-    for cq in Q.query.disjuncts:
-        sub = single_cq_omq(Q.ontology, Q.schema, cq)
-        for a in itertools.product(sorted(d.dom), repeat=Q.arity):
-            if a not in out and pebble_evaluate(sub, d, a, k):
-                out.add(a)
-    return frozenset(out)

@@ -329,11 +329,8 @@ def _candidate_databases(Q: OMQ, budget: int):
     replaced by schema concepts that entail them."""
     o = Q.ontology
     schema = Q.schema
-    vocab = sorted({n for ax in _elhi_view(o).concept_inclusions()
-                    for side in (ax.lhs, ax.rhs)
-                    for s in side.subconcepts() if isinstance(s, Atomic)
-                    for n in [s.name]} |
-                   {n for cq in Q.query.disjuncts for n in cq.names()})
+    vocab = sorted(o.concept_names()
+                   | {n for cq in Q.query.disjuncts for n in cq.names()})
     s_concepts = [n for n in vocab if schema.admits(n)]
     seen: set = set()
     for cq in Q.query.disjuncts:
@@ -375,10 +372,7 @@ def _sourcing_variants(o: Ontology, d: Database, schema: Schema, answers: tuple)
     schema (sub-)role implying it; facts outside the schema must be
     re-sourced or the candidate dies."""
     sup = _role_closure(_elhi_view(o))
-    vocab_c = sorted({s.name for ax in _elhi_view(o).concept_inclusions()
-                      for side in (ax.lhs, ax.rhs)
-                      for s in side.subconcepts() if isinstance(s, Atomic)}
-                     | set(d.index.concepts))
+    vocab_c = sorted(o.concept_names() | set(d.index.concepts))
     vocab_c = [n for n in vocab_c if schema.admits(n)]
     per_fact: list[list] = []
     for f in sorted(d.facts, key=str):

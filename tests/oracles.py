@@ -12,7 +12,7 @@ from omqlab.chase import canonical_model, oblivious_chase
 from omqlab.entailment import is_consistent
 from omqlab.evaluation import chase_steps
 from omqlab.graphalg import cq_treewidth
-from omqlab.homtools import all_answers, find_homomorphism
+from omqlab.homtools import find_homomorphism
 from omqlab.model import (
     Atomic,
     Bot,
@@ -126,6 +126,27 @@ def _bounded_subsumes(o, c, d, extra_depth) -> bool:
         return False
     dq = concept_as_cq(d, rooted=True)
     return find_homomorphism(dq, ch.facts, {dq.answer_vars[0]: root}) is not None
+
+
+def all_answers(q: UCQ | CQ, d: Database, restrict_to=None) -> set:
+    """All answer tuples of ``q`` on ``d``; optionally only tuples whose
+    components lie in ``restrict_to``.  One existence check per candidate
+    tuple, so the search never enumerates whole homomorphism spaces."""
+    disjuncts = q.disjuncts if isinstance(q, UCQ) else (q,)
+    out: set = set()
+    pool = sorted(restrict_to if restrict_to is not None else d.dom)
+    for cq in disjuncts:
+        if not cq.answer_vars:
+            if () not in out and find_homomorphism(cq, d) is not None:
+                out.add(())
+            continue
+        for combo in itertools.product(pool, repeat=len(cq.answer_vars)):
+            if combo in out:
+                continue
+            fixed = dict(zip(cq.answer_vars, combo))
+            if find_homomorphism(cq, d, fixed) is not None:
+                out.add(combo)
+    return out
 
 
 def oracle_answers(Q, d: Database, depth: int = 6) -> frozenset:

@@ -19,7 +19,7 @@ from omqlab.dllitef import (
 from omqlab.entailment import is_consistent, satisfies_functionality, subsumes
 from omqlab.evaluation import evaluate_fpt, evaluate_naive
 from omqlab.graphalg import cq_treewidth, k_unravel, treewidth
-from omqlab.homtools import all_answers, core, find_homomorphism
+from omqlab.homtools import core, find_homomorphism
 from omqlab.model import (
     CQ,
     EMPTY_ONTOLOGY,
@@ -30,7 +30,7 @@ from omqlab.model import (
     UCQ,
     gaifman_graph,
 )
-from omqlab.pebble import pebble_answers
+from omqlab.pebble import evaluate_pebble
 from omqlab.surface import parse_database, parse_ontology, parse_query
 from omqlab.treelike import (
     contains_full_schema,
@@ -140,7 +140,7 @@ def test_criterion_4_tri_agreement():
         k = max(1, cq_treewidth(q))
         a1 = evaluate_naive(Q, d).answers
         a2 = evaluate_fpt(Q, d, k).answers
-        a3 = pebble_answers(Q, d, k)
+        a3 = evaluate_pebble(Q, d, k).answers
         if not (a1 == a2 == a3):
             disagreements += 1
     elapsed = time.time() - t0

@@ -135,6 +135,27 @@ def test_dialect_error_exit_code(files, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("onto, schema, db", [
+    # inconsistent data: the dialect is rejected before consistency is asked
+    ("A <= exists inv(r) . B\nB <= bot\n", None, "A(a)\nr(a,b)\n"),
+    # inconsistent data under a non-full schema
+    ("A <= bot\n", "A\nr\n", "A(a)\nr(a,b)\n"),
+    # data outside the schema
+    ("A <= bot\n", "A\nr\n", "A(a)\nC(b)\n"),
+], ids=["eli-inconsistent", "schema-inconsistent", "outside-schema"])
+def test_pebble_input_checks_precede_the_data(files, capsys, onto, schema, db):
+    (files / "o.dl").write_text(onto)
+    (files / "x.db").write_text(db)
+    argv = ["eval", "--onto", str(files / "o.dl"), "--query", str(files / "unary.cq"),
+            "--db", str(files / "x.db"), "--algo", "pebble"]
+    if schema is not None:
+        (files / "x.schema").write_text(schema)
+        argv += ["--schema", str(files / "x.schema")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+
+
 def test_consistent_command(files, capsys):
     (files / "bot.dl").write_text("A1 <= bot\n")
     code, out, _ = run(capsys, "consistent", "--onto", str(files / "bot.dl"),

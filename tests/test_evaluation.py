@@ -10,7 +10,9 @@ from omqlab.evaluation import (
     evaluate_naive,
     evaluate_tw_cq,
 )
+from omqlab.entailment import is_consistent
 from omqlab.graphalg import cq_treewidth
+from omqlab.pebble import evaluate_pebble
 from omqlab.model import CQ, FULL_SCHEMA, OMQ, Schema, UCQ, Database, RoleFact
 from omqlab.surface import parse_database, parse_query
 from fixtures import (
@@ -28,7 +30,7 @@ from fixtures import (
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
-from gen import rand_cq, rand_database, rand_eli_ontology
+from gen import rand_cq, rand_database, rand_elhdr_ontology, rand_eli_ontology, rand_ucq
 from omqlab.model import EMPTY_ONTOLOGY
 
 
@@ -61,9 +63,13 @@ def test_schema_check():
 def test_inconsistent_database_yields_all_tuples():
     from omqlab.surface import parse_ontology
     Q = OMQ(parse_ontology("A <= bot"), FULL_SCHEMA, parse_query("q(x) :- B(x)"))
-    res = evaluate_naive(Q, parse_database("A(a)\nB(b)"))
-    assert not res.consistent
-    assert res.answers == frozenset({("a",), ("b",)})
+    d = parse_database("A(a)\nB(b)")
+    for res, algorithm in ((evaluate_naive(Q, d), "naive"),
+                           (evaluate_fpt(Q, d, 1), "fpt"),
+                           (evaluate_pebble(Q, d, 1), "pebble")):
+        assert not res.consistent
+        assert res.algorithm == algorithm
+        assert res.answers == frozenset({("a",), ("b",)})
 
 
 def test_fpt_matches_naive_on_example1():
@@ -124,7 +130,7 @@ def test_monotone_under_fact_addition():
 
 
 def test_empty_ontology_degenerates_to_matching():
-    from omqlab.homtools import all_answers
+    from oracles import all_answers
     rng = random.Random(22)
     for _ in range(25):
         q = UCQ((rand_cq(rng, rng.randint(1, 4), rng.choice([0, 1]),
@@ -134,3 +140,32 @@ def test_empty_ontology_degenerates_to_matching():
             continue
         Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, q)
         assert evaluate_naive(Q, d).answers == frozenset(all_answers(q, d))
+
+
+def test_pipelines_agree_on_multi_disjunct_ucqs():
+    # the union over disjuncts: the three pipelines against each other, and
+    # naive against the chase oracle, which shares no code with the driver
+    from oracles import oracle_answers
+    names, roles = ["A1", "A2", "B1"], ["r", "s"]
+    rng = random.Random(4)
+    n = nonempty = wider_than_each = 0
+    while n < 120:
+        o = rand_elhdr_ontology(rng, rng.randint(1, 5), names=names, roles=roles)
+        d = rand_database(rng, rng.randint(2, 4), names=names, roles=roles)
+        q = rand_ucq(rng, rng.randint(2, 3), 4, rng.choice([1, 2]), names=names,
+                     roles=roles, max_tw=2)
+        if not d.dom or not is_consistent(d, o):
+            continue
+        n += 1
+        Q = OMQ(o, FULL_SCHEMA, q)
+        k = max(1, max(cq_treewidth(cq) for cq in q.disjuncts))
+        answers = evaluate_naive(Q, d).answers
+        assert evaluate_fpt(Q, d, k).answers == answers
+        assert evaluate_pebble(Q, d, k).answers == answers
+        assert oracle_answers(Q, d) == answers
+        per_disjunct = [evaluate_naive(OMQ(o, FULL_SCHEMA, UCQ((cq,))), d).answers
+                        for cq in q.disjuncts]
+        nonempty += bool(answers)
+        wider_than_each += all(answers != a for a in per_disjunct)
+    assert nonempty >= 40
+    assert wider_than_each >= 3

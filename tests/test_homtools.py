@@ -4,7 +4,6 @@ import pytest
 
 from omqlab.homtools import (
     HomError,
-    all_answers,
     contractions,
     core,
     cq_homomorphism,
@@ -18,6 +17,7 @@ from omqlab.homtools import (
 from omqlab.model import CQ, ConceptFact, Database, QueryError, RoleFact, UCQ
 from omqlab.surface import parse_database, parse_query
 from fixtures import D1, fig2, fig2_cq, qprime
+from oracles import all_answers
 
 
 def _bell(n):

@@ -22,8 +22,8 @@ from omqlab.pebble import (
     LabelContext,
     PebblePrecondition,
     analyze_pair,
+    evaluate_pebble,
     exists_mccs,
-    pebble_answers,
     pebble_evaluate,
     reach,
 )
@@ -116,6 +116,19 @@ def test_is_d_labeling_anchored():
     assert not LabelContext(Q, d).is_labeling(labels_bad, frozenset({"x", "y"}))
 
 
+def test_tree_memo_is_per_tree_query():
+    # one context answers many tree queries; a match memoized for one tree
+    # must not answer for another tree with the same variable and type
+    Q = OMQ(parse_ontology("C <= exists r . A"), FULL_SCHEMA, parse_query("q() :- C(x)"))
+    d = parse_database("C(a)")
+    with_a = _q("q(x) :- r(x,y), A(y)")
+    with_b = _q("q(x) :- r(x,y), B(y)")
+    assert not LabelContext(Q, d).dtree_holds_at(with_b, "a")
+    ctx = LabelContext(Q, d)
+    assert ctx.dtree_holds_at(with_a, "a")
+    assert not ctx.dtree_holds_at(with_b, "a")
+
+
 def test_pebble_matches_naive_on_example1():
     assert pebble_evaluate(Q1, d_example1, (), 1)
     assert evaluate_naive(Q1, d_example1).boolean()
@@ -182,7 +195,7 @@ def test_agreement_random_sample():
             continue
         Q = OMQ(o, FULL_SCHEMA, UCQ((q,)))
         k = max(1, cq_treewidth(q))
-        assert pebble_answers(Q, d, k) == evaluate_naive(Q, d).answers
+        assert evaluate_pebble(Q, d, k).answers == evaluate_naive(Q, d).answers
         n += 1
     assert n >= 25
 

@@ -177,17 +177,22 @@ def canonical_model(d: Database, o: Ontology, steps: int,
     witnessed-successor rule for ``steps`` rounds.  Query matches of size
     up to ``steps`` over the original constants then agree with the full
     universal model."""
-    onorm = normalize(_elhi_view(o))
-    sat = saturate(d, onorm)
+    sat = saturate(d, normalize(_elhi_view(o)))
     if sat.clashes():
         if require_consistent:
             raise InconsistentInput("database is inconsistent with the ontology")
         return CanonicalModel(sat.database, {}, frozenset(d.dom),
                               {a: Provenance("original") for a in d.dom}, sat)
+    return canonical_model_of(sat, steps, share_copies)
 
+
+def canonical_model_of(sat: Saturation, steps: int,
+                       share_copies: bool = True) -> CanonicalModel:
+    """``canonical_model`` past the saturation step; ``sat`` must be clash-free."""
+    onorm = sat.onorm
     facts: set[Fact] = set(sat.database.facts)
-    types: dict[str, frozenset] = {a: sat.types[a] for a in sat.types}
-    prov: dict[str, Provenance] = {a: Provenance("original") for a in sorted(d.dom)}
+    types: dict[str, frozenset] = dict(sat.types)
+    prov: dict[str, Provenance] = {a: Provenance("original") for a in sorted(types)}
     tcount = itertools.count()
     ncount = itertools.count()
 
@@ -274,4 +279,4 @@ def canonical_model(d: Database, o: Ontology, steps: int,
                 raise ChaseCapExceeded("canonical model grew past the node cap")
 
     sub_types = {a: onorm.concepts_of(t) for a, t in types.items()}
-    return CanonicalModel(Database(facts), sub_types, frozenset(d.dom), prov, sat)
+    return CanonicalModel(Database(facts), sub_types, frozenset(sat.types), prov, sat)

@@ -8,6 +8,7 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,6 +44,10 @@ EXIT_UNKNOWN = 4
 EXIT_CAP = 5
 
 
+class UsageError(ValueError):
+    pass
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -62,12 +67,13 @@ def _load_omq(args) -> OMQ:
 
 
 def _default_budget(args) -> int:
-    env = os.environ.get("OMQLAB_BUDGET")
     if args.budget is not None:
         return args.budget
-    if env:
+    env = os.environ.get("OMQLAB_BUDGET") or "5"
+    try:
         return int(env)
-    return 5
+    except ValueError:
+        raise UsageError(f"OMQLAB_BUDGET is not an integer: {env!r}") from None
 
 
 def _emit_answers(args, result) -> None:
@@ -99,11 +105,9 @@ def cmd_eval(args) -> int:
         k = args.k if args.k is not None else max(
             cq_treewidth(cq) for cq in Q.query.disjuncts)
         res = evaluate_fpt(Q, d, max(1, k))
-    elif args.algo == "pebble":
+    else:
         k = args.k if args.k is not None else 1
         res = evaluate_pebble(Q, d, k)
-    else:
-        raise ValueError(f"unknown algorithm {args.algo}")
     _emit_answers(args, res)
     return EXIT_OK
 
@@ -257,7 +261,10 @@ def cmd_dlf_equiv1(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one;
+    argparse keeps no per-parse state on it."""
     p = argparse.ArgumentParser(
         prog="omqlab",
         description="Ontology-mediated query evaluation and analysis")
@@ -355,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:
@@ -364,15 +370,12 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (DialectError, SchemaViolation, SchemaPrecondition, UnsupportedDialect,
             PebblePrecondition, TreewidthPrecondition, InconsistentInput,
-            QueryError) as e:
+            QueryError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIALECT
     except (CapExceeded, ChaseCapExceeded) as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIALECT
 
 
 if __name__ == "__main__":

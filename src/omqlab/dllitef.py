@@ -26,7 +26,7 @@ from .model import (
     gaifman_graph,
     single_cq_omq,
 )
-from .entailment import _elhi_view
+from .entailment import UnsupportedDialect, _elhi_view
 from .evaluation import evaluate_naive
 from .graphalg import CapExceeded, is_minor
 from .homtools import contractions
@@ -48,7 +48,7 @@ class FunctionalSplit:
 
 def split_ontology(o: Ontology) -> FunctionalSplit:
     if o.dialect not in (Dialect.DLLITE_F, Dialect.DLLITE_F_EQ):
-        raise ValueError(f"functional split expects DL-LiteF, got {o.dialect.value}")
+        raise UnsupportedDialect(f"functional split expects DL-LiteF, got {o.dialect.value}")
     from .model import Functionality
     rest = [ax for ax in o.sorted_axioms() if not isinstance(ax, Functionality)]
     return FunctionalSplit(Ontology(rest, Dialect.DLLITE_F),
@@ -339,7 +339,7 @@ def rew(Q: OMQ) -> UCQ:
     if not Q.schema.full:
         raise QueryError("the rewriting is defined over the full schema")
     if Q.ontology.dialect not in (Dialect.DLLITE_F, Dialect.DLLITE_F_EQ):
-        raise ValueError("rew expects a DL-LiteF ontology")
+        raise UnsupportedDialect("rew expects a DL-LiteF ontology")
     split = split_ontology(Q.ontology)
     disjuncts: dict = {}
     for p in Q.query.disjuncts:

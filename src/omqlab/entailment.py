@@ -181,9 +181,6 @@ class NormalOntology:
 
     # -- queries -------------------------------------------------------------
 
-    def seed_type(self, names: Iterable[str]) -> frozenset:
-        return self._engine.close(frozenset(names))
-
     def root_type(self, seed: Iterable[str]) -> frozenset:
         return self._engine.canonical(frozenset(seed)).root
 
@@ -369,9 +366,6 @@ class Saturation:
     types: dict                        # constant -> frozenset of names
     onorm: NormalOntology
 
-    def type_concepts(self, a: str) -> frozenset:
-        return self.onorm.concepts_of(self.types.get(a, frozenset()))
-
     def clashes(self) -> bool:
         return any(self.onorm.is_unsat(t) for t in self.types.values())
 
@@ -505,11 +499,12 @@ def satisfies_functionality(d: Database, funcs: Iterable[str]) -> bool:
                if name in funcs)
 
 
-def is_consistent(d: Database, o: Ontology) -> bool:
-    """Consistency of a database with an ontology (ELHI_bot or DL-Lite)."""
+def consistent_saturation(d: Database, o: Ontology) -> Optional[Saturation]:
+    """The saturation of ``d`` under ``o`` (ELHI_bot or DL-Lite), or None
+    when ``d`` is inconsistent with ``o``."""
     if o.dialect in DLLITE_FAMILY:
         if not satisfies_functionality(d, o.functional_roles()):
-            return False
+            return None
         sup = _role_closure(_elhi_view(o))
         pairs: dict[tuple, set] = {}
         for f in d.facts:
@@ -521,6 +516,11 @@ def is_consistent(d: Database, o: Ontology) -> bool:
         for dis in o.role_disjointness():
             for names in pairs.values():
                 if set(dis.roles) <= names:
-                    return False
+                    return None
     sat = saturate(d, normalize(_elhi_view(o)))
-    return not sat.clashes()
+    return None if sat.clashes() else sat
+
+
+def is_consistent(d: Database, o: Ontology) -> bool:
+    """Consistency of a database with an ontology (ELHI_bot or DL-Lite)."""
+    return consistent_saturation(d, o) is not None

@@ -22,8 +22,8 @@ from .model import (
     UCQ,
     gaifman_graph,
 )
-from .chase import canonical_model
-from .entailment import Saturation, is_consistent
+from .chase import canonical_model_of
+from .entailment import Saturation, consistent_saturation
 from .graphalg import cq_treewidth, treewidth
 from .homtools import find_homomorphism, iter_homomorphisms
 
@@ -62,15 +62,16 @@ def chase_steps(q: UCQ) -> int:
 
 
 def _certain_answers(Q: OMQ, d: Database, algorithm: str, prepare) -> EvalResult:
-    """The one certain-answers loop of the three pipelines.  ``prepare()``
-    runs once ``d`` is known consistent with the ontology and returns the
-    result's stats and the per-disjunct preparation, which runs once per
-    disjunct and returns the test for one candidate tuple."""
+    """The one certain-answers loop of the three pipelines.  ``prepare(sat)``
+    runs on the saturation of ``d`` once ``d`` is known consistent with the
+    ontology and returns the result's stats and the per-disjunct preparation,
+    which runs once per disjunct and returns the test for one candidate tuple."""
     _check_schema(Q, d)
     candidates = list(itertools.product(sorted(d.dom), repeat=Q.arity))
-    if not is_consistent(d, Q.ontology):
+    sat = consistent_saturation(d, Q.ontology)
+    if sat is None:
         return EvalResult(False, frozenset(candidates), algorithm)
-    stats, per_disjunct = prepare()
+    stats, per_disjunct = prepare(sat)
     answers: set = set()
     for cq in Q.query.disjuncts:
         holds = per_disjunct(cq)
@@ -83,10 +84,10 @@ def _certain_answers(Q: OMQ, d: Database, algorithm: str, prepare) -> EvalResult
 def _over_canonical_model(Q: OMQ, d: Database, algorithm: str,
                           per_disjunct) -> EvalResult:
     """The naive and fpt pipelines: the truncated canonical model is built
-    once, and ``per_disjunct(cq, target)`` prepares each disjunct against
-    it."""
-    def prepare():
-        cm = canonical_model(d, Q.ontology, chase_steps(Q.query))
+    once, from the saturation of ``d``, and ``per_disjunct(cq, target)``
+    prepares each disjunct against it."""
+    def prepare(sat: Saturation):
+        cm = canonical_model_of(sat, chase_steps(Q.query))
         stats = {"chase_constants": len(cm.database.dom), "chase_facts": len(cm.database)}
         return stats, lambda cq: per_disjunct(cq, cm.database)
     return _certain_answers(Q, d, algorithm, prepare)

@@ -54,8 +54,9 @@ def iter_homomorphisms(
     """All homomorphisms from ``q`` into ``target`` extending ``fixed``,
     in deterministic (lexicographic) order."""
     fixed = dict(fixed or {})
+    qvars = q.variables()
     for v, c in fixed.items():
-        if v not in q.variables():
+        if v not in qvars:
             raise HomError(f"fixed variable {v} does not occur in the query")
         if c not in target.dom and q.atoms:
             return

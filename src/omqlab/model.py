@@ -453,11 +453,6 @@ def infer_dialect(axioms: Iterable[Axiom]) -> Dialect:
     raise DialectError(Dialect.ELHI_BOT, check_dialect_axioms(axioms, Dialect.ELHI_BOT))
 
 
-def check_dialect(o: Ontology) -> list[str]:
-    """Violation report for the ontology against its own dialect tag."""
-    return check_dialect_axioms(o.axioms, o.dialect)
-
-
 EMPTY_ONTOLOGY = Ontology((), Dialect.EL)
 
 
@@ -743,12 +738,6 @@ class CQ:
         object.__setattr__(self, "answer_vars", avs)
         object.__setattr__(self, "atoms", atomset)
         object.__setattr__(self, "_hash", hash((avs, atomset)))
-
-    def unbound_answer_vars(self) -> list[str]:
-        bound: set = set()
-        for at in self.atoms:
-            bound.update(at.terms())
-        return [x for x in self.answer_vars if x not in bound]
 
     def __setattr__(self, *a):
         raise AttributeError("CQ is immutable")

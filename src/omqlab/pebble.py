@@ -42,10 +42,10 @@ from .model import (
     gaifman_graph,
     single_cq_omq,
 )
-from .entailment import is_consistent, normalize, saturate, _elhi_view
+from .entailment import Saturation, consistent_saturation, normalize, saturate, _elhi_view
 from .evaluation import EvalResult, _TreeEvaluator, _certain_answers
 from .graphalg import dtree
-from .treelike import entailed_concept_trees
+from .treelike import _concept_trees
 
 PEBBLE_DIALECTS = {Dialect.EL, Dialect.EL_BOT, Dialect.ELH_BOT, Dialect.ELHDR_BOT}
 
@@ -192,16 +192,24 @@ class LabelContext:
         _check_pebble_input(Q)
         if len(Q.query.disjuncts) != 1:
             raise PebblePrecondition("labelings are per-CQ")
-        # var -> rooted tree queries that must certify at the variable's
-        # constant (stands in for attaching entailed concept copies)
-        self.const_requirements = const_requirements or {}
-        self.Q = Q
-        self.q = Q.query.disjuncts[0]
-        self.d = d
-        self.onto = Q.ontology
         sat = saturate(d, normalize(_elhi_view(Q.ontology)))
         if sat.clashes():
             raise PebblePrecondition("database is inconsistent with the ontology")
+        self._setup(Q, d, sat, const_requirements)
+
+    @classmethod
+    def _over(cls, Q: OMQ, d: Database, sat: Saturation, const_requirements):
+        """The context over ``sat``, the clash-free saturation of ``d``."""
+        ctx = cls.__new__(cls)
+        ctx._setup(Q, d, sat, const_requirements)
+        return ctx
+
+    def _setup(self, Q: OMQ, d: Database, sat: Saturation, const_requirements) -> None:
+        # var -> rooted tree queries that must certify at the variable's
+        # constant (stands in for attaching entailed concept copies)
+        self.const_requirements = const_requirements or {}
+        self.q = Q.query.disjuncts[0]
+        self.d = d
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
         self._systems: dict = {}
@@ -348,9 +356,9 @@ def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
     per disjunct and candidate tuple."""
     _check_pebble_input(Q)
 
-    def prepare():
+    def prepare(sat: Saturation):
         return {}, lambda cq: _prepare_game(single_cq_omq(Q.ontology, Q.schema, cq),
-                                            d, k)
+                                            d, sat, k)
     return _certain_answers(Q, d, "pebble", prepare)
 
 
@@ -363,29 +371,31 @@ def pebble_evaluate(Q: OMQ, d: Database, a: tuple, k: int) -> bool:
     _check_pebble_input(Q)
     if len(a) != Q.arity:
         raise QueryError("candidate arity mismatch")
-    if not is_consistent(d, Q.ontology):
-        return True
-    return _prepare_game(Q, d, k)(a)
+    sat = consistent_saturation(d, Q.ontology)
+    return sat is None or _prepare_game(Q, d, sat, k)(a)
 
 
-def _prepare_game(Q: OMQ, d: Database, k: int):
+def _prepare_game(Q: OMQ, d: Database, sat: Saturation, k: int):
     """The game's work that does not depend on the candidate tuple, for
-    the single CQ of ``Q`` over a database consistent with the ontology:
-    the consistency of the query database, the labeling context and the
-    anchored labels.  Returns the test for one candidate tuple."""
+    the single CQ of ``Q`` over ``d`` with its clash-free saturation
+    ``sat``: the consistency of the query database, the labeling context
+    and the anchored labels.  Returns the test for one candidate tuple."""
     q = Q.query.disjuncts[0]
-    if not is_consistent(cq_as_database(q), Q.ontology):
+    qsat = consistent_saturation(cq_as_database(q), Q.ontology)
+    if qsat is None:
         return lambda a: False
     # Entailed concept copies are folded into per-variable certification
     # conditions instead of fresh atoms: the game then runs on the original
     # variable set.
     requirements: dict = {}
-    for x, tree in entailed_concept_trees(Q):
+    for x, tree in _concept_trees(qsat, q.variables()):
         requirements.setdefault(x, []).append(tree)
-    ctx = LabelContext(Q, d, const_requirements=requirements)
+    ctx = LabelContext._over(Q, d, sat, requirements)
 
     quantified = sorted(q.quantified_vars())
     size = min(k + 1, len(quantified))
+    if size < 0:
+        raise PebblePrecondition(f"the game needs k >= -1, got {k}")
     # positions over maximal pebble sets decide the game: smaller positions
     # are restrictions of surviving maximal ones
     vsets = [frozenset(c) for c in itertools.combinations(quantified, size)]

@@ -458,12 +458,6 @@ def parse_schema(text: str) -> Schema:
     return Schema.of(names)
 
 
-def serialize_schema(s: Schema) -> str:
-    if s.full:
-        return "full\n"
-    return "\n".join(sorted(s.names)) + ("\n" if s.names else "")
-
-
 def serialize_answers(consistent: bool, answers) -> str:
     """JSON answer format; answer tuples are sorted lexicographically."""
     tuples = sorted([list(t) for t in answers])

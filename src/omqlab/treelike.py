@@ -35,11 +35,13 @@ from .model import (
     cq_as_database,
     conj,
 )
-from .chase import canonical_model
+from .chase import canonical_model, canonical_model_of
 from .entailment import (
+    Saturation,
     UnsupportedDialect,
     _elhi_view,
     _role_closure,
+    consistent_saturation,
     is_consistent,
     normalize,
     saturate,
@@ -144,12 +146,16 @@ def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
 
 def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
     """The first consistent disjunct database of Q1 into whose chase no
-    disjunct of Q2 maps (fixing the answer tuple); None if there is none."""
+    disjunct of Q2 maps (fixing the answer tuple); None if there is none.
+    Under a shared ontology each disjunct database is saturated once."""
+    steps = chase_steps(Q2.query)
     for q1 in Q1.query.disjuncts:
         d1 = cq_as_database(q1)
-        if not is_consistent(d1, Q1.ontology):
+        sat = consistent_saturation(d1, Q1.ontology)
+        if sat is None:
             continue
-        cm = canonical_model(d1, Q2.ontology, chase_steps(Q2.query))
+        cm = (canonical_model_of(sat, steps) if Q2.ontology == Q1.ontology
+              else canonical_model(d1, Q2.ontology, steps))
         if not any(find_homomorphism(q2, cm.database,
                                      dict(zip(q2.answer_vars, q1.answer_vars)))
                    is not None for q2 in Q2.query.disjuncts):
@@ -176,10 +182,10 @@ def _equivalent_contractions(Q: OMQ) -> list[tuple[CQ, tuple]]:
     """Contractions q_c with (O, full, q_c) equivalent to Q, with their
     partitions.  Containment of Q in the contraction is automatic."""
     q = Q.query.disjuncts[0]
-    dq = cq_as_database(q)
-    if not is_consistent(dq, Q.ontology):
+    sat = consistent_saturation(cq_as_database(q), Q.ontology)
+    if sat is None:
         raise QueryError("maximum contractions need a non-empty input")
-    cm = canonical_model(dq, Q.ontology, chase_steps(Q.query))
+    cm = canonical_model_of(sat, chase_steps(Q.query))
     out = []
     for qc, part in contractions(q):
         fixed = {x: x for x in qc.answer_vars}
@@ -219,25 +225,28 @@ def maximum_contractions(Q: OMQ) -> list[OMQ]:
 
 
 def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
-    """Yield (variable, rooted tree) for every axiom left side, neither top
-    nor containing bot, that the chase of the query database satisfies at
-    a variable (of ``variables``, by default of the query): sorted axioms,
+    """(variable, rooted tree) for every axiom left side, neither top nor
+    containing bot, that the chase of the query database satisfies at a
+    variable (of ``variables``, by default of the query): sorted axioms,
     then sorted variables, each pair once.  The tree is a fresh copy of the
     left side whose answer variable is its root."""
     q = Q.query.disjuncts[0]
-    o = _elhi_view(Q.ontology)
-    onorm = normalize(o)
-    types = saturate(cq_as_database(q), onorm).types
-    xs = sorted(q.variables() if variables is None else variables)
+    sat = saturate(cq_as_database(q), normalize(_elhi_view(Q.ontology)))
+    return _concept_trees(sat, q.variables() if variables is None else variables)
+
+
+def _concept_trees(sat: Saturation, variables: Iterable[str]):
+    """``entailed_concept_trees`` read off the query database's saturation."""
+    xs = sorted(variables)
     fresh = FreshVars("_e")
     seen: set = set()
-    for ci in o.concept_inclusions():
+    for ci in sat.onorm.source.concept_inclusions():
         c = ci.lhs
         if c in seen or c.contains_bot() or isinstance(c, Top):
             continue
         seen.add(c)
         for x in xs:
-            if onorm.defname[c] in types.get(x, ()):
+            if sat.onorm.defname[c] in sat.types.get(x, ()):
                 yield x, concept_as_cq(c, rooted=True, fresh=fresh)
 
 
@@ -411,7 +420,7 @@ def contains_dllite_horn(Q1: OMQ, Q2: OMQ) -> bool:
                Dialect.DLLITE_F_EQ} | ELHI_FAMILY
     for Q in (Q1, Q2):
         if Q.ontology.dialect not in allowed:
-            raise ValueError(f"dialect {Q.ontology.dialect.value} not supported")
+            raise UnsupportedDialect(f"dialect {Q.ontology.dialect.value} not supported")
     if Q1.arity != Q2.arity:
         return False
     schema = Q1.schema

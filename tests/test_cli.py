@@ -156,6 +156,33 @@ def test_pebble_input_checks_precede_the_data(files, capsys, onto, schema, db):
     assert out == ""
 
 
+def test_input_errors_exit_3(files, capsys, monkeypatch):
+    (files / "b.cq").write_text("q() :- r(x,y), B(y)\n")
+    onto, query = ["--onto", str(files / "ex1.dl")], ["--query", str(files / "b.cq")]
+    code, out, err = run(capsys, "dlf-rew", *onto, *query)
+    assert (code, out, err) == (3, "", "error: rew expects a DL-LiteF ontology\n")
+    code, out, err = run(capsys, "dlf-equiv1", *onto, *query)
+    assert (code, out) == (3, "") and "expects DL-LiteF, got EL" in err
+    code, out, err = run(capsys, "eval", *onto, *query, "--db", str(files / "d.db"),
+                         "--algo", "pebble", "-k", "-3")
+    assert (code, out) == (3, "") and "k >= -1" in err
+    monkeypatch.setenv("OMQLAB_BUDGET", "five")
+    code, out, err = run(capsys, "tw-equiv", *onto, *query, "-k", "1")
+    assert (code, out) == (3, "") and "OMQLAB_BUDGET" in err
+
+
+def test_internal_value_error_escapes_main(files, monkeypatch):
+    # a bug is not a dialect or schema violation
+    import omqlab.cli
+
+    def broken(Q, d):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(omqlab.cli, "evaluate_naive", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["eval", "--query", str(files / "unary.cq"), "--db", str(files / "d.db")])
+
+
 def test_consistent_command(files, capsys):
     (files / "bot.dl").write_text("A1 <= bot\n")
     code, out, _ = run(capsys, "consistent", "--onto", str(files / "bot.dl"),
@@ -280,3 +307,33 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
         assert len(outs) == 1, argv
     assert "_n" in outputs[tuple(invocations[3])].pop()
     assert "_e" in outputs[tuple(invocations[5])].pop()
+
+
+def test_parser_is_built_once_and_shared_across_calls(files, capsys, monkeypatch):
+    from omqlab.cli import build_parser
+    assert build_parser() is build_parser()
+    onto, db = ["--onto", "ex1.dl"], ["--db", "d.db"]
+    invocations = [["eval", *onto, "--query", "unary.cq", *db],
+                   ["eval", *onto, *db],  # no --query: argparse exits 2
+                   ["tw-equiv", *onto, "--query", "fig2.cq", "-k", "1"],
+                   ["eval", *onto, "--query", "fig2.cq", *db, "--algo", "pebble"],
+                   ["treewidth", "--query", "fig2.cq", "--json"],
+                   ["eval", *onto, "--query", "unary.cq", *db]]
+    src = str(Path(omqlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    monkeypatch.chdir(files)
+    seen = []
+    for argv in invocations:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr().out
+        res = subprocess.run([sys.executable, "-m", "omqlab.cli", *argv],
+                             cwd=files, env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (code, out) == (res.returncode, res.stdout), argv
+        seen.append((code, out))
+    assert [c for c, _ in seen] == [0, 2, 0, 0, 0, 0]
+    assert seen[0] == seen[-1] == (0, "b\n")

@@ -169,3 +169,36 @@ def test_pipelines_agree_on_multi_disjunct_ucqs():
         wider_than_each += all(answers != a for a in per_disjunct)
     assert nonempty >= 40
     assert wider_than_each >= 3
+
+
+def test_each_evaluation_saturates_its_data_once(monkeypatch):
+    # the data once per call; pebble adds the query database once per disjunct
+    import omqlab.chase
+    import omqlab.entailment
+    import omqlab.pebble
+    import omqlab.treelike
+    from omqlab.surface import parse_ontology
+    calls = []
+    saturate = omqlab.entailment.saturate
+
+    def counted(d, o):
+        calls.append(d)
+        return saturate(d, o)
+
+    for mod in (omqlab.entailment, omqlab.chase, omqlab.pebble, omqlab.treelike):
+        monkeypatch.setattr(mod, "saturate", counted)
+    o = parse_ontology("A <= exists r . B\nexists r . B <= C\n")
+    d = parse_database("A(a)\nr(a,b)\nB(c)\n")
+    single = OMQ(o, FULL_SCHEMA, parse_query("q(x) :- C(x)"))
+    union = OMQ(o, FULL_SCHEMA, parse_query("q(x) :- C(x)\nq(x) :- r(x,y), B(y)"))
+    cases = [(lambda Q: evaluate_naive(Q, d), single, 1),
+             (lambda Q: evaluate_fpt(Q, d, 1), single, 1),
+             (lambda Q: evaluate_pebble(Q, d, 1), single, 2),
+             (lambda Q: evaluate_naive(Q, d), union, 1),
+             (lambda Q: evaluate_fpt(Q, d, 1), union, 1),
+             (lambda Q: evaluate_pebble(Q, d, 1), union, 3)]
+    for evaluate, Q, expected in cases:
+        calls.clear()
+        assert evaluate(Q).answers == frozenset({("a",)})
+        assert len(calls) == expected, (Q, expected)
+        assert calls[0] == d

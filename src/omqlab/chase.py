@@ -14,7 +14,6 @@ from typing import Optional
 from .model import (
     Atomic,
     Axiom,
-    CQ,
     Concept,
     ConceptFact,
     Database,
@@ -24,7 +23,6 @@ from .model import (
     RoleFact,
     concept_as_cq,
     concept_extension,
-    cq_as_database,
     restrict_database,
 )
 from .entailment import (
@@ -148,10 +146,6 @@ def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict, counter) 
     for v in order:
         prov[rename[v]] = Provenance("anonymous", parent=root, via=ax,
                                      depth=depths.get(v, prov[root].depth + 1))
-
-
-def chase_of_cq(q: CQ, o: Ontology, depth: int) -> ChaseDb:
-    return oblivious_chase(cq_as_database(q), o, depth)
 
 
 # ---------------------------------------------------------------------------

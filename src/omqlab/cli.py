@@ -104,7 +104,7 @@ def cmd_eval(args) -> int:
     elif args.algo == "fpt":
         k = args.k if args.k is not None else max(
             cq_treewidth(cq) for cq in Q.query.disjuncts)
-        res = evaluate_fpt(Q, d, max(1, k))
+        res = evaluate_fpt(Q, d, k)
     else:
         k = args.k if args.k is not None else 1
         res = evaluate_pebble(Q, d, k)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .model import (
     CQ,
@@ -24,7 +24,6 @@ from .model import (
     UCQ,
     cq_as_database,
     gaifman_graph,
-    single_cq_omq,
 )
 from .entailment import UnsupportedDialect, _elhi_view
 from .evaluation import evaluate_naive
@@ -33,7 +32,6 @@ from .homtools import contractions
 from .treelike import (
     TwEquivVerdict,
     cq_canonical,
-    contains_full_schema,
     decide_tw_equiv_general,
 )
 
@@ -369,28 +367,3 @@ def decide_ubcq1_equiv(Q: OMQ) -> TwEquivVerdict:
         witness = OMQ(Q.ontology, FULL_SCHEMA, verdict.witness.query)
         return TwEquivVerdict("yes", witness=witness)
     return TwEquivVerdict("no", counterexample=verdict.counterexample)
-
-
-def ubcq_equiv_via_disjuncts(Q: OMQ, k: int,
-                             per_bcq_decider: Optional[Callable] = None) -> bool:
-    """A union of Boolean queries is width-``k`` equivalent iff every
-    disjunct either is so on its own or is contained in another disjunct."""
-    if not Q.query.is_boolean():
-        raise QueryError("expects Boolean queries")
-    if per_bcq_decider is None:
-        if k != 1:
-            raise ValueError("only the width-1 decider ships by default")
-        per_bcq_decider = lambda omq: decide_ubcq1_equiv(omq).is_yes()
-    for i, p in enumerate(Q.query.disjuncts):
-        if per_bcq_decider(single_cq_omq(Q.ontology, Q.schema, p)):
-            continue
-        others = [other for j, other in enumerate(Q.query.disjuncts) if j != i]
-        if not others:
-            return False
-        contained = any(
-            contains_full_schema(single_cq_omq(Q.ontology, Q.schema, p),
-                                 single_cq_omq(Q.ontology, Q.schema, other))
-            for other in others)
-        if not contained:
-            return False
-    return True

@@ -41,10 +41,8 @@ from .model import (
     Ontology,
     Role,
     RoleFact,
-    RoleInclusion,
     TOP,
     Top,
-    conj,
 )
 
 TOP_NAME = "_top"
@@ -149,25 +147,6 @@ class NormalOntology:
                                  key=lambda r: (r.body, str(r.role), r.succ))
 
     # -- views ---------------------------------------------------------------
-
-    def axioms(self) -> list:
-        """The rule system rendered back as inclusion axioms."""
-        out: list = [ConceptInclusion(TOP, Atomic(TOP_NAME))]
-        out += [ConceptInclusion(Atomic(n), BOT) for n in sorted(self.bot_names)]
-        for body, head in self.conj_rules:
-            lhs = conj(*(Atomic(n) for n in sorted(body)))
-            out.append(ConceptInclusion(lhs, Atomic(head)))
-        for r in self.exists_rules:
-            out.append(ConceptInclusion(Exists(r.role, Atomic(r.filler)), Atomic(r.head)))
-        for r in self.succ_rules:
-            out.append(ConceptInclusion(Atomic(r.body), Exists(r.role, Atomic(r.succ))))
-        out += [RoleInclusion(r, s) for r, ss in sorted(self.super_roles.items(),
-                                                        key=lambda kv: str(kv[0]))
-                for s in sorted(ss, key=str) if s != r]
-        return out
-
-    def names_of(self, concepts: Iterable[Concept]) -> frozenset:
-        return frozenset(self.defname[c] for c in concepts)
 
     def concepts_of(self, names: Iterable[str]) -> frozenset:
         """Project a name type onto sub-concepts (inert names drop out)."""
@@ -425,48 +404,6 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
                 db_facts.add(ConceptFact(n, a))
     return Saturation(Database(db_facts),
                       {a: frozenset(t) for a, t in types.items()}, onorm)
-
-
-def entailed_concept_fact(d: Database, o: Ontology, c: Concept, a: str) -> bool:
-    onorm = normalize(_elhi_view(o))
-    if c not in set(onorm.sub_concepts):
-        raise ValueError(f"{c} is not a sub-concept of the ontology")
-    sat = saturate(d, onorm)
-    return onorm.defname[c] in sat.types.get(a, frozenset())
-
-
-def type_implies(o: Ontology, t1: Iterable[Concept], t2: Iterable[Concept]) -> bool:
-    """Every model realizing ``t1`` somewhere also realizes ``t2`` somewhere."""
-    t1, t2 = list(t1), list(t2)
-    if not t2:
-        return True
-    if set(t2) <= set(t1):
-        return True
-    marker = conj(*t2)
-    o2 = Ontology(list(_elhi_view(o).axioms) + [ConceptInclusion(marker, BOT)],
-                  Dialect.ELHI_BOT)
-    onorm = normalize(o2, t1)
-    seed = onorm.names_of(t1)
-    return onorm.is_unsat(seed)
-
-
-def max_successor_types(o: Ontology, t: Iterable[Concept], r: Role) -> list[frozenset]:
-    """Inclusion-maximal types t2 with ``o |= conj(t) <= exists r . conj(t2)``,
-    read off the canonical root's ``r``-children."""
-    onorm = normalize(_elhi_view(o), list(t))
-    seed = onorm.names_of(t)
-    if onorm.is_unsat(seed):
-        return [frozenset(onorm.sub_concepts) - {TOP}]
-    canon = onorm._engine.canonical(onorm._engine.close(seed))
-    cands = []
-    for (parent, rule), child in canon.child_types.items():
-        if parent == canon.root and r in onorm.super_roles.get(rule.role, {rule.role}):
-            cands.append(onorm.concepts_of(child))
-    out = []
-    for c in cands:
-        if not any(c < other for other in cands):
-            out.append(c)
-    return sorted(set(out), key=lambda s: sorted(x.key() for x in s))
 
 
 def _elhi_view(o: Ontology) -> Ontology:

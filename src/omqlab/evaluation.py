@@ -105,10 +105,12 @@ def evaluate_naive(Q: OMQ, d: Database) -> EvalResult:
 def evaluate_fpt(Q: OMQ, d: Database, k: int) -> EvalResult:
     """Same canonical model, then width-``k`` dynamic programming per
     disjunct and candidate tuple."""
+    if k < 1:
+        raise TreewidthPrecondition(f"width-k evaluation needs k >= 1, got {k}")
     plans = {cq: _WidthPlan(cq, k) for cq in Q.query.disjuncts}
 
     def per_disjunct(cq: CQ, target: Database):
-        return functools.partial(plans[cq].holds, target, target.dom)
+        return functools.partial(plans[cq].holds, target)
     return _over_canonical_model(Q, d, "fpt", per_disjunct)
 
 
@@ -296,24 +298,22 @@ class _WidthPlan:
                     stack.append(w)
         self.children = {i: [w for w in adj[i] if self.parent.get(w) == i] for i in adj}
 
-    def _bag_assignments(self, i: int, d: Database, pin: dict, dom):
+    def _bag_assignments(self, i: int, d: Database, pin: dict):
         vars_i, sub, pinned, extra = self.bag_queries[i]
         fixed = {v: pin[v] for v in pinned}
-        allowed = {v: dom for v in vars_i}
-        for h in iter_homomorphisms(sub, d, fixed=fixed, allowed=allowed):
+        for h in iter_homomorphisms(sub, d, fixed=fixed):
             base = {v: h[v] for v in vars_i if v in h}
             if extra:
-                for combo in itertools.product(sorted(dom), repeat=len(extra)):
+                for combo in itertools.product(sorted(d.dom), repeat=len(extra)):
                     th = dict(base)
                     th.update(zip(extra, combo))
                     yield th
             else:
                 yield base
 
-    def holds(self, d: Database, dom, a: tuple) -> bool:
+    def holds(self, d: Database, a: tuple) -> bool:
         """Join of partial homomorphisms into ``d`` along the decomposition,
-        answer variables pinned to ``a``, quantified ones ranging over
-        ``dom``."""
+        answer variables pinned to ``a``."""
         pin = dict(zip(self.answer_vars, a))
         for at in self.fixed_atoms:
             if at.rename(pin) not in d.facts:
@@ -325,7 +325,7 @@ class _WidthPlan:
         messages: dict[int, set] = {}
         for i in reversed(self.order):
             table = set()
-            for th in self._bag_assignments(i, d, pin, dom):
+            for th in self._bag_assignments(i, d, pin):
                 good = True
                 for w in self.children[i]:
                     sep = tuple(sorted((v, th[v]) for v in bags[i] & bags[w]))
@@ -342,17 +342,3 @@ class _WidthPlan:
                 messages[i] = {tuple(sorted((v, c) for v, c in th if v in sepvars))
                                for th in table}
         return True
-
-
-def evaluate_tw_cq(q: CQ, d: Database, k: int, a: tuple,
-                   anonymous_ok: frozenset | None = None) -> bool:
-    """Join of partial homomorphisms along a width-``k`` decomposition of
-    the quantified part, answer variables pinned to ``a``.
-
-    ``anonymous_ok`` widens the range of quantified variables beyond
-    ``dom(d)`` (used when matching into a chase, where answer variables
-    stay on the original constants but quantified ones may roam)."""
-    plan = _WidthPlan(q, k)
-    if len(a) != q.arity:
-        raise QueryError(f"candidate arity {len(a)} != query arity {q.arity}")
-    return plan.holds(d, anonymous_ok if anonymous_ok is not None else d.dom, a)

@@ -266,12 +266,6 @@ def _directed_pairs(d: Database) -> set:
     return {(f.a, f.b) for f in d.facts if isinstance(f, RoleFact)}
 
 
-def is_ditree(d: Database) -> bool:
-    """True iff the directed role graph is a tree (multi-edges fine,
-    reflexive loops not)."""
-    return not d.dom or _ditree_root(d, root_loops=False) is not None
-
-
 def _ditree_root(d: Database, root_loops: bool) -> Optional[str]:
     """The root of the directed role graph if it is a tree, else None;
     reflexive loops are allowed only at the root, and only if
@@ -435,6 +429,12 @@ def _grow_bags(dom: list, src: Database, autos: list, k: int, levels: range,
     return facts, nodes, bags, edges
 
 
+def _check_anchors(d: Database, anchors: tuple) -> None:
+    outside = sorted(set(anchors) - d.dom)
+    if outside:
+        raise QueryError(f"anchors are not constants of the database: {outside}")
+
+
 def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     """Truncated width-``k`` unraveling of ``d`` up to the tuple ``a``:
     the tuple's facts stay verbatim, the rest unravels into bags of at
@@ -446,6 +446,7 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     redundant.  Constants adjacent only to tuple constants still receive
     (fact-free) bag copies; dropping them would lose certain answers.
     """
+    _check_anchors(d, a)
     anchors = set(a)
     base = Database([f for f in d.facts if not (set(f.terms()) & anchors)])
     base_dom = sorted(set(d.dom) - anchors)
@@ -484,8 +485,7 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
 def unravel1_at(d: Database, a: str, depth: int) -> Unraveling:
     """Treewidth-1 unraveling started at ``a`` (the root constant is ``a``
     itself), truncated after ``depth`` extra bag generations."""
-    if a not in d.dom:
-        raise ValueError(f"{a} is not a constant of the database")
+    _check_anchors(d, (a,))
     dom = sorted(d.dom)
     autos = _automorphisms(d, set()) if len(dom) <= 7 else [{c: c for c in dom}]
     facts, nodes, bags, edges = _grow_bags(dom, d, autos, 1, range(1, depth + 1),

@@ -1,5 +1,5 @@
-"""Homomorphisms between queries and databases, contraction enumeration,
-cores, and injective-only satisfaction.
+"""Homomorphisms between queries and databases, contraction enumeration
+and cores.
 
 Homomorphism search is plain backtracking with forward pruning; branching
 order is descending Gaifman degree with lexicographic tie-break, candidate
@@ -14,7 +14,6 @@ from .model import (
     CQ,
     ConceptFact,
     Database,
-    QueryError,
     RoleFact,
     cq_as_database,
     gaifman_graph,
@@ -26,19 +25,16 @@ class HomError(ValueError):
 
 
 def _var_order(q: CQ, fixed: Iterable[str] = ()) -> list[str]:
-    g = gaifman_graph(q.as_database())
+    g = gaifman_graph(cq_as_database(q))
     deg = {v: g.degree(v) for v in q.variables()}
     free = [v for v in q.variables() if v not in set(fixed)]
     return sorted(free, key=lambda v: (-deg.get(v, 0), v))
 
 
-def _candidates(q: CQ, target: Database, allowed=None):
-    """Per-variable candidate constants from unary atoms (plus `allowed`)."""
+def _candidates(q: CQ, target: Database):
+    """Per-variable candidate constants from unary atoms."""
     concepts = target.index.concepts
-    cand: dict[str, set] = {}
-    base = set(target.dom)
-    for v in q.variables():
-        cand[v] = set(base) if allowed is None else set(allowed.get(v, base))
+    cand = {v: set(target.dom) for v in q.variables()}
     for at in q.atoms:
         if isinstance(at, ConceptFact):
             cand[at.a] &= concepts.get(at.name, set())
@@ -49,7 +45,6 @@ def iter_homomorphisms(
     q: CQ,
     target: Database,
     fixed: Optional[dict] = None,
-    allowed: Optional[dict] = None,
 ) -> Iterator[dict]:
     """All homomorphisms from ``q`` into ``target`` extending ``fixed``,
     in deterministic (lexicographic) order."""
@@ -61,7 +56,7 @@ def iter_homomorphisms(
         if c not in target.dom and q.atoms:
             return
     concepts, succ, pred = target.index
-    cand = _candidates(q, target, allowed)
+    cand = _candidates(q, target)
     for v, c in fixed.items():
         if q.atoms and c not in cand[v]:
             return
@@ -139,12 +134,6 @@ def find_homomorphism(q: CQ, target: Database, fixed: Optional[dict] = None) -> 
     for h in iter_homomorphisms(q, target, fixed):
         return h
     return None
-
-
-def cq_homomorphism(q1: CQ, q2: CQ) -> Optional[dict]:
-    """Homomorphism between CQs fixing the (shared) answer variables."""
-    fixed = {x: x for x in q1.answer_vars}
-    return find_homomorphism(q1, cq_as_database(q2), fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -229,80 +218,3 @@ def _proper_retraction(q: CQ) -> Optional[CQ]:
             atoms = {at.rename(h) for at in q.atoms}
             return CQ(q.answer_vars, atoms)
     return None
-
-
-def equivalent_cqs(q1: CQ, q2: CQ) -> bool:
-    """Plain CQ equivalence (mutual homomorphisms fixing answer variables)."""
-    return cq_homomorphism(q1, q2) is not None and cq_homomorphism(q2, q1) is not None
-
-
-# ---------------------------------------------------------------------------
-# Injective-only satisfaction
-
-
-def io_satisfies(d: Database, p: CQ) -> bool:
-    """``d |=io p``: some homomorphism exists and every one is injective."""
-    if not p.is_boolean():
-        raise QueryError("io-satisfaction is defined for Boolean queries")
-    found = False
-    nvars = len(p.variables())
-    for h in iter_homomorphisms(p, d):
-        found = True
-        if len(set(h.values())) != nvars:
-            return False
-    return found
-
-
-def io_contraction(d: Database, p: CQ) -> CQ:
-    """A contraction of ``p`` that ``d`` satisfies injectively-only, found
-    by merging the collisions of an arbitrary non-injective homomorphism
-    until only injective ones remain."""
-    if not p.is_boolean():
-        raise QueryError("io-contraction is defined for Boolean queries")
-    current = p
-    while True:
-        witness = None
-        for h in iter_homomorphisms(current, d):
-            if len(set(h.values())) != len(current.variables()):
-                witness = h
-                break
-        if witness is None:
-            if find_homomorphism(current, d) is None:
-                raise HomError("database does not satisfy the query")
-            return current
-        groups: dict[str, list] = {}
-        for v in sorted(current.variables()):
-            groups.setdefault(witness[v], []).append(v)
-        rep = {v: vs[0] for vs in groups.values() for v in vs}
-        current = current.rename(rep)
-
-
-# ---------------------------------------------------------------------------
-# Dangling-tree removal
-
-
-def strip_trees(p: CQ) -> CQ:
-    """Largest sub-conjunction of a connected Boolean query with no
-    articulation point splitting off a treewidth-1 component (pendant trees,
-    including reflexive loops and multi-edges, are peeled away)."""
-    from .graphalg import treewidth  # local import to avoid a cycle
-
-    if not p.is_boolean():
-        raise QueryError("tree stripping is defined for Boolean queries")
-    g = gaifman_graph(cq_as_database(p))
-    if not g.is_connected():
-        raise QueryError("tree stripping needs a connected query")
-    if treewidth(g)[0] <= 1:
-        raise QueryError("tree stripping needs tree width above 1")
-
-    atoms = set(p.atoms)
-    while True:
-        live = set()
-        for at in atoms:
-            live.update(at.terms())
-        g = gaifman_graph(Database(atoms))
-        peel = {v for v in live if g.degree(v) <= 1}
-        doomed = {at for at in atoms if set(at.terms()) & peel}
-        if not doomed:
-            return CQ((), atoms)
-        atoms -= doomed

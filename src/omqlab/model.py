@@ -318,21 +318,6 @@ class Ontology:
                 names.update(s.name for s in side.subconcepts() if isinstance(s, Atomic))
         return frozenset(names)
 
-    def role_names(self) -> frozenset:
-        names = set()
-        for ci in self.concept_inclusions():
-            for side in (ci.lhs, ci.rhs):
-                names.update(r.name for r in side.roles())
-        for ri in self.role_inclusions():
-            names.add(ri.lhs.name)
-            names.add(ri.rhs.name)
-        for ax in self.axioms:
-            if isinstance(ax, Functionality):
-                names.add(ax.role)
-            elif isinstance(ax, RoleDisjointness):
-                names.update(ax.roles)
-        return frozenset(names)
-
     def __str__(self) -> str:
         return "\n".join(str(a) for a in self.sorted_axioms())
 
@@ -614,9 +599,6 @@ class Database:
     def names(self) -> frozenset:
         return frozenset(f.name for f in self.facts)
 
-    def union(self, other: "Database") -> "Database":
-        return Database(self.facts | other.facts)
-
     def uses_only(self, schema: Schema) -> bool:
         return all(schema.admits(n) for n in self.names())
 
@@ -702,12 +684,6 @@ class UndirectedGraph:
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 
-    def copy(self) -> "UndirectedGraph":
-        g = UndirectedGraph(self.adj)
-        for v, nbrs in self.adj.items():
-            g.adj[v] = set(nbrs)
-        return g
-
 
 # ---------------------------------------------------------------------------
 # Queries
@@ -765,9 +741,6 @@ class CQ:
     def quantified_vars(self) -> frozenset:
         return self.variables() - set(self.answer_vars)
 
-    def as_database(self) -> Database:
-        return Database(self.atoms)
-
     def restrict(self, keep: Iterable[str]) -> "CQ":
         """Restriction to a variable set; answer variables outside are dropped."""
         keep = set(keep)
@@ -795,7 +768,7 @@ class CQ:
 
 
 def cq_as_database(q: CQ) -> Database:
-    return q.as_database()
+    return Database(q.atoms)
 
 
 class UCQ:

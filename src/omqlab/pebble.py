@@ -42,7 +42,7 @@ from .model import (
     gaifman_graph,
     single_cq_omq,
 )
-from .entailment import Saturation, consistent_saturation, normalize, saturate, _elhi_view
+from .entailment import Saturation, consistent_saturation
 from .evaluation import EvalResult, _TreeEvaluator, _certain_answers
 from .graphalg import dtree
 from .treelike import _concept_trees
@@ -185,26 +185,10 @@ def exists_mccs(q: CQ) -> list[frozenset]:
 
 
 class LabelContext:
-    """Memoized machinery for checking labelings of one (extended) query
-    against one database."""
+    """Memoized machinery for checking labelings of the single CQ of ``Q``
+    against ``d``, over ``sat``, the clash-free saturation of ``d``."""
 
-    def __init__(self, Q: OMQ, d: Database, const_requirements=None):
-        _check_pebble_input(Q)
-        if len(Q.query.disjuncts) != 1:
-            raise PebblePrecondition("labelings are per-CQ")
-        sat = saturate(d, normalize(_elhi_view(Q.ontology)))
-        if sat.clashes():
-            raise PebblePrecondition("database is inconsistent with the ontology")
-        self._setup(Q, d, sat, const_requirements)
-
-    @classmethod
-    def _over(cls, Q: OMQ, d: Database, sat: Saturation, const_requirements):
-        """The context over ``sat``, the clash-free saturation of ``d``."""
-        ctx = cls.__new__(cls)
-        ctx._setup(Q, d, sat, const_requirements)
-        return ctx
-
-    def _setup(self, Q: OMQ, d: Database, sat: Saturation, const_requirements) -> None:
+    def __init__(self, Q: OMQ, d: Database, sat: Saturation, const_requirements=None):
         # var -> rooted tree queries that must certify at the variable's
         # constant (stands in for attaching entailed concept copies)
         self.const_requirements = const_requirements or {}
@@ -353,26 +337,16 @@ def _check_pebble_input(Q: OMQ) -> None:
 
 def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
     """Certain answers through the (k+1)-pebble labeling game, one game
-    per disjunct and candidate tuple."""
+    per disjunct and candidate tuple.  Exact on width-k-equivalent inputs;
+    otherwise a sound over-approximation of the certain answers."""
     _check_pebble_input(Q)
+    if k < 1:
+        raise PebblePrecondition(f"the game needs k >= 1, got {k}")
 
     def prepare(sat: Saturation):
         return {}, lambda cq: _prepare_game(single_cq_omq(Q.ontology, Q.schema, cq),
                                             d, sat, k)
     return _certain_answers(Q, d, "pebble", prepare)
-
-
-def pebble_evaluate(Q: OMQ, d: Database, a: tuple, k: int) -> bool:
-    """Does the candidate tuple survive the (k+1)-pebble labeling game on
-    the extended query?  Exact on width-k-equivalent inputs; otherwise a
-    sound over-approximation of the certain answers."""
-    if len(Q.query.disjuncts) != 1:
-        raise PebblePrecondition("the game takes a single-CQ query")
-    _check_pebble_input(Q)
-    if len(a) != Q.arity:
-        raise QueryError("candidate arity mismatch")
-    sat = consistent_saturation(d, Q.ontology)
-    return sat is None or _prepare_game(Q, d, sat, k)(a)
 
 
 def _prepare_game(Q: OMQ, d: Database, sat: Saturation, k: int):
@@ -390,12 +364,10 @@ def _prepare_game(Q: OMQ, d: Database, sat: Saturation, k: int):
     requirements: dict = {}
     for x, tree in _concept_trees(qsat, q.variables()):
         requirements.setdefault(x, []).append(tree)
-    ctx = LabelContext._over(Q, d, sat, requirements)
+    ctx = LabelContext(Q, d, sat, requirements)
 
     quantified = sorted(q.quantified_vars())
     size = min(k + 1, len(quantified))
-    if size < 0:
-        raise PebblePrecondition(f"the game needs k >= -1, got {k}")
     # positions over maximal pebble sets decide the game: smaller positions
     # are restrictions of surviving maximal ones
     vsets = [frozenset(c) for c in itertools.combinations(quantified, size)]

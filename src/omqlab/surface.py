@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     sorted_facts,
@@ -33,7 +33,6 @@ from .model import (
     ConceptFact,
     ConceptInclusion,
     Concept,
-    Conj,
     Database,
     Dialect,
     Exists,
@@ -462,8 +461,3 @@ def serialize_answers(consistent: bool, answers) -> str:
     """JSON answer format; answer tuples are sorted lexicographically."""
     tuples = sorted([list(t) for t in answers])
     return json.dumps({"consistent": bool(consistent), "answers": tuples})
-
-
-def parse_answers(text: str) -> tuple[bool, list[tuple]]:
-    data = json.loads(text)
-    return bool(data["consistent"]), [tuple(t) for t in data["answers"]]

@@ -163,17 +163,6 @@ def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
     return None
 
 
-def equivalent_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
-    return contains_full_schema(Q1, Q2) and contains_full_schema(Q2, Q1)
-
-
-def is_empty_full_schema(Q: OMQ) -> bool:
-    if not Q.schema.full:
-        raise SchemaPrecondition("emptiness test requires the full schema")
-    return all(not is_consistent(cq_as_database(cq), Q.ontology)
-               for cq in Q.query.disjuncts)
-
-
 # ---------------------------------------------------------------------------
 # Maximum contractions and rewritings
 
@@ -257,14 +246,6 @@ def _attach_trees(q: CQ, atoms: Iterable, trees) -> CQ:
     for x, tree in trees:
         out.update(at.rename({tree.answer_vars[0]: x}) for at in tree.atoms)
     return CQ(q.answer_vars, out)
-
-
-def extend_with_entailed_atoms(Q: OMQ) -> CQ:
-    """Attach, at every variable satisfying an axiom's left side in the
-    chase of the query database, a fresh copy of that side (one copy per
-    variable and concept)."""
-    q = Q.query.disjuncts[0]
-    return _attach_trees(q, q.atoms, entailed_concept_trees(Q))
 
 
 def rewriting(Q: OMQ) -> OMQ:

@@ -3,41 +3,56 @@
 These deliberately take the dumb route: fact lookups by scanning every
 fact, bounded oblivious chase plus plain homomorphism search, with a
 depth-stability re-check, and an exhaustive subquery search for
-tree-likeness.
+tree-likeness.  The paper's constructions that the program itself does
+not run (injective-only satisfaction, dangling-tree removal, implied
+types, the per-disjunct width-1 route for unions) live here too, as
+references the tests check against the program.
 """
 
 import itertools
+import json
 
 from omqlab.chase import canonical_model, oblivious_chase
-from omqlab.entailment import is_consistent
+from omqlab.dllitef import decide_ubcq1_equiv
+from omqlab.entailment import TOP_NAME, _elhi_view, is_consistent, normalize, saturate
 from omqlab.evaluation import chase_steps
-from omqlab.graphalg import cq_treewidth
-from omqlab.homtools import find_homomorphism
+from omqlab.graphalg import _ditree_root, cq_treewidth, treewidth
+from omqlab.homtools import HomError, find_homomorphism, iter_homomorphisms
 from omqlab.model import (
+    BOT,
     Atomic,
     Bot,
     CQ,
     Concept,
     ConceptFact,
+    ConceptInclusion,
     Conj,
     Database,
+    Dialect,
     Exists,
     OMQ,
     Ontology,
+    QueryError,
     Role,
     RoleFact,
+    RoleInclusion,
     Top,
+    TOP,
     UCQ,
     concept_as_cq,
     concept_extension,
+    conj,
     cq_as_database,
+    gaifman_graph,
     single_cq_omq,
 )
 from omqlab.treelike import (
     TW_EQUIV_DIALECTS,
     SchemaPrecondition,
     TwEquivVerdict,
-    extend_with_entailed_atoms,
+    _attach_trees,
+    contains_full_schema,
+    entailed_concept_trees,
 )
 
 
@@ -163,6 +178,25 @@ def oracle_answers(Q, d: Database, depth: int = 6) -> frozenset:
 # Tree-likeness by exhaustive subquery search
 
 
+def equivalent_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
+    return contains_full_schema(Q1, Q2) and contains_full_schema(Q2, Q1)
+
+
+def is_empty_full_schema(Q: OMQ) -> bool:
+    if not Q.schema.full:
+        raise SchemaPrecondition("emptiness test requires the full schema")
+    return all(not is_consistent(cq_as_database(cq), Q.ontology)
+               for cq in Q.query.disjuncts)
+
+
+def extend_with_entailed_atoms(Q: OMQ) -> CQ:
+    """Attach, at every variable satisfying an axiom's left side in the
+    chase of the query database, a fresh copy of that side (one copy per
+    variable and concept)."""
+    q = Q.query.disjuncts[0]
+    return _attach_trees(q, q.atoms, entailed_concept_trees(Q))
+
+
 def disjunct_contained(o: Ontology, q1: CQ, q2: CQ) -> bool:
     """(o, full, q1) <= (o, full, q2) via the chase-homomorphism criterion."""
     d1 = cq_as_database(q1)
@@ -251,3 +285,182 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
             return TwEquivVerdict("no")
         found.append(hit)
     return TwEquivVerdict("yes", witness=Q.with_query(UCQ(found)))
+
+
+def ubcq_equiv_via_disjuncts(Q: OMQ, k: int) -> bool:
+    """A union of Boolean queries is width-``k`` equivalent iff every
+    disjunct either is so on its own or is contained in another disjunct;
+    the per-disjunct decision is ``decide_ubcq1_equiv``, so ``k`` is 1."""
+    if not Q.query.is_boolean():
+        raise QueryError("expects Boolean queries")
+    if k != 1:
+        raise ValueError("only the width-1 decision exists")
+    for i, p in enumerate(Q.query.disjuncts):
+        if decide_ubcq1_equiv(single_cq_omq(Q.ontology, Q.schema, p)).is_yes():
+            continue
+        others = [other for j, other in enumerate(Q.query.disjuncts) if j != i]
+        if not others:
+            return False
+        contained = any(
+            contains_full_schema(single_cq_omq(Q.ontology, Q.schema, p),
+                                 single_cq_omq(Q.ontology, Q.schema, other))
+            for other in others)
+        if not contained:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Plain CQ homomorphisms and equivalence
+
+
+def cq_homomorphism(q1: CQ, q2: CQ):
+    """Homomorphism between CQs fixing the (shared) answer variables."""
+    fixed = {x: x for x in q1.answer_vars}
+    return find_homomorphism(q1, cq_as_database(q2), fixed)
+
+
+def equivalent_cqs(q1: CQ, q2: CQ) -> bool:
+    """Plain CQ equivalence (mutual homomorphisms fixing answer variables)."""
+    return cq_homomorphism(q1, q2) is not None and cq_homomorphism(q2, q1) is not None
+
+
+# ---------------------------------------------------------------------------
+# Injective-only satisfaction and dangling-tree removal
+
+
+def io_satisfies(d: Database, p: CQ) -> bool:
+    """``d |=io p``: some homomorphism exists and every one is injective."""
+    if not p.is_boolean():
+        raise QueryError("io-satisfaction is defined for Boolean queries")
+    found = False
+    nvars = len(p.variables())
+    for h in iter_homomorphisms(p, d):
+        found = True
+        if len(set(h.values())) != nvars:
+            return False
+    return found
+
+
+def io_contraction(d: Database, p: CQ) -> CQ:
+    """A contraction of ``p`` that ``d`` satisfies injectively-only, found
+    by merging the collisions of an arbitrary non-injective homomorphism
+    until only injective ones remain."""
+    if not p.is_boolean():
+        raise QueryError("io-contraction is defined for Boolean queries")
+    current = p
+    while True:
+        witness = None
+        for h in iter_homomorphisms(current, d):
+            if len(set(h.values())) != len(current.variables()):
+                witness = h
+                break
+        if witness is None:
+            if find_homomorphism(current, d) is None:
+                raise HomError("database does not satisfy the query")
+            return current
+        groups: dict[str, list] = {}
+        for v in sorted(current.variables()):
+            groups.setdefault(witness[v], []).append(v)
+        rep = {v: vs[0] for vs in groups.values() for v in vs}
+        current = current.rename(rep)
+
+
+def strip_trees(p: CQ) -> CQ:
+    """Largest sub-conjunction of a connected Boolean query with no
+    articulation point splitting off a treewidth-1 component (pendant trees,
+    including reflexive loops and multi-edges, are peeled away)."""
+    if not p.is_boolean():
+        raise QueryError("tree stripping is defined for Boolean queries")
+    g = gaifman_graph(cq_as_database(p))
+    if not g.is_connected():
+        raise QueryError("tree stripping needs a connected query")
+    if treewidth(g)[0] <= 1:
+        raise QueryError("tree stripping needs tree width above 1")
+
+    atoms = set(p.atoms)
+    while True:
+        live = set()
+        for at in atoms:
+            live.update(at.terms())
+        g = gaifman_graph(Database(atoms))
+        peel = {v for v in live if g.degree(v) <= 1}
+        doomed = {at for at in atoms if set(at.terms()) & peel}
+        if not doomed:
+            return CQ((), atoms)
+        atoms -= doomed
+
+
+def is_ditree(d: Database) -> bool:
+    """True iff the directed role graph is a tree (multi-edges fine,
+    reflexive loops not)."""
+    return not d.dom or _ditree_root(d, root_loops=False) is not None
+
+
+# ---------------------------------------------------------------------------
+# Entailed facts, implied types and the normal form as axioms
+
+
+def entailed_concept_fact(d: Database, o: Ontology, c: Concept, a: str) -> bool:
+    onorm = normalize(_elhi_view(o))
+    if c not in set(onorm.sub_concepts):
+        raise ValueError(f"{c} is not a sub-concept of the ontology")
+    sat = saturate(d, onorm)
+    return onorm.defname[c] in sat.types.get(a, frozenset())
+
+
+def type_implies(o: Ontology, t1, t2) -> bool:
+    """Every model realizing ``t1`` somewhere also realizes ``t2`` somewhere."""
+    t1, t2 = list(t1), list(t2)
+    if not t2:
+        return True
+    if set(t2) <= set(t1):
+        return True
+    marker = conj(*t2)
+    o2 = Ontology(list(_elhi_view(o).axioms) + [ConceptInclusion(marker, BOT)],
+                  Dialect.ELHI_BOT)
+    onorm = normalize(o2, t1)
+    return onorm.is_unsat(frozenset(onorm.defname[c] for c in t1))
+
+
+def max_successor_types(o: Ontology, t, r: Role) -> list[frozenset]:
+    """Inclusion-maximal types t2 with ``o |= conj(t) <= exists r . conj(t2)``,
+    read off the canonical root's ``r``-children."""
+    onorm = normalize(_elhi_view(o), list(t))
+    seed = frozenset(onorm.defname[c] for c in t)
+    if onorm.is_unsat(seed):
+        return [frozenset(onorm.sub_concepts) - {TOP}]
+    canon = onorm._engine.canonical(onorm._engine.close(seed))
+    cands = []
+    for (parent, rule), child in canon.child_types.items():
+        if parent == canon.root and r in onorm.super_roles.get(rule.role, {rule.role}):
+            cands.append(onorm.concepts_of(child))
+    out = []
+    for c in cands:
+        if not any(c < other for other in cands):
+            out.append(c)
+    return sorted(set(out), key=lambda s: sorted(x.key() for x in s))
+
+
+def normal_axioms(onorm) -> list:
+    """The rule system of a ``NormalOntology`` rendered back as inclusion
+    axioms."""
+    out: list = [ConceptInclusion(TOP, Atomic(TOP_NAME))]
+    out += [ConceptInclusion(Atomic(n), BOT) for n in sorted(onorm.bot_names)]
+    for body, head in onorm.conj_rules:
+        lhs = conj(*(Atomic(n) for n in sorted(body)))
+        out.append(ConceptInclusion(lhs, Atomic(head)))
+    for r in onorm.exists_rules:
+        out.append(ConceptInclusion(Exists(r.role, Atomic(r.filler)), Atomic(r.head)))
+    for r in onorm.succ_rules:
+        out.append(ConceptInclusion(Atomic(r.body), Exists(r.role, Atomic(r.succ))))
+    out += [RoleInclusion(r, s) for r, ss in sorted(onorm.super_roles.items(),
+                                                    key=lambda kv: str(kv[0]))
+            for s in sorted(ss, key=str) if s != r]
+    return out
+
+
+def parse_answers(text: str) -> tuple[bool, list[tuple]]:
+    """Read back the JSON answer format of ``serialize_answers``."""
+    data = json.loads(text)
+    return bool(data["consistent"]), [tuple(t) for t in data["answers"]]

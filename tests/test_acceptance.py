@@ -35,7 +35,6 @@ from omqlab.surface import parse_database, parse_ontology, parse_query
 from omqlab.treelike import (
     contains_full_schema,
     decide_tw_equiv_general,
-    equivalent_full_schema,
     ucq_k_approximation,
 )
 from omqlab.chase import oblivious_chase
@@ -64,7 +63,7 @@ from gen import (
     rand_tw_bounded_database,
     rand_ucq,
 )
-from oracles import oracle_subsumes
+from oracles import equivalent_full_schema, oracle_subsumes
 
 
 def report(n: int, ok: bool, detail: str):

@@ -165,10 +165,27 @@ def test_input_errors_exit_3(files, capsys, monkeypatch):
     assert (code, out) == (3, "") and "expects DL-LiteF, got EL" in err
     code, out, err = run(capsys, "eval", *onto, *query, "--db", str(files / "d.db"),
                          "--algo", "pebble", "-k", "-3")
-    assert (code, out) == (3, "") and "k >= -1" in err
+    assert (code, out) == (3, "") and "k >= 1" in err
     monkeypatch.setenv("OMQLAB_BUDGET", "five")
     code, out, err = run(capsys, "tw-equiv", *onto, *query, "-k", "1")
     assert (code, out) == (3, "") and "OMQLAB_BUDGET" in err
+
+
+@pytest.mark.parametrize("algo, k", [("pebble", "-1"), ("pebble", "0"), ("fpt", "-3")])
+def test_eval_rejects_width_below_1(files, capsys, algo, k):
+    (files / "tri.cq").write_text("q() :- r(x,y), r(y,z), r(z,x)\n")
+    code, out, err = run(capsys, "eval", "--onto", str(files / "ex1.dl"),
+                         "--query", str(files / "tri.cq"), "--db", str(files / "d.db"),
+                         "--algo", algo, "-k", k)
+    assert (code, out) == (3, "")
+    assert f"got {k}\n" in err
+
+
+def test_unravel_rejects_anchor_outside_the_data(files, capsys):
+    code, out, err = run(capsys, "unravel", "--db", str(files / "d.db"), "-k", "1",
+                         "--depth", "1", "--tuple", "a,zz")
+    assert (code, out) == (3, "")
+    assert "['zz']" in err
 
 
 def test_internal_value_error_escapes_main(files, monkeypatch):

@@ -9,7 +9,6 @@ from omqlab.dllitef import (
     rew,
     rewrite_family,
     split_ontology,
-    ubcq_equiv_via_disjuncts,
 )
 from omqlab.entailment import _elhi_view, is_consistent, satisfies_functionality
 from omqlab.evaluation import evaluate_naive
@@ -31,6 +30,7 @@ from omqlab.surface import parse_database, parse_ontology, parse_query
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from gen import rand_database
+from oracles import ubcq_equiv_via_disjuncts
 
 
 def test_split_ontology():

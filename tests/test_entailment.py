@@ -5,13 +5,10 @@ import pytest
 from omqlab.entailment import (
     NormalOntology,
     UnsupportedDialect,
-    entailed_concept_fact,
     is_consistent,
-    max_successor_types,
     normalize,
     saturate,
     subsumes,
-    type_implies,
 )
 from omqlab.model import (
     Atomic,
@@ -35,6 +32,7 @@ from fixtures import omega1
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from gen import rand_concept, rand_eli_ontology
+from oracles import entailed_concept_fact, max_successor_types, normal_axioms, type_implies
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 r = Role("r")
@@ -43,7 +41,7 @@ r = Role("r")
 def test_normalize_shapes():
     o = parse_ontology("A <= exists r . (B & C)")
     onorm = normalize(o)
-    for ax in onorm.axioms():
+    for ax in normal_axioms(onorm):
         assert isinstance(ax, (ConceptInclusion, RoleInclusion))
     # the fresh-name map names every complex sub-concept
     complexes = [c for c in onorm.sub_concepts if not isinstance(c, Atomic)]
@@ -52,12 +50,12 @@ def test_normalize_shapes():
 
 def test_normalize_plain_inclusion_kept():
     onorm = normalize(parse_ontology("A <= B"))
-    assert any(str(ax) == "A <= B" for ax in onorm.axioms())
+    assert any(str(ax) == "A <= B" for ax in normal_axioms(onorm))
 
 
 def test_normalize_range_restriction():
     onorm = normalize(parse_ontology("dialect: ELHdr_bot\nrange r <= C"))
-    assert any("inv(r)" in str(ax) for ax in onorm.axioms())
+    assert any("inv(r)" in str(ax) for ax in normal_axioms(onorm))
 
 
 def test_normalize_rejects_dllite_directly():

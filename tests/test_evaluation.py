@@ -8,12 +8,11 @@ from omqlab.evaluation import (
     TreewidthPrecondition,
     evaluate_fpt,
     evaluate_naive,
-    evaluate_tw_cq,
 )
 from omqlab.entailment import is_consistent
 from omqlab.graphalg import cq_treewidth
 from omqlab.pebble import evaluate_pebble
-from omqlab.model import CQ, FULL_SCHEMA, OMQ, Schema, UCQ, Database, RoleFact
+from omqlab.model import CQ, FULL_SCHEMA, OMQ, Schema, UCQ, Database, RoleFact, cq_as_database
 from omqlab.surface import parse_database, parse_query
 from fixtures import (
     D1,
@@ -82,11 +81,17 @@ def test_fpt_precondition():
         evaluate_fpt(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2), d_example1, 1)
 
 
+def _matching(q: UCQ) -> OMQ:
+    # under the empty ontology the canonical model is the database itself,
+    # so fpt evaluation is the width-k join into the data
+    return OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, q)
+
+
 def test_tw_dp_path():
     path5 = parse_query("q() :- r(x1,x2), r(x2,x3), r(x3,x4), r(x4,x5), r(x5,x6)")
     d = parse_database("r(a,b)\nr(b,c)\nr(c,d)\nr(d,e)\nr(e,f)\nr(f,g)")
-    assert evaluate_tw_cq(path5.disjuncts[0], d, 1, ())
-    assert evaluate_tw_cq(fig2_cq, fig2_cq.as_database(), 2, ())
+    assert evaluate_fpt(_matching(path5), d, 1).boolean()
+    assert evaluate_fpt(_matching(fig2), cq_as_database(fig2_cq), 2).boolean()
 
 
 def test_tw_dp_agrees_with_bruteforce():
@@ -98,9 +103,9 @@ def test_tw_dp_agrees_with_bruteforce():
         if not d.dom:
             continue
         k = max(1, cq_treewidth(q))
-        for a in itertools.product(sorted(d.dom), repeat=q.arity):
-            brute = _brute_match(q, d, a)
-            assert evaluate_tw_cq(q, d, k, a) == brute
+        brute = {a for a in itertools.product(sorted(d.dom), repeat=q.arity)
+                 if _brute_match(q, d, a)}
+        assert evaluate_fpt(_matching(UCQ((q,))), d, k).answers == brute
 
 
 def _brute_match(q, d, a):
@@ -175,7 +180,6 @@ def test_each_evaluation_saturates_its_data_once(monkeypatch):
     # the data once per call; pebble adds the query database once per disjunct
     import omqlab.chase
     import omqlab.entailment
-    import omqlab.pebble
     import omqlab.treelike
     from omqlab.surface import parse_ontology
     calls = []
@@ -185,7 +189,7 @@ def test_each_evaluation_saturates_its_data_once(monkeypatch):
         calls.append(d)
         return saturate(d, o)
 
-    for mod in (omqlab.entailment, omqlab.chase, omqlab.pebble, omqlab.treelike):
+    for mod in (omqlab.entailment, omqlab.chase, omqlab.treelike):
         monkeypatch.setattr(mod, "saturate", counted)
     o = parse_ontology("A <= exists r . B\nexists r . B <= C\n")
     d = parse_database("A(a)\nr(a,b)\nB(c)\n")

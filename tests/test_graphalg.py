@@ -7,7 +7,6 @@ from omqlab.graphalg import (
     TreeDecomposition,
     cq_treewidth,
     dtree,
-    is_ditree,
     is_minor,
     k_unravel,
     treewidth,
@@ -25,6 +24,7 @@ from omqlab.model import (
 )
 from omqlab.surface import parse_database, parse_query
 from fixtures import D1, fig2_cq
+from oracles import is_ditree
 
 
 def _cycle(n=4):
@@ -144,6 +144,14 @@ def test_unravel1_at():
     assert any(x in succ_b and pi.get(y, y) == "a" for (x, y) in out)
     with pytest.raises(ValueError):
         unravel1_at(d2, "zz", 1)
+
+
+def test_k_unravel_rejects_anchors_outside_the_data():
+    d = parse_database("r(a,b)")
+    with pytest.raises(QueryError, match="zz"):
+        k_unravel(d, ("a", "zz"), 1, 1)
+    with pytest.raises(QueryError, match="zz"):
+        unravel1_at(d, "zz", 1)
 
 
 def test_unravel1_prop4_neighborhood():

@@ -6,18 +6,20 @@ from omqlab.homtools import (
     HomError,
     contractions,
     core,
-    cq_homomorphism,
-    equivalent_cqs,
     find_homomorphism,
-    io_contraction,
-    io_satisfies,
     iter_homomorphisms,
-    strip_trees,
 )
-from omqlab.model import CQ, ConceptFact, Database, QueryError, RoleFact, UCQ
+from omqlab.model import CQ, ConceptFact, Database, QueryError, RoleFact, UCQ, cq_as_database
 from omqlab.surface import parse_database, parse_query
 from fixtures import D1, fig2, fig2_cq, qprime
-from oracles import all_answers
+from oracles import (
+    all_answers,
+    cq_homomorphism,
+    equivalent_cqs,
+    io_contraction,
+    io_satisfies,
+    strip_trees,
+)
 
 
 def _bell(n):
@@ -43,13 +45,13 @@ def test_find_homomorphism_lexicographic_first():
 
 
 def test_identity_hom_on_fig2():
-    h = find_homomorphism(fig2_cq, fig2_cq.as_database())
+    h = find_homomorphism(fig2_cq, cq_as_database(fig2_cq))
     assert h is not None
 
 
 def test_no_hom_into_qprime_without_ontology():
     # the three-edge variant misses one cycle edge
-    assert find_homomorphism(fig2_cq, qprime.disjuncts[0].as_database()) is None
+    assert find_homomorphism(fig2_cq, cq_as_database(qprime.disjuncts[0])) is None
 
 
 def test_fixed_outside_query_rejected():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from omqlab.entailment import is_consistent
+from omqlab.entailment import consistent_saturation, is_consistent
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.model import (
@@ -14,6 +14,7 @@ from omqlab.model import (
     Role,
     RoleInclusion,
     UCQ,
+    cq_as_database,
 )
 from omqlab.pebble import (
     Anchored,
@@ -24,20 +25,23 @@ from omqlab.pebble import (
     analyze_pair,
     evaluate_pebble,
     exists_mccs,
-    pebble_evaluate,
     reach,
 )
 from omqlab.surface import parse_database, parse_ontology, parse_query
-from omqlab.treelike import extend_with_entailed_atoms
 from fixtures import Q1, d_example1, fig2, fig2_cq, omega1
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from gen import rand_cq, rand_database, rand_elhdr_ontology
+from oracles import extend_with_entailed_atoms
 
 
 def _q(text):
     return parse_query(text).disjuncts[0]
+
+
+def _ctx(Q, d):
+    return LabelContext(Q, d, consistent_saturation(d, Q.ontology))
 
 
 def test_reach_base():
@@ -95,7 +99,7 @@ def test_is_d_labeling_const_hom():
     d = parse_database("A1(a)\nA2(b)\nA3(c)\nr(b,a)\nr(b,c)")
     labels = {"x1": Const("a"), "x2": Const("b"), "x3": Const("c"),
               "x4": Const("b")}
-    assert LabelContext(Q1, d).is_labeling(labels, frozenset({"x1", "x2", "x3", "x4"}))
+    assert _ctx(Q1, d).is_labeling(labels, frozenset({"x1", "x2", "x3", "x4"}))
 
 
 def test_is_d_labeling_condition3():
@@ -103,7 +107,7 @@ def test_is_d_labeling_condition3():
     Q = OMQ(o, FULL_SCHEMA, parse_query("q() :- r(x,y), A(x)"))
     d = parse_database("A(a)")
     labels = {"x": EXIST, "y": Const("a")}
-    assert not LabelContext(Q, d).is_labeling(labels, frozenset({"x", "y"}))
+    assert not _ctx(Q, d).is_labeling(labels, frozenset({"x", "y"}))
 
 
 def test_is_d_labeling_anchored():
@@ -111,9 +115,9 @@ def test_is_d_labeling_anchored():
     Q = OMQ(o, FULL_SCHEMA, parse_query("q() :- A(x), r(x,y)"))
     d = parse_database("A(a)")
     labels = {"x": Const("a"), "y": Anchored(("x", "y"), "a")}
-    assert LabelContext(Q, d).is_labeling(labels, frozenset({"x", "y"}))
+    assert _ctx(Q, d).is_labeling(labels, frozenset({"x", "y"}))
     labels_bad = {"x": Const("a"), "y": Anchored(("x", "y"), "zz")}
-    assert not LabelContext(Q, d).is_labeling(labels_bad, frozenset({"x", "y"}))
+    assert not _ctx(Q, d).is_labeling(labels_bad, frozenset({"x", "y"}))
 
 
 def test_tree_memo_is_per_tree_query():
@@ -123,14 +127,14 @@ def test_tree_memo_is_per_tree_query():
     d = parse_database("C(a)")
     with_a = _q("q(x) :- r(x,y), A(y)")
     with_b = _q("q(x) :- r(x,y), B(y)")
-    assert not LabelContext(Q, d).dtree_holds_at(with_b, "a")
-    ctx = LabelContext(Q, d)
+    assert not _ctx(Q, d).dtree_holds_at(with_b, "a")
+    ctx = _ctx(Q, d)
     assert ctx.dtree_holds_at(with_a, "a")
     assert not ctx.dtree_holds_at(with_b, "a")
 
 
 def test_pebble_matches_naive_on_example1():
-    assert pebble_evaluate(Q1, d_example1, (), 1)
+    assert evaluate_pebble(Q1, d_example1, 1).boolean()
     assert evaluate_naive(Q1, d_example1).boolean()
 
 
@@ -138,9 +142,9 @@ def test_pebble_one_sided_on_fig2():
     # without the ontology the plain cycle needs width 2; with one pebble
     # pair the game may overshoot, but never undershoots
     Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2)
-    d = fig2_cq.as_database()
+    d = cq_as_database(fig2_cq)
     naive = evaluate_naive(Q, d).boolean()
-    game = pebble_evaluate(Q, d, (), 1)
+    game = evaluate_pebble(Q, d, 1).boolean()
     assert naive
     assert game  # one-sided: may be true, must not be false
 
@@ -148,11 +152,11 @@ def test_pebble_one_sided_on_fig2():
 def test_pebble_rejects_unsupported():
     o = parse_ontology("A <= exists inv(r) . B")
     with pytest.raises(PebblePrecondition):
-        pebble_evaluate(OMQ(o, FULL_SCHEMA, fig2), d_example1, (), 1)
+        evaluate_pebble(OMQ(o, FULL_SCHEMA, fig2), d_example1, 1)
     with pytest.raises(PebblePrecondition):
-        pebble_evaluate(OMQ(omega1, Ontology((),).dialect and
+        evaluate_pebble(OMQ(omega1, Ontology((),).dialect and
                             __import__("omqlab.model", fromlist=["Schema"]).Schema.of(["A1"]),
-                            fig2), d_example1, (), 1)
+                            fig2), d_example1, 1)
 
 
 def test_long_anonymous_path_is_exact():
@@ -161,11 +165,11 @@ def test_long_anonymous_path_is_exact():
     path6 = parse_query("q() :- r(y1,y2), r(y2,y3), r(y3,y4), r(y4,y5), r(y5,y6)")
     Q = OMQ(o, FULL_SCHEMA, path6)
     assert not evaluate_naive(Q, d).boolean()
-    assert not pebble_evaluate(Q, d, (), 1)
+    assert not evaluate_pebble(Q, d, 1).boolean()
     path2 = parse_query("q() :- r(y1,y2), r(y2,y3)")
     Q2 = OMQ(o, FULL_SCHEMA, path2)
     assert evaluate_naive(Q2, d).boolean()
-    assert pebble_evaluate(Q2, d, (), 1)
+    assert evaluate_pebble(Q2, d, 1).boolean()
 
 
 def test_boundary_self_loop_case():
@@ -177,7 +181,7 @@ def test_boundary_self_loop_case():
     d = parse_database("A(a)\ns(a,a)")
     Q = OMQ(o, FULL_SCHEMA, q)
     assert evaluate_naive(Q, d).boolean()
-    assert pebble_evaluate(Q, d, (), 2)
+    assert evaluate_pebble(Q, d, 2).boolean()
 
 
 def test_agreement_random_sample():
@@ -225,7 +229,7 @@ def test_hom_induced_labelings_validate():
             break
         if h is None:
             continue
-        ctx = LabelContext(Q, d)
+        ctx = _ctx(Q, d)
         labels = {}
         ok_build = True
         for v in sorted(q.variables()):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from omqlab.model import Dialect, Ontology, RoleInclusion, Role
 from omqlab.surface import (
     ParseError,
-    parse_answers,
     parse_database,
     parse_ontology,
     parse_query,
@@ -18,6 +17,7 @@ from omqlab.surface import (
     serialize_query,
 )
 from fixtures import D1, FIG2_TEXT, omega2
+from oracles import parse_answers
 
 
 def test_parse_single_inclusion():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from omqlab.entailment import _elhi_view, entailed_concept_fact
+from omqlab.entailment import _elhi_view
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import core
@@ -26,8 +26,6 @@ from omqlab.treelike import (
     contains_full_schema,
     decide_tw_equiv_general,
     entailed_concept_trees,
-    equivalent_full_schema,
-    is_empty_full_schema,
     maximum_contractions,
     rewriting,
     ucq_k_approximation,
@@ -46,7 +44,12 @@ from fixtures import (
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from gen import rand_cq, rand_database, rand_eli_ontology, rand_elhdr_ontology
-from oracles import decide_tw_equiv_full
+from oracles import (
+    decide_tw_equiv_full,
+    entailed_concept_fact,
+    equivalent_full_schema,
+    is_empty_full_schema,
+)
 
 
 def test_approximation_example1():

@@ -33,8 +33,10 @@ print("maximum contractions:",
       [sorted(m.query.disjuncts[0].variables()) for m in maximum_contractions(Q1)])
 print("rewriting width:", cq_treewidth(rewriting(Q1).query.disjuncts[0]))
 
-# The width-k approximation collects every tree-like contraction; a "yes"
-# verdict returns it as the witness.
+# The width-k approximation keeps the finest tree-like contractions: every
+# coarser one is their homomorphic image, so the union is equivalent to
+# the union of all tree-like contractions.  A "yes" verdict returns it as
+# the witness.
 Qa = ucq_k_approximation(Q1, 1)
 print("approximation disjuncts:", len(Qa.query.disjuncts),
       "| is the witness:", verdict.witness == Qa)

@@ -158,37 +158,38 @@ def _restricted_growth_strings(n: int) -> Iterator[tuple]:
     yield from rec(1, 0)
 
 
-def contractions(q: CQ, proper_only: bool = False) -> Iterator[tuple]:
-    """All contractions of ``q`` (including ``q`` itself unless
-    ``proper_only``), each as ``(contracted CQ, partition)``.
-
-    A partition block may contain at most one answer variable and is
-    represented by it; otherwise by its least variable.
-    """
+def contractions(q: CQ) -> Iterator[tuple]:
+    """All contractions of ``q``, ``q`` itself included, each as
+    ``(contracted CQ, partition)``, in restricted-growth-string order.
+    A partition block may contain at most one answer variable."""
     var = sorted(q.variables())
+    for rgs in _restricted_growth_strings(len(var)):
+        c = contraction(q, var, rgs)
+        if c is not None:
+            yield c
+
+
+def contraction(q: CQ, var: list, rgs: tuple) -> Optional[tuple]:
+    """The contraction of ``q`` by the partition of ``var`` (its sorted
+    variables) that the restricted growth string ``rgs`` encodes, as
+    ``(contracted CQ, partition)``; None if a block holds two answer
+    variables.  A block is represented by its answer variable, if any,
+    otherwise by its least variable."""
     answers = set(q.answer_vars)
-    n = len(var)
-    for rgs in _restricted_growth_strings(n):
-        blocks: dict[int, list] = {}
-        for i, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(var[i])
-        if proper_only and len(blocks) == n:
-            continue
-        ok = True
-        rep: dict[str, str] = {}
-        partition = []
-        for block in blocks.values():
-            avs = [x for x in block if x in answers]
-            if len(avs) > 1:
-                ok = False
-                break
-            r = avs[0] if avs else min(block)
-            for x in block:
-                rep[x] = r
-            partition.append(tuple(sorted(block)))
-        if not ok:
-            continue
-        yield q.rename(rep), tuple(sorted(partition))
+    blocks: dict[int, list] = {}
+    for i, b in enumerate(rgs):
+        blocks.setdefault(b, []).append(var[i])
+    rep: dict[str, str] = {}
+    partition = []
+    for block in blocks.values():
+        avs = [x for x in block if x in answers]
+        if len(avs) > 1:
+            return None
+        r = avs[0] if avs else block[0]
+        for x in block:
+            rep[x] = r
+        partition.append(tuple(block))
+    return q.rename(rep), tuple(sorted(partition))
 
 
 # ---------------------------------------------------------------------------

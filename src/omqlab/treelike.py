@@ -3,7 +3,7 @@ containment and emptiness, maximum contractions, rewritings, the
 tree-likeness decision, and witness-bounded containment for
 the DL-Lite(R,horn) family.
 
-Everything here runs at desk scale: contraction spaces are enumerated
+Everything here runs at desk scale: contraction spaces are searched
 exhaustively (Bell numbers of the variable count), in a fixed order, so
 verdicts and witnesses are deterministic.
 """
@@ -49,7 +49,7 @@ from .entailment import (
 )
 from .evaluation import chase_steps, evaluate_naive
 from .graphalg import cq_treewidth
-from .homtools import contractions, find_homomorphism
+from .homtools import contraction, contractions, find_homomorphism
 
 
 class SchemaPrecondition(ValueError):
@@ -81,8 +81,6 @@ def cq_canonical(q: CQ) -> tuple:
         key = (q.answer_vars, atoms)
         if best is None or key < best:
             best = key
-    if best is None:
-        best = (q.answer_vars, tuple(sorted(map(str, q.atoms))))
     return best
 
 
@@ -94,7 +92,7 @@ def db_canonical(d: Database) -> tuple:
         key = tuple(sorted(str(f.rename(m)) for f in d.facts))
         if best is None or key < best:
             best = key
-    return best if best is not None else ()
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +100,66 @@ def db_canonical(d: Database) -> tuple:
 
 
 def ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
-    """Same ontology and schema; the query becomes every contraction of a
-    disjunct whose tree width is at most ``k`` (deduplicated)."""
-    out: list[CQ] = []
-    seen: set = set()
-    for cq in Q.query.disjuncts:
-        for qc, _ in contractions(cq):
-            if cq_treewidth(qc) > k:
-                continue
-            key = cq_canonical(qc)
-            if key not in seen:
-                seen.add(key)
-                out.append(qc)
+    """Same ontology and schema; the query becomes the finest contractions
+    of each disjunct whose tree width is at most ``k`` (deduplicated).
+    Every other contraction of width at most ``k`` coarsens one of them,
+    so it is their homomorphic image and the union is equivalent to the
+    union of all such contractions (Barcelo, Libkin and Romero, SICOMP
+    2014)."""
+    out = [qc for cq in Q.query.disjuncts
+           for qc, _ in _finest_contractions(cq, k)]
+    if len(out) > 1:
+        # keep the first of each isomorphism class; a lone disjunct needs
+        # no key, and the key tries every permutation of its variables
+        first: dict = {}
+        for qc in out:
+            first.setdefault(cq_canonical(qc), qc)
+        out = list(first.values())
     if not out:
         # no tree-like contraction exists; the approximation is the empty
         # query, represented by an unsatisfiable disjunct over fresh names
         out = [_unsatisfiable_disjunct(Q)]
     return OMQ(Q.ontology, Q.schema, UCQ(out))
+
+
+def _finest_contractions(q: CQ, k: int) -> list[tuple]:
+    """The contractions of ``q`` of tree width at most ``k`` that refine
+    no other such contraction, each as ``(contracted CQ, partition)``, in
+    restricted-growth-string order.
+
+    The partition lattice is walked down from the identity, one level of
+    merged blocks at a time, visiting each partition once.  A partition
+    that coarsens a kept one is skipped; otherwise it is kept if its
+    contraction fits ``k`` and expanded if not.  Every finer partition
+    lies on an earlier level, so each finest fitting partition is reached
+    and kept, and every coarsening of it is skipped."""
+    var = sorted(q.variables())
+    answer_at = [x in q.answer_vars for x in var]
+    kept: dict[tuple, tuple] = {}
+    level = {tuple(range(len(var)))}
+    while level:
+        below: set = set()
+        for rgs in level:
+            qc, part = contraction(q, var, rgs)
+            if any(_coarsens(part, p) for _, p in kept.values()):
+                continue
+            if cq_treewidth(qc) <= k:
+                kept[rgs] = (qc, part)
+                continue
+            below.update(_merges(rgs, answer_at))
+        level = below
+    return [kept[rgs] for rgs in sorted(kept)]
+
+
+def _merges(rgs: tuple, answer_at: list):
+    """The restricted growth strings that merge two blocks of ``rgs``,
+    never two blocks that both hold an answer variable."""
+    held = {b for b, a in zip(rgs, answer_at) if a}
+    for j in range(1, max(rgs, default=0) + 1):
+        for i in range(j):
+            if i in held and j in held:
+                continue
+            yield tuple(i if b == j else b - (b > j) for b in rgs)
 
 
 def _unsatisfiable_disjunct(Q: OMQ) -> CQ:

@@ -2,11 +2,12 @@
 
 These deliberately take the dumb route: fact lookups by scanning every
 fact, bounded oblivious chase plus plain homomorphism search, with a
-depth-stability re-check, and an exhaustive subquery search for
-tree-likeness.  The paper's constructions that the program itself does
-not run (injective-only satisfaction, dangling-tree removal, implied
-types, the per-disjunct width-1 route for unions) live here too, as
-references the tests check against the program.
+depth-stability re-check, an exhaustive subquery search for
+tree-likeness, and the UCQ_k-approximation over every contraction.  The
+paper's constructions that the program itself does not run
+(injective-only satisfaction, dangling-tree removal, implied types, the
+per-disjunct width-1 route for unions) live here too, as references the
+tests check against the program.
 """
 
 import itertools
@@ -17,7 +18,12 @@ from omqlab.dllitef import decide_ubcq1_equiv
 from omqlab.entailment import TOP_NAME, _elhi_view, is_consistent, normalize, saturate
 from omqlab.evaluation import chase_steps
 from omqlab.graphalg import _ditree_root, cq_treewidth, treewidth
-from omqlab.homtools import HomError, find_homomorphism, iter_homomorphisms
+from omqlab.homtools import (
+    HomError,
+    contractions,
+    find_homomorphism,
+    iter_homomorphisms,
+)
 from omqlab.model import (
     BOT,
     Atomic,
@@ -51,7 +57,9 @@ from omqlab.treelike import (
     SchemaPrecondition,
     TwEquivVerdict,
     _attach_trees,
+    _unsatisfiable_disjunct,
     contains_full_schema,
+    cq_canonical,
     entailed_concept_trees,
 )
 
@@ -176,6 +184,24 @@ def oracle_answers(Q, d: Database, depth: int = 6) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # Tree-likeness by exhaustive subquery search
+
+
+def full_ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
+    """Same ontology and schema; the query becomes every contraction of a
+    disjunct whose tree width is at most ``k`` (deduplicated)."""
+    out: list[CQ] = []
+    seen: set = set()
+    for cq in Q.query.disjuncts:
+        for qc, _ in contractions(cq):
+            if cq_treewidth(qc) > k:
+                continue
+            key = cq_canonical(qc)
+            if key not in seen:
+                seen.add(key)
+                out.append(qc)
+    if not out:
+        out = [_unsatisfiable_disjunct(Q)]
+    return OMQ(Q.ontology, Q.schema, UCQ(out))
 
 
 def equivalent_full_schema(Q1: OMQ, Q2: OMQ) -> bool:

@@ -8,7 +8,9 @@ import pytest
 
 import omqlab
 from omqlab.cli import main
-from fixtures import FIG2_TEXT
+from omqlab.surface import parse_query
+from fixtures import FIG2_TEXT, Q1
+from oracles import equivalent_full_schema, full_ucq_k_approximation
 
 
 @pytest.fixture()
@@ -236,7 +238,10 @@ def test_approx_command(files, capsys):
     code, out, _ = run(capsys, "approx", "--onto", str(files / "ex1.dl"),
                        "--query", str(files / "fig2.cq"), "-k", "1")
     assert code == 0
-    assert len(out.strip().splitlines()) == 10
+    # the finest width-1 contractions; equivalent to all of them
+    assert len(out.strip().splitlines()) == 4
+    printed = Q1.with_query(parse_query(out))
+    assert equivalent_full_schema(printed, full_ucq_k_approximation(Q1, 1))
 
 
 def test_contain_command(files, capsys):
@@ -301,13 +306,18 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
     (tmp_path / "u.cq").write_text(
         "q(x) :- r(x,y), B(y), s(y,z), E(y)\nq(x) :- t(x,y), A(y)\n")
     (tmp_path / "b.cq").write_text("q() :- r(x,y), r(y,z), r(z,x), B(y)\n")
+    (tmp_path / "ex1.dl").write_text("A2 <= A4\n")
+    (tmp_path / "fig2.cq").write_text(FIG2_TEXT + "\n")
     onto, db = ["--onto", "o.dl"], ["--db", "d.db"]
     invocations = [["eval", *onto, "--query", "u.cq", *db, "--algo", algo]
                    for algo in ("naive", "fpt", "pebble")]
     invocations += [["chase", *onto, *db, "--depth", "2"],
                     ["chase", *onto, *db, "--depth", "2", "--canonical", "--steps", "2"],
                     ["rewrite", *onto, "--query", "b.cq"],
-                    ["tw-equiv", *onto, "--query", "b.cq", "-k", "1"]]
+                    ["tw-equiv", *onto, "--query", "b.cq", "-k", "1"],
+                    ["approx", *onto, "--query", "b.cq", "-k", "1"],
+                    ["tw-equiv", "--onto", "ex1.dl", "--query", "fig2.cq",
+                     "-k", "1", "--json"]]
     src = str(Path(omqlab.__file__).resolve().parent.parent)
     outputs = {}
     for seed in ("0", "1", "2"):
@@ -324,6 +334,8 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
         assert len(outs) == 1, argv
     assert "_n" in outputs[tuple(invocations[3])].pop()
     assert "_e" in outputs[tuple(invocations[5])].pop()
+    assert len(outputs[tuple(invocations[7])].pop().splitlines()) > 1
+    assert json.loads(outputs[tuple(invocations[8])].pop())["outcome"] == "yes"
 
 
 def test_parser_is_built_once_and_shared_across_calls(files, capsys, monkeypatch):

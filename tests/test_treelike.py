@@ -22,6 +22,8 @@ from omqlab.model import (
 from omqlab.surface import parse_database, parse_ontology, parse_query
 from omqlab.treelike import (
     SchemaPrecondition,
+    _coarsens,
+    _finest_contractions,
     contains_dllite_horn,
     contains_full_schema,
     decide_tw_equiv_general,
@@ -43,11 +45,18 @@ from fixtures import (
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
-from gen import rand_cq, rand_database, rand_eli_ontology, rand_elhdr_ontology
+from gen import (
+    rand_cq,
+    rand_database,
+    rand_eli_ontology,
+    rand_elhdr_ontology,
+    rand_ucq,
+)
 from oracles import (
     decide_tw_equiv_full,
     entailed_concept_fact,
     equivalent_full_schema,
+    full_ucq_k_approximation,
     is_empty_full_schema,
 )
 
@@ -60,6 +69,46 @@ def test_approximation_example1():
     assert all(cq_treewidth(d) <= 1 for d in Qa.query.disjuncts)
     # the identity contraction has width 2 and is excluded
     assert all(set(d.atoms) != set(fig2_cq.atoms) for d in Qa.query.disjuncts)
+
+
+def test_finest_contractions_match_the_full_approximation():
+    # criterion 5's OMQs (seed 505), the first of criterion 6's plain CQs
+    # (seed 606), and plain CQs of arity 1 and 2
+    names, roles = ["A1", "A2", "B1"], ["r", "s"]
+    rng = random.Random(505)
+    cases = []
+    for _ in range(25):
+        o = rand_elhdr_ontology(rng, rng.randint(1, 5), names=names, roles=roles)
+        q = rand_ucq(rng, rng.randint(1, 2), 5, rng.choice([0, 1]),
+                     names=names, roles=roles)
+        cases.append(OMQ(o, FULL_SCHEMA, q))
+    rng = random.Random(606)
+    for _ in range(25):
+        q = rand_cq(rng, rng.randint(1, 7), 0, names=["A", "B"], roles=roles)
+        cases.append(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, UCQ((q,))))
+    rng = random.Random(607)
+    for arity in (1, 2) * 10:
+        q = rand_cq(rng, rng.randint(arity, 6), arity, names=["A", "B"], roles=roles)
+        cases.append(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, UCQ((q,))))
+    shapes = set()
+    for Q in cases:
+        for k in (1, 2):
+            Qa = ucq_k_approximation(Q, k)
+            assert equivalent_full_schema(Qa, full_ucq_k_approximation(Q, k)), (Q, k)
+            assert all(cq_treewidth(c) <= k for c in Qa.query.disjuncts)
+            for q in Q.query.disjuncts:
+                finest = _finest_contractions(q, k)
+                parts = [p for _, p in finest]
+                assert not any(p1 != p2 and _coarsens(p1, p2)
+                               for p1 in parts for p2 in parts), (q, k)
+                if cq_treewidth(q) <= k:
+                    assert [qc for qc, _ in finest] == [q]
+            fits = cq_treewidth(Q.query.disjuncts[0]) <= k
+            if len(Q.query.disjuncts) == 1 and fits:
+                assert Qa.query.disjuncts == Q.query.disjuncts
+            shapes.add((Q.arity, fits, len(Qa.query.disjuncts) > 1))
+    assert {(a, False, True) for a in (0, 1, 2)} <= shapes
+    assert {(a, True, False) for a in (0, 1, 2)} <= shapes
 
 
 def test_containment_basics():

@@ -14,6 +14,7 @@ from typing import Optional
 from .model import (
     Atomic,
     Axiom,
+    CapExceeded,
     Concept,
     ConceptFact,
     Database,
@@ -31,14 +32,6 @@ from .entailment import (
     normalize,
     saturate,
 )
-
-
-class InconsistentInput(ValueError):
-    pass
-
-
-class ChaseCapExceeded(RuntimeError):
-    pass
 
 
 CHASE_NODE_CAP = 500000
@@ -114,7 +107,7 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
                 changed = True
                 _attach_concept(ax.rhs, a, ax, facts, prov, counter)
                 if len(prov) > CHASE_NODE_CAP:
-                    raise ChaseCapExceeded("chase grew past the node cap")
+                    raise CapExceeded("chase grew past the node cap")
     return ChaseDb(Database(facts), prov, {})
 
 
@@ -164,20 +157,17 @@ class CanonicalModel:
         return ChaseDb(self.database, self.provenance, self.types)
 
 
-def canonical_model(d: Database, o: Ontology, steps: int,
-                    require_consistent: bool = True,
-                    share_copies: bool = True) -> CanonicalModel:
+def canonical_model(d: Database, o: Ontology, steps: int) -> CanonicalModel:
     """Saturate ``d``, add one copy per maximal implied type, then run the
     witnessed-successor rule for ``steps`` rounds.  Query matches of size
     up to ``steps`` over the original constants then agree with the full
-    universal model."""
+    universal model.  On data inconsistent with ``o`` the result is the
+    saturation alone, with empty ``types``."""
     sat = saturate(d, normalize(_elhi_view(o)))
     if sat.clashes():
-        if require_consistent:
-            raise InconsistentInput("database is inconsistent with the ontology")
         return CanonicalModel(sat.database, {}, frozenset(d.dom),
                               {a: Provenance("original") for a in d.dom}, sat)
-    return canonical_model_of(sat, steps, share_copies)
+    return canonical_model_of(sat, steps)
 
 
 def canonical_model_of(sat: Saturation, steps: int,
@@ -207,7 +197,7 @@ def canonical_model_of(sat: Saturation, steps: int,
                 continue
             c = f"_t{next(tcount)}"
             copied[t] = c
-            types[c] = onorm._engine.close(t)
+            types[c] = onorm.close(t)
             prov[c] = Provenance("type_copy", parent=a,
                                  type_copy=onorm.concepts_of(t))
             for n in sorted(t):
@@ -232,11 +222,9 @@ def canonical_model_of(sat: Saturation, steps: int,
     for round_no in range(steps):
         additions: list[tuple[str, Role, frozenset]] = []
         for a in sorted(types):
-            canon = onorm._engine.canonical(onorm._engine.close(types[a]))
             by_role: dict[Role, list] = {}
-            for (parent, rule), child in canon.child_types.items():
-                if parent == canon.root:
-                    by_role.setdefault(rule.role, []).append(child)
+            for role, child in onorm.children(types[a]):
+                by_role.setdefault(role, []).append(child)
             for role in sorted(by_role, key=str):
                 # only inclusion-maximal successor types are demanded
                 cands = by_role[role]
@@ -270,7 +258,7 @@ def canonical_model_of(sat: Saturation, steps: int,
                     if n != "_top":
                         facts.add(ConceptFact(n, b))
             if len(types) > CHASE_NODE_CAP:
-                raise ChaseCapExceeded("canonical model grew past the node cap")
+                raise CapExceeded("canonical model grew past the node cap")
 
     sub_types = {a: onorm.concepts_of(t) for a, t in types.items()}
     return CanonicalModel(Database(facts), sub_types, frozenset(sat.types), prov, sat)

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 parse error, 3 dialect or schema violation,
-4 unknown verdict / budget exhausted, 5 internal cap exceeded.
+Exit codes: 0 success, 4 unknown verdict / budget exhausted; an input
+omqlab refuses raises ``OmqlabError``, whose ``exit_code`` is the exit
+code (2 parse error, 3 dialect, schema or query violation, 5 internal cap
+exceeded).  Any other exception propagates with its traceback.
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -15,21 +17,14 @@ import sys
 from pathlib import Path
 
 from . import surface
-from .model import FULL_SCHEMA, OMQ, Ontology, QueryError, Schema, DialectError
-from .chase import ChaseCapExceeded, InconsistentInput, canonical_model, oblivious_chase
-from .entailment import UnsupportedDialect, is_consistent
-from .evaluation import (
-    SchemaViolation,
-    TreewidthPrecondition,
-    evaluate_fpt,
-    evaluate_naive,
-)
-from .graphalg import CapExceeded, cq_treewidth, k_unravel
+from .model import FULL_SCHEMA, OMQ, OmqlabError, Ontology, Schema
+from .chase import canonical_model, oblivious_chase
+from .entailment import is_consistent
+from .evaluation import evaluate_fpt, evaluate_naive
+from .graphalg import cq_treewidth, k_unravel
 from .homtools import core
-from .pebble import PebblePrecondition, evaluate_pebble
-from .surface import ParseError
+from .pebble import evaluate_pebble
 from .treelike import (
-    SchemaPrecondition,
     contains_dllite_horn,
     contains_full_schema,
     decide_tw_equiv_general,
@@ -38,14 +33,7 @@ from .treelike import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DIALECT = 3
 EXIT_UNKNOWN = 4
-EXIT_CAP = 5
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _read(path: str) -> str:
@@ -73,7 +61,7 @@ def _default_budget(args) -> int:
     try:
         return int(env)
     except ValueError:
-        raise UsageError(f"OMQLAB_BUDGET is not an integer: {env!r}") from None
+        raise OmqlabError(f"OMQLAB_BUDGET is not an integer: {env!r}") from None
 
 
 def _emit_answers(args, result) -> None:
@@ -124,7 +112,7 @@ def cmd_chase(args) -> int:
     onto = surface.parse_ontology(_read(args.onto))
     d = surface.parse_database(_read(args.db))
     if args.canonical:
-        cm = canonical_model(d, onto, args.steps, require_consistent=False)
+        cm = canonical_model(d, onto, args.steps)
         ch = cm.chase_db()
     else:
         ch = oblivious_chase(d, onto, args.depth)
@@ -365,17 +353,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DialectError, SchemaViolation, SchemaPrecondition, UnsupportedDialect,
-            PebblePrecondition, TreewidthPrecondition, InconsistentInput,
-            QueryError, UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIALECT
-    except (CapExceeded, ChaseCapExceeded) as e:
-        print(f"cap exceeded: {e}", file=sys.stderr)
-        return EXIT_CAP
+    except OmqlabError as e:
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

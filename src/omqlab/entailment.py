@@ -38,6 +38,7 @@ from .model import (
     DLLITE_FAMILY,
     Exists,
     Fact,
+    OmqlabError,
     Ontology,
     Role,
     RoleFact,
@@ -46,10 +47,6 @@ from .model import (
 )
 
 TOP_NAME = "_top"
-
-
-class UnsupportedDialect(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -70,12 +67,21 @@ class SuccRule:
     succ: str
 
 
+@dataclass
+class _Canonical:
+    root: frozenset
+    reachable: frozenset
+    clash: bool
+    children: list  # the root's (role, child type) pairs, in succ_rules order
+
+
 class NormalOntology:
-    """Normalized rule system plus the fresh-name map for sub-concepts."""
+    """Normalized rule system plus the fresh-name map for sub-concepts, and
+    the least-fixpoint evaluation of canonical structures over name types."""
 
     def __init__(self, source: Ontology, extra_concepts: Iterable[Concept] = ()):
         if source.dialect not in ELHI_FAMILY:
-            raise UnsupportedDialect(
+            raise OmqlabError(
                 f"the reasoning engine handles the ELHI_bot family, got "
                 f"{source.dialect.value}")
         self.source = source
@@ -111,7 +117,7 @@ class NormalOntology:
 
         self.super_roles = _role_closure(source)
         self._dedupe()
-        self._engine = _Engine(self)
+        self._canon_cache: dict[frozenset, _Canonical] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -161,13 +167,109 @@ class NormalOntology:
     # -- queries -------------------------------------------------------------
 
     def root_type(self, seed: Iterable[str]) -> frozenset:
-        return self._engine.canonical(frozenset(seed)).root
+        return self.canonical(frozenset(seed)).root
 
     def reachable_types(self, seed: Iterable[str]) -> frozenset:
-        return self._engine.canonical(frozenset(seed)).reachable
+        return self.canonical(frozenset(seed)).reachable
 
     def is_unsat(self, seed: Iterable[str]) -> bool:
-        return self._engine.canonical(frozenset(seed)).clash
+        return self.canonical(frozenset(seed)).clash
+
+    def children(self, seed: frozenset) -> list:
+        """The (role, child type) pairs of the canonical root of ``seed``."""
+        return self.canonical(seed).children
+
+    # -- canonical structures ------------------------------------------------
+
+    def close(self, names: frozenset) -> frozenset:
+        t = set(names) | self.top_rules
+        changed = True
+        while changed:
+            changed = False
+            for body, head in self.conj_rules:
+                if head not in t and body <= t:
+                    t.add(head)
+                    changed = True
+        return frozenset(t)
+
+    def _sup(self, role: Role) -> frozenset:
+        return self.super_roles.get(role, frozenset({role}))
+
+    def _backflow(self, parent: frozenset, role: Role) -> set:
+        """Names forced on a child reached from ``parent`` via ``role``."""
+        inv_sups = self._sup(role.inverse())
+        return {r.head for r in self.exists_rules
+                if r.role in inv_sups and r.filler in parent}
+
+    def _upflow(self, child: frozenset, role: Role) -> set:
+        """Names forced on a parent with a ``role`` edge to ``child``."""
+        sups = self._sup(role)
+        return {r.head for r in self.exists_rules
+                if r.role in sups and r.filler in child}
+
+    def canonical(self, seed: frozenset) -> _Canonical:
+        hit = self._canon_cache.get(seed)
+        if hit is not None:
+            return hit
+        memo: dict = {}
+        root = self.close(seed)
+        while True:
+            changed = [False]
+            visited: set = set()
+            root2 = self._update_node(root, None, None, memo, visited, changed)
+            if root2 == root and not changed[0]:
+                break
+            root = root2
+
+        reachable: set[frozenset] = set()
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if t in reachable:
+                continue
+            reachable.add(t)
+            for rule in self.succ_rules:
+                if rule.body in t:
+                    child = memo[(t, rule)]
+                    if child not in reachable:
+                        stack.append(child)
+        clash = any(t & self.bot_names for t in reachable)
+        children = [(rule.role, memo[(root, rule)])
+                    for rule in self.succ_rules if rule.body in root]
+        out = _Canonical(root, frozenset(reachable), clash, children)
+        if len(self._canon_cache) < 100000:
+            self._canon_cache[seed] = out
+        return out
+
+    def _update_node(self, current: frozenset, parent: Optional[frozenset],
+                     via: Optional[SuccRule], memo, visited, changed) -> frozenset:
+        key = (parent, via, current)
+        if key in visited:
+            return current
+        visited.add(key)
+        base = set(current)
+        if via is not None:
+            base.add(via.succ)
+            base |= self._backflow(parent, via.role)
+        for rule in self.succ_rules:
+            if rule.body not in current:
+                continue
+            ckey = (current, rule)
+            child = memo.get(ckey)
+            if child is None:
+                child = self.close(frozenset({rule.succ}) | self._backflow(current, rule.role))
+                memo[ckey] = child
+                changed[0] = True
+            child2 = self._update_node(child, current, rule, memo, visited, changed)
+            if child2 != child:
+                memo[ckey] = child2
+                changed[0] = True
+                child = child2
+            base |= self._upflow(child, rule.role)
+        new = self.close(frozenset(base))
+        if new != current:
+            changed[0] = True
+        return new
 
 
 def _role_closure(o: Ontology) -> dict:
@@ -193,112 +295,6 @@ def _role_closure(o: Ontology) -> dict:
                     targets.add(b)
                     changed = True
     return {r: frozenset(ss) for r, ss in sup.items()}
-
-
-@dataclass
-class _Canonical:
-    root: frozenset
-    reachable: frozenset
-    clash: bool
-    child_types: dict
-
-
-class _Engine:
-    """Least-fixpoint evaluation of canonical structures over name types."""
-
-    def __init__(self, onorm: NormalOntology):
-        self.o = onorm
-        self._canon_cache: dict[frozenset, _Canonical] = {}
-
-    def close(self, names: frozenset) -> frozenset:
-        t = set(names) | self.o.top_rules
-        changed = True
-        while changed:
-            changed = False
-            for body, head in self.o.conj_rules:
-                if head not in t and body <= t:
-                    t.add(head)
-                    changed = True
-        return frozenset(t)
-
-    def _sup(self, role: Role) -> frozenset:
-        return self.o.super_roles.get(role, frozenset({role}))
-
-    def _backflow(self, parent: frozenset, role: Role) -> set:
-        """Names forced on a child reached from ``parent`` via ``role``."""
-        inv_sups = self._sup(role.inverse())
-        return {r.head for r in self.o.exists_rules
-                if r.role in inv_sups and r.filler in parent}
-
-    def _upflow(self, child: frozenset, role: Role) -> set:
-        """Names forced on a parent with a ``role`` edge to ``child``."""
-        sups = self._sup(role)
-        return {r.head for r in self.o.exists_rules
-                if r.role in sups and r.filler in child}
-
-    def canonical(self, seed: frozenset) -> _Canonical:
-        hit = self._canon_cache.get(seed)
-        if hit is not None:
-            return hit
-        memo: dict = {}
-        root = self.close(seed)
-        while True:
-            changed = [False]
-            visited: set = set()
-            root2 = self._update_node(root, None, None, memo, visited, changed)
-            if root2 == root and not changed[0]:
-                break
-            root = root2
-
-        reachable: set[frozenset] = set()
-        child_types: dict = {}
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if t in reachable:
-                continue
-            reachable.add(t)
-            for rule in self.o.succ_rules:
-                if rule.body in t:
-                    child = memo[(t, rule)]
-                    child_types[(t, rule)] = child
-                    if child not in reachable:
-                        stack.append(child)
-        clash = any(t & self.o.bot_names for t in reachable)
-        out = _Canonical(root, frozenset(reachable), clash, child_types)
-        if len(self._canon_cache) < 100000:
-            self._canon_cache[seed] = out
-        return out
-
-    def _update_node(self, current: frozenset, parent: Optional[frozenset],
-                     via: Optional[SuccRule], memo, visited, changed) -> frozenset:
-        key = (parent, via, current)
-        if key in visited:
-            return current
-        visited.add(key)
-        base = set(current)
-        if via is not None:
-            base.add(via.succ)
-            base |= self._backflow(parent, via.role)
-        for rule in self.o.succ_rules:
-            if rule.body not in current:
-                continue
-            ckey = (current, rule)
-            child = memo.get(ckey)
-            if child is None:
-                child = self.close(frozenset({rule.succ}) | self._backflow(current, rule.role))
-                memo[ckey] = child
-                changed[0] = True
-            child2 = self._update_node(child, current, rule, memo, visited, changed)
-            if child2 != child:
-                memo[ckey] = child2
-                changed[0] = True
-                child = child2
-            base |= self._upflow(child, rule.role)
-        new = self.close(frozenset(base))
-        if new != current:
-            changed[0] = True
-        return new
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +409,7 @@ def _elhi_view(o: Ontology) -> Ontology:
     if o.dialect in ELHI_FAMILY:
         return o
     if o.dialect not in DLLITE_FAMILY:
-        raise UnsupportedDialect(o.dialect.value)
+        raise OmqlabError(o.dialect.value)
     axioms: list = list(o.concept_inclusions())
     axioms += o.role_inclusions()
     sup = _role_closure(Ontology(axioms, Dialect.ELHI_BOT))
@@ -439,9 +435,18 @@ def satisfies_functionality(d: Database, funcs: Iterable[str]) -> bool:
 def consistent_saturation(d: Database, o: Ontology) -> Optional[Saturation]:
     """The saturation of ``d`` under ``o`` (ELHI_bot or DL-Lite), or None
     when ``d`` is inconsistent with ``o``."""
+    if (o.dialect in DLLITE_FAMILY
+            and not satisfies_functionality(d, o.functional_roles())):
+        return None
+    return clash_free_saturation(d, o)
+
+
+def clash_free_saturation(d: Database, o: Ontology) -> Optional[Saturation]:
+    """The saturation of ``d`` under ``o``, or None on a bot or role
+    disjointness clash.  Such a clash carries over to every database that
+    ``d`` maps into; a functionality violation, not checked here, need not,
+    as the map may merge the two successors."""
     if o.dialect in DLLITE_FAMILY:
-        if not satisfies_functionality(d, o.functional_roles()):
-            return None
         sup = _role_closure(_elhi_view(o))
         pairs: dict[tuple, set] = {}
         for f in d.facts:

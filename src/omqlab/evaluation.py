@@ -16,6 +16,7 @@ from .model import (
     ConceptFact,
     Database,
     OMQ,
+    OmqlabError,
     QueryError,
     Role,
     RoleFact,
@@ -26,14 +27,6 @@ from .chase import canonical_model_of
 from .entailment import Saturation, consistent_saturation
 from .graphalg import cq_treewidth, treewidth
 from .homtools import find_homomorphism, iter_homomorphisms
-
-
-class SchemaViolation(ValueError):
-    pass
-
-
-class TreewidthPrecondition(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class EvalResult:
 def _check_schema(Q: OMQ, d: Database) -> None:
     if not d.uses_only(Q.schema):
         extra = sorted(n for n in d.names() if not Q.schema.admits(n))
-        raise SchemaViolation(f"database uses names outside the schema: {extra}")
+        raise OmqlabError(f"database uses names outside the schema: {extra}")
 
 
 def chase_steps(q: UCQ) -> int:
@@ -106,7 +99,7 @@ def evaluate_fpt(Q: OMQ, d: Database, k: int) -> EvalResult:
     """Same canonical model, then width-``k`` dynamic programming per
     disjunct and candidate tuple."""
     if k < 1:
-        raise TreewidthPrecondition(f"width-k evaluation needs k >= 1, got {k}")
+        raise OmqlabError(f"width-k evaluation needs k >= 1, got {k}")
     plans = {cq: _WidthPlan(cq, k) for cq in Q.query.disjuncts}
 
     def per_disjunct(cq: CQ, target: Database):
@@ -122,17 +115,6 @@ class _TreeEvaluator:
         self.onorm = sat.onorm
         self.sat = sat
         self._memo: dict = {}
-        self._children_cache: dict = {}
-
-    def _children(self, seed: frozenset):
-        hit = self._children_cache.get(seed)
-        if hit is None:
-            canon = self.onorm._engine.canonical(self.onorm._engine.close(seed))
-            hit = [(rule.role, child)
-                   for (parent, rule), child in canon.child_types.items()
-                   if parent == canon.root]
-            self._children_cache[seed] = hit
-        return hit
 
     def _parse_tree(self, q: CQ):
         """Root, shape and root loops of a tree query; the shape is
@@ -208,7 +190,7 @@ class _TreeEvaluator:
                     ok = True
                     break
             if not ok:
-                for role, child in self._children(self.sat.types.get(e, frozenset())):
+                for role, child in self.onorm.children(self.sat.types.get(e, frozenset())):
                     sups = self.onorm.super_roles.get(role, {role})
                     if all(Role(rn) in sups for rn in role_names):
                         if self._match_anon(w, child, shape):
@@ -229,7 +211,7 @@ class _TreeEvaluator:
         if ok:
             for w, role_names in edges.get(v, ()):
                 found = False
-                for role, child in self._children(t):
+                for role, child in self.onorm.children(t):
                     sups = self.onorm.super_roles.get(role, {role})
                     if all(Role(rn) in sups for rn in role_names):
                         if self._match_anon(w, child, shape):
@@ -250,7 +232,7 @@ class _WidthPlan:
     def __init__(self, q: CQ, k: int):
         w = cq_treewidth(q)
         if w > k:
-            raise TreewidthPrecondition(f"disjunct has tree width {w} > {k}")
+            raise OmqlabError(f"disjunct has tree width {w} > {k}")
         answer = set(q.answer_vars)
         self.answer_vars = q.answer_vars
         # atoms entirely over answer variables: checked once per tuple

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .model import (
     CQ,
+    CapExceeded,
     Database,
     Fact,
     QueryError,
@@ -26,10 +27,6 @@ from .model import (
 
 TREEWIDTH_VERTEX_CAP = 25
 MINOR_VERTEX_CAP = 12
-
-
-class CapExceeded(RuntimeError):
-    """A desk-scale size cap was hit; results would not be exact in time."""
 
 
 @dataclass(frozen=True)

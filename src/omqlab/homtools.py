@@ -140,7 +140,7 @@ def find_homomorphism(q: CQ, target: Database, fixed: Optional[dict] = None) -> 
 # Contractions
 
 
-def _restricted_growth_strings(n: int) -> Iterator[tuple]:
+def restricted_growth_strings(n: int) -> Iterator[tuple]:
     """All set partitions of range(n), encoded canonically."""
     if n == 0:
         yield ()
@@ -163,7 +163,7 @@ def contractions(q: CQ) -> Iterator[tuple]:
     ``(contracted CQ, partition)``, in restricted-growth-string order.
     A partition block may contain at most one answer variable."""
     var = sorted(q.variables())
-    for rgs in _restricted_growth_strings(len(var)):
+    for rgs in restricted_growth_strings(len(var)):
         c = contraction(q, var, rgs)
         if c is not None:
             yield c

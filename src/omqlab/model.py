@@ -13,6 +13,26 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
+# Errors
+
+
+class OmqlabError(ValueError):
+    """An input omqlab refuses: outside the dialect, schema or query shape a
+    result covers.  The CLI prints ``prefix: message`` and exits with
+    ``exit_code``."""
+
+    exit_code = 3
+    prefix = "error"
+
+
+class CapExceeded(OmqlabError):
+    """A desk-scale size cap was hit; results would not be exact in time."""
+
+    exit_code = 5
+    prefix = "cap exceeded"
+
+
+# ---------------------------------------------------------------------------
 # Roles and concepts
 
 
@@ -322,7 +342,7 @@ class Ontology:
         return "\n".join(str(a) for a in self.sorted_axioms())
 
 
-class DialectError(ValueError):
+class DialectError(OmqlabError):
     """An axiom set does not fit the declared dialect."""
 
     def __init__(self, dialect: Dialect, violations: list[str]):
@@ -689,7 +709,7 @@ class UndirectedGraph:
 # Queries
 
 
-class QueryError(ValueError):
+class QueryError(OmqlabError):
     pass
 
 

@@ -36,6 +36,7 @@ from .model import (
     Database,
     Dialect,
     OMQ,
+    OmqlabError,
     QueryError,
     RoleFact,
     cq_as_database,
@@ -48,10 +49,6 @@ from .graphalg import dtree
 from .treelike import _concept_trees
 
 PEBBLE_DIALECTS = {Dialect.EL, Dialect.EL_BOT, Dialect.ELH_BOT, Dialect.ELHDR_BOT}
-
-
-class PebblePrecondition(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +325,11 @@ class LabelContext:
 
 def _check_pebble_input(Q: OMQ) -> None:
     if Q.ontology.dialect not in PEBBLE_DIALECTS:
-        raise PebblePrecondition(
+        raise OmqlabError(
             f"labelings are defined for the inverse-free dialects, got "
             f"{Q.ontology.dialect.value}")
     if not Q.schema.full:
-        raise PebblePrecondition("labelings require the full schema")
+        raise OmqlabError("labelings require the full schema")
 
 
 def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
@@ -341,7 +338,7 @@ def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
     otherwise a sound over-approximation of the certain answers."""
     _check_pebble_input(Q)
     if k < 1:
-        raise PebblePrecondition(f"the game needs k >= 1, got {k}")
+        raise OmqlabError(f"the game needs k >= 1, got {k}")
 
     def prepare(sat: Saturation):
         return {}, lambda cq: _prepare_game(single_cq_omq(Q.ontology, Q.schema, cq),

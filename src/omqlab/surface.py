@@ -38,6 +38,7 @@ from .model import (
     Exists,
     Fact,
     Functionality,
+    OmqlabError,
     Ontology,
     RangeRestriction,
     Role,
@@ -59,7 +60,10 @@ class SourceSpan:
     length: int = 1
 
 
-class ParseError(ValueError):
+class ParseError(OmqlabError):
+    exit_code = 2
+    prefix = "parse error"
+
     def __init__(self, span: SourceSpan, message: str, expected: tuple = ()):
         self.span = span
         self.message = message

@@ -24,6 +24,7 @@ from .model import (
     ELHI_FAMILY,
     FreshVars,
     OMQ,
+    OmqlabError,
     Ontology,
     QueryError,
     Role,
@@ -35,12 +36,12 @@ from .model import (
     cq_as_database,
     conj,
 )
-from .chase import canonical_model, canonical_model_of
+from .chase import canonical_model_of
 from .entailment import (
     Saturation,
-    UnsupportedDialect,
     _elhi_view,
     _role_closure,
+    clash_free_saturation,
     consistent_saturation,
     is_consistent,
     normalize,
@@ -49,11 +50,12 @@ from .entailment import (
 )
 from .evaluation import chase_steps, evaluate_naive
 from .graphalg import cq_treewidth
-from .homtools import contraction, contractions, find_homomorphism
-
-
-class SchemaPrecondition(ValueError):
-    pass
+from .homtools import (
+    contraction,
+    contractions,
+    find_homomorphism,
+    restricted_growth_strings,
+)
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ def ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
 
 def _finest_contractions(q: CQ, k: int) -> list[tuple]:
     """The contractions of ``q`` of tree width at most ``k`` that refine
-    no other such contraction, each as ``(contracted CQ, partition)``, in
-    restricted-growth-string order.
+    no other such contraction, each as ``(contracted CQ, restricted growth
+    string)``, in restricted-growth-string order.
 
     The partition lattice is walked down from the identity, one level of
     merged blocks at a time, visiting each partition once.  A partition
@@ -135,20 +137,20 @@ def _finest_contractions(q: CQ, k: int) -> list[tuple]:
     and kept, and every coarsening of it is skipped."""
     var = sorted(q.variables())
     answer_at = [x in q.answer_vars for x in var]
-    kept: dict[tuple, tuple] = {}
+    kept: dict[tuple, CQ] = {}
     level = {tuple(range(len(var)))}
     while level:
         below: set = set()
         for rgs in level:
-            qc, part = contraction(q, var, rgs)
-            if any(_coarsens(part, p) for _, p in kept.values()):
+            if any(_coarsens(rgs, done) for done in kept):
                 continue
+            qc, _ = contraction(q, var, rgs)
             if cq_treewidth(qc) <= k:
-                kept[rgs] = (qc, part)
+                kept[rgs] = qc
                 continue
             below.update(_merges(rgs, answer_at))
         level = below
-    return [kept[rgs] for rgs in sorted(kept)]
+    return [(kept[rgs], rgs) for rgs in sorted(kept)]
 
 
 def _merges(rgs: tuple, answer_at: list):
@@ -179,7 +181,7 @@ def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
     Q1 must admit a homomorphism from some disjunct of Q2 into its chase,
     fixing the answer tuple."""
     if not (Q1.schema.full and Q2.schema.full):
-        raise SchemaPrecondition("containment check requires the full schema")
+        raise OmqlabError("containment check requires the full schema")
     if Q1.arity != Q2.arity:
         return False
     return _uncontained_disjunct(Q1, Q2) is None
@@ -188,15 +190,22 @@ def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
 def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
     """The first consistent disjunct database of Q1 into whose chase no
     disjunct of Q2 maps (fixing the answer tuple); None if there is none.
-    Under a shared ontology each disjunct database is saturated once."""
+    A bot or role disjointness clash of a disjunct database with Q2's
+    ontology carries over to every database the disjunct matches in, where
+    every tuple is then a certain answer of Q2, so the disjunct is
+    contained.  Under a shared ontology each disjunct database is
+    saturated once."""
     steps = chase_steps(Q2.query)
     for q1 in Q1.query.disjuncts:
         d1 = cq_as_database(q1)
         sat = consistent_saturation(d1, Q1.ontology)
         if sat is None:
             continue
-        cm = (canonical_model_of(sat, steps) if Q2.ontology == Q1.ontology
-              else canonical_model(d1, Q2.ontology, steps))
+        if Q2.ontology != Q1.ontology:
+            sat = clash_free_saturation(d1, Q2.ontology)
+            if sat is None:
+                continue
+        cm = canonical_model_of(sat, steps)
         if not any(find_homomorphism(q2, cm.database,
                                      dict(zip(q2.answer_vars, q1.answer_vars)))
                    is not None for q2 in Q2.query.disjuncts):
@@ -208,39 +217,46 @@ def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
 # Maximum contractions and rewritings
 
 
-def _equivalent_contractions(Q: OMQ) -> list[tuple[CQ, tuple]]:
-    """Contractions q_c with (O, full, q_c) equivalent to Q, with their
-    partitions.  Containment of Q in the contraction is automatic."""
+def _equivalent_contractions(Q: OMQ) -> list[tuple[CQ, tuple, tuple]]:
+    """Contractions q_c with (O, full, q_c) equivalent to Q, each with its
+    partition and restricted growth string.  Containment of Q in the
+    contraction is automatic."""
     q = Q.query.disjuncts[0]
     sat = consistent_saturation(cq_as_database(q), Q.ontology)
     if sat is None:
         raise QueryError("maximum contractions need a non-empty input")
     cm = canonical_model_of(sat, chase_steps(Q.query))
+    var = sorted(q.variables())
     out = []
-    for qc, part in contractions(q):
-        fixed = {x: x for x in qc.answer_vars}
-        if find_homomorphism(qc, cm.database, fixed) is not None:
-            out.append((qc, part))
+    for rgs in restricted_growth_strings(len(var)):
+        c = contraction(q, var, rgs)
+        if c is None:
+            continue
+        qc, part = c
+        if find_homomorphism(qc, cm.database,
+                             {x: x for x in qc.answer_vars}) is not None:
+            out.append((qc, part, rgs))
     return out
 
 
-def _coarsens(p1: tuple, p2: tuple) -> bool:
-    """Every block of p2 lies inside a block of p1 (p1 is coarser)."""
-    blocks1 = [set(b) for b in p1]
-    return all(any(set(b) <= b1 for b1 in blocks1) for b in p2)
+def _coarsens(coarse: tuple, fine: tuple) -> bool:
+    """Every block of the partition that the restricted growth string
+    ``fine`` encodes lies inside one block of ``coarse``'s: the distinct
+    pairs ``(fine[i], coarse[i])`` are as many as ``fine``'s blocks."""
+    return len(set(zip(fine, coarse))) == max(fine, default=-1) + 1
 
 
 def maximum_contractions(Q: OMQ) -> list[OMQ]:
     """All equivalence-preserving contractions admitting no further
     equivalence-preserving proper contraction."""
     if not Q.schema.full:
-        raise SchemaPrecondition("maximum contractions require the full schema")
+        raise OmqlabError("maximum contractions require the full schema")
     if len(Q.query.disjuncts) != 1:
         raise QueryError("maximum contractions take a single-CQ query")
     equiv = _equivalent_contractions(Q)
     out = []
-    for qc, part in equiv:
-        if any(part != p2 and _coarsens(p2, part) for _, p2 in equiv):
+    for qc, part, rgs in equiv:
+        if any(rgs != r2 and _coarsens(r2, rgs) for _, _, r2 in equiv):
             continue
         out.append((part, qc))
     out.sort(key=lambda pq: (len(pq[0]), pq[0]))
@@ -294,16 +310,16 @@ def rewriting(Q: OMQ) -> OMQ:
     the chase of the query database, restrict the query to its range, and
     re-attach the entailed concept trees."""
     if not Q.schema.full:
-        raise SchemaPrecondition("rewritings require the full schema")
+        raise OmqlabError("rewritings require the full schema")
     if len(Q.query.disjuncts) != 1:
         raise QueryError("rewritings take a single-CQ query")
     q = Q.query.disjuncts[0]
-    o = _elhi_view(Q.ontology)
     maxes = maximum_contractions(Q)
     qc = maxes[0].query.disjuncts[0]
-    dq = cq_as_database(q)
+    # maximum_contractions has refused a query inconsistent with the ontology;
     # per-constant copies keep the provenance walk attributable
-    cm = canonical_model(dq, o, chase_steps(UCQ((qc,))), share_copies=False)
+    cm = canonical_model_of(consistent_saturation(cq_as_database(q), Q.ontology),
+                            chase_steps(UCQ((qc,))), share_copies=False)
     h = find_homomorphism(qc, cm.database, {x: x for x in qc.answer_vars})
     if h is None:
         raise AssertionError("maximum contraction lost its witnessing homomorphism")
@@ -333,7 +349,7 @@ def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
     Otherwise a bounded counterexample search (an honest semi-decision:
     a returned "unknown" means no separating database was found)."""
     if Q.ontology.dialect not in TW_EQUIV_DIALECTS:
-        raise UnsupportedDialect(
+        raise OmqlabError(
             f"width-k equivalence handles the ELHI family and DL-LiteR(-horn), "
             f"got {Q.ontology.dialect.value}; DL-LiteF width-1 equivalence is "
             f"decided by decide_ubcq1_equiv (omqlab dlf-equiv1)")
@@ -442,7 +458,7 @@ def contains_dllite_horn(Q1: OMQ, Q2: OMQ) -> bool:
                Dialect.DLLITE_F_EQ} | ELHI_FAMILY
     for Q in (Q1, Q2):
         if Q.ontology.dialect not in allowed:
-            raise UnsupportedDialect(f"dialect {Q.ontology.dialect.value} not supported")
+            raise OmqlabError(f"dialect {Q.ontology.dialect.value} not supported")
     if Q1.arity != Q2.arity:
         return False
     schema = Q1.schema
@@ -499,11 +515,7 @@ def _clash_witnesses(o: Ontology, schema: Schema):
     for ax in onorm.concept_inclusions():
         if not ax.rhs.contains_bot() or ax.lhs.contains_bot():
             continue
-        try:
-            q = concept_as_cq(ax.lhs, rooted=True, fresh=fresh)
-        except QueryError:
-            continue
-        d = cq_as_database(q)
+        d = cq_as_database(concept_as_cq(ax.lhs, rooted=True, fresh=fresh))
         if d.dom and d.uses_only(schema) and not is_consistent(d, o):
             yield d
     for dis in o.role_disjointness():

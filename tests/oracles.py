@@ -37,6 +37,7 @@ from omqlab.model import (
     Dialect,
     Exists,
     OMQ,
+    OmqlabError,
     Ontology,
     QueryError,
     Role,
@@ -54,7 +55,6 @@ from omqlab.model import (
 )
 from omqlab.treelike import (
     TW_EQUIV_DIALECTS,
-    SchemaPrecondition,
     TwEquivVerdict,
     _attach_trees,
     _unsatisfiable_disjunct,
@@ -210,7 +210,7 @@ def equivalent_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
 
 def is_empty_full_schema(Q: OMQ) -> bool:
     if not Q.schema.full:
-        raise SchemaPrecondition("emptiness test requires the full schema")
+        raise OmqlabError("emptiness test requires the full schema")
     return all(not is_consistent(cq_as_database(cq), Q.ontology)
                for cq in Q.query.disjuncts)
 
@@ -287,7 +287,7 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
     subqueries of width at most ``k`` for an equivalent one (2^|atoms|
     candidates; a cross-check for ``decide_tw_equiv_general``)."""
     if not Q.schema.full:
-        raise SchemaPrecondition("the exact decision requires the full schema")
+        raise OmqlabError("the exact decision requires the full schema")
     if Q.ontology.dialect not in TW_EQUIV_DIALECTS:
         raise ValueError(f"dialect {Q.ontology.dialect.value} not supported here")
     live = _prune_disjuncts(Q)
@@ -456,11 +456,8 @@ def max_successor_types(o: Ontology, t, r: Role) -> list[frozenset]:
     seed = frozenset(onorm.defname[c] for c in t)
     if onorm.is_unsat(seed):
         return [frozenset(onorm.sub_concepts) - {TOP}]
-    canon = onorm._engine.canonical(onorm._engine.close(seed))
-    cands = []
-    for (parent, rule), child in canon.child_types.items():
-        if parent == canon.root and r in onorm.super_roles.get(rule.role, {rule.role}):
-            cands.append(onorm.concepts_of(child))
+    cands = [onorm.concepts_of(child) for role, child in onorm.children(seed)
+             if r in onorm.super_roles.get(role, {role})]
     out = []
     for c in cands:
         if not any(c < other for other in cands):

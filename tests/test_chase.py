@@ -1,13 +1,10 @@
 import random
 
-import pytest
-
 from omqlab.chase import (
-    InconsistentInput,
     canonical_model,
     oblivious_chase,
 )
-from omqlab.entailment import is_consistent
+from omqlab.entailment import is_consistent, saturate
 from omqlab.graphalg import treewidth
 from omqlab.homtools import find_homomorphism
 from omqlab.model import (
@@ -134,9 +131,14 @@ def test_canonical_model_saturates():
     assert ConceptFact("A4", "x2") in cm.database.facts
 
 
-def test_canonical_model_rejects_inconsistent():
-    with pytest.raises(InconsistentInput):
-        canonical_model(parse_database("A(a)"), parse_ontology("A <= bot"), 1)
+def test_canonical_model_of_inconsistent_data_is_its_saturation():
+    # chase --canonical prints the saturation of data the ontology rejects
+    d = parse_database("A(a)\nr(a,b)")
+    o = parse_ontology("A <= B\nB <= bot")
+    cm = canonical_model(d, o, 2)
+    assert cm.types == {}
+    assert cm.database == saturate(d, o).database
+    assert ConceptFact("B", "a") in cm.database.facts
 
 
 def test_canonical_agrees_with_deep_chase():

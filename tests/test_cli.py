@@ -251,6 +251,33 @@ def test_contain_command(files, capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_contain_counts_data_inconsistent_with_the_right_ontology(files, capsys):
+    # every tuple is a certain answer of Q2 on A1(x), which --onto2 rejects
+    (files / "gen.dl").write_text("A1 <= exists r . B1\n")
+    (files / "bot.dl").write_text("A1 <= bot\n")
+    (files / "a1.cq").write_text("q(x) :- A1(x)\n")
+    (files / "b1.cq").write_text("q(x) :- B1(x)\n")
+    code, out, err = run(capsys, "contain", "--onto", str(files / "gen.dl"),
+                         "--query", str(files / "a1.cq"),
+                         "--onto2", str(files / "bot.dl"),
+                         "--query2", str(files / "b1.cq"))
+    assert (code, out, err) == (0, "true\n", "")
+
+
+def test_contain_does_not_skip_a_functionality_violation(files, capsys):
+    # r(a,b) is consistent with func r and answers a for the left query,
+    # whose disjunct database alone violates func r
+    (files / "none.dl").write_text("")
+    (files / "func.dl").write_text("dialect: DL-LiteF\nfunc r\n")
+    (files / "rr.cq").write_text("q(x) :- r(x,y), r(x,z)\n")
+    (files / "b.cq").write_text("q(x) :- B(x)\n")
+    code, out, err = run(capsys, "contain", "--onto", str(files / "none.dl"),
+                         "--query", str(files / "rr.cq"),
+                         "--onto2", str(files / "func.dl"),
+                         "--query2", str(files / "b.cq"))
+    assert (code, out, err) == (0, "false\n", "")
+
+
 def test_rewrite_command(files, capsys):
     code, out, _ = run(capsys, "rewrite", "--onto", str(files / "ex1.dl"),
                        "--query", str(files / "fig2.cq"))

@@ -4,7 +4,6 @@ import pytest
 
 from omqlab.entailment import (
     NormalOntology,
-    UnsupportedDialect,
     is_consistent,
     normalize,
     saturate,
@@ -20,6 +19,7 @@ from omqlab.model import (
     Dialect,
     EMPTY_ONTOLOGY,
     Exists,
+    OmqlabError,
     Ontology,
     Role,
     RoleInclusion,
@@ -59,7 +59,7 @@ def test_normalize_range_restriction():
 
 
 def test_normalize_rejects_dllite_directly():
-    with pytest.raises(UnsupportedDialect):
+    with pytest.raises(OmqlabError, match="ELHI_bot family, got DL-LiteF"):
         NormalOntology(Ontology([], Dialect.DLLITE_F))
 
 

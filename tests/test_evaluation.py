@@ -4,15 +4,23 @@ import random
 import pytest
 
 from omqlab.evaluation import (
-    SchemaViolation,
-    TreewidthPrecondition,
     evaluate_fpt,
     evaluate_naive,
 )
 from omqlab.entailment import is_consistent
 from omqlab.graphalg import cq_treewidth
 from omqlab.pebble import evaluate_pebble
-from omqlab.model import CQ, FULL_SCHEMA, OMQ, Schema, UCQ, Database, RoleFact, cq_as_database
+from omqlab.model import (
+    CQ,
+    Database,
+    FULL_SCHEMA,
+    OMQ,
+    OmqlabError,
+    RoleFact,
+    Schema,
+    UCQ,
+    cq_as_database,
+)
 from omqlab.surface import parse_database, parse_query
 from fixtures import (
     D1,
@@ -55,7 +63,7 @@ def test_sixteen_axiom_cycles():
 def test_schema_check():
     s = Schema.of(["A"])
     Q = OMQ(EMPTY_ONTOLOGY, s, parse_query("q(x) :- A(x)"))
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(OmqlabError, match="names outside the schema"):
         evaluate_naive(Q, parse_database("B(a)"))
 
 
@@ -77,7 +85,7 @@ def test_fpt_matches_naive_on_example1():
 
 
 def test_fpt_precondition():
-    with pytest.raises(TreewidthPrecondition):
+    with pytest.raises(OmqlabError, match="tree width 2 > 1"):
         evaluate_fpt(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2), d_example1, 1)
 
 

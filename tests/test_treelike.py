@@ -5,13 +5,14 @@ import pytest
 from omqlab.entailment import _elhi_view
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
-from omqlab.homtools import core
+from omqlab.homtools import core, restricted_growth_strings
 from omqlab.model import (
     CQ,
     EMPTY_ONTOLOGY,
     FULL_SCHEMA,
     FreshVars,
     OMQ,
+    OmqlabError,
     QueryError,
     Schema,
     Top,
@@ -21,7 +22,6 @@ from omqlab.model import (
 )
 from omqlab.surface import parse_database, parse_ontology, parse_query
 from omqlab.treelike import (
-    SchemaPrecondition,
     _coarsens,
     _finest_contractions,
     contains_dllite_horn,
@@ -71,6 +71,19 @@ def test_approximation_example1():
     assert all(set(d.atoms) != set(fig2_cq.atoms) for d in Qa.query.disjuncts)
 
 
+def test_coarsens_reads_restricted_growth_strings():
+    # every pair of partitions of up to 5 elements, against block inclusion
+    for n in range(6):
+        strings = list(restricted_growth_strings(n))
+        blocks = {s: [{i for i in range(n) if s[i] == b} for b in set(s)]
+                  for s in strings}
+        for coarse in strings:
+            for fine in strings:
+                expected = all(any(b <= c for c in blocks[coarse])
+                               for b in blocks[fine])
+                assert _coarsens(coarse, fine) == expected, (coarse, fine)
+
+
 def test_finest_contractions_match_the_full_approximation():
     # criterion 5's OMQs (seed 505), the first of criterion 6's plain CQs
     # (seed 606), and plain CQs of arity 1 and 2
@@ -98,9 +111,9 @@ def test_finest_contractions_match_the_full_approximation():
             assert all(cq_treewidth(c) <= k for c in Qa.query.disjuncts)
             for q in Q.query.disjuncts:
                 finest = _finest_contractions(q, k)
-                parts = [p for _, p in finest]
-                assert not any(p1 != p2 and _coarsens(p1, p2)
-                               for p1 in parts for p2 in parts), (q, k)
+                rgss = [rgs for _, rgs in finest]
+                assert not any(r1 != r2 and _coarsens(r1, r2)
+                               for r1 in rgss for r2 in rgss), (q, k)
                 if cq_treewidth(q) <= k:
                     assert [qc for qc, _ in finest] == [q]
             fits = cq_treewidth(Q.query.disjuncts[0]) <= k
@@ -116,7 +129,7 @@ def test_containment_basics():
     qa = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, parse_query("q(x) :- A(x)"))
     qb = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, parse_query("q(x) :- B(x)"))
     assert not contains_full_schema(qa, qb)
-    with pytest.raises(SchemaPrecondition):
+    with pytest.raises(OmqlabError, match="containment check requires the full schema"):
         contains_full_schema(OMQ(EMPTY_ONTOLOGY, Schema.of(["A"]),
                                  parse_query("q(x) :- A(x)")), qa)
 

@@ -4,6 +4,7 @@ to answer bounded-size queries exactly.
 """
 
 from omqlab.chase import canonical_model, oblivious_chase
+from omqlab.entailment import saturate
 from omqlab.surface import parse_database, parse_ontology, serialize_database
 
 onto = parse_ontology("""
@@ -26,4 +27,6 @@ for const, prov in sorted(chased.provenance.items()):
 # the round count agree with the infinite model.
 cm = canonical_model(db, onto, steps=2)
 print("\ncanonical model size:", len(cm.database.dom), "constants")
-print("types at ada:", sorted(map(str, cm.types["ada"])))
+# ada's type: the sub-concepts of the ontology that hold at ada.
+sat = saturate(db, onto)
+print("types at ada:", sorted(map(str, sat.onorm.concepts_of(sat.types["ada"]))))

@@ -29,7 +29,7 @@ from .model import (
 from .entailment import (
     Saturation,
     _elhi_view,
-    normalize,
+    consistent_saturation,
     saturate,
 )
 
@@ -44,16 +44,13 @@ class Provenance:
     kind: str                     # "original" | "anonymous" | "type_copy"
     parent: Optional[str] = None  # generating constant (anonymous nodes)
     via: Optional[Axiom] = None   # generating axiom, when one exists
-    role: Optional[Role] = None   # edge label for successor-rule nodes
     depth: int = 0
-    type_copy: Optional[frozenset] = None  # the copied type (concepts)
 
 
 @dataclass(frozen=True)
 class ChaseDb:
     facts: Database
     provenance: dict
-    types: dict  # constant -> frozenset of sub-concepts (canonical model only)
 
     def original_constants(self) -> frozenset:
         return frozenset(a for a, p in self.provenance.items() if p.kind == "original")
@@ -108,7 +105,7 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
                 _attach_concept(ax.rhs, a, ax, facts, prov, counter)
                 if len(prov) > CHASE_NODE_CAP:
                     raise CapExceeded("chase grew past the node cap")
-    return ChaseDb(Database(facts), prov, {})
+    return ChaseDb(Database(facts), prov)
 
 
 def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict, counter) -> None:
@@ -148,25 +145,22 @@ def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict, counter) 
 @dataclass(frozen=True)
 class CanonicalModel:
     database: Database       # plain facts: role facts + concept-name facts
-    types: dict              # constant -> frozenset of sub-concepts
-    original: frozenset
     provenance: dict
-    saturation: Saturation
 
     def chase_db(self) -> ChaseDb:
-        return ChaseDb(self.database, self.provenance, self.types)
+        return ChaseDb(self.database, self.provenance)
 
 
 def canonical_model(d: Database, o: Ontology, steps: int) -> CanonicalModel:
     """Saturate ``d``, add one copy per maximal implied type, then run the
     witnessed-successor rule for ``steps`` rounds.  Query matches of size
     up to ``steps`` over the original constants then agree with the full
-    universal model.  On data inconsistent with ``o`` the result is the
-    saturation alone, with empty ``types``."""
-    sat = saturate(d, normalize(_elhi_view(o)))
-    if sat.clashes():
-        return CanonicalModel(sat.database, {}, frozenset(d.dom),
-                              {a: Provenance("original") for a in d.dom}, sat)
+    universal model.  On data inconsistent with ``o``, functionality
+    included, the result is the saturation alone."""
+    sat = consistent_saturation(d, o)
+    if sat is None:
+        return CanonicalModel(saturate(d, o).database,
+                              {a: Provenance("original") for a in d.dom})
     return canonical_model_of(sat, steps)
 
 
@@ -198,8 +192,7 @@ def canonical_model_of(sat: Saturation, steps: int,
             c = f"_t{next(tcount)}"
             copied[t] = c
             types[c] = onorm.close(t)
-            prov[c] = Provenance("type_copy", parent=a,
-                                 type_copy=onorm.concepts_of(t))
+            prov[c] = Provenance("type_copy", parent=a)
             for n in sorted(t):
                 cc = onorm.name_concept.get(n)
                 if isinstance(cc, Atomic):
@@ -244,9 +237,7 @@ def canonical_model_of(sat: Saturation, steps: int,
                 continue
             b = f"_n{next(ncount)}"
             types[b] = child
-            prov[b] = Provenance("anonymous", parent=a, role=role,
-                                 depth=prov[a].depth + 1,
-                                 type_copy=onorm.concepts_of(child))
+            prov[b] = Provenance("anonymous", parent=a, depth=prov[a].depth + 1)
             for sup in sorted(onorm.super_roles.get(role, frozenset({role})), key=str):
                 f = (RoleFact(sup.name, b, a) if sup.inverted
                      else RoleFact(sup.name, a, b))
@@ -260,5 +251,4 @@ def canonical_model_of(sat: Saturation, steps: int,
             if len(types) > CHASE_NODE_CAP:
                 raise CapExceeded("canonical model grew past the node cap")
 
-    sub_types = {a: onorm.concepts_of(t) for a, t in types.items()}
-    return CanonicalModel(Database(facts), sub_types, frozenset(sat.types), prov, sat)
+    return CanonicalModel(Database(facts), prov)

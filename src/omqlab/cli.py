@@ -258,16 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ontology-mediated query evaluation and analysis")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, onto=True, query=True, db=False, schema=True, k=False):
-        if onto:
-            sp.add_argument("--onto", help="ontology file (.dl), or - for stdin")
-        if query:
-            sp.add_argument("--query", required=True, help="query file (.cq)")
+    def common(sp, db=False, k=False):
+        sp.add_argument("--onto", help="ontology file (.dl), or - for stdin")
+        sp.add_argument("--query", required=True, help="query file (.cq)")
         if db:
             sp.add_argument("--db", required=True, help="database file (.db)")
-        if schema:
-            sp.add_argument("--schema", default="full",
-                            help="'full' or a .schema file listing names")
+        sp.add_argument("--schema", default="full",
+                        help="'full' or a .schema file listing names")
         if k:
             sp.add_argument("-k", type=int, required=True, help="treewidth bound")
         sp.add_argument("--json", action="store_true", help="JSON output")

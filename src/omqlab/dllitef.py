@@ -30,7 +30,7 @@ from .model import (
 from .entailment import _elhi_view
 from .evaluation import evaluate_naive
 from .graphalg import is_minor
-from .homtools import contractions
+from .homtools import contractions, functional_quotient
 from .treelike import (
     TwEquivVerdict,
     cq_canonical,
@@ -58,38 +58,9 @@ def split_ontology(o: Ontology) -> FunctionalSplit:
 def id_functional(q: UCQ, funcs: Iterable[str]) -> UCQ:
     """Minimal contraction of each disjunct respecting the functionality
     assertions: merge y1, y2 whenever r(x,y1), r(x,y2) for functional r."""
-    funcs = frozenset(funcs)
-    return UCQ(tuple(_id_one(cq, funcs) for cq in q.disjuncts))
-
-
-def _id_one(cq: CQ, funcs: frozenset) -> CQ:
-    if not cq.is_boolean():
+    if not q.is_boolean():
         raise QueryError("functional identification expects Boolean queries")
-    parent = {v: v for v in cq.variables()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    atoms = set(cq.atoms)
-    changed = True
-    while changed:
-        changed = False
-        succ: dict = {}
-        for at in atoms:
-            if isinstance(at, RoleFact) and at.name in funcs:
-                succ.setdefault((find(at.a), at.name), set()).add(find(at.b))
-        for (_, _), bs in succ.items():
-            bs = sorted(bs)
-            for other in bs[1:]:
-                if find(other) != find(bs[0]):
-                    parent[find(other)] = find(bs[0])
-                    changed = True
-        if changed:
-            atoms = {at.rename({v: find(v) for v in cq.variables()}) for at in atoms}
-    return CQ((), atoms)
+    return UCQ(tuple(cq.rename(functional_quotient(cq, funcs)) for cq in q.disjuncts))
 
 
 # ---------------------------------------------------------------------------

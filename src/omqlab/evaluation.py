@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     CQ,
@@ -33,8 +33,6 @@ from .homtools import find_homomorphism, iter_homomorphisms
 class EvalResult:
     consistent: bool
     answers: frozenset
-    algorithm: str
-    stats: dict = field(default_factory=dict)
 
     def boolean(self) -> bool:
         return bool(self.answers)
@@ -54,36 +52,34 @@ def chase_steps(q: UCQ) -> int:
     return max(len(cq.variables()) for cq in q.disjuncts) + 1
 
 
-def _certain_answers(Q: OMQ, d: Database, algorithm: str, prepare) -> EvalResult:
+def _certain_answers(Q: OMQ, d: Database, prepare) -> EvalResult:
     """The one certain-answers loop of the three pipelines.  ``prepare(sat)``
     runs on the saturation of ``d`` once ``d`` is known consistent with the
-    ontology and returns the result's stats and the per-disjunct preparation,
-    which runs once per disjunct and returns the test for one candidate tuple."""
+    ontology and returns the per-disjunct preparation, which runs once per
+    disjunct and returns the test for one candidate tuple."""
     _check_schema(Q, d)
     candidates = list(itertools.product(sorted(d.dom), repeat=Q.arity))
     sat = consistent_saturation(d, Q.ontology)
     if sat is None:
-        return EvalResult(False, frozenset(candidates), algorithm)
-    stats, per_disjunct = prepare(sat)
+        return EvalResult(False, frozenset(candidates))
+    per_disjunct = prepare(sat)
     answers: set = set()
     for cq in Q.query.disjuncts:
         holds = per_disjunct(cq)
         for a in candidates:
             if a not in answers and holds(a):
                 answers.add(a)
-    return EvalResult(True, frozenset(answers), algorithm, stats)
+    return EvalResult(True, frozenset(answers))
 
 
-def _over_canonical_model(Q: OMQ, d: Database, algorithm: str,
-                          per_disjunct) -> EvalResult:
+def _over_canonical_model(Q: OMQ, d: Database, per_disjunct) -> EvalResult:
     """The naive and fpt pipelines: the truncated canonical model is built
     once, from the saturation of ``d``, and ``per_disjunct(cq, target)``
     prepares each disjunct against it."""
     def prepare(sat: Saturation):
-        cm = canonical_model_of(sat, chase_steps(Q.query))
-        stats = {"chase_constants": len(cm.database.dom), "chase_facts": len(cm.database)}
-        return stats, lambda cq: per_disjunct(cq, cm.database)
-    return _certain_answers(Q, d, algorithm, prepare)
+        target = canonical_model_of(sat, chase_steps(Q.query)).database
+        return lambda cq: per_disjunct(cq, target)
+    return _certain_answers(Q, d, prepare)
 
 
 def evaluate_naive(Q: OMQ, d: Database) -> EvalResult:
@@ -92,7 +88,7 @@ def evaluate_naive(Q: OMQ, d: Database) -> EvalResult:
     def per_disjunct(cq: CQ, target: Database):
         return lambda a: find_homomorphism(
             cq, target, dict(zip(cq.answer_vars, a))) is not None
-    return _over_canonical_model(Q, d, "naive", per_disjunct)
+    return _over_canonical_model(Q, d, per_disjunct)
 
 
 def evaluate_fpt(Q: OMQ, d: Database, k: int) -> EvalResult:
@@ -104,7 +100,7 @@ def evaluate_fpt(Q: OMQ, d: Database, k: int) -> EvalResult:
 
     def per_disjunct(cq: CQ, target: Database):
         return functools.partial(plans[cq].holds, target)
-    return _over_canonical_model(Q, d, "fpt", per_disjunct)
+    return _over_canonical_model(Q, d, per_disjunct)
 
 
 class _TreeEvaluator:

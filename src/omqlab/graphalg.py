@@ -352,15 +352,12 @@ def dtree(q: CQ, root_loops: bool = False) -> Optional[CQ]:
 class UnravelNode:
     constant: str
     projection: str  # the original constant this one copies
-    bag: int
-    depth: int
 
 
 @dataclass(frozen=True)
 class Unraveling:
     database: Database
     nodes: tuple  # UnravelNode per fresh or reused constant of the bag tree
-    decomposition: TreeDecomposition
 
     def projection(self) -> dict:
         return {n.constant: n.projection for n in self.nodes}
@@ -377,24 +374,22 @@ def _automorphisms(d: Database, fixed: set) -> list[dict]:
     return autos
 
 
-def _grow_bags(dom: list, src: Database, autos: list, k: int, levels: range,
-               root: dict) -> tuple[set, list, list, set]:
-    """The bag loop shared by the unravelings: from the root bag, whose
-    constants ``root`` maps to themselves or to nothing, one child bag per
-    automorphism orbit of at most ``k + 1`` constants of ``dom`` not
-    already in the parent's image, with fresh copies of the new constants
-    and the facts of ``src`` over them.  Returns the copied facts, the
-    fresh nodes, the bags (root first) and the bag edges."""
+def _grow_bags(dom: list, src: Database, autos: list, k: int, rounds: int,
+               root: dict) -> tuple[set, list]:
+    """The bag loop shared by the unravelings: for ``rounds`` generations
+    from the root bag, whose constants ``root`` maps to themselves or to
+    nothing, one child bag per automorphism orbit of at most ``k + 1``
+    constants of ``dom`` not already in the parent's image, with fresh
+    copies of the new constants and the facts of ``src`` over them.
+    Returns the copied facts and the fresh nodes."""
     fresh_count = itertools.count()
     facts: set[Fact] = set()
     nodes: list[UnravelNode] = []
-    bags: list[frozenset] = [frozenset(root.values())]
-    edges: set = set()
-    # frontier entries: (bag id, {original constant -> copy})
-    frontier: list[tuple[int, dict]] = [(0, root)]
-    for level in levels:
-        next_frontier: list[tuple[int, dict]] = []
-        for bag_id, proj in frontier:
+    # frontier entries: {original constant -> copy} of one bag
+    frontier: list[dict] = [root]
+    for _ in range(rounds):
+        next_frontier: list[dict] = []
+        for proj in frontier:
             image = set(proj)
             stable = [m for m in autos if all(m.get(p, p) == p for p in image)]
             seen_children: set = set()
@@ -414,16 +409,13 @@ def _grow_bags(dom: list, src: Database, autos: list, k: int, levels: range,
                         else:
                             copy = f"_u{next(fresh_count)}"
                             mapping[c] = copy
-                            nodes.append(UnravelNode(copy, c, len(bags), level))
+                            nodes.append(UnravelNode(copy, c))
                     for f in src.facts:
                         if set(f.terms()) <= cset:
                             facts.add(f.rename(mapping))
-                    child_id = len(bags)
-                    bags.append(frozenset(mapping.values()))
-                    edges.add(frozenset({bag_id, child_id}))
-                    next_frontier.append((child_id, {c: mapping[c] for c in comb}))
+                    next_frontier.append(mapping)
         frontier = next_frontier
-    return facts, nodes, bags, edges
+    return facts, nodes
 
 
 def _check_anchors(d: Database, anchors: tuple) -> None:
@@ -450,8 +442,7 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     autos = _automorphisms(d, anchors) if len(base_dom) <= 7 else [
         {c: c for c in base_dom}]
 
-    facts, nodes, bags, edges = _grow_bags(base_dom, base, autos, k,
-                                           range(depth + 1), {})
+    facts, nodes = _grow_bags(base_dom, base, autos, k, depth + 1, {})
     facts |= {f for f in d.facts if set(f.terms()) <= anchors}
 
     # re-attach crossing facts along the projection
@@ -469,14 +460,7 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
             else:
                 for c in proj_all.get(f.a, ()):
                     facts.add(RoleFact(f.name, c, f.b))
-
-    # The returned decomposition covers the whole unraveling: anchors join
-    # every bag, so its width is at most k + |anchors|.  The width-k claim
-    # is about the anchor-free part (drop the anchors from the bags).
-    if anchors:
-        bags = [b | frozenset(anchors) for b in bags]
-    td = TreeDecomposition(tuple(bags), frozenset(edges))
-    return Unraveling(Database(facts), tuple(nodes), td)
+    return Unraveling(Database(facts), tuple(nodes))
 
 
 def unravel1_at(d: Database, a: str, depth: int) -> Unraveling:
@@ -485,11 +469,9 @@ def unravel1_at(d: Database, a: str, depth: int) -> Unraveling:
     _check_anchors(d, (a,))
     dom = sorted(d.dom)
     autos = _automorphisms(d, set()) if len(dom) <= 7 else [{c: c for c in dom}]
-    facts, nodes, bags, edges = _grow_bags(dom, d, autos, 1, range(1, depth + 1),
-                                           {a: a})
+    facts, nodes = _grow_bags(dom, d, autos, 1, depth, {a: a})
     facts |= {f for f in d.facts if set(f.terms()) <= {a}}
-    td = TreeDecomposition(tuple(bags), frozenset(edges))
-    return Unraveling(Database(facts), (UnravelNode(a, a, 0, 0), *nodes), td)
+    return Unraveling(Database(facts), (UnravelNode(a, a), *nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,42 @@ def contraction(q: CQ, var: list, rgs: tuple) -> Optional[tuple]:
     return q.rename(rep), tuple(sorted(partition))
 
 
+def functional_quotient(q: CQ, funcs: Iterable[str]) -> dict:
+    """The renaming that merges, until none is left, the successors of a
+    variable along one role of ``funcs``: it maps each merged variable of
+    ``q`` to its representative, so that ``q.rename`` of it is the least
+    contraction of ``q`` that respects those functionality assertions.
+    Each round merges a successor set into its least current representative."""
+    funcs = frozenset(funcs)
+    if not funcs:
+        return {}
+    parent = {v: v for v in q.variables()}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    atoms = set(q.atoms)
+    changed = True
+    while changed:
+        changed = False
+        succ: dict = {}
+        for at in atoms:
+            if isinstance(at, RoleFact) and at.name in funcs:
+                succ.setdefault((find(at.a), at.name), set()).add(find(at.b))
+        for bs in succ.values():
+            bs = sorted(bs)
+            for other in bs[1:]:
+                if find(other) != find(bs[0]):
+                    parent[find(other)] = find(bs[0])
+                    changed = True
+        if changed:
+            atoms = {at.rename({v: find(v) for v in parent}) for at in atoms}
+    return {v: find(v) for v in parent if find(v) != v}
+
+
 # ---------------------------------------------------------------------------
 # Cores
 

@@ -346,8 +346,6 @@ class DialectError(OmqlabError):
     """An axiom set does not fit the declared dialect."""
 
     def __init__(self, dialect: Dialect, violations: list[str]):
-        self.dialect = dialect
-        self.violations = violations
         super().__init__(f"dialect {dialect.value}: " + "; ".join(violations))
 
 
@@ -435,13 +433,7 @@ def _check_one_axiom(ax: Axiom, dialect: Dialect) -> Optional[str]:
 
     if d is Dialect.DLLITE_F:
         if isinstance(ax, ConceptInclusion):
-            v = _check_dllite_inclusion(ax, horn=False)
-            if v:
-                return v
-            lhs_parts = ax.lhs.parts if isinstance(ax.lhs, Conj) else (ax.lhs,)
-            if len(lhs_parts) > 1 and not isinstance(ax.rhs, Bot):
-                return f"conjunctive left-hand side needs bot right-hand side: {ax}"
-            return None
+            return _check_dllite_inclusion(ax, horn=False)
         if isinstance(ax, (RoleDisjointness, Functionality)):
             return None
         return f"axiom form not admitted: {ax}"
@@ -856,10 +848,6 @@ class OMQ:
 
     def with_query(self, q: UCQ) -> "OMQ":
         return OMQ(self.ontology, self.schema, q)
-
-
-def single_cq_omq(o: Ontology, s: Schema, q: CQ) -> OMQ:
-    return OMQ(o, s, UCQ((q,)))
 
 
 # ---------------------------------------------------------------------------

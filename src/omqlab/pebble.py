@@ -37,11 +37,11 @@ from .model import (
     Dialect,
     OMQ,
     OmqlabError,
+    Ontology,
     QueryError,
     RoleFact,
     cq_as_database,
     gaifman_graph,
-    single_cq_omq,
 )
 from .entailment import Saturation, consistent_saturation
 from .evaluation import EvalResult, _TreeEvaluator, _certain_answers
@@ -130,7 +130,6 @@ def guarded_pairs(q: CQ) -> list[tuple]:
 
 @dataclass(frozen=True)
 class ReachSystem:
-    pair: tuple
     rep: tuple                   # canonical representative pair
     levels: dict
     eligible: bool
@@ -159,7 +158,7 @@ def analyze_pair(q: CQ, pair: tuple) -> ReachSystem:
             break
     # self-loops at the root class stand for database facts at the anchor
     dt = dtree(CQ((), q.restrict(members).atoms), root_loops=True)
-    return ReachSystem(pair, rep, levels, dt is not None, dt)
+    return ReachSystem(rep, levels, dt is not None, dt)
 
 
 def exists_mccs(q: CQ) -> list[frozenset]:
@@ -182,14 +181,14 @@ def exists_mccs(q: CQ) -> list[frozenset]:
 
 
 class LabelContext:
-    """Memoized machinery for checking labelings of the single CQ of ``Q``
-    against ``d``, over ``sat``, the clash-free saturation of ``d``."""
+    """Memoized machinery for checking labelings of the CQ ``q`` against
+    ``d``, over ``sat``, the clash-free saturation of ``d``."""
 
-    def __init__(self, Q: OMQ, d: Database, sat: Saturation, const_requirements=None):
+    def __init__(self, q: CQ, d: Database, sat: Saturation, const_requirements=None):
         # var -> rooted tree queries that must certify at the variable's
         # constant (stands in for attaching entailed concept copies)
         self.const_requirements = const_requirements or {}
-        self.q = Q.query.disjuncts[0]
+        self.q = q
         self.d = d
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
@@ -341,18 +340,16 @@ def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
         raise OmqlabError(f"the game needs k >= 1, got {k}")
 
     def prepare(sat: Saturation):
-        return {}, lambda cq: _prepare_game(single_cq_omq(Q.ontology, Q.schema, cq),
-                                            d, sat, k)
-    return _certain_answers(Q, d, "pebble", prepare)
+        return lambda cq: _prepare_game(cq, Q.ontology, d, sat, k)
+    return _certain_answers(Q, d, prepare)
 
 
-def _prepare_game(Q: OMQ, d: Database, sat: Saturation, k: int):
+def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     """The game's work that does not depend on the candidate tuple, for
-    the single CQ of ``Q`` over ``d`` with its clash-free saturation
+    the CQ ``q`` under ``o`` over ``d`` with its clash-free saturation
     ``sat``: the consistency of the query database, the labeling context
     and the anchored labels.  Returns the test for one candidate tuple."""
-    q = Q.query.disjuncts[0]
-    qsat = consistent_saturation(cq_as_database(q), Q.ontology)
+    qsat = consistent_saturation(cq_as_database(q), o)
     if qsat is None:
         return lambda a: False
     # Entailed concept copies are folded into per-variable certification
@@ -361,7 +358,7 @@ def _prepare_game(Q: OMQ, d: Database, sat: Saturation, k: int):
     requirements: dict = {}
     for x, tree in _concept_trees(qsat, q.variables()):
         requirements.setdefault(x, []).append(tree)
-    ctx = LabelContext(Q, d, sat, requirements)
+    ctx = LabelContext(q, d, sat, requirements)
 
     quantified = sorted(q.quantified_vars())
     size = min(k + 1, len(quantified))

@@ -57,7 +57,6 @@ from .model import (
 class SourceSpan:
     line: int
     column: int
-    length: int = 1
 
 
 class ParseError(OmqlabError):
@@ -65,9 +64,6 @@ class ParseError(OmqlabError):
     prefix = "parse error"
 
     def __init__(self, span: SourceSpan, message: str, expected: tuple = ()):
-        self.span = span
-        self.message = message
-        self.expected = tuple(expected)
         loc = f"line {span.line}, column {span.column}"
         hint = f" (expected {', '.join(expected)})" if expected else ""
         super().__init__(f"{loc}: {message}{hint}")
@@ -104,7 +100,7 @@ def _tokenize_line(line: str, lineno: int) -> list[Token]:
             raise ParseError(SourceSpan(lineno, pos + 1), f"unexpected character {line[pos]!r}")
         kind = m.lastgroup
         if kind not in ("ws", "comment"):
-            out.append(Token(kind, m.group(), SourceSpan(lineno, pos + 1, m.end() - pos)))
+            out.append(Token(kind, m.group(), SourceSpan(lineno, pos + 1)))
         pos = m.end()
     return out
 
@@ -359,12 +355,12 @@ def parse_database(text: str) -> Database:
             continue
         m = _FACT_RE.match(line)
         if not m:
-            raise ParseError(SourceSpan(lineno, 1, len(line)),
+            raise ParseError(SourceSpan(lineno, 1),
                              f"malformed fact {line!r}", ("Name(c)", "Name(c,d)"))
         name, a, b = m.group(1), m.group(2), m.group(3)
         n = 1 if b is None else 2
         if arity.setdefault(name, n) != n:
-            raise ParseError(SourceSpan(lineno, 1, len(name)),
+            raise ParseError(SourceSpan(lineno, 1),
                              f"{name} used with both arity 1 and 2")
         facts.append(ConceptFact(name, a) if b is None else RoleFact(name, a, b))
     return Database(facts)
@@ -433,13 +429,13 @@ def parse_query(text: str) -> UCQ:
     return UCQ(disjuncts)
 
 
-def serialize_query(q: UCQ, head: str = "q") -> str:
+def serialize_query(q: UCQ) -> str:
     lines = []
     for d in q.disjuncts:
         body = ", ".join(str(a) for a in d.sorted_atoms())
         if not body:
             body = ""
-        lines.append(f"{head}({','.join(d.answer_vars)}) :- {body}".rstrip())
+        lines.append(f"q({','.join(d.answer_vars)}) :- {body}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -456,7 +452,7 @@ def parse_schema(text: str) -> Schema:
         if line == "full":
             return Schema.full_schema()
         if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", line):
-            raise ParseError(SourceSpan(lineno, 1, len(line)), f"bad schema name {line!r}")
+            raise ParseError(SourceSpan(lineno, 1), f"bad schema name {line!r}")
         names.append(line)
     return Schema.of(names)
 

@@ -23,11 +23,13 @@ from .model import (
     DLLITE_FAMILY,
     ELHI_FAMILY,
     FreshVars,
+    Functionality,
     OMQ,
     OmqlabError,
     Ontology,
     QueryError,
     Role,
+    RoleDisjointness,
     RoleFact,
     Schema,
     Top,
@@ -54,6 +56,7 @@ from .homtools import (
     contraction,
     contractions,
     find_homomorphism,
+    functional_quotient,
     restricted_growth_strings,
 )
 
@@ -177,37 +180,52 @@ def _unsatisfiable_disjunct(Q: OMQ) -> CQ:
 
 
 def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
-    """Q1 <= Q2 over the full schema: every consistent disjunct database of
-    Q1 must admit a homomorphism from some disjunct of Q2 into its chase,
-    fixing the answer tuple."""
+    """Q1 <= Q2 over the full schema: every disjunct database of Q1 must
+    admit a homomorphism from some disjunct of Q2 into its chase under Q2's
+    ontology, fixing the answer tuple (``_uncontained_disjunct``).  That
+    test is exact when Q2's ontology entails Q1's; other pairs are refused."""
     if not (Q1.schema.full and Q2.schema.full):
         raise OmqlabError("containment check requires the full schema")
+    if Q2.ontology != Q1.ontology and not _entails(Q2.ontology, Q1.ontology):
+        raise OmqlabError("containment under two ontologies needs the right-hand "
+                          "ontology to entail the left-hand one")
     if Q1.arity != Q2.arity:
         return False
     return _uncontained_disjunct(Q1, Q2) is None
 
 
+def _entails(o: Ontology, other: Ontology) -> bool:
+    """Does ``o`` entail every axiom of ``other``?  Concept and range
+    inclusions are decided by ``subsumes``, role inclusions by ``o``'s role
+    closure; functionality and disjointness axioms must occur in ``o``."""
+    sup = _role_closure(o)
+    return (all(subsumes(o, ci.lhs, ci.rhs) for ci in other.concept_inclusions())
+            and all(ri.rhs in sup.get(ri.lhs, frozenset({ri.lhs}))
+                    for ri in other.role_inclusions())
+            and all(ax in o.axioms for ax in other.axioms
+                    if isinstance(ax, (Functionality, RoleDisjointness))))
+
+
 def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
-    """The first consistent disjunct database of Q1 into whose chase no
-    disjunct of Q2 maps (fixing the answer tuple); None if there is none.
-    A bot or role disjointness clash of a disjunct database with Q2's
-    ontology carries over to every database the disjunct matches in, where
-    every tuple is then a certain answer of Q2, so the disjunct is
-    contained.  Under a shared ontology each disjunct database is
-    saturated once."""
+    """The first disjunct database of Q1 into whose chase under Q2's
+    ontology no disjunct of Q2 maps (fixing the answer tuple); None if
+    there is none.  Each disjunct is first merged along Q2's functional
+    roles, as any database consistent with Q2's ontology that it matches
+    in merges them too; answer variables may merge.  A bot or role
+    disjointness clash of the merged database carries over to every
+    database the disjunct matches in, where every tuple is then a certain
+    answer of Q2, so the disjunct is contained."""
     steps = chase_steps(Q2.query)
+    funcs = Q2.ontology.functional_roles()
     for q1 in Q1.query.disjuncts:
-        d1 = cq_as_database(q1)
-        sat = consistent_saturation(d1, Q1.ontology)
+        merge = functional_quotient(q1, funcs)
+        d1 = Database(at.rename(merge) for at in q1.atoms) if merge else cq_as_database(q1)
+        sat = clash_free_saturation(d1, Q2.ontology)
         if sat is None:
             continue
-        if Q2.ontology != Q1.ontology:
-            sat = clash_free_saturation(d1, Q2.ontology)
-            if sat is None:
-                continue
         cm = canonical_model_of(sat, steps)
-        if not any(find_homomorphism(q2, cm.database,
-                                     dict(zip(q2.answer_vars, q1.answer_vars)))
+        answers = [merge.get(x, x) for x in q1.answer_vars]
+        if not any(find_homomorphism(q2, cm.database, dict(zip(q2.answer_vars, answers)))
                    is not None for q2 in Q2.query.disjuncts):
             return d1
     return None

@@ -51,7 +51,6 @@ from omqlab.model import (
     conj,
     cq_as_database,
     gaifman_graph,
-    single_cq_omq,
 )
 from omqlab.treelike import (
     TW_EQUIV_DIALECTS,
@@ -296,7 +295,7 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
         return TwEquivVerdict("yes", witness=witness, note="empty query")
     found = []
     for p in live:
-        qp = extend_with_entailed_atoms(single_cq_omq(Q.ontology, Q.schema, p))
+        qp = extend_with_entailed_atoms(Q.with_query(UCQ((p,))))
         hit = None
         for cand in _subquery_candidates(qp, k):
             dq = cq_as_database(cand)
@@ -322,14 +321,14 @@ def ubcq_equiv_via_disjuncts(Q: OMQ, k: int) -> bool:
     if k != 1:
         raise ValueError("only the width-1 decision exists")
     for i, p in enumerate(Q.query.disjuncts):
-        if decide_ubcq1_equiv(single_cq_omq(Q.ontology, Q.schema, p)).is_yes():
+        if decide_ubcq1_equiv(Q.with_query(UCQ((p,)))).is_yes():
             continue
         others = [other for j, other in enumerate(Q.query.disjuncts) if j != i]
         if not others:
             return False
         contained = any(
-            contains_full_schema(single_cq_omq(Q.ontology, Q.schema, p),
-                                 single_cq_omq(Q.ontology, Q.schema, other))
+            contains_full_schema(Q.with_query(UCQ((p,))),
+                                 Q.with_query(UCQ((other,))))
             for other in others)
         if not contained:
             return False

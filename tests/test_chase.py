@@ -136,7 +136,7 @@ def test_canonical_model_of_inconsistent_data_is_its_saturation():
     d = parse_database("A(a)\nr(a,b)")
     o = parse_ontology("A <= B\nB <= bot")
     cm = canonical_model(d, o, 2)
-    assert cm.types == {}
+    assert set(cm.provenance) == d.dom
     assert cm.database == saturate(d, o).database
     assert ConceptFact("B", "a") in cm.database.facts
 

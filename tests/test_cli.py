@@ -278,6 +278,41 @@ def test_contain_does_not_skip_a_functionality_violation(files, capsys):
     assert (code, out, err) == (0, "false\n", "")
 
 
+def test_contain_merges_along_a_shared_functional_role(files, capsys):
+    # under a shared func r the left disjunct stands for its functional
+    # quotient r(x,y), which r(a,b) matches; the right query answers nothing
+    (files / "func.dl").write_text("dialect: DL-LiteF\nfunc r\n")
+    (files / "rr.cq").write_text("q(x) :- r(x,y), r(x,z)\n")
+    (files / "b.cq").write_text("q(x) :- B(x)\n")
+    code, out, err = run(capsys, "contain", "--onto", str(files / "func.dl"),
+                         "--query", str(files / "rr.cq"),
+                         "--query2", str(files / "b.cq"))
+    assert (code, out, err) == (0, "false\n", "")
+
+
+def test_contain_refuses_a_right_ontology_that_misses_the_left_one(files, capsys):
+    # on A(a) the left OMQ answers a and the right one nothing; C <= D does
+    # not entail A <= exists r . B, so the disjunct check would say true
+    (files / "arb.dl").write_text("A <= exists r . B\n")
+    (files / "cd.dl").write_text("C <= D\n")
+    (files / "rb.cq").write_text("q(x) :- r(x,y), B(y)\n")
+    code, out, err = run(capsys, "contain", "--onto", str(files / "arb.dl"),
+                         "--query", str(files / "rb.cq"),
+                         "--onto2", str(files / "cd.dl"),
+                         "--query2", str(files / "rb.cq"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: containment under two ontologies")
+
+
+def test_chase_canonical_of_data_violating_functionality_is_its_saturation(
+        files, capsys):
+    (files / "fa.dl").write_text("dialect: DL-LiteF\nfunc r\nA <= exists r . top\n")
+    (files / "abc.db").write_text("A(a)\nr(a,b)\nr(a,c)\n")
+    code, out, err = run(capsys, "chase", "--canonical", "--steps", "2",
+                         "--onto", str(files / "fa.dl"), "--db", str(files / "abc.db"))
+    assert (code, out, err) == (0, "A(a)\nr(a,b)\nr(a,c)\n", "")
+
+
 def test_rewrite_command(files, capsys):
     code, out, _ = run(capsys, "rewrite", "--onto", str(files / "ex1.dl"),
                        "--query", str(files / "fig2.cq"))

@@ -71,11 +71,8 @@ def test_inconsistent_database_yields_all_tuples():
     from omqlab.surface import parse_ontology
     Q = OMQ(parse_ontology("A <= bot"), FULL_SCHEMA, parse_query("q(x) :- B(x)"))
     d = parse_database("A(a)\nB(b)")
-    for res, algorithm in ((evaluate_naive(Q, d), "naive"),
-                           (evaluate_fpt(Q, d, 1), "fpt"),
-                           (evaluate_pebble(Q, d, 1), "pebble")):
+    for res in (evaluate_naive(Q, d), evaluate_fpt(Q, d, 1), evaluate_pebble(Q, d, 1)):
         assert not res.consistent
-        assert res.algorithm == algorithm
         assert res.answers == frozenset({("a",), ("b",)})
 
 

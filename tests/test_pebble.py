@@ -41,7 +41,7 @@ def _q(text):
 
 
 def _ctx(Q, d):
-    return LabelContext(Q, d, consistent_saturation(d, Q.ontology))
+    return LabelContext(Q.query.disjuncts[0], d, consistent_saturation(d, Q.ontology))
 
 
 def test_reach_base():

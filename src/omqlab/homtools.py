@@ -197,7 +197,9 @@ def functional_quotient(q: CQ, funcs: Iterable[str]) -> dict:
     variable along one role of ``funcs``: it maps each merged variable of
     ``q`` to its representative, so that ``q.rename`` of it is the least
     contraction of ``q`` that respects those functionality assertions.
-    Each round merges a successor set into its least current representative."""
+    Each round walks the successor sets in sorted key order and merges
+    each into its least current representative, so the representatives do
+    not depend on the iteration order of sets."""
     funcs = frozenset(funcs)
     if not funcs:
         return {}
@@ -217,12 +219,11 @@ def functional_quotient(q: CQ, funcs: Iterable[str]) -> dict:
         for at in atoms:
             if isinstance(at, RoleFact) and at.name in funcs:
                 succ.setdefault((find(at.a), at.name), set()).add(find(at.b))
-        for bs in succ.values():
-            bs = sorted(bs)
-            for other in bs[1:]:
-                if find(other) != find(bs[0]):
-                    parent[find(other)] = find(bs[0])
-                    changed = True
+        for key in sorted(succ):
+            roots = sorted({find(b) for b in succ[key]})
+            for other in roots[1:]:
+                parent[other] = roots[0]
+                changed = True
         if changed:
             atoms = {at.rename({v: find(v) for v in parent}) for at in atoms}
     return {v: find(v) for v in parent if find(v) != v}

@@ -132,8 +132,7 @@ def guarded_pairs(q: CQ) -> list[tuple]:
 class ReachSystem:
     rep: tuple                   # canonical representative pair
     levels: dict
-    eligible: bool
-    dtree: Optional[CQ]          # rooted, possibly with root self-loops
+    dtree: Optional[CQ]          # rooted, may have root self-loops; None: not eligible
 
     def level_set(self, v: str) -> set:
         return self.levels.get(v, set())
@@ -158,7 +157,7 @@ def analyze_pair(q: CQ, pair: tuple) -> ReachSystem:
             break
     # self-loops at the root class stand for database facts at the anchor
     dt = dtree(CQ((), q.restrict(members).atoms), root_loops=True)
-    return ReachSystem(rep, levels, dt is not None, dt)
+    return ReachSystem(rep, levels, dt)
 
 
 def exists_mccs(q: CQ) -> list[frozenset]:
@@ -306,7 +305,7 @@ class LabelContext:
             if y in self.q.answer_vars:
                 return False
             sysm = self.system((x, y))
-            if not sysm.eligible or sysm.dtree is None:
+            if sysm.dtree is None:
                 return False
             if not self.dtree_holds_at(sysm.dtree, lxx.value):
                 return False
@@ -371,7 +370,7 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     seen_anchor: dict[str, set] = {v: set() for v in quantified}
     for pair in guarded_pairs(q):
         sysm = ctx.system(pair)
-        if not sysm.eligible or sysm.dtree is None:
+        if sysm.dtree is None:
             continue
         for v in sysm.members():
             if v not in anchor_labels:

@@ -365,22 +365,40 @@ TW_EQUIV_DIALECTS = ELHI_FAMILY | {Dialect.DLLITE_R, Dialect.DLLITE_R_HORN}
 def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
     """Full schema: exact, by containment in the UCQ_k-approximation.
     Otherwise a bounded counterexample search (an honest semi-decision:
-    a returned "unknown" means no separating database was found)."""
+    a returned "unknown" means no separating database was found).
+
+    Only the disjuncts wider than ``k`` are checked.  A disjunct ``q`` with
+    ``cq_treewidth(q) <= k`` is its own finest contraction: the walk in
+    ``_finest_contractions`` keeps the identity partition at its first
+    step, and every other partition coarsens it and is skipped.  So ``q``
+    is a disjunct of the approximation, up to the isomorphism dedup, and
+    the identity composed with the functional-quotient renaming maps it
+    into its own chase: ``_uncontained_disjunct`` never returns it, and
+    every answer of ``q`` on a database is an answer of the approximation.
+    The first uncontained disjunct, and so the counterexample, is the same
+    with or without the narrow ones, and when no disjunct is wide the
+    approximation is the query up to isomorphic duplicates, equivalent to
+    it under any schema."""
     if Q.ontology.dialect not in TW_EQUIV_DIALECTS:
         raise OmqlabError(
             f"width-k equivalence handles the ELHI family and DL-LiteR(-horn), "
             f"got {Q.ontology.dialect.value}; DL-LiteF width-1 equivalence is "
             f"decided by decide_ubcq1_equiv (omqlab dlf-equiv1)")
     Qa = ucq_k_approximation(Q, k)
+    # the approximation has just measured each disjunct's identity contraction
+    wide = [cq for cq in Q.query.disjuncts if cq_treewidth(cq) > k]
+    if not wide:
+        return TwEquivVerdict("yes", witness=Qa)
+    Qw = Q.with_query(UCQ(wide))
     if Q.schema.full:
-        cex = _uncontained_disjunct(Q, Qa)
+        cex = _uncontained_disjunct(Qw, Qa)
         if cex is None:
             return TwEquivVerdict("yes", witness=Qa)
         return TwEquivVerdict("no", counterexample=cex)
     for d in _candidate_databases(Q, budget):
         if len(d.dom) > budget or not d.uses_only(Q.schema):
             continue
-        r1 = evaluate_naive(Q, d)
+        r1 = evaluate_naive(Qw, d)
         r2 = evaluate_naive(Qa, d)
         if r1.consistent and r1.answers - r2.answers:
             return TwEquivVerdict("no", counterexample=d)

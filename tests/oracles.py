@@ -16,7 +16,7 @@ import json
 from omqlab.chase import canonical_model, oblivious_chase
 from omqlab.dllitef import decide_ubcq1_equiv
 from omqlab.entailment import TOP_NAME, _elhi_view, is_consistent, normalize, saturate
-from omqlab.evaluation import chase_steps
+from omqlab.evaluation import chase_steps, evaluate_naive
 from omqlab.graphalg import _ditree_root, cq_treewidth, treewidth
 from omqlab.homtools import (
     HomError,
@@ -56,10 +56,13 @@ from omqlab.treelike import (
     TW_EQUIV_DIALECTS,
     TwEquivVerdict,
     _attach_trees,
+    _candidate_databases,
+    _uncontained_disjunct,
     _unsatisfiable_disjunct,
     contains_full_schema,
     cq_canonical,
     entailed_concept_trees,
+    ucq_k_approximation,
 )
 
 
@@ -310,6 +313,27 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
             return TwEquivVerdict("no")
         found.append(hit)
     return TwEquivVerdict("yes", witness=Q.with_query(UCQ(found)))
+
+
+def decide_tw_equiv_all_disjuncts(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
+    """``decide_tw_equiv_general`` with every disjunct checked, narrow or
+    wide: the containment of all of Q in its approximation over the full
+    schema, and a search for a database where all of Q answers more than
+    the approximation otherwise."""
+    Qa = ucq_k_approximation(Q, k)
+    if Q.schema.full:
+        cex = _uncontained_disjunct(Q, Qa)
+        if cex is None:
+            return TwEquivVerdict("yes", witness=Qa)
+        return TwEquivVerdict("no", counterexample=cex)
+    for d in _candidate_databases(Q, budget):
+        if len(d.dom) > budget or not d.uses_only(Q.schema):
+            continue
+        r1 = evaluate_naive(Q, d)
+        if r1.consistent and r1.answers - evaluate_naive(Qa, d).answers:
+            return TwEquivVerdict("no", counterexample=d)
+    return TwEquivVerdict("unknown",
+                          note=f"no separating database within {budget} constants")
 
 
 def ubcq_equiv_via_disjuncts(Q: OMQ, k: int) -> bool:

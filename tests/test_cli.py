@@ -87,6 +87,23 @@ def test_tw_equiv_unknown_exit_code(files, capsys):
     assert out.strip() == "UNKNOWN"
 
 
+def test_tw_equiv_is_exact_under_any_schema_when_no_disjunct_is_wider(files, capsys):
+    # the query has width 1, so it is its own approximation: "yes" needs no
+    # separating-database search, full schema or not
+    (files / "o.dl").write_text("A1 <= exists r . B1\n")
+    (files / "w.cq").write_text("q(x) :- r(x,y), B1(y)\n")
+    (files / "s.schema").write_text("A1\nr\nB1\n")
+    outs = []
+    for schema in (str(files / "s.schema"), "full"):
+        code, out, _ = run(capsys, "tw-equiv", "--onto", str(files / "o.dl"),
+                           "--query", str(files / "w.cq"), "-k", "1",
+                           "--schema", schema, "--json")
+        assert code == 0, out
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1] == {"outcome": "yes",
+                                  "witness": "q(x) :- B1(y), r(x,y)\n"}
+
+
 def test_tw_equiv_rejects_functional_roles(files, capsys):
     # disjunct databases that violate func r must not count as inconsistent:
     # the width-1 approximation misses A(b) r(a,b) r(b,c) r(c,d) s(c,a)
@@ -370,6 +387,10 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
     (tmp_path / "b.cq").write_text("q() :- r(x,y), r(y,z), r(z,x), B(y)\n")
     (tmp_path / "ex1.dl").write_text("A2 <= A4\n")
     (tmp_path / "fig2.cq").write_text(FIG2_TEXT + "\n")
+    # the functional quotient merges b, c and a: its representative must
+    # not depend on the order in which a set yields the successor sets
+    (tmp_path / "f.dl").write_text("dialect: DL-LiteF\nfunc r\n")
+    (tmp_path / "m.cq").write_text("q() :- r(x,b), r(x,c), r(y,a), r(y,c)\n")
     onto, db = ["--onto", "o.dl"], ["--db", "d.db"]
     invocations = [["eval", *onto, "--query", "u.cq", *db, "--algo", algo]
                    for algo in ("naive", "fpt", "pebble")]
@@ -379,7 +400,8 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
                     ["tw-equiv", *onto, "--query", "b.cq", "-k", "1"],
                     ["approx", *onto, "--query", "b.cq", "-k", "1"],
                     ["tw-equiv", "--onto", "ex1.dl", "--query", "fig2.cq",
-                     "-k", "1", "--json"]]
+                     "-k", "1", "--json"],
+                    ["dlf-equiv1", "--onto", "f.dl", "--query", "m.cq", "--json"]]
     src = str(Path(omqlab.__file__).resolve().parent.parent)
     outputs = {}
     for seed in ("0", "1", "2"):
@@ -398,6 +420,8 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
     assert "_e" in outputs[tuple(invocations[5])].pop()
     assert len(outputs[tuple(invocations[7])].pop().splitlines()) > 1
     assert json.loads(outputs[tuple(invocations[8])].pop())["outcome"] == "yes"
+    assert json.loads(outputs[tuple(invocations[9])].pop()) == {
+        "outcome": "yes", "witness": "q() :- r(x,a), r(y,a)\n"}
 
 
 def test_parser_is_built_once_and_shared_across_calls(files, capsys, monkeypatch):

@@ -65,14 +65,11 @@ def test_reach_rejects_answer_second():
 
 
 def test_eligibility():
-    s = analyze_pair(_q("q() :- r(x,y)"), ("x", "y"))
-    ok, dt = s.eligible, s.dtree
-    assert ok and dt.arity == 1
-    s = analyze_pair(_q("q() :- r(x,y), r(z,y)"), ("x", "y"))
-    ok, dt = s.eligible, s.dtree
-    assert ok and len(dt.variables()) == 2  # x and z merge into the root
-    ok = analyze_pair(_q("q() :- r(x,y), s(y,xp), t(xp,y)"), ("x", "y")).eligible
-    assert not ok
+    dt = analyze_pair(_q("q() :- r(x,y)"), ("x", "y")).dtree
+    assert dt is not None and dt.arity == 1
+    dt = analyze_pair(_q("q() :- r(x,y), r(z,y)"), ("x", "y")).dtree
+    assert dt is not None and len(dt.variables()) == 2  # x and z merge into the root
+    assert analyze_pair(_q("q() :- r(x,y), s(y,xp), t(xp,y)"), ("x", "y")).dtree is None
 
 
 def test_exists_mccs():
@@ -246,7 +243,7 @@ def test_hom_induced_labelings_validate():
                 for x, y in ((at.a, at.b), (at.b, at.a)):
                     if h.get(x) in d.dom and h.get(y) not in d.dom:
                         sysm = ctx.system((x, y))
-                        if v in sysm.members() and sysm.eligible:
+                        if v in sysm.members() and sysm.dtree is not None:
                             labels[v] = Anchored(sysm.rep, h[x])
                             assigned = True
                             break

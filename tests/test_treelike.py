@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from omqlab.entailment import _elhi_view
 from omqlab.evaluation import evaluate_naive
@@ -8,19 +9,27 @@ from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import core, restricted_growth_strings
 from omqlab.model import (
     CQ,
+    ConceptFact,
     EMPTY_ONTOLOGY,
     FULL_SCHEMA,
     FreshVars,
     OMQ,
     OmqlabError,
     QueryError,
+    RoleFact,
     Schema,
     Top,
     UCQ,
     concept_as_cq,
     cq_as_database,
 )
-from omqlab.surface import parse_database, parse_ontology, parse_query
+from omqlab.surface import (
+    parse_database,
+    parse_ontology,
+    parse_query,
+    serialize_database,
+    serialize_query,
+)
 from omqlab.treelike import (
     _coarsens,
     _finest_contractions,
@@ -53,6 +62,7 @@ from gen import (
     rand_ucq,
 )
 from oracles import (
+    decide_tw_equiv_all_disjuncts,
     decide_tw_equiv_full,
     entailed_concept_fact,
     equivalent_full_schema,
@@ -122,6 +132,118 @@ def test_finest_contractions_match_the_full_approximation():
             shapes.add((Q.arity, fits, len(Qa.query.disjuncts) > 1))
     assert {(a, False, True) for a in (0, 1, 2)} <= shapes
     assert {(a, True, False) for a in (0, 1, 2)} <= shapes
+
+
+def test_a_disjunct_of_width_at_most_k_is_its_own_finest_contraction():
+    rng = random.Random(1010)
+    seen = set()
+    for k in (1, 2):
+        for _ in range(60):
+            arity = rng.choice([0, 1, 2])
+            q = rand_cq(rng, rng.randint(max(arity, 1), 6), arity,
+                        names=["A", "B"], roles=["r", "s"], max_tw=k)
+            identity = tuple(range(len(q.variables())))
+            assert _finest_contractions(q, k) == [(q, identity)], (q, k)
+            seen.add((k, cq_treewidth(q)))
+    assert {(1, 1), (2, 1), (2, 2)} <= seen
+
+
+def _verdict_bytes(v):
+    return (v.outcome,
+            None if v.witness is None else serialize_query(v.witness.query),
+            None if v.counterexample is None else serialize_database(v.counterexample),
+            v.note)
+
+
+def _check_against_all_disjuncts(Q, k, budget=5):
+    """``decide_tw_equiv_general`` against the check of every disjunct:
+    the same bytes wherever a disjunct is wider than k, and "yes" with the
+    approximation as witness where none is.  Over the full schema the
+    outcome also matches the subset-search oracle on queries of at most 6
+    atoms, where its 2^|atoms| search stays fast."""
+    v = decide_tw_equiv_general(Q, k, budget=budget)
+    ref = decide_tw_equiv_all_disjuncts(Q, k, budget=budget)
+    wide = any(cq_treewidth(c) > k for c in Q.query.disjuncts)
+    if wide or Q.schema.full:
+        assert _verdict_bytes(v) == _verdict_bytes(ref), (Q, k)
+    else:
+        # the search finds no database where Q answers more than its
+        # approximation, which it is equivalent to
+        assert ref.outcome == "unknown" and v.outcome == "yes", (Q, k)
+        assert v.witness == ucq_k_approximation(Q, k)
+    if Q.schema.full and sum(len(c.atoms) for c in Q.query.disjuncts) <= 6:
+        assert decide_tw_equiv_full(Q, k).outcome == v.outcome, (Q, k)
+    return v.outcome, wide
+
+
+def test_narrow_disjuncts_skip_containment_with_the_same_verdicts():
+    # criterion 5's OMQs (seed 505) and criterion 6's plain CQs (seed 606),
+    # each at k = 1 and 2; the first 60 OMQs again without the name A2
+    names, roles = ["A1", "A2", "B1"], ["r", "s"]
+    rng = random.Random(505)
+    omqs = []
+    for _ in range(150):
+        o = rand_elhdr_ontology(rng, rng.randint(1, 5), names=names, roles=roles)
+        q = rand_ucq(rng, rng.randint(1, 2), 5, rng.choice([0, 1]),
+                     names=names, roles=roles)
+        omqs.append(OMQ(o, FULL_SCHEMA, q))
+    rng = random.Random(606)
+    for _ in range(150):
+        q = rand_cq(rng, rng.randint(1, 7), 0, names=["A", "B"], roles=roles)
+        omqs.append(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, UCQ((q,))))
+    schema = Schema.of(["A1", "B1", "r", "s"])
+    restricted = [OMQ(Q.ontology, schema, Q.query) for Q in omqs[:60]]
+    shapes = set()
+    for Q in omqs + restricted:
+        for k in (1, 2):
+            outcome, wide = _check_against_all_disjuncts(Q, k)
+            mixed = len({cq_treewidth(c) <= k for c in Q.query.disjuncts}) > 1
+            shapes.add((Q.schema.full, outcome, wide, mixed))
+    assert {(True, "yes", False, False), (True, "yes", True, False),
+            (True, "no", True, False), (True, "no", True, True),
+            (True, "yes", True, True), (False, "yes", False, False),
+            (False, "no", True, False), (False, "no", True, True),
+            (False, "unknown", True, False)} <= shapes
+
+
+_VARS = ["x0", "x1", "x2", "x3"]
+_ATOMS = st.one_of(
+    st.tuples(st.sampled_from(["A1", "B1"]), st.sampled_from(_VARS)).map(
+        lambda t: ConceptFact(*t)),
+    st.tuples(st.sampled_from(["r", "s"]), st.sampled_from(_VARS),
+              st.sampled_from(_VARS)).map(lambda t: RoleFact(*t)))
+
+
+# a role cycle over three or four variables makes a disjunct of width 2
+# likely, so that the wide branches are reached about as often as the
+# narrow one
+_CYCLE = st.one_of(
+    st.just([]),
+    st.sampled_from([_VARS[1:], _VARS]).flatmap(lambda vs: st.lists(
+        st.tuples(st.sampled_from(["r", "s"]), st.booleans()),
+        min_size=len(vs), max_size=len(vs)).map(lambda edges: [
+            RoleFact(r, *((a, b) if fwd else (b, a)))
+            for (r, fwd), a, b in zip(edges, vs, vs[1:] + vs[:1])])))
+_DISJUNCT = st.tuples(_CYCLE, st.lists(_ATOMS, min_size=1, max_size=5)).map(
+    lambda t: t[0] + t[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(disjuncts=st.lists(_DISJUNCT, min_size=1, max_size=2),
+       arity=st.sampled_from([0, 1]),
+       n_axioms=st.integers(0, 4), onto_seed=st.integers(0, 2**16),
+       schema=st.sampled_from([None, ("A1", "r"), ("A1", "B1", "r", "s")]),
+       k=st.sampled_from([1, 2]))
+def test_narrow_disjuncts_skip_containment_shrinking(disjuncts, arity, n_axioms,
+                                                     onto_seed, schema, k):
+    avs = tuple(_VARS[:arity])
+    assume(all(set(avs) <= {t for at in atoms for t in at.terms()}
+               for atoms in disjuncts))
+    o = rand_elhdr_ontology(random.Random(onto_seed), n_axioms,
+                            names=["A1", "B1"], roles=["r", "s"])
+    Q = OMQ(o, FULL_SCHEMA if schema is None else Schema.of(schema),
+            UCQ(CQ(avs, atoms) for atoms in disjuncts))
+    _check_against_all_disjuncts(Q, k, budget=4)
 
 
 def test_containment_basics():

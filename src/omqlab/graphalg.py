@@ -247,12 +247,16 @@ def _decomposition_from_order(g: UndirectedGraph, order: list) -> tuple[list, se
 
 def cq_treewidth(q: CQ) -> int:
     """Treewidth of the quantified-variable restriction, at least 1.
-    Variables without an edge to another variable add no width, so they
-    stay out of the exact search and its vertex cap."""
-    quantified = q.quantified_vars()
-    restricted = [at for at in q.atoms if all(t in quantified for t in at.terms())]
-    g = gaifman_graph(Database(restricted))
-    return max(1, treewidth(g.subgraph(v for v in g.vertices if g.degree(v)))[0])
+    Its edges are the atoms over two distinct quantified variables.
+    Variables without such an edge add no width, so they stay out of the
+    exact search and its vertex cap."""
+    answers = q.answer_vars
+    g = UndirectedGraph()
+    for at in q.atoms:
+        ts = at.terms()
+        if len(ts) == 2 and ts[0] not in answers and ts[1] not in answers:
+            g.add_edge(*ts)
+    return max(1, treewidth(g)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -96,23 +96,26 @@ def reach(q: CQ, pair: tuple) -> dict:
     x, y = pair
     if y in q.answer_vars:
         raise QueryError("the second pair component must be quantified")
-    levels: dict[str, set] = {x: {0}, y: {1}}
     cap = len(q.variables()) + 1  # deeper levels are unrealizable in a ditree
-    role_atoms = [at for at in q.atoms if isinstance(at, RoleFact)]
-    changed = True
-    while changed:
-        changed = False
-        for at in role_atoms:
-            # forward: a variable at level i >= 1 pushes its successors deeper
-            for i in sorted(levels.get(at.a, ())):
-                if 0 < i < cap and i + 1 not in levels.setdefault(at.b, set()):
-                    levels[at.b].add(i + 1)
-                    changed = True
-            # upward: a variable at level i+1 pulls its predecessors to i
-            for i in sorted(levels.get(at.b, ())):
-                if i - 1 >= 0 and i - 1 not in levels.setdefault(at.a, set()):
-                    levels[at.a].add(i - 1)
-                    changed = True
+    succ: dict[str, list] = {}
+    pred: dict[str, list] = {}
+    for at in q.atoms:
+        if isinstance(at, RoleFact):
+            succ.setdefault(at.a, []).append(at.b)
+            pred.setdefault(at.b, []).append(at.a)
+    levels: dict[str, set] = {x: {0}, y: {1}}
+    work = [(x, 0), (y, 1)]
+    while work:
+        v, i = work.pop()
+        # forward: a variable at level i >= 1 pushes its successors deeper;
+        # upward: a variable at level i+1 pulls its predecessors to i
+        steps = [(w, i + 1) for w in succ.get(v, ()) if 0 < i < cap]
+        steps += [(w, i - 1) for w in pred.get(v, ()) if i >= 1]
+        for w, j in steps:
+            ls = levels.setdefault(w, set())
+            if j not in ls:
+                ls.add(j)
+                work.append((w, j))
     return levels
 
 
@@ -139,25 +142,6 @@ class ReachSystem:
 
     def members(self) -> frozenset:
         return frozenset(self.levels)
-
-
-def analyze_pair(q: CQ, pair: tuple) -> ReachSystem:
-    levels = reach(q, pair)
-    members = frozenset(levels)
-    level0 = sorted(v for v, ls in levels.items() if 0 in ls)
-    level1 = sorted(v for v, ls in levels.items() if 1 in ls)
-    # the canonical representative must regenerate this very system, else
-    # labels naming it would be ambiguous between systems
-    rep = pair
-    answers = set(q.answer_vars)
-    for cand in ((x0, y0) for x0 in level0 for y0 in level1
-                 if y0 not in answers):
-        if cand == pair or reach(q, cand) == levels:
-            rep = cand
-            break
-    # self-loops at the root class stand for database facts at the anchor
-    dt = dtree(CQ((), q.restrict(members).atoms), root_loops=True)
-    return ReachSystem(rep, levels, dt)
 
 
 def exists_mccs(q: CQ) -> list[frozenset]:
@@ -192,6 +176,8 @@ class LabelContext:
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
         self._systems: dict = {}
+        self._levels: dict = {}
+        self._member_dtrees: dict = {}
         self._dtree_answers: dict = {}
         self._restrict_cache: dict = {}
         # variables allowed to carry the anonymous marker: members of
@@ -215,12 +201,39 @@ class LabelContext:
             self._restrict_cache[on_vars] = hit
         return hit
 
+    def levels(self, pair: tuple) -> dict:
+        """``reach`` of a guarded pair over the full query."""
+        hit = self._levels.get(pair)
+        if hit is None:
+            hit = reach(self.q, pair)
+            self._levels[pair] = hit
+        return hit
+
     def system(self, pair: tuple) -> ReachSystem:
         """Reach system of a guarded pair, always over the full query."""
         hit = self._systems.get(pair)
-        if hit is None:
-            hit = analyze_pair(self.q, pair)
-            self._systems[pair] = hit
+        if hit is not None:
+            return hit
+        levels = self.levels(pair)
+        level0 = sorted(v for v, ls in levels.items() if 0 in ls)
+        level1 = sorted(v for v, ls in levels.items() if 1 in ls)
+        # the canonical representative must regenerate this very system,
+        # else labels naming it would be ambiguous between systems
+        rep = pair
+        answers = set(self.q.answer_vars)
+        for cand in ((x0, y0) for x0 in level0 for y0 in level1
+                     if y0 not in answers):
+            if cand == pair or self.levels(cand) == levels:
+                rep = cand
+                break
+        members = frozenset(levels)
+        if members not in self._member_dtrees:
+            # self-loops at the root class stand for database facts at
+            # the anchor
+            self._member_dtrees[members] = dtree(
+                CQ((), self.q.restrict(members).atoms), root_loops=True)
+        hit = ReachSystem(rep, levels, self._member_dtrees[members])
+        self._systems[pair] = hit
         return hit
 
     def dtree_holds_at(self, dt: CQ, c: str) -> bool:

@@ -72,36 +72,50 @@ class ParseError(OmqlabError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# whitespace is skipped as each token's prefix; a comment runs to the end
+# of the line, and ``bad`` catches any other character
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow><=|:-)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
-  | (?P<punct>[().,&:])
+    \s*
+    (?:
+        (?P<comment>\#)
+      | (?P<arrow><=|:-)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
+      | (?P<punct>[().,&:])
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass
 class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+    """A token of one line; its 1-based position becomes a ``SourceSpan``
+    only when an error reports it."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col)
 
 
 def _tokenize_line(line: str, lineno: int) -> list[Token]:
     out: list[Token] = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if not m:
-            raise ParseError(SourceSpan(lineno, pos + 1), f"unexpected character {line[pos]!r}")
+    for m in _TOKEN_RE.finditer(line):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            out.append(Token(kind, m.group(), SourceSpan(lineno, pos + 1)))
-        pos = m.end()
+        if kind == "comment":
+            break
+        if kind == "bad":
+            raise ParseError(SourceSpan(lineno, m.start(kind) + 1),
+                             f"unexpected character {m.group(kind)!r}")
+        out.append(Token(kind, m.group(kind), lineno, m.start(kind) + 1))
     return out
 
 

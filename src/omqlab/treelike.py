@@ -34,6 +34,7 @@ from .model import (
     Schema,
     Top,
     UCQ,
+    UndirectedGraph,
     concept_as_cq,
     cq_as_database,
     conj,
@@ -51,7 +52,7 @@ from .entailment import (
     subsumes,
 )
 from .evaluation import chase_steps, evaluate_naive
-from .graphalg import cq_treewidth
+from .graphalg import cq_treewidth, treewidth
 from .homtools import (
     contraction,
     contractions,
@@ -89,6 +90,63 @@ def cq_canonical(q: CQ) -> tuple:
     return best
 
 
+def distinct_up_to_isomorphism(cqs: list[CQ]) -> list[CQ]:
+    """The first CQ of each isomorphism class of ``cqs`` (renamings of
+    quantified variables, as ``cq_canonical`` sees them), in their order.
+    The candidates are grouped by a colour-refinement invariant first; the
+    exact key, which tries every permutation, is computed only inside a
+    group of two or more."""
+    if len(cqs) < 2:
+        return list(cqs)
+    groups: dict[tuple, list[int]] = {}
+    for i, q in enumerate(cqs):
+        groups.setdefault(_refined_colours(q), []).append(i)
+    keep = []
+    for members in groups.values():
+        if len(members) == 1:
+            keep.extend(members)
+            continue
+        first: dict = {}
+        for i in members:
+            first.setdefault(cq_canonical(cqs[i]), i)
+        keep.extend(first.values())
+    return [cqs[i] for i in sorted(keep)]
+
+
+def _refined_colours(q: CQ) -> tuple:
+    """An isomorphism invariant of ``q``: colour refinement (1-WL) over its
+    variables, each answer variable pinned by its name.  A variable starts
+    with its name if it answers, its concepts and its self-loop roles; each
+    round adds the multiset of (role, direction, colour) over its edges.
+    Colours are signatures renumbered by their sorted position, so they
+    depend on no renaming; the invariant is the sorted signatures of every
+    round, up to the round where the colour classes stop splitting."""
+    var = sorted(q.variables())
+    answers = set(q.answer_vars)
+    labels: dict[str, list] = {x: [] for x in var}
+    edges: dict[str, list] = {x: [] for x in var}
+    for at in q.atoms:
+        ts = at.terms()
+        if len(ts) == 1 or ts[0] == ts[1]:
+            labels[ts[0]].append((len(ts), at.name))
+        else:
+            edges[ts[0]].append((at.name, 0, ts[1]))
+            edges[ts[1]].append((at.name, 1, ts[0]))
+    sig = {x: (x if x in answers else "", tuple(sorted(labels[x]))) for x in var}
+    rounds = []
+    classes = 0
+    while True:
+        palette = sorted(set(sig.values()))
+        rounds.append(tuple(sorted(sig.values())))
+        if len(palette) == classes:
+            return q.answer_vars, tuple(rounds)
+        classes = len(palette)
+        colour = {s: c for c, s in enumerate(palette)}
+        now = {x: colour[sig[x]] for x in var}
+        sig = {x: (now[x], tuple(sorted((r, d, now[y]) for r, d, y in edges[x])))
+               for x in var}
+
+
 def db_canonical(d: Database) -> tuple:
     consts = sorted(d.dom)
     best = None
@@ -110,16 +168,11 @@ def ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
     Every other contraction of width at most ``k`` coarsens one of them,
     so it is their homomorphic image and the union is equivalent to the
     union of all such contractions (Barcelo, Libkin and Romero, SICOMP
-    2014)."""
-    out = [qc for cq in Q.query.disjuncts
-           for qc, _ in _finest_contractions(cq, k)]
-    if len(out) > 1:
-        # keep the first of each isomorphism class; a lone disjunct needs
-        # no key, and the key tries every permutation of its variables
-        first: dict = {}
-        for qc in out:
-            first.setdefault(cq_canonical(qc), qc)
-        out = list(first.values())
+    2014).  Widths below 1 are refused: every CQ has width at least 1."""
+    if k < 1:
+        raise OmqlabError(f"the width-k approximation needs k >= 1, got {k}")
+    out = distinct_up_to_isomorphism(
+        [qc for cq in Q.query.disjuncts for qc, _ in _finest_contractions(cq, k)])
     if not out:
         # no tree-like contraction exists; the approximation is the empty
         # query, represented by an unsatisfiable disjunct over fresh names
@@ -137,23 +190,57 @@ def _finest_contractions(q: CQ, k: int) -> list[tuple]:
     that coarsens a kept one is skipped; otherwise it is kept if its
     contraction fits ``k`` and expanded if not.  Every finer partition
     lies on an earlier level, so each finest fitting partition is reached
-    and kept, and every coarsening of it is skipped."""
+    and kept, and every coarsening of it is skipped.  Widths are measured
+    on the quotient graph (``_quotient_width``); only the kept partitions
+    are contracted."""
     var = sorted(q.variables())
+    index = {x: i for i, x in enumerate(var)}
     answer_at = [x in q.answer_vars for x in var]
-    kept: dict[tuple, CQ] = {}
+    pairs = {(index[at.a], index[at.b]) for at in q.atoms
+             if isinstance(at, RoleFact) and at.a != at.b}
+    kept: list[tuple] = []
     level = {tuple(range(len(var)))}
     while level:
         below: set = set()
         for rgs in level:
             if any(_coarsens(rgs, done) for done in kept):
                 continue
-            qc, _ = contraction(q, var, rgs)
-            if cq_treewidth(qc) <= k:
-                kept[rgs] = qc
+            if _quotient_width(var, answer_at, pairs, rgs) <= k:
+                kept.append(rgs)
                 continue
             below.update(_merges(rgs, answer_at))
         level = below
-    return [(kept[rgs], rgs) for rgs in sorted(kept)]
+    return [(contraction(q, var, rgs)[0], rgs) for rgs in sorted(kept)]
+
+
+def _quotient_width(var: list, answer_at: list, pairs: set, rgs: tuple) -> int:
+    """``cq_treewidth(contraction(q, var, rgs)[0])`` without building the
+    contraction.  ``var`` is ``q``'s sorted variables, ``answer_at`` marks
+    its answer variables, and ``pairs`` holds the index pairs (i, j) of its
+    role atoms with two different terms.
+
+    The contraction renames each variable to its block's representative:
+    the block's answer variable, if it has one, otherwise its least
+    variable, which is the first in ``var``.  So its quantified variables
+    are the representatives of the blocks without an answer variable, and
+    its atoms over two distinct quantified variables are exactly the
+    renamed pairs whose ends lie in two different such blocks: a concept
+    atom or a self-loop keeps a single term, and a pair inside one block
+    becomes a self-loop.  The graph built here has these edges over the
+    same vertex names, so ``treewidth`` sees the key ``cq_treewidth``
+    would give it."""
+    rep: dict[int, str] = {}
+    held: set = set()
+    for i, b in enumerate(rgs):
+        rep.setdefault(b, var[i])
+        if answer_at[i]:
+            held.add(b)
+    g = UndirectedGraph()
+    for i, j in pairs:
+        bi, bj = rgs[i], rgs[j]
+        if bi != bj and bi not in held and bj not in held:
+            g.add_edge(rep[bi], rep[bj])
+    return max(1, treewidth(g)[0])
 
 
 def _merges(rgs: tuple, answer_at: list):
@@ -278,14 +365,8 @@ def maximum_contractions(Q: OMQ) -> list[OMQ]:
             continue
         out.append((part, qc))
     out.sort(key=lambda pq: (len(pq[0]), pq[0]))
-    seen = set()
-    result = []
-    for _, qc in out:
-        key = cq_canonical(qc)
-        if key not in seen:
-            seen.add(key)
-            result.append(Q.with_query(UCQ((qc,))))
-    return result
+    return [Q.with_query(UCQ((qc,)))
+            for qc in distinct_up_to_isomorphism([qc for _, qc in out])]
 
 
 def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):

@@ -188,19 +188,21 @@ def oracle_answers(Q, d: Database, depth: int = 6) -> frozenset:
 # Tree-likeness by exhaustive subquery search
 
 
+def distinct_by_canonical_key(cqs: list[CQ]) -> list[CQ]:
+    """The first CQ of each isomorphism class, in order, by the exact key
+    of every candidate."""
+    first: dict = {}
+    for qc in cqs:
+        first.setdefault(cq_canonical(qc), qc)
+    return list(first.values())
+
+
 def full_ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
     """Same ontology and schema; the query becomes every contraction of a
     disjunct whose tree width is at most ``k`` (deduplicated)."""
-    out: list[CQ] = []
-    seen: set = set()
-    for cq in Q.query.disjuncts:
-        for qc, _ in contractions(cq):
-            if cq_treewidth(qc) > k:
-                continue
-            key = cq_canonical(qc)
-            if key not in seen:
-                seen.add(key)
-                out.append(qc)
+    out = distinct_by_canonical_key([qc for cq in Q.query.disjuncts
+                                     for qc, _ in contractions(cq)
+                                     if cq_treewidth(qc) <= k])
     if not out:
         out = [_unsatisfiable_disjunct(Q)]
     return OMQ(Q.ontology, Q.schema, UCQ(out))

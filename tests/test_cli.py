@@ -200,6 +200,16 @@ def test_eval_rejects_width_below_1(files, capsys, algo, k):
     assert f"got {k}\n" in err
 
 
+@pytest.mark.parametrize("command", ["tw-equiv", "approx"])
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_width_k_approximation_rejects_width_below_1(files, capsys, command, k):
+    (files / "a.cq").write_text("q() :- A(x)\n")
+    code, out, err = run(capsys, command, "--query", str(files / "a.cq"), "-k", k,
+                         *(["--json"] if command == "tw-equiv" else []))
+    assert (code, out) == (3, "")
+    assert err == f"error: the width-k approximation needs k >= 1, got {k}\n"
+
+
 def test_unravel_rejects_anchor_outside_the_data(files, capsys):
     code, out, err = run(capsys, "unravel", "--db", str(files / "d.db"), "-k", "1",
                          "--depth", "1", "--tuple", "a,zz")

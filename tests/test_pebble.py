@@ -6,6 +6,7 @@ from omqlab.entailment import consistent_saturation, is_consistent
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.model import (
+    Database,
     Dialect,
     EMPTY_ONTOLOGY,
     FULL_SCHEMA,
@@ -22,7 +23,6 @@ from omqlab.pebble import (
     Const,
     EXIST,
     LabelContext,
-    analyze_pair,
     evaluate_pebble,
     exists_mccs,
     reach,
@@ -64,12 +64,17 @@ def test_reach_rejects_answer_second():
         reach(parse_query("q(y) :- r(x,y)").disjuncts[0], ("x", "y"))
 
 
+def _system(text, pair):
+    Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, parse_query(text))
+    return _ctx(Q, Database(())).system(pair)
+
+
 def test_eligibility():
-    dt = analyze_pair(_q("q() :- r(x,y)"), ("x", "y")).dtree
+    dt = _system("q() :- r(x,y)", ("x", "y")).dtree
     assert dt is not None and dt.arity == 1
-    dt = analyze_pair(_q("q() :- r(x,y), r(z,y)"), ("x", "y")).dtree
+    dt = _system("q() :- r(x,y), r(z,y)", ("x", "y")).dtree
     assert dt is not None and len(dt.variables()) == 2  # x and z merge into the root
-    assert analyze_pair(_q("q() :- r(x,y), s(y,xp), t(xp,y)"), ("x", "y")).dtree is None
+    assert _system("q() :- r(x,y), s(y,xp), t(xp,y)", ("x", "y")).dtree is None
 
 
 def test_exists_mccs():

@@ -162,3 +162,51 @@ def test_query_roundtrip_random():
         text = "q() :- " + ", ".join(atoms)
         q = parse_query(text)
         assert parse_query(serialize_query(q)) == q
+
+
+@pytest.mark.parametrize("text, message", [
+    # unexpected character, after a comment line and a tab
+    ("A <= B\nA <= B $ C", "line 2, column 8: unexpected character '$'"),
+    ("A <= B  # comment\n\tC <= exists r . (B & ?)",
+     "line 2, column 23: unexpected character '?'"),
+    # unexpected end of line
+    ("A <= exists r .",
+     "line 1, column 16: expected a concept (expected top, bot, IDENT, exists, ()"),
+    ("A <= (B & C", "line 1, column 12: unexpected end of line (expected ))"),
+    # trailing input
+    ("A <= B C", "line 1, column 8: trailing input 'C'"),
+    ("func r s", "line 1, column 8: trailing input 's'"),
+    # bad identifier
+    ("A <= B & bad-name", "line 1, column 10: bad identifier 'bad-name'"),
+    ("A <= exists bad-r . B", "line 1, column 13: bad identifier 'bad-r'"),
+    # a bare inclusion between a role and a concept name
+    ("exists r . top <= A\n  r <= A",
+     "line 2, column 5: r <= A mixes role and concept names"),
+])
+def test_ontology_parse_error_positions(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_ontology(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # unexpected character
+    ("q(x) :- r(x,y) , B(y) %", "line 1, column 23: unexpected character '%'"),
+    ("q(x) :- A(x) ;", "line 1, column 14: unexpected character ';'"),
+    # unexpected end of line, also after CRLF and a tab
+    ("q(x) :- r(x,", "line 1, column 13: unexpected end of line (expected ident)"),
+    ("q(x) :- r(x,y)\r\nq(x) :- \tA(x), ",
+     "line 2, column 16: unexpected end of line (expected ident)"),
+    # trailing input: an atom where a comma belongs
+    ("q(x) :- A(x) B(x)", "line 1, column 14: unexpected 'B' (expected ,)"),
+    # bad identifier
+    ("q(x) :- A(x)\n q() :- a-b(x)", "line 2, column 9: bad identifier 'a-b'"),
+    ("q(x, y-z) :- r(x,y)", "line 1, column 6: bad identifier 'y-z'"),
+    # one name as a concept and as a role
+    ("q() :- r(x,y)\nq() :- A(x), r(x)",
+     "line 2, column 14: r used with both arity 1 and 2"),
+])
+def test_query_parse_error_positions(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_query(text)
+    assert str(e.value) == message

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from omqlab.entailment import _elhi_view
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
-from omqlab.homtools import core, restricted_growth_strings
+from omqlab.homtools import contraction, contractions, core, restricted_growth_strings
 from omqlab.model import (
     CQ,
     ConceptFact,
@@ -33,9 +33,12 @@ from omqlab.surface import (
 from omqlab.treelike import (
     _coarsens,
     _finest_contractions,
+    _quotient_width,
+    _refined_colours,
     contains_dllite_horn,
     contains_full_schema,
     decide_tw_equiv_general,
+    distinct_up_to_isomorphism,
     entailed_concept_trees,
     maximum_contractions,
     rewriting,
@@ -64,6 +67,7 @@ from gen import (
 from oracles import (
     decide_tw_equiv_all_disjuncts,
     decide_tw_equiv_full,
+    distinct_by_canonical_key,
     entailed_concept_fact,
     equivalent_full_schema,
     full_ucq_k_approximation,
@@ -94,9 +98,9 @@ def test_coarsens_reads_restricted_growth_strings():
                 assert _coarsens(coarse, fine) == expected, (coarse, fine)
 
 
-def test_finest_contractions_match_the_full_approximation():
-    # criterion 5's OMQs (seed 505), the first of criterion 6's plain CQs
-    # (seed 606), and plain CQs of arity 1 and 2
+def _approximation_cases():
+    """Criterion 5's OMQs (seed 505), the first of criterion 6's plain CQs
+    (seed 606), and plain CQs of arity 1 and 2."""
     names, roles = ["A1", "A2", "B1"], ["r", "s"]
     rng = random.Random(505)
     cases = []
@@ -113,8 +117,12 @@ def test_finest_contractions_match_the_full_approximation():
     for arity in (1, 2) * 10:
         q = rand_cq(rng, rng.randint(arity, 6), arity, names=["A", "B"], roles=roles)
         cases.append(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, UCQ((q,))))
+    return cases
+
+
+def test_finest_contractions_match_the_full_approximation():
     shapes = set()
-    for Q in cases:
+    for Q in _approximation_cases():
         for k in (1, 2):
             Qa = ucq_k_approximation(Q, k)
             assert equivalent_full_schema(Qa, full_ucq_k_approximation(Q, k)), (Q, k)
@@ -132,6 +140,90 @@ def test_finest_contractions_match_the_full_approximation():
             shapes.add((Q.arity, fits, len(Qa.query.disjuncts) > 1))
     assert {(a, False, True) for a in (0, 1, 2)} <= shapes
     assert {(a, True, False) for a in (0, 1, 2)} <= shapes
+
+
+def test_colour_refinement_dedup_matches_the_exact_key():
+    # the finest contractions of the approximation's walk, and every
+    # contraction of width at most k, which repeats many isomorphism classes
+    dropped = 0
+    for Q in _approximation_cases():
+        for k in (1, 2):
+            for candidates in (
+                    [qc for cq in Q.query.disjuncts
+                     for qc, _ in _finest_contractions(cq, k)],
+                    [qc for cq in Q.query.disjuncts for qc, _ in contractions(cq)
+                     if cq_treewidth(qc) <= k]):
+                want = distinct_by_canonical_key(candidates)
+                got = distinct_up_to_isomorphism(candidates)
+                assert [str(c) for c in got] == [str(c) for c in want], (Q, k)
+                dropped += len(candidates) - len(got)
+    assert dropped > 0
+
+
+def test_colour_refinement_dedup_falls_back_to_the_exact_key():
+    # a directed 6-cycle and two directed triangles: every variable has one
+    # r-successor and one r-predecessor, so colour refinement cannot split
+    # them, and only the exact key tells them apart
+    def cycles(*lengths, prefix="x"):
+        atoms, n = [], 0
+        for m in lengths:
+            atoms += [RoleFact("r", f"{prefix}{n + i}", f"{prefix}{n + (i + 1) % m}")
+                      for i in range(m)]
+            n += m
+        return CQ((), atoms)
+
+    hexagon, triangles = cycles(6), cycles(3, 3)
+    assert _refined_colours(hexagon) == _refined_colours(triangles)
+    assert distinct_up_to_isomorphism([hexagon, triangles]) == [hexagon, triangles]
+    renamed = [cycles(6, prefix="y"), cycles(3, 3, prefix="z")]
+    assert distinct_up_to_isomorphism([hexagon, triangles, *renamed]) == [hexagon, triangles]
+    assert distinct_up_to_isomorphism(renamed[::-1] + [hexagon]) == renamed[::-1]
+
+
+def _quotient_inputs(q):
+    var = sorted(q.variables())
+    pairs = {(var.index(at.a), var.index(at.b)) for at in q.atoms
+             if isinstance(at, RoleFact) and at.a != at.b}
+    return var, [x in q.answer_vars for x in var], pairs
+
+
+def test_quotient_width_is_the_width_of_the_contraction():
+    rng = random.Random(1212)
+    seen = set()
+    for arity in (0, 1, 2) * 12:
+        q = rand_cq(rng, rng.randint(max(arity, 1), 6), arity,
+                    names=["A", "B"], roles=["r", "s"])
+        var, answer_at, pairs = _quotient_inputs(q)
+        for rgs in restricted_growth_strings(len(var)):
+            c = contraction(q, var, rgs)
+            if c is None:
+                continue
+            width = cq_treewidth(c[0])
+            assert _quotient_width(var, answer_at, pairs, rgs) == width, (q, rgs)
+            seen.add((q.arity, width))
+    assert {(a, w) for a in (0, 1, 2) for w in (1, 2)} <= seen
+
+
+_VARS6 = [f"x{i}" for i in range(6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms=st.lists(st.tuples(st.sampled_from(["A", "r", "s"]),
+                                st.sampled_from(_VARS6), st.sampled_from(_VARS6)),
+                      min_size=1, max_size=9),
+       arity=st.sampled_from([0, 1, 2]),
+       blocks=st.lists(st.integers(0, 5), min_size=6, max_size=6))
+def test_quotient_width_is_the_width_of_the_contraction_shrinking(atoms, arity, blocks):
+    q_atoms = [ConceptFact(n, a) if n == "A" else RoleFact(n, a, b) for n, a, b in atoms]
+    bound = sorted({t for at in q_atoms for t in at.terms()})
+    q = CQ(bound[:arity], q_atoms)
+    var, answer_at, pairs = _quotient_inputs(q)
+    # the partition of var that ``blocks`` draws, as a restricted growth string
+    first: dict = {}
+    rgs = tuple(first.setdefault(b, len(first)) for b in blocks[:len(var)])
+    c = contraction(q, var, rgs)
+    assume(c is not None)
+    assert _quotient_width(var, answer_at, pairs, rgs) == cq_treewidth(c[0])
 
 
 def test_a_disjunct_of_width_at_most_k_is_its_own_finest_contraction():

@@ -31,11 +31,7 @@ from .entailment import _elhi_view
 from .evaluation import evaluate_naive
 from .graphalg import is_minor
 from .homtools import contractions, functional_quotient
-from .treelike import (
-    TwEquivVerdict,
-    cq_canonical,
-    decide_tw_equiv_general,
-)
+from .treelike import TwEquivVerdict, canonical_form, decide_tw_equiv_general
 
 REW_VARIABLE_CAP = 10
 
@@ -227,7 +223,7 @@ def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
                 base = CQ(p.answer_vars, atoms2)
                 for variant in _detached_variants(base, detached_generators,
                                                   protected):
-                    key = cq_canonical(variant)
+                    key = canonical_form(variant.atoms, variant.answer_vars)
                     if key not in results:
                         results[key] = variant
     return [results[k] for k in sorted(results)]
@@ -312,7 +308,7 @@ def rew(Q: OMQ) -> UCQ:
     disjuncts: dict = {}
     for p in Q.query.disjuncts:
         for w in rewrite_family(split.inclusions, p, minor_gate=True):
-            disjuncts.setdefault(cq_canonical(w), w)
+            disjuncts.setdefault(canonical_form(w.atoms, w.answer_vars), w)
     return UCQ(tuple(disjuncts[k] for k in sorted(disjuncts)))
 
 

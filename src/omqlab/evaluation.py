@@ -174,25 +174,14 @@ class _TreeEvaluator:
             if n not in names:
                 return False
         for w, role_names in edges.get(v, ()):
-            ok = False
             succs = None
             for rn in role_names:
                 s = self.sat.database.successors(e, Role(rn))
                 succs = s if succs is None else (succs & s)
                 if not succs:
                     break
-            for b in sorted(succs or ()):
-                if self._match_real(w, b, shape):
-                    ok = True
-                    break
-            if not ok:
-                for role, child in self.onorm.children(self.sat.types.get(e, frozenset())):
-                    sups = self.onorm.super_roles.get(role, {role})
-                    if all(Role(rn) in sups for rn in role_names):
-                        if self._match_anon(w, child, shape):
-                            ok = True
-                            break
-            if not ok:
+            if not (any(self._match_real(w, b, shape) for b in sorted(succs or ()))
+                    or self._match_child(w, names, role_names, shape)):
                 return False
         return True
 
@@ -203,21 +192,21 @@ class _TreeEvaluator:
         if hit is not None:
             return hit
         self._memo[key] = False  # cycles in the type graph cannot help
-        ok = all(n in t for n in concept_at.get(v, ()))
-        if ok:
-            for w, role_names in edges.get(v, ()):
-                found = False
-                for role, child in self.onorm.children(t):
-                    sups = self.onorm.super_roles.get(role, {role})
-                    if all(Role(rn) in sups for rn in role_names):
-                        if self._match_anon(w, child, shape):
-                            found = True
-                            break
-                if not found:
-                    ok = False
-                    break
+        ok = (all(n in t for n in concept_at.get(v, ()))
+              and all(self._match_child(w, t, role_names, shape)
+                      for w, role_names in edges.get(v, ())))
         self._memo[key] = ok
         return ok
+
+    def _match_child(self, w: str, t: frozenset, role_names: tuple, shape) -> bool:
+        """Does ``w``'s subtree match at an anonymous successor of a term
+        of type ``t``, along a role below every role of ``role_names``?"""
+        for role, child in self.onorm.children(t):
+            sups = self.onorm.super_roles.get(role, {role})
+            if all(Role(rn) in sups for rn in role_names) \
+                    and self._match_anon(w, child, shape):
+                return True
+        return False
 
 
 class _WidthPlan:

@@ -24,6 +24,7 @@ from .model import (
     cq_as_database,
     gaifman_graph,
 )
+from .homtools import merge_to_fixpoint
 
 TREEWIDTH_VERTEX_CAP = 25
 MINOR_VERTEX_CAP = 12
@@ -303,36 +304,15 @@ def _ditree_root(d: Database, root_loops: bool) -> Optional[str]:
 def dtree_merge(q: CQ) -> CQ:
     """Exhaustively identify x1, x2 whenever atoms r(x1,y), s(x2,y) share
     the target y; the quotient query is returned (answer tuple preserved)."""
-    parent = {v: v for v in q.variables()}
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            ra, rb = sorted((ra, rb))
-            parent[rb] = ra
-
-    changed = True
-    while changed:
-        changed = False
-        sources: dict = {}
+    def sources(find):
+        by_target: dict = {}
         for at in q.atoms:
             if isinstance(at, RoleFact):
-                sources.setdefault(find(at.b), set()).add(find(at.a))
-        for srcs in sources.values():
-            srcs = sorted(srcs)
-            for other in srcs[1:]:
-                if find(other) != find(srcs[0]):
-                    union(srcs[0], other)
-                    changed = True
+                by_target.setdefault(find(at.b), set()).add(at.a)
+        return by_target.values()
 
-    rep = {v: find(v) for v in q.variables()}
-    return q.rename(rep)
+    return q.rename(merge_to_fixpoint(q.variables(), sources))
 
 
 def dtree(q: CQ, root_loops: bool = False) -> Optional[CQ]:

@@ -195,15 +195,31 @@ def contraction(q: CQ, var: list, rgs: tuple) -> Optional[tuple]:
 def functional_quotient(q: CQ, funcs: Iterable[str]) -> dict:
     """The renaming that merges, until none is left, the successors of a
     variable along one role of ``funcs``: it maps each merged variable of
-    ``q`` to its representative, so that ``q.rename`` of it is the least
-    contraction of ``q`` that respects those functionality assertions.
-    Each round walks the successor sets in sorted key order and merges
-    each into its least current representative, so the representatives do
-    not depend on the iteration order of sets."""
+    ``q`` to its representative, the least variable of its class, so that
+    ``q.rename`` of it is the least contraction of ``q`` that respects
+    those functionality assertions."""
     funcs = frozenset(funcs)
     if not funcs:
         return {}
-    parent = {v: v for v in q.variables()}
+
+    def successors(find):
+        succ: dict = {}
+        for at in q.atoms:
+            if isinstance(at, RoleFact) and at.name in funcs:
+                succ.setdefault((find(at.a), at.name), set()).add(at.b)
+        return succ.values()
+
+    return {v: r for v, r in merge_to_fixpoint(q.variables(), successors).items()
+            if r != v}
+
+
+def merge_to_fixpoint(variables: Iterable[str], groups) -> dict:
+    """The finest partition of ``variables`` in which every set that
+    ``groups(find)`` lists lies in one class, where ``find`` maps a variable
+    to its current class; ``groups`` is asked again after each round that
+    merged something.  Each variable is mapped to the least variable of its
+    class, so the result does not depend on the order of the sets."""
+    parent = {v: v for v in variables}
 
     def find(v):
         while parent[v] != v:
@@ -211,22 +227,15 @@ def functional_quotient(q: CQ, funcs: Iterable[str]) -> dict:
             v = parent[v]
         return v
 
-    atoms = set(q.atoms)
     changed = True
     while changed:
         changed = False
-        succ: dict = {}
-        for at in atoms:
-            if isinstance(at, RoleFact) and at.name in funcs:
-                succ.setdefault((find(at.a), at.name), set()).add(find(at.b))
-        for key in sorted(succ):
-            roots = sorted({find(b) for b in succ[key]})
+        for group in groups(find):
+            roots = sorted({find(v) for v in group})
             for other in roots[1:]:
                 parent[other] = roots[0]
                 changed = True
-        if changed:
-            atoms = {at.rename({v: find(v) for v in parent}) for at in atoms}
-    return {v: find(v) for v in parent if find(v) != v}
+    return {v: find(v) for v in parent}
 
 
 # ---------------------------------------------------------------------------

@@ -324,16 +324,15 @@ def parse_ontology(text: str) -> Ontology:
         axioms.append(ConceptInclusion(lhs, rhs))
 
     for lineno, line, tokens in ambiguous:
-        a, b = tokens[0], tokens[2]
-        as_role = a.text in role_idents or b.text in role_idents
-        as_concept = a.text in concept_idents or b.text in concept_idents
+        a, b = _name(tokens[0]), _name(tokens[2])
+        as_role = a in role_idents or b in role_idents
+        as_concept = a in concept_idents or b in concept_idents
         if as_role and as_concept:
-            raise ParseError(tokens[1].span,
-                             f"{a.text} <= {b.text} mixes role and concept names")
+            raise ParseError(tokens[1].span, f"{a} <= {b} mixes role and concept names")
         if as_role:
-            axioms.append(RoleInclusion(Role(a.text), Role(b.text)))
+            axioms.append(RoleInclusion(Role(a), Role(b)))
         else:
-            axioms.append(ConceptInclusion(Atomic(a.text), Atomic(b.text)))
+            axioms.append(ConceptInclusion(Atomic(a), Atomic(b)))
 
     dialect = declared if declared is not None else infer_dialect(axioms)
     return Ontology(axioms, dialect)

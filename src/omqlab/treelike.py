@@ -3,9 +3,13 @@ containment and emptiness, maximum contractions, rewritings, the
 tree-likeness decision, and witness-bounded containment for
 the DL-Lite(R,horn) family.
 
-Everything here runs at desk scale: contraction spaces are searched
-exhaustively (Bell numbers of the variable count), in a fixed order, so
-verdicts and witnesses are deterministic.
+Everything here runs at desk scale and in a fixed order, so verdicts and
+witnesses are deterministic.  Contractions are found by walking the
+partition lattice of a query's variables from the identity, one merge of
+two blocks at a time: to the finest ones of width at most k, and to the
+maximum ones that preserve equivalence.  Isomorphic queries and
+databases are recognised by one exact canonical form, built by
+individualization and refinement.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .homtools import (
     contractions,
     find_homomorphism,
     functional_quotient,
-    restricted_growth_strings,
 )
 
 
@@ -77,30 +80,97 @@ class TwEquivVerdict:
 # Canonical forms (isomorphism dedup)
 
 
-def cq_canonical(q: CQ) -> tuple:
-    """Canonical form under renamings of quantified variables."""
-    qs = sorted(q.quantified_vars())
-    best = None
-    for perm in itertools.permutations(range(len(qs))):
-        m = {v: f"_q{perm[i]}" for i, v in enumerate(qs)}
-        atoms = tuple(sorted(str(at.rename(m)) for at in q.atoms))
-        key = (q.answer_vars, atoms)
-        if best is None or key < best:
-            best = key
-    return best
+def canonical_form(atoms: Iterable, pinned: tuple = ()) -> tuple:
+    """The canonical form of a set of atoms (or facts) under renamings of
+    its terms that fix each term of ``pinned``, by individualization and
+    refinement (McKay and Piperno, JSC 2014).  Starting from the stable
+    colouring of ``_refined_colours``: while a colour class holds two or
+    more terms, take the class with the least colour, and for each member
+    in turn give it a colour below the rest of the class and refine again.
+    At a discrete colouring the leaf is the pinned names, their colours
+    and the sorted atoms as ``(name, colour, ...)``; the form is the least
+    leaf.
+
+    Two sets get equal forms exactly when a bijection of their terms that
+    fixes the pinned ones maps one onto the other.  Every step reads only
+    colours, the sorted positions of signatures that name no term but a
+    pinned one, so such an isomorphism maps one search tree onto the
+    other, leaf onto equal leaf.  Conversely, a leaf is its set's image
+    under a bijection of the terms onto integers, the same on the pinned
+    terms in equal leaves, and one bijection followed by the inverse of
+    the other is an isomorphism.  Terms that are not pinned appear only as
+    integers, so no name can collide with them."""
+    atoms = tuple(atoms)
+    _, colour, edges = _refined_colours(atoms, pinned)
+    return _least_leaf(colour, edges, atoms, pinned)
+
+
+def _least_leaf(colour: dict, edges: dict, atoms: tuple, pinned: tuple) -> tuple:
+    """The least leaf below the stable colouring ``colour``."""
+    members: dict[int, list] = {}
+    for x, c in colour.items():
+        members.setdefault(c, []).append(x)
+    cell = min((c for c, xs in members.items() if len(xs) > 1), default=None)
+    if cell is None:
+        return (tuple(pinned), tuple(colour[x] for x in pinned),
+                tuple(sorted((at.name, *(colour[t] for t in at.terms())) for at in atoms)))
+    return min(_least_leaf(_refine({x: (c, x != v) for x, c in colour.items()}, edges)[0],
+                           edges, atoms, pinned)
+               for v in members[cell])
+
+
+def _refined_colours(atoms: Iterable, pinned: tuple) -> tuple[tuple, dict, dict]:
+    """Colour refinement over the terms of ``atoms`` and ``pinned``.  A
+    term starts from its name if pinned, otherwise from ``""``, with its
+    concepts and self-loop roles.  Returns an isomorphism invariant (the
+    pinned terms and the signatures of every round), the stable colouring,
+    and each term's edges as (role, direction, other term)."""
+    terms = {t for at in atoms for t in at.terms()}.union(pinned)
+    labels: dict[str, list] = {x: [] for x in terms}
+    edges: dict[str, list] = {x: [] for x in terms}
+    for at in atoms:
+        ts = at.terms()
+        if len(ts) == 1 or ts[0] == ts[1]:
+            labels[ts[0]].append((len(ts), at.name))
+        else:
+            edges[ts[0]].append((at.name, 0, ts[1]))
+            edges[ts[1]].append((at.name, 1, ts[0]))
+    pins = set(pinned)
+    colour, rounds = _refine(
+        {x: (x if x in pins else "", tuple(sorted(ls))) for x, ls in labels.items()}, edges)
+    return (tuple(pinned), rounds), colour, edges
+
+
+def _refine(sig: dict, edges: dict) -> tuple[dict, tuple]:
+    """Colour refinement (1-WL) from the signatures ``sig`` to the stable
+    colouring, and the sorted signatures of every round.  Each round
+    renumbers the signatures by their sorted position, so colours depend
+    on no renaming, and gives each term its colour with the multiset of
+    (role, direction, colour) over its edges."""
+    rounds = []
+    classes = 0
+    while True:
+        palette = sorted(set(sig.values()))
+        rounds.append(tuple(sorted(sig.values())))
+        colour = {s: c for c, s in enumerate(palette)}
+        now = {x: colour[s] for x, s in sig.items()}
+        if len(palette) == classes:
+            return now, tuple(rounds)
+        classes = len(palette)
+        sig = {x: (now[x], tuple(sorted((r, d, now[y]) for r, d, y in edges[x])))
+               for x in now}
 
 
 def distinct_up_to_isomorphism(cqs: list[CQ]) -> list[CQ]:
     """The first CQ of each isomorphism class of ``cqs`` (renamings of
-    quantified variables, as ``cq_canonical`` sees them), in their order.
-    The candidates are grouped by a colour-refinement invariant first; the
-    exact key, which tries every permutation, is computed only inside a
-    group of two or more."""
+    quantified variables), in their order.  The candidates are grouped by
+    the signatures of colour refinement first; the canonical form is
+    computed only inside a group of two or more."""
     if len(cqs) < 2:
         return list(cqs)
     groups: dict[tuple, list[int]] = {}
     for i, q in enumerate(cqs):
-        groups.setdefault(_refined_colours(q), []).append(i)
+        groups.setdefault(_refined_colours(q.atoms, q.answer_vars)[0], []).append(i)
     keep = []
     for members in groups.values():
         if len(members) == 1:
@@ -108,54 +178,9 @@ def distinct_up_to_isomorphism(cqs: list[CQ]) -> list[CQ]:
             continue
         first: dict = {}
         for i in members:
-            first.setdefault(cq_canonical(cqs[i]), i)
+            first.setdefault(canonical_form(cqs[i].atoms, cqs[i].answer_vars), i)
         keep.extend(first.values())
     return [cqs[i] for i in sorted(keep)]
-
-
-def _refined_colours(q: CQ) -> tuple:
-    """An isomorphism invariant of ``q``: colour refinement (1-WL) over its
-    variables, each answer variable pinned by its name.  A variable starts
-    with its name if it answers, its concepts and its self-loop roles; each
-    round adds the multiset of (role, direction, colour) over its edges.
-    Colours are signatures renumbered by their sorted position, so they
-    depend on no renaming; the invariant is the sorted signatures of every
-    round, up to the round where the colour classes stop splitting."""
-    var = sorted(q.variables())
-    answers = set(q.answer_vars)
-    labels: dict[str, list] = {x: [] for x in var}
-    edges: dict[str, list] = {x: [] for x in var}
-    for at in q.atoms:
-        ts = at.terms()
-        if len(ts) == 1 or ts[0] == ts[1]:
-            labels[ts[0]].append((len(ts), at.name))
-        else:
-            edges[ts[0]].append((at.name, 0, ts[1]))
-            edges[ts[1]].append((at.name, 1, ts[0]))
-    sig = {x: (x if x in answers else "", tuple(sorted(labels[x]))) for x in var}
-    rounds = []
-    classes = 0
-    while True:
-        palette = sorted(set(sig.values()))
-        rounds.append(tuple(sorted(sig.values())))
-        if len(palette) == classes:
-            return q.answer_vars, tuple(rounds)
-        classes = len(palette)
-        colour = {s: c for c, s in enumerate(palette)}
-        now = {x: colour[sig[x]] for x in var}
-        sig = {x: (now[x], tuple(sorted((r, d, now[y]) for r, d, y in edges[x])))
-               for x in var}
-
-
-def db_canonical(d: Database) -> tuple:
-    consts = sorted(d.dom)
-    best = None
-    for perm in itertools.permutations(range(len(consts))):
-        m = {c: f"_c{perm[i]}" for i, c in enumerate(consts)}
-        key = tuple(sorted(str(f.rename(m)) for f in d.facts))
-        if best is None or key < best:
-            best = key
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +279,13 @@ def _merges(rgs: tuple, answer_at: list):
             yield tuple(i if b == j else b - (b > j) for b in rgs)
 
 
+def _coarsens(coarse: tuple, fine: tuple) -> bool:
+    """Every block of the partition that the restricted growth string
+    ``fine`` encodes lies inside one block of ``coarse``'s: the distinct
+    pairs ``(fine[i], coarse[i])`` are as many as ``fine``'s blocks."""
+    return len(set(zip(fine, coarse))) == max(fine, default=-1) + 1
+
+
 def _unsatisfiable_disjunct(Q: OMQ) -> CQ:
     # a fresh concept name never entailed: matches nothing beyond its own
     # occurrences, and the schema keeps it out of databases when non-full
@@ -322,51 +354,44 @@ def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
 # Maximum contractions and rewritings
 
 
-def _equivalent_contractions(Q: OMQ) -> list[tuple[CQ, tuple, tuple]]:
-    """Contractions q_c with (O, full, q_c) equivalent to Q, each with its
-    partition and restricted growth string.  Containment of Q in the
-    contraction is automatic."""
+def maximum_contractions(Q: OMQ) -> list[OMQ]:
+    """All equivalence-preserving contractions admitting no further
+    equivalence-preserving proper contraction, up to isomorphism, ordered
+    by their number of blocks and then their partitions.
+
+    A contraction preserves equivalence when it maps into the canonical
+    model of q with the answer variables fixed.  Such partitions are closed
+    under refinement: if q maps onto q', q' onto q_c, and q_c into the
+    chase of q, then so does q'.  So each of them is reached from the
+    identity by single merges (``_merges``) through preserving partitions,
+    and the walk expands only those, level by level.  A preserving
+    partition with a preserving proper coarsening has a preserving merge
+    (of two blocks the coarsening joins), so it is maximal exactly when
+    none of its merges preserves equivalence."""
+    if not Q.schema.full:
+        raise OmqlabError("maximum contractions require the full schema")
+    if len(Q.query.disjuncts) != 1:
+        raise QueryError("maximum contractions take a single-CQ query")
     q = Q.query.disjuncts[0]
     sat = consistent_saturation(cq_as_database(q), Q.ontology)
     if sat is None:
         raise QueryError("maximum contractions need a non-empty input")
     cm = canonical_model_of(sat, chase_steps(Q.query))
     var = sorted(q.variables())
-    out = []
-    for rgs in restricted_growth_strings(len(var)):
-        c = contraction(q, var, rgs)
-        if c is None:
-            continue
-        qc, part = c
-        if find_homomorphism(qc, cm.database,
-                             {x: x for x in qc.answer_vars}) is not None:
-            out.append((qc, part, rgs))
-    return out
-
-
-def _coarsens(coarse: tuple, fine: tuple) -> bool:
-    """Every block of the partition that the restricted growth string
-    ``fine`` encodes lies inside one block of ``coarse``'s: the distinct
-    pairs ``(fine[i], coarse[i])`` are as many as ``fine``'s blocks."""
-    return len(set(zip(fine, coarse))) == max(fine, default=-1) + 1
-
-
-def maximum_contractions(Q: OMQ) -> list[OMQ]:
-    """All equivalence-preserving contractions admitting no further
-    equivalence-preserving proper contraction."""
-    if not Q.schema.full:
-        raise OmqlabError("maximum contractions require the full schema")
-    if len(Q.query.disjuncts) != 1:
-        raise QueryError("maximum contractions take a single-CQ query")
-    equiv = _equivalent_contractions(Q)
-    out = []
-    for qc, part, rgs in equiv:
-        if any(rgs != r2 and _coarsens(r2, rgs) for _, _, r2 in equiv):
-            continue
-        out.append((part, qc))
-    out.sort(key=lambda pq: (len(pq[0]), pq[0]))
+    answer_at = [x in q.answer_vars for x in var]
+    fixed = {x: x for x in q.answer_vars}
+    maximal = []
+    level = {tuple(range(len(var)))}
+    while level:
+        merges = {m for rgs in level for m in _merges(rgs, answer_at)}
+        above = {m for m in merges if find_homomorphism(
+            contraction(q, var, m)[0], cm.database, fixed) is not None}
+        maximal += [rgs for rgs in level if above.isdisjoint(_merges(rgs, answer_at))]
+        level = above
+    out = sorted((contraction(q, var, rgs) for rgs in maximal),
+                 key=lambda qp: (len(qp[1]), qp[1]))
     return [Q.with_query(UCQ((qc,)))
-            for qc in distinct_up_to_isomorphism([qc for _, qc in out])]
+            for qc in distinct_up_to_isomorphism([qc for qc, _ in out])]
 
 
 def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
@@ -519,7 +544,7 @@ def _candidate_databases(Q: OMQ, budget: int):
                 d = Database(facts)
                 if not d.dom or len(d.dom) > budget:
                     continue
-                key = db_canonical(d)
+                key = canonical_form(d.facts)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -596,7 +621,7 @@ def contains_dllite_horn(Q1: OMQ, Q2: OMQ) -> bool:
             for d, a in _sourcing_variants(Q1.ontology, base, schema, answers):
                 if not d.uses_only(schema):
                     continue
-                key = (db_canonical(d), a)
+                key = canonical_form(d.facts, a)
                 if key in seen:
                     continue
                 seen.add(key)

@@ -2,8 +2,10 @@
 
 These deliberately take the dumb route: fact lookups by scanning every
 fact, bounded oblivious chase plus plain homomorphism search, with a
-depth-stability re-check, an exhaustive subquery search for
-tree-likeness, and the UCQ_k-approximation over every contraction.  The
+depth-stability re-check, isomorphism keys that try every permutation,
+maximum contractions by a scan of every partition, an exhaustive
+subquery search for tree-likeness, and the UCQ_k-approximation over
+every contraction.  The
 paper's constructions that the program itself does not run
 (injective-only satisfaction, dangling-tree removal, implied types, the
 per-disjunct width-1 route for unions) live here too, as references the
@@ -20,9 +22,11 @@ from omqlab.evaluation import chase_steps, evaluate_naive
 from omqlab.graphalg import _ditree_root, cq_treewidth, treewidth
 from omqlab.homtools import (
     HomError,
+    contraction,
     contractions,
     find_homomorphism,
     iter_homomorphisms,
+    restricted_growth_strings,
 )
 from omqlab.model import (
     BOT,
@@ -57,10 +61,10 @@ from omqlab.treelike import (
     TwEquivVerdict,
     _attach_trees,
     _candidate_databases,
+    _coarsens,
     _uncontained_disjunct,
     _unsatisfiable_disjunct,
     contains_full_schema,
-    cq_canonical,
     entailed_concept_trees,
     ucq_k_approximation,
 )
@@ -182,6 +186,57 @@ def oracle_answers(Q, d: Database, depth: int = 6) -> frozenset:
                                restrict_to=d.dom))
     assert a1 == a2, "chase depth instability"
     return a1
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism keys and maximum contractions by brute force
+
+
+def cq_canonical(q: CQ) -> tuple:
+    """The least sorted atom strings over every renaming of ``q``'s
+    quantified variables to ``_q0``, ``_q1``, ...  Exact only on queries
+    with no variable of their own named like that."""
+    qs = sorted(q.quantified_vars())
+    best = None
+    for perm in itertools.permutations(range(len(qs))):
+        m = {v: f"_q{perm[i]}" for i, v in enumerate(qs)}
+        key = (q.answer_vars, tuple(sorted(str(at.rename(m)) for at in q.atoms)))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def db_canonical(d: Database) -> tuple:
+    """The least sorted fact strings over every renaming of ``d``'s
+    constants to ``_c0``, ``_c1``, ..."""
+    consts = sorted(d.dom)
+    best = None
+    for perm in itertools.permutations(range(len(consts))):
+        m = {c: f"_c{perm[i]}" for i, c in enumerate(consts)}
+        key = tuple(sorted(str(f.rename(m)) for f in d.facts))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def maximum_contractions_by_scan(Q: OMQ) -> list[OMQ]:
+    """``maximum_contractions`` by testing every partition of the
+    variables (a Bell number of them) and keeping those that no other
+    equivalence-preserving partition coarsens."""
+    q = Q.query.disjuncts[0]
+    cm = canonical_model(cq_as_database(q), Q.ontology, chase_steps(Q.query))
+    var = sorted(q.variables())
+    equiv = []
+    for rgs in restricted_growth_strings(len(var)):
+        c = contraction(q, var, rgs)
+        if c is not None and find_homomorphism(
+                c[0], cm.database, {x: x for x in q.answer_vars}) is not None:
+            equiv.append((rgs, c))
+    out = sorted((c for rgs, c in equiv
+                  if not any(r2 != rgs and _coarsens(r2, rgs) for r2, _ in equiv)),
+                 key=lambda qp: (len(qp[1]), qp[1]))
+    return [Q.with_query(UCQ((qc,)))
+            for qc in distinct_by_canonical_key([qc for qc, _ in out])]
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,11 @@ def test_query_roundtrip_random():
     # bad identifier
     ("A <= B & bad-name", "line 1, column 10: bad identifier 'bad-name'"),
     ("A <= exists bad-r . B", "line 1, column 13: bad identifier 'bad-r'"),
+    # ... also on a bare inclusion between two names, read as concepts or,
+    # with a name used as a role elsewhere, as roles
+    ("A <= bad-name", "line 1, column 6: bad identifier 'bad-name'"),
+    ("A <= exists r . top\nr <= bad-name",
+     "line 2, column 6: bad identifier 'bad-name'"),
     # a bare inclusion between a role and a concept name
     ("exists r . top <= A\n  r <= A",
      "line 2, column 5: r <= A mixes role and concept names"),

@@ -7,9 +7,11 @@ from omqlab.entailment import _elhi_view
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import contraction, contractions, core, restricted_growth_strings
+from omqlab.entailment import is_consistent
 from omqlab.model import (
     CQ,
     ConceptFact,
+    Database,
     EMPTY_ONTOLOGY,
     FULL_SCHEMA,
     FreshVars,
@@ -35,6 +37,7 @@ from omqlab.treelike import (
     _finest_contractions,
     _quotient_width,
     _refined_colours,
+    canonical_form,
     contains_dllite_horn,
     contains_full_schema,
     decide_tw_equiv_general,
@@ -65,6 +68,8 @@ from gen import (
     rand_ucq,
 )
 from oracles import (
+    cq_canonical,
+    db_canonical,
     decide_tw_equiv_all_disjuncts,
     decide_tw_equiv_full,
     distinct_by_canonical_key,
@@ -72,6 +77,7 @@ from oracles import (
     equivalent_full_schema,
     full_ucq_k_approximation,
     is_empty_full_schema,
+    maximum_contractions_by_scan,
 )
 
 
@@ -173,11 +179,100 @@ def test_colour_refinement_dedup_falls_back_to_the_exact_key():
         return CQ((), atoms)
 
     hexagon, triangles = cycles(6), cycles(3, 3)
-    assert _refined_colours(hexagon) == _refined_colours(triangles)
+    assert _refined_colours(hexagon.atoms, ())[0] == _refined_colours(triangles.atoms, ())[0]
     assert distinct_up_to_isomorphism([hexagon, triangles]) == [hexagon, triangles]
     renamed = [cycles(6, prefix="y"), cycles(3, 3, prefix="z")]
     assert distinct_up_to_isomorphism([hexagon, triangles, *renamed]) == [hexagon, triangles]
     assert distinct_up_to_isomorphism(renamed[::-1] + [hexagon]) == renamed[::-1]
+
+
+_VARS5 = [f"x{i}" for i in range(5)]
+_ATOMS5 = st.lists(st.tuples(st.sampled_from(["A", "B", "r", "s"]),
+                             st.sampled_from(_VARS5), st.sampled_from(_VARS5)),
+                   min_size=1, max_size=8)
+_NAMES = st.permutations(_VARS5 + ["y0", "y1", "y2"])
+
+
+def _atoms(drawn):
+    return [ConceptFact(n, a) if n in ("A", "B") else RoleFact(n, a, b)
+            for n, a, b in drawn]
+
+
+def _cq(drawn, arity):
+    atoms = _atoms(drawn)
+    return CQ(sorted({t for at in atoms for t in at.terms()})[:arity], atoms)
+
+
+def _cq_form(q):
+    return canonical_form(q.atoms, q.answer_vars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_ATOMS5, other=_ATOMS5, arity=st.sampled_from([0, 1, 2]), names=_NAMES)
+def test_canonical_form_of_cqs_matches_the_permutation_key(drawn, other, arity, names):
+    # a CQ against an independent one, a renamed copy, and a renamed copy
+    # with one more atom; no variable is named like the key's placeholders
+    q = _cq(drawn, arity)
+    targets = [n for n in names if n not in q.answer_vars]
+    renamed = q.rename(dict(zip(sorted(q.quantified_vars()), targets)))
+    grown = CQ(renamed.answer_vars, renamed.atoms | {_atoms(other)[0]})
+    assert _cq_form(renamed) == _cq_form(q)
+    for q2 in (_cq(other, arity), renamed, grown):
+        assert (_cq_form(q) == _cq_form(q2)) == (cq_canonical(q) == cq_canonical(q2)), \
+            (q, q2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_ATOMS5, other=_ATOMS5, names=_NAMES)
+def test_canonical_form_of_databases_matches_the_permutation_key(drawn, other, names):
+    d = Database(_atoms(drawn))
+    m = dict(zip(sorted(d.dom), names))
+    renamed = Database(f.rename(m) for f in d.facts)
+    grown = Database(renamed.facts | {_atoms(other)[0]})
+    assert canonical_form(renamed.facts) == canonical_form(d.facts)
+    for d2 in (Database(_atoms(other)), renamed, grown):
+        assert ((canonical_form(d.facts) == canonical_form(d2.facts))
+                == (db_canonical(d) == db_canonical(d2))), (d, d2)
+
+
+def test_canonical_form_individualizes_every_member_of_a_cell():
+    # unions of directed r-cycles: every term has one r-successor and one
+    # r-predecessor, so refinement leaves a single class that mixes terms of
+    # different cycles, and the form must not depend on which comes first
+    rng = random.Random(1414)
+    pool = [f"v{i}" for i in range(12)]
+
+    def cycles(lengths):
+        names, n, facts = rng.sample(pool, sum(lengths)), 0, []
+        for m in lengths:
+            facts += [RoleFact("r", names[n + i], names[n + (i + 1) % m]) for i in range(m)]
+            n += m
+        rng.shuffle(facts)
+        return facts
+
+    forms = {}
+    for lengths in [(5,), (2, 3), (2, 2, 2), (3, 3), (6,), (2, 2, 3), (3, 3, 6)]:
+        drawn = {canonical_form(cycles(lengths)) for _ in range(30)}
+        assert len(drawn) == 1, lengths
+        forms[lengths] = drawn.pop()
+    assert len(set(forms.values())) == len(forms)
+
+
+def test_canonical_form_keeps_apart_names_like_the_old_placeholders():
+    # the permutation key renames y to _q0 in both and cannot tell them apart
+    a, b = (parse_query(t).disjuncts[0]
+            for t in ("q(_q0) :- r(_q0,y)", "q(_q0) :- r(y,_q0)"))
+    assert cq_canonical(a) == cq_canonical(b)
+    assert _cq_form(a) != _cq_form(b)
+
+
+def test_witness_keys_fix_the_answer_tuple():
+    # isomorphic only by swapping x0 and x1, which moves the answer x0, so
+    # contains_dllite_horn must test both candidate witnesses
+    d1 = parse_database("s(x0,x1)\ns(x1,x0)\ns(x1,x1)")
+    d2 = parse_database("s(x0,x0)\ns(x0,x1)\ns(x1,x0)")
+    assert canonical_form(d1.facts) == canonical_form(d2.facts)
+    assert canonical_form(d1.facts, ("x0",)) != canonical_form(d2.facts, ("x0",))
 
 
 def _quotient_inputs(q):
@@ -386,6 +481,53 @@ def test_maximum_contractions_inverse_ontology():
     assert equivalent_full_schema(q24, Q_mc)
     assert equivalent_full_schema(q13, Q_mc)
     assert equivalent_full_schema(m, Q_mc)
+
+
+def test_maximum_contractions_walk_matches_the_scan():
+    # the fixtures, and random ELHdr and ELI OMQs of arity 0 and 1
+    cases = [Q1, Q2, Q_mc, OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, fig2)]
+    rng = random.Random(1313)
+    for draw in (rand_elhdr_ontology, rand_eli_ontology):
+        for _ in range(60):
+            o = draw(rng, rng.randint(1, 4), names=["A", "B"], roles=["r", "s"], depth=1)
+            arity = rng.choice([0, 1])
+            q = rand_cq(rng, rng.randint(max(arity, 1), 5), arity,
+                        names=["A", "B"], roles=["r", "s"])
+            cases.append(OMQ(o, FULL_SCHEMA, UCQ((q,))))
+    shapes = set()
+    for Q in cases:
+        q = Q.query.disjuncts[0]
+        if not is_consistent(cq_as_database(q), Q.ontology):
+            with pytest.raises(QueryError):
+                maximum_contractions(Q)
+            continue
+        got = maximum_contractions(Q)
+        assert ([serialize_query(m.query) for m in got]
+                == [serialize_query(m.query) for m in maximum_contractions_by_scan(Q)]), Q
+        merged = any(len(m.query.disjuncts[0].variables()) < len(q.variables()) for m in got)
+        shapes.add((Q.arity, merged, len(got) > 1))
+    assert {(0, False, False), (0, True, False), (1, False, False), (1, True, False),
+            (0, True, True)} <= shapes
+
+
+def test_maximum_contractions_test_only_the_merges_they_reach(monkeypatch):
+    # a directed 9-cycle under A <= exists r . A: no merge preserves
+    # equivalence, so the walk tests the 36 merges of the identity and
+    # stops, where a scan tests every one of the 21,147 partitions
+    import omqlab.treelike as treelike
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return find_homomorphism(*args)
+
+    find_homomorphism = treelike.find_homomorphism
+    monkeypatch.setattr(treelike, "find_homomorphism", counted)
+    ring = ", ".join(f"r(x{i},x{(i + 1) % 9})" for i in range(9))
+    Q = OMQ(parse_ontology("A <= exists r . A"), FULL_SCHEMA,
+            parse_query(f"q() :- A(x0), {ring}"))
+    (m,) = maximum_contractions(Q)
+    assert m.query == Q.query and len(calls) == 36
 
 
 def test_rewriting_empty_ontology_is_core_like():

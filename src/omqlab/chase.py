@@ -212,9 +212,13 @@ def canonical_model_of(sat: Saturation, steps: int,
         if isinstance(f, RoleFact):
             index_fact(f)
 
+    # each round visits the elements the previous one added: an element
+    # visited once has every demanded successor witnessed after its round,
+    # and stays so, since its type is fixed and its successors only grow
+    frontier = sorted(types)
     for round_no in range(steps):
         additions: list[tuple[str, Role, frozenset]] = []
-        for a in sorted(types):
+        for a in frontier:
             by_role: dict[Role, list] = {}
             for role, child in onorm.children(types[a]):
                 by_role.setdefault(role, []).append(child)
@@ -231,11 +235,13 @@ def canonical_model_of(sat: Saturation, steps: int,
                         additions.append((a, role, child))
         if not additions:
             break
+        frontier = []
         for a, role, child in additions:
             # re-check: an earlier addition this round may witness it now
             if any(child <= types.get(b, frozenset()) for b in successors(a, role)):
                 continue
             b = f"_n{next(ncount)}"
+            frontier.append(b)
             types[b] = child
             prov[b] = Provenance("anonymous", parent=a, depth=prov[a].depth + 1)
             for sup in sorted(onorm.super_roles.get(role, frozenset({role})), key=str):
@@ -250,5 +256,6 @@ def canonical_model_of(sat: Saturation, steps: int,
                         facts.add(ConceptFact(n, b))
             if len(types) > CHASE_NODE_CAP:
                 raise CapExceeded("canonical model grew past the node cap")
+        frontier.sort()
 
     return CanonicalModel(Database(facts), prov)

@@ -360,92 +360,91 @@ def _el_concept_ok(c: Concept, allow_bot: bool, allow_inverse: bool) -> bool:
 def _check_inclusion_shape(ax: ConceptInclusion, allow_bot, allow_inverse) -> Optional[str]:
     # bot may appear only as the full right-hand side
     if ax.lhs.contains_bot():
-        return f"bot on the left-hand side of {ax}"
+        return "bot on the left-hand side of"
     if ax.rhs.contains_bot() and not isinstance(ax.rhs, Bot):
-        return f"bot nested inside the right-hand side of {ax}"
+        return "bot nested inside the right-hand side of"
     if not allow_bot and isinstance(ax.rhs, Bot):
-        return f"bot not admitted: {ax}"
+        return "bot not admitted:"
     if not allow_inverse and (not ax.lhs.is_el() or not ax.rhs.is_el()):
-        return f"inverse role not admitted: {ax}"
+        return "inverse role not admitted:"
     return None
 
 
 def _check_dllite_inclusion(ax: ConceptInclusion, horn: bool) -> Optional[str]:
     lhs_parts = ax.lhs.parts if isinstance(ax.lhs, Conj) else (ax.lhs,)
     if not all(is_basic_concept(b) for b in lhs_parts):
-        return f"non-basic concept on the left of {ax}"
+        return "non-basic concept on the left of"
     if not is_basic_concept(ax.rhs):
-        return f"non-basic concept on the right of {ax}"
+        return "non-basic concept on the right of"
     if not horn and len(lhs_parts) > 1 and not isinstance(ax.rhs, Bot):
-        return f"conjunctive left-hand side needs bot right-hand side: {ax}"
+        return "conjunctive left-hand side needs bot right-hand side:"
     return None
 
 
 def check_dialect_axioms(axioms: Iterable[Axiom], dialect: Dialect) -> list[str]:
-    """Return the list of violations (empty when every axiom is admitted)."""
-    out: list[str] = []
-    for ax in sorted(axioms, key=axiom_key):
-        v = _check_one_axiom(ax, dialect)
-        if v:
-            out.append(v)
-    return out
-
-
-def _check_one_axiom(ax: Axiom, dialect: Dialect) -> Optional[str]:
+    """Return the violations, in ``axiom_key`` order of their axioms (empty
+    when every axiom is admitted)."""
     d = Dialect(dialect)
+    bad = [(axiom_key(ax), f"{v} {ax}") for ax in axioms if (v := _check_one_axiom(ax, d))]
+    return [v for _, v in sorted(bad)]
+
+
+def _check_one_axiom(ax: Axiom, d: Dialect) -> Optional[str]:
+    """Why ``d`` does not admit ``ax``, as the violation's text before the
+    axiom, or None when it does."""
     if d in ELHI_FAMILY:
-        allow_bot = d in (Dialect.EL_BOT, Dialect.ELH_BOT, Dialect.ELHDR_BOT,
-                          Dialect.ELI_BOT, Dialect.ELHI_BOT)
+        allow_bot = d not in (Dialect.EL, Dialect.ELI)
         allow_inverse = d in (Dialect.ELI, Dialect.ELI_BOT, Dialect.ELHI_BOT)
         allow_role_inc = d in (Dialect.ELH_BOT, Dialect.ELHDR_BOT, Dialect.ELHI_BOT)
         if isinstance(ax, ConceptInclusion):
             return _check_inclusion_shape(ax, allow_bot, allow_inverse)
         if isinstance(ax, RoleInclusion):
             if not allow_role_inc:
-                return f"role inclusion not admitted: {ax}"
+                return "role inclusion not admitted:"
             if not allow_inverse and (ax.lhs.inverted or ax.rhs.inverted):
-                return f"inverse role not admitted: {ax}"
+                return "inverse role not admitted:"
             return None
         if isinstance(ax, RangeRestriction):
             # expressible directly with an inverse role in ELHI_bot
             if d in (Dialect.ELHDR_BOT, Dialect.ELHI_BOT):
                 if d is Dialect.ELHDR_BOT and not _el_concept_ok(ax.filler, True, False):
-                    return f"range filler must be an EL_bot concept: {ax}"
+                    return "range filler must be an EL_bot concept:"
                 return None
-            return f"range restriction not admitted: {ax}"
-        return f"axiom form not admitted: {ax}"
+            return "range restriction not admitted:"
+        return "axiom form not admitted:"
 
     if d is Dialect.DLLITE_F_EQ:
         if isinstance(ax, Functionality):
             return None
-        return f"only functionality assertions admitted: {ax}"
+        return "only functionality assertions admitted:"
 
     if d in (Dialect.DLLITE_R, Dialect.DLLITE_R_HORN):
         if isinstance(ax, ConceptInclusion):
             return _check_dllite_inclusion(ax, horn=d is Dialect.DLLITE_R_HORN)
         if isinstance(ax, RoleInclusion):
             if ax.lhs.inverted:
-                return f"inverse role on the left of a role inclusion: {ax}"
+                return "inverse role on the left of a role inclusion:"
             return None
         if isinstance(ax, RoleDisjointness):
             return None
-        return f"axiom form not admitted: {ax}"
+        return "axiom form not admitted:"
 
     if d is Dialect.DLLITE_F:
         if isinstance(ax, ConceptInclusion):
             return _check_dllite_inclusion(ax, horn=False)
         if isinstance(ax, (RoleDisjointness, Functionality)):
             return None
-        return f"axiom form not admitted: {ax}"
+        return "axiom form not admitted:"
 
-    raise ValueError(f"unknown dialect {dialect!r}")
+    raise ValueError(f"unknown dialect {d!r}")
 
 
 def infer_dialect(axioms: Iterable[Axiom]) -> Dialect:
-    """Least dialect (along the fixed inference order) admitting all axioms."""
+    """Least dialect (along the fixed inference order) admitting all axioms;
+    each dialect is left at its first violation."""
     axioms = list(axioms)
     for d in DIALECT_INFERENCE_ORDER:
-        if not check_dialect_axioms(axioms, d):
+        if not any(_check_one_axiom(ax, d) for ax in axioms):
             return d
     raise DialectError(Dialect.ELHI_BOT, check_dialect_axioms(axioms, Dialect.ELHI_BOT))
 

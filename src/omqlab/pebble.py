@@ -89,20 +89,27 @@ def is_const(l) -> bool:
 # Reach systems
 
 
-def reach(q: CQ, pair: tuple) -> dict:
-    """Leveled reach sets of a guarded pair (x, y) with y quantified:
-    variable -> set of levels.  Level 0 sits at the anchor constant,
-    level i >= 1 at depth i of the anonymous tree below it."""
-    x, y = pair
-    if y in q.answer_vars:
-        raise QueryError("the second pair component must be quantified")
-    cap = len(q.variables()) + 1  # deeper levels are unrealizable in a ditree
+def role_links(q: CQ) -> tuple[dict, dict]:
+    """Each variable's successors and predecessors along the role atoms."""
     succ: dict[str, list] = {}
     pred: dict[str, list] = {}
     for at in q.atoms:
         if isinstance(at, RoleFact):
             succ.setdefault(at.a, []).append(at.b)
             pred.setdefault(at.b, []).append(at.a)
+    return succ, pred
+
+
+def reach(q: CQ, pair: tuple, links: Optional[tuple] = None) -> dict:
+    """Leveled reach sets of a guarded pair (x, y) with y quantified:
+    variable -> set of levels.  Level 0 sits at the anchor constant,
+    level i >= 1 at depth i of the anonymous tree below it.  ``links`` is
+    ``role_links(q)``, computed here when not given."""
+    x, y = pair
+    if y in q.answer_vars:
+        raise QueryError("the second pair component must be quantified")
+    cap = len(q.variables()) + 1  # deeper levels are unrealizable in a ditree
+    succ, pred = links or role_links(q)
     levels: dict[str, set] = {x: {0}, y: {1}}
     work = [(x, 0), (y, 1)]
     while work:
@@ -179,7 +186,8 @@ class LabelContext:
         self._levels: dict = {}
         self._member_dtrees: dict = {}
         self._dtree_answers: dict = {}
-        self._restrict_cache: dict = {}
+        self._windows: dict = {}
+        self._links = role_links(q)
         # variables allowed to carry the anonymous marker: members of
         # full-query components whose tree witness the database satisfies
         self.exist_ok: frozenset = self._exist_ok()
@@ -194,18 +202,22 @@ class LabelContext:
                 ok.update(t for at in atoms for t in at.terms())
         return frozenset(ok)
 
-    def restricted(self, on_vars: frozenset) -> CQ:
-        hit = self._restrict_cache.get(on_vars)
+    def window(self, on_vars: frozenset) -> tuple:
+        """The restriction of the query to ``on_vars`` and the answer
+        variables, as its answer variables, variables, atoms and role atoms."""
+        hit = self._windows.get(on_vars)
         if hit is None:
-            hit = self.q.restrict(set(on_vars) | set(self.q.answer_vars))
-            self._restrict_cache[on_vars] = hit
+            sub = self.q.restrict(set(on_vars) | set(self.q.answer_vars))
+            hit = (sub.answer_vars, sub.variables(), tuple(sub.atoms),
+                   tuple(at for at in sub.atoms if isinstance(at, RoleFact)))
+            self._windows[on_vars] = hit
         return hit
 
     def levels(self, pair: tuple) -> dict:
         """``reach`` of a guarded pair over the full query."""
         hit = self._levels.get(pair)
         if hit is None:
-            hit = reach(self.q, pair)
+            hit = reach(self.q, pair, self._links)
             self._levels[pair] = hit
         return hit
 
@@ -250,22 +262,22 @@ class LabelContext:
         """Do the labeling conditions hold on the restriction of the query
         to ``on_vars`` (plus the answer variables)?  Label values:
         constants, ``EXIST``, or ``Anchored(pair, constant)``."""
-        sub = self.restricted(on_vars)
-        for x in sub.answer_vars:
+        answer_vars, variables, atoms, role_atoms = self.window(on_vars)
+        for x in answer_vars:
             if not is_const(labels.get(x)):
                 return False
-        const_vars = {v for v in sub.variables() if is_const(labels.get(v))}
+        const_vars = {v for v in variables if is_const(labels.get(v))}
         for v in const_vars:
             for tree_q in self.const_requirements.get(v, ()):
                 if not self.dtree_holds_at(tree_q, labels[v].value):
                     return False
-        for at in sub.atoms:
+        for at in atoms:
             terms = at.terms()
             if all(t in const_vars for t in terms):
                 fact = at.rename({t: labels[t].value for t in terms})
                 if fact not in self.chminus.facts:
                     return False
-        for v in sub.variables():
+        for v in variables:
             lv = labels.get(v)
             if lv == EXIST and v not in self.exist_ok:
                 return False
@@ -280,12 +292,7 @@ class LabelContext:
                 ly = labels.get(lv.pair[1])
                 if ly is not None and ly != lv:
                     return False
-        for at in sub.atoms:
-            if not isinstance(at, RoleFact):
-                continue
-            if not self._role_atom_ok(at, labels):
-                return False
-        return True
+        return all(self._role_atom_ok(at, labels) for at in role_atoms)
 
     def _role_atom_ok(self, at: RoleFact, labels: dict) -> bool:
         lx, ly = labels.get(at.a), labels.get(at.b)
@@ -378,27 +385,22 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     # are restrictions of surviving maximal ones
     vsets = [frozenset(c) for c in itertools.combinations(quantified, size)]
 
-    dom = sorted(d.dom)
     anchor_labels: dict[str, list] = {v: [] for v in quantified}
-    seen_anchor: dict[str, set] = {v: set() for v in quantified}
+    reps = set()
     for pair in guarded_pairs(q):
         sysm = ctx.system(pair)
-        if sysm.dtree is None:
+        if sysm.dtree is None or sysm.rep in reps:
             continue
+        # a pair and its representative have equal levels, hence equal
+        # members and one dtree: the labels are the representative's.
+        # Anchors whose tree witness fails at c can never occur in a valid
+        # full labeling.
+        reps.add(sysm.rep)
+        labels = [Anchored(sysm.rep, c) for c in sorted(d.dom)
+                  if ctx.dtree_holds_at(sysm.dtree, c)]
         for v in sysm.members():
-            if v not in anchor_labels:
-                continue
-            for c in dom:
-                lab = Anchored(sysm.rep, c)
-                if lab in seen_anchor[v]:
-                    continue
-                seen_anchor[v].add(lab)
-                # anchors whose tree witness fails at c can never occur in
-                # a valid full labeling
-                rep_sys = ctx.system(sysm.rep)
-                dt = rep_sys.dtree if rep_sys.dtree is not None else sysm.dtree
-                if ctx.dtree_holds_at(dt, c):
-                    anchor_labels[v].append(lab)
+            if v in anchor_labels:
+                anchor_labels[v].extend(labels)
     return functools.partial(_play, ctx, quantified, vsets, anchor_labels)
 
 

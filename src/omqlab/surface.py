@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NoReturn
 
 from .model import (
     sorted_facts,
@@ -53,18 +53,12 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
-
-
 class ParseError(OmqlabError):
     exit_code = 2
     prefix = "parse error"
 
-    def __init__(self, span: SourceSpan, message: str, expected: tuple = ()):
-        loc = f"line {span.line}, column {span.column}"
+    def __init__(self, span: tuple[int, int], message: str, expected: tuple = ()):
+        loc = "line {}, column {}".format(*span)
         hint = f" (expected {', '.join(expected)})" if expected else ""
         super().__init__(f"{loc}: {message}{hint}")
 
@@ -90,20 +84,14 @@ _TOKEN_RE = re.compile(
 
 
 class Token:
-    """A token of one line; its 1-based position becomes a ``SourceSpan``
-    only when an error reports it."""
+    """A token of one line and its 1-based (line, column) position."""
 
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "span")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
+    def __init__(self, kind: str, text: str, span: tuple[int, int]):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col)
+        self.span = span
 
 
 def _tokenize_line(line: str, lineno: int) -> list[Token]:
@@ -113,9 +101,9 @@ def _tokenize_line(line: str, lineno: int) -> list[Token]:
         if kind == "comment":
             break
         if kind == "bad":
-            raise ParseError(SourceSpan(lineno, m.start(kind) + 1),
+            raise ParseError((lineno, m.start(kind) + 1),
                              f"unexpected character {m.group(kind)!r}")
-        out.append(Token(kind, m.group(kind), lineno, m.start(kind) + 1))
+        out.append(Token(kind, m.group(kind), (lineno, m.start(kind) + 1)))
     return out
 
 
@@ -132,7 +120,7 @@ class _Cursor:
     def next(self, *expected: str) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError(SourceSpan(self.lineno, self.line_len + 1),
+            raise ParseError((self.lineno, self.line_len + 1),
                              "unexpected end of line", expected)
         if expected and tok.text not in expected and tok.kind not in expected:
             raise ParseError(tok.span, f"unexpected {tok.text!r}", expected)
@@ -146,14 +134,6 @@ class _Cursor:
         tok = self.peek()
         if tok is not None:
             raise ParseError(tok.span, f"trailing input {tok.text!r}")
-
-
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        tokens = _tokenize_line(line, lineno)
-        if tokens:
-            yield lineno, line, tokens
 
 
 _KEYWORDS = {"top", "bot", "exists", "inv", "range", "func", "disjoint-roles", "dialect"}
@@ -195,7 +175,7 @@ def _parse_concept(cur: _Cursor, role_idents: set[str], concept_idents: set[str]
 def _parse_unary(cur: _Cursor, role_idents: set[str], concept_idents: set[str]) -> Concept:
     tok = cur.peek()
     if tok is None:
-        raise ParseError(SourceSpan(cur.lineno, cur.line_len + 1), "expected a concept",
+        raise ParseError((cur.lineno, cur.line_len + 1), "expected a concept",
                          ("top", "bot", "IDENT", "exists", "("))
     if tok.text == "(":
         cur.next("(")
@@ -228,43 +208,21 @@ def _parse_unary(cur: _Cursor, role_idents: set[str], concept_idents: set[str]) 
 
 def parse_ontology(text: str) -> Ontology:
     """Parse a ``.dl`` ontology.  Raises :class:`ParseError` on bad input."""
-    lines = list(_logical_lines(text))
     declared: Dialect | None = None
-
-    # classification pass: which identifiers occur in unambiguous role
-    # positions, and which in concept positions
+    # the identifiers the other lines use as roles and as concepts decide
+    # the bare ``X <= Y`` lines, which are read last
     role_idents: set[str] = set()
     concept_idents: set[str] = set()
     ambiguous: list[tuple[int, str, list[Token]]] = []
     plain: list[tuple[int, str, list[Token]]] = []
-
-    for lineno, line, tokens in lines:
-        texts = [t.text for t in tokens]
-        if texts[0] == "dialect":
-            plain.append((lineno, line, tokens))
-            continue
-        if texts[0] in ("func", "range"):
-            idents = [t.text for t in tokens[1:] if t.kind == "ident"]
-            if idents:
-                role_idents.add(idents[0])
-        elif texts[0] == "disjoint-roles":
-            role_idents.update(t.text for t in tokens[1:] if t.kind == "ident")
-        # role names always follow 'exists' or sit inside 'inv(...)'
-        for i, t in enumerate(tokens):
-            if t.text == "exists" and i + 1 < len(tokens):
-                nxt = tokens[i + 1]
-                if nxt.text == "inv":
-                    if i + 3 < len(tokens) and tokens[i + 2].text == "(":
-                        role_idents.add(tokens[i + 3].text)
-                elif nxt.kind == "ident":
-                    role_idents.add(nxt.text)
-            elif t.text == "inv" and i + 2 < len(tokens) and tokens[i + 1].text == "(":
-                role_idents.add(tokens[i + 2].text)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        tokens = _tokenize_line(line, lineno)
         if (len(tokens) == 3 and tokens[0].kind == "ident" and tokens[1].text == "<="
                 and tokens[2].kind == "ident"
                 and tokens[0].text not in _KEYWORDS and tokens[2].text not in _KEYWORDS):
             ambiguous.append((lineno, line, tokens))
-        else:
+        elif tokens:
             plain.append((lineno, line, tokens))
 
     axioms: list[Axiom] = []
@@ -288,7 +246,8 @@ def parse_ontology(text: str) -> Ontology:
             cur.next("func")
             role = cur.next("ident")
             cur.expect_end()
-            axioms.append(Functionality(_name(role)))
+            role_idents.add(_name(role))
+            axioms.append(Functionality(role.text))
             continue
         if head.text == "range":
             cur.next("range")
@@ -307,10 +266,12 @@ def parse_ontology(text: str) -> Ontology:
                 roles.append(_name(cur.next("ident")))
             if len(roles) < 2:
                 raise ParseError(head.span, "disjoint-roles needs at least two roles")
+            role_idents.update(roles)
             axioms.append(RoleDisjointness(tuple(roles)))
             continue
+        texts = {t.text for t in tokens}
         # role inclusion with an explicit inv(...) on either side
-        if _looks_like_role_inclusion(tokens):
+        if {"<=", "inv"} <= texts and "exists" not in texts:
             lhs = _parse_role(cur, role_idents)
             cur.next("<=")
             rhs = _parse_role(cur, role_idents)
@@ -338,13 +299,6 @@ def parse_ontology(text: str) -> Ontology:
     return Ontology(axioms, dialect)
 
 
-def _looks_like_role_inclusion(tokens: list[Token]) -> bool:
-    texts = [t.text for t in tokens]
-    if "<=" not in texts:
-        return False
-    return "inv" in texts and "exists" not in texts
-
-
 def serialize_ontology(o: Ontology) -> str:
     lines = [f"dialect: {o.dialect.value}"]
     lines += [str(a) for a in o.sorted_axioms()]
@@ -368,12 +322,12 @@ def parse_database(text: str) -> Database:
             continue
         m = _FACT_RE.match(line)
         if not m:
-            raise ParseError(SourceSpan(lineno, 1),
+            raise ParseError((lineno, 1),
                              f"malformed fact {line!r}", ("Name(c)", "Name(c,d)"))
         name, a, b = m.group(1), m.group(2), m.group(3)
         n = 1 if b is None else 2
         if arity.setdefault(name, n) != n:
-            raise ParseError(SourceSpan(lineno, 1),
+            raise ParseError((lineno, 1),
                              f"{name} used with both arity 1 and 2")
         facts.append(ConceptFact(name, a) if b is None else RoleFact(name, a, b))
     return Database(facts)
@@ -387,59 +341,101 @@ def serialize_database(d: Database) -> str:
 # Queries
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# a rule line without its comment: the head, then one atom at a time, each
+# followed by a comma or by the end of the line
+_HEAD_RE = re.compile(rf"\s*({_IDENT})\s*\(\s*((?:{_IDENT}\s*(?:,\s*{_IDENT}\s*)*)?)\)\s*:-")
+_ATOM_RE = re.compile(rf"\s*({_IDENT})\s*\(\s*({_IDENT})\s*(?:,\s*({_IDENT})\s*)?\)\s*(,?)")
+
+
 def parse_query(text: str) -> UCQ:
+    """Parse a ``.cq`` query.  A rule line that the patterns reject, or
+    that fails a check, goes to ``_rule_error``, which raises its error."""
     heads: list[tuple] = []
     disjuncts: list[CQ] = []
     arity: dict[str, int] = {}
-    for lineno, line, tokens in _logical_lines(text):
-        cur = _Cursor(tokens, lineno, len(line))
-        head_tok = cur.next("ident")
-        _name(head_tok)
-        cur.next("(")
-        avs: list[str] = []
-        tok = cur.peek()
-        if tok is not None and tok.text != ")":
-            avs.append(_name(cur.next("ident")))
-            while (tok := cur.peek()) is not None and tok.text == ",":
-                cur.next(",")
-                avs.append(_name(cur.next("ident")))
-        cur.next(")")
-        cur.next(":-")
-        if len(set(avs)) != len(avs):
-            raise ParseError(head_tok.span, f"repeated answer variable in {tuple(avs)}")
-        atoms: list[Fact] = []
-        while True:
-            name = cur.next("ident")
-            _name(name)
-            cur.next("(")
-            t1 = _name(cur.next("ident"))
-            t2 = None
-            if (tok := cur.peek()) is not None and tok.text == ",":
-                cur.next(",")
-                t2 = _name(cur.next("ident"))
-            cur.next(")")
-            n = 1 if t2 is None else 2
-            if arity.setdefault(name.text, n) != n:
-                raise ParseError(name.span, f"{name.text} used with both arity 1 and 2")
-            atoms.append(ConceptFact(name.text, t1) if t2 is None
-                         else RoleFact(name.text, t1, t2))
-            if cur.at_end():
-                break
-            cur.next(",")
-        body_vars = {t for at in atoms for t in at.terms()}
-        for x in avs:
-            if x not in body_vars:
-                raise ParseError(head_tok.span, f"answer variable {x} not bound in the body")
-        heads.append((head_tok, tuple(avs)))
-        disjuncts.append(CQ(tuple(avs), atoms))
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        code = line.partition("#")[0]
+        if code.isspace() or not code:
+            continue
+        col, avs, atoms = _match_rule(code, arity) or _rule_error(line, lineno, arity)
+        heads.append(((lineno, col), avs))
+        disjuncts.append(CQ(avs, atoms))
     if not disjuncts:
-        raise ParseError(SourceSpan(1, 1), "no query rules found")
+        raise ParseError((1, 1), "no query rules found")
     first = heads[0][1]
-    for head_tok, avs in heads[1:]:
+    for span, avs in heads[1:]:
         if avs != first:
-            raise ParseError(head_tok.span,
-                             f"rule heads disagree: {first} vs {avs}")
+            raise ParseError(span, f"rule heads disagree: {first} vs {avs}")
     return UCQ(disjuncts)
+
+
+def _match_rule(code: str, arity: dict) -> tuple | None:
+    """The head column, answer variables and atoms of one rule, or None
+    when the rule is malformed or fails a check."""
+    head = _HEAD_RE.match(code)
+    if head is None:
+        return None
+    avs = tuple(head[2].replace(",", " ").split())
+    atoms: list[Fact] = []
+    terms: set[str] = set()
+    pos, comma = head.end(), ","
+    while comma:
+        m = _ATOM_RE.match(code, pos)
+        if m is None:
+            return None
+        name, a, b, comma = m.groups()
+        n = 1 if b is None else 2
+        if arity.setdefault(name, n) != n:
+            return None
+        atoms.append(ConceptFact(name, a) if b is None else RoleFact(name, a, b))
+        terms.update((a, b))
+        pos = m.end()
+    if pos != len(code) or len(set(avs)) != len(avs) or not terms.issuperset(avs):
+        return None
+    return head.start(1) + 1, avs, atoms
+
+
+def _rule_error(line: str, lineno: int, arity: dict) -> NoReturn:
+    """Raise the error of a rule line that ``_match_rule`` rejected, by
+    walking its tokens in reading order.  ``arity`` may already hold the
+    line's atoms before the one that failed; they agree with the walk."""
+    cur = _Cursor(_tokenize_line(line, lineno), lineno, len(line))
+    head = cur.next("ident")
+    _name(head)
+    avs: list[str] = []
+    cur.next("(")
+    if (tok := cur.peek()) is not None and tok.text != ")":
+        avs.append(_name(cur.next("ident")))
+        while (tok := cur.peek()) is not None and tok.text == ",":
+            cur.next(",")
+            avs.append(_name(cur.next("ident")))
+    cur.next(")")
+    cur.next(":-")
+    if len(set(avs)) != len(avs):
+        raise ParseError(head.span, f"repeated answer variable in {tuple(avs)}")
+    terms = set()
+    while True:
+        name = cur.next("ident")
+        _name(name)
+        cur.next("(")
+        terms.add(_name(cur.next("ident")))
+        n = 1
+        if (tok := cur.peek()) is not None and tok.text == ",":
+            cur.next(",")
+            terms.add(_name(cur.next("ident")))
+            n = 2
+        cur.next(")")
+        if arity.setdefault(name.text, n) != n:
+            raise ParseError(name.span, f"{name.text} used with both arity 1 and 2")
+        if cur.at_end():
+            break
+        cur.next(",")
+    for x in avs:
+        if x not in terms:
+            raise ParseError(head.span, f"answer variable {x} not bound in the body")
+    raise AssertionError(f"line {lineno} is a well-formed rule")
 
 
 def serialize_query(q: UCQ) -> str:
@@ -465,7 +461,7 @@ def parse_schema(text: str) -> Schema:
         if line == "full":
             return Schema.full_schema()
         if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", line):
-            raise ParseError(SourceSpan(lineno, 1), f"bad schema name {line!r}")
+            raise ParseError((lineno, 1), f"bad schema name {line!r}")
         names.append(line)
     return Schema.of(names)
 

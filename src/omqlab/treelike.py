@@ -100,13 +100,17 @@ def canonical_form(atoms: Iterable, pinned: tuple = ()) -> tuple:
     terms in equal leaves, and one bijection followed by the inverse of
     the other is an isomorphism.  Terms that are not pinned appear only as
     integers, so no name can collide with them."""
-    atoms = tuple(atoms)
+    atoms = frozenset(atoms)
     _, colour, edges = _refined_colours(atoms, pinned)
     return _least_leaf(colour, edges, atoms, pinned)
 
 
-def _least_leaf(colour: dict, edges: dict, atoms: tuple, pinned: tuple) -> tuple:
-    """The least leaf below the stable colouring ``colour``."""
+def _least_leaf(colour: dict, edges: dict, atoms: frozenset, pinned: tuple) -> tuple:
+    """The least leaf below the stable colouring ``colour``.  A member v
+    of the cell is skipped when swapping v with a member u already tried
+    maps ``atoms`` onto itself: u and v share a colour and no pinned term
+    is either, so the swap is an isomorphism that keeps ``colour`` and
+    maps u's subtree onto v's, leaf onto equal leaf."""
     members: dict[int, list] = {}
     for x, c in colour.items():
         members.setdefault(c, []).append(x)
@@ -114,9 +118,14 @@ def _least_leaf(colour: dict, edges: dict, atoms: tuple, pinned: tuple) -> tuple
     if cell is None:
         return (tuple(pinned), tuple(colour[x] for x in pinned),
                 tuple(sorted((at.name, *(colour[t] for t in at.terms())) for at in atoms)))
+    tried: list = []
+    for v in members[cell]:
+        swaps = ({u: v, v: u} for u in tried)
+        if not any(all(at.rename(m) in atoms for at in atoms) for m in swaps):
+            tried.append(v)
     return min(_least_leaf(_refine({x: (c, x != v) for x, c in colour.items()}, edges)[0],
                            edges, atoms, pinned)
-               for v in members[cell])
+               for v in tried)
 
 
 def _refined_colours(atoms: Iterable, pinned: tuple) -> tuple[tuple, dict, dict]:

@@ -13,9 +13,11 @@ from omqlab.model import (
     Database,
     Dialect,
     Exists,
+    Functionality,
     Ontology,
     RangeRestriction,
     Role,
+    RoleDisjointness,
     RoleFact,
     RoleInclusion,
     TOP,
@@ -87,6 +89,43 @@ def rand_elhdr_ontology(rng: random.Random, n_axioms: int, names=None,
                 rhs = rand_concept(rng, names, roles, rng.randint(0, depth), False)
                 axioms.append(ConceptInclusion(lhs, rhs))
     return Ontology(axioms, Dialect.ELHDR_BOT)
+
+
+def rand_axioms(rng: random.Random, n_axioms: int, names=("A", "B", "C"),
+                roles=("r", "s")) -> list:
+    """Random axioms of every form, drawn so that each dialect of
+    ``DIALECT_INFERENCE_ORDER`` is the least one admitting some draws."""
+    def basic():
+        pick = rng.random()
+        if pick < 0.5:
+            return Atomic(rng.choice(names))
+        if pick < 0.8:
+            return Exists(Role(rng.choice(roles), rng.random() < 0.3), TOP)
+        return TOP
+
+    axioms = []
+    for _ in range(n_axioms):
+        pick = rng.random()
+        if pick < 0.1:
+            axioms.append(Functionality(rng.choice(roles)))
+        elif pick < 0.2:
+            axioms.append(RoleDisjointness(tuple(rng.sample(roles, 2))))
+        elif pick < 0.3:
+            axioms.append(RoleInclusion(Role(roles[0], rng.random() < 0.3),
+                                        Role(roles[1], rng.random() < 0.3)))
+        elif pick < 0.37:
+            axioms.append(RangeRestriction(
+                rng.choice(roles), rand_concept(rng, names, roles, 1, False)))
+        elif pick < 0.7:
+            lhs = basic() if rng.random() < 0.6 else conj(basic(), basic())
+            rhs = BOT if rng.random() < 0.2 else basic()
+            axioms.append(ConceptInclusion(lhs, rhs))
+        else:
+            lhs = rand_concept(rng, names, roles, 2, rng.random() < 0.3, allow_top=False)
+            rhs = BOT if rng.random() < 0.2 else rand_concept(
+                rng, names, roles, 2, rng.random() < 0.3)
+            axioms.append(ConceptInclusion(lhs, rhs))
+    return axioms
 
 
 def rand_database(rng: random.Random, n_constants: int, names=None, roles=None,

@@ -68,6 +68,8 @@ from omqlab.treelike import (
     entailed_concept_trees,
     ucq_k_approximation,
 )
+from omqlab.model import DIALECT_INFERENCE_ORDER, DialectError, Fact, _check_one_axiom, axiom_key
+from omqlab.surface import ParseError, _Cursor, _name, _tokenize_line
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +569,80 @@ def parse_answers(text: str) -> tuple[bool, list[tuple]]:
     """Read back the JSON answer format of ``serialize_answers``."""
     data = json.loads(text)
     return bool(data["consistent"]), [tuple(t) for t in data["answers"]]
+
+
+# ---------------------------------------------------------------------------
+# Surface references: the token-cursor query parser and the dialect
+# inference that checks every axiom of every dialect in sorted order
+
+
+def parse_query_by_cursor(text: str) -> UCQ:
+    """``parse_query`` by a cursor over each line's tokens."""
+    heads: list[tuple] = []
+    disjuncts: list[CQ] = []
+    arity: dict[str, int] = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        tokens = _tokenize_line(line, lineno)
+        if not tokens:
+            continue
+        cur = _Cursor(tokens, lineno, len(line))
+        head_tok = cur.next("ident")
+        _name(head_tok)
+        cur.next("(")
+        avs: list[str] = []
+        tok = cur.peek()
+        if tok is not None and tok.text != ")":
+            avs.append(_name(cur.next("ident")))
+            while (tok := cur.peek()) is not None and tok.text == ",":
+                cur.next(",")
+                avs.append(_name(cur.next("ident")))
+        cur.next(")")
+        cur.next(":-")
+        if len(set(avs)) != len(avs):
+            raise ParseError(head_tok.span, f"repeated answer variable in {tuple(avs)}")
+        atoms: list[Fact] = []
+        while True:
+            name = cur.next("ident")
+            _name(name)
+            cur.next("(")
+            t1 = _name(cur.next("ident"))
+            t2 = None
+            if (tok := cur.peek()) is not None and tok.text == ",":
+                cur.next(",")
+                t2 = _name(cur.next("ident"))
+            cur.next(")")
+            n = 1 if t2 is None else 2
+            if arity.setdefault(name.text, n) != n:
+                raise ParseError(name.span, f"{name.text} used with both arity 1 and 2")
+            atoms.append(ConceptFact(name.text, t1) if t2 is None
+                         else RoleFact(name.text, t1, t2))
+            if cur.at_end():
+                break
+            cur.next(",")
+        body_vars = {t for at in atoms for t in at.terms()}
+        for x in avs:
+            if x not in body_vars:
+                raise ParseError(head_tok.span, f"answer variable {x} not bound in the body")
+        heads.append((head_tok, tuple(avs)))
+        disjuncts.append(CQ(tuple(avs), atoms))
+    if not disjuncts:
+        raise ParseError((1, 1), "no query rules found")
+    first = heads[0][1]
+    for head_tok, avs in heads[1:]:
+        if avs != first:
+            raise ParseError(head_tok.span,
+                             f"rule heads disagree: {first} vs {avs}")
+    return UCQ(disjuncts)
+
+
+def infer_dialect_sequentially(axioms) -> Dialect:
+    """``infer_dialect`` by checking every axiom, in ``axiom_key`` order,
+    against each dialect of the inference order in turn."""
+    def violations(d):
+        return [f"{v} {ax}" for ax in sorted(axioms, key=axiom_key)
+                if (v := _check_one_axiom(ax, d))]
+    for d in DIALECT_INFERENCE_ORDER:
+        if not violations(d):
+            return d
+    raise DialectError(Dialect.ELHI_BOT, violations(Dialect.ELHI_BOT))

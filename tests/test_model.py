@@ -31,8 +31,9 @@ from omqlab.model import (
     restrict_database,
 )
 from fixtures import fig2_cq
-from gen import rand_concept, rand_database
+from gen import rand_axioms, rand_concept, rand_database
 from oracles import (
+    infer_dialect_sequentially,
     scan_concept_extension,
     scan_satisfies_functionality,
     scan_successors,
@@ -109,6 +110,36 @@ def test_dialect_monotone_up_the_el_family():
 def test_infer_dialect():
     assert infer_dialect([ConceptInclusion(Atomic("A"), Atomic("B"))]) == Dialect.EL
     assert infer_dialect([Functionality("r")]) == Dialect.DLLITE_F_EQ
+
+
+def test_infer_dialect_matches_the_sequential_check():
+    # every dialect of the inference order wins on some draws, and so does
+    # the error when none admits them all
+    rng = random.Random(1313)
+    seen = set()
+    for _ in range(1500):
+        axioms = rand_axioms(rng, rng.randint(1, 4))
+        outcomes = []
+        for infer in (infer_dialect, infer_dialect_sequentially):
+            try:
+                outcomes.append(infer(axioms))
+            except DialectError as e:
+                outcomes.append(f"error: {e}")
+        assert outcomes[0] == outcomes[1], [str(a) for a in axioms]
+        seen.add(outcomes[0] if isinstance(outcomes[0], Dialect) else "error")
+    assert seen == set(Dialect) | {"error"}
+
+
+def test_dialect_error_lists_violations_in_axiom_order():
+    axioms = [Functionality("r"), ConceptInclusion(Atomic("B"), BOT),
+              ConceptInclusion(Atomic("A"), Exists(Role("r", True), Atomic("B"))),
+              ConceptInclusion(Atomic("A"), Atomic("B"))]
+    for order in (axioms, axioms[::-1]):
+        with pytest.raises(DialectError) as e:
+            Ontology(order, Dialect.EL)
+        assert str(e.value) == (
+            "dialect EL: inverse role not admitted: A <= exists inv(r) . B; "
+            "bot not admitted: B <= bot; axiom form not admitted: func r")
 
 
 def test_ontology_rejects_bad_dialect():

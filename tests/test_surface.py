@@ -17,7 +17,7 @@ from omqlab.surface import (
     serialize_query,
 )
 from fixtures import D1, FIG2_TEXT, omega2
-from oracles import parse_answers
+from oracles import parse_answers, parse_query_by_cursor
 
 
 def test_parse_single_inclusion():
@@ -79,6 +79,15 @@ def test_role_inclusion_via_usage():
     o = parse_ontology("exists r . top <= A\nr <= s")
     kinds = sorted(type(a).__name__ for a in o.axioms)
     assert kinds == ["ConceptInclusion", "RoleInclusion"]
+
+
+@pytest.mark.parametrize("text", [
+    "disjoint-roles t, r\nr <= s", "range r <= A\nr <= s",
+    "inv(t) <= r\nr <= s", "s <= r\nA <= exists inv(s) . top"])
+def test_bare_inclusion_is_a_role_inclusion_after_any_role_position(text):
+    o = parse_ontology(text)
+    assert RoleInclusion(Role("r"), Role("s")) in o.axioms or \
+        RoleInclusion(Role("s"), Role("r")) in o.axioms
 
 
 def test_role_inclusion_explicit_inverse():
@@ -210,8 +219,51 @@ def test_ontology_parse_error_positions(text, message):
     # one name as a concept and as a role
     ("q() :- r(x,y)\nq() :- A(x), r(x)",
      "line 2, column 14: r used with both arity 1 and 2"),
+    # a comment after a rule: the end of line is the end of the comment
+    ("q(x) :- A(x),  # more to come", "line 1, column 30: unexpected end of line (expected ident)"),
+    ("q(x) :- A(y) # x is free", "line 1, column 1: answer variable x not bound in the body"),
+    # a CRLF file: the carriage return ends the line, it is not its last column
+    ("q(x) :- A(x)\r\nq(x) :- A(x) B(x)\r\n", "line 2, column 14: unexpected 'B' (expected ,)"),
+    ("q(x) :- A(x)\r\n  q(y) :- A(y)\r\n", "line 2, column 3: rule heads disagree: ('x',) vs ('y',)"),
 ])
 def test_query_parse_error_positions(text, message):
     with pytest.raises(ParseError) as e:
         parse_query(text)
     assert str(e.value) == message
+
+
+# strings near the rule grammar: valid rules with a few pieces inserted or
+# deleted, and runs of grammar pieces
+_rule_pieces = st.sampled_from([
+    "q", "A", "r", "x", "y", "a-b", "top", "(", ")", ",", ":-", " ", "\t", "# c",
+    "\r", "\n", "\r\n", "1", "$", "<=", ":", "-", "_", "&", ".", "\u00a0"])
+_rule_vars = st.sampled_from(["x", "y", "z", "x_1", "_v"])
+_rule_atoms = st.one_of(
+    st.tuples(st.sampled_from(["A", "B", "r"]), _rule_vars).map(lambda t: f"{t[0]}({t[1]})"),
+    st.tuples(st.sampled_from(["r", "s", "A"]), _rule_vars, _rule_vars).map(
+        lambda t: f"{t[0]}( {t[1]} ,{t[2]})"))
+
+
+@st.composite
+def _near_rules(draw):
+    rules = draw(st.lists(st.tuples(st.lists(_rule_vars, max_size=3),
+                                    st.lists(_rule_atoms, min_size=1, max_size=4)),
+                          min_size=1, max_size=3))
+    text = "\n".join(f"q({','.join(h)}) :- {', '.join(b)}" for h, b in rules)
+    for pos, piece, delete in draw(st.lists(
+            st.tuples(st.integers(0, len(text)), _rule_pieces, st.booleans()), max_size=3)):
+        text = text[:pos] + ("" if delete else piece) + text[pos + delete:]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_near_rules(), st.lists(_rule_pieces, max_size=20).map("".join)))
+def test_parse_query_matches_the_cursor_parser(text):
+    assert _parse_outcome(parse_query, text) == _parse_outcome(parse_query_by_cursor, text)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -264,6 +265,52 @@ def test_canonical_form_keeps_apart_names_like_the_old_placeholders():
             for t in ("q(_q0) :- r(_q0,y)", "q(_q0) :- r(y,_q0)"))
     assert cq_canonical(a) == cq_canonical(b)
     assert _cq_form(a) != _cq_form(b)
+
+
+def test_canonical_form_skips_swaps_that_fix_the_atoms(monkeypatch):
+    # nine interchangeable variables: one refinement to start, then one per
+    # individualized variable, instead of one per node of a 9!-leaf tree
+    import omqlab.treelike as treelike
+    calls = []
+    refine = treelike._refine
+    monkeypatch.setattr(treelike, "_refine", lambda *a: calls.append(1) or refine(*a))
+    atoms = [ConceptFact("A", f"x{i}") for i in range(9)]
+    form = canonical_form(atoms)
+    assert len(calls) == 9
+    assert canonical_form([ConceptFact("A", f"y{i}") for i in range(9)]) == form
+
+
+# pieces for disjoint unions: refinement cannot split the cells of a union
+# of directed cycles of different lengths, whose members no swap exchanges
+_PIECES = {"A": [("A", 0, 0)], "edge": [("r", 0, 1)], "star": [("r", 0, 1), ("r", 0, 2)],
+           "2-cycle": [("r", 0, 1), ("r", 1, 0)],
+           "3-cycle": [("r", 0, 1), ("r", 1, 2), ("r", 2, 0)]}
+
+
+def test_canonical_form_of_symmetric_cqs_matches_the_permutation_key():
+    # every union of up to three pieces on at most six variables, Boolean
+    # and with one answer variable, under random renamings
+    rng = random.Random(1515)
+    pool = [f"y{i}" for i in range(8)]
+    keys = {}
+    for n_pieces in (1, 2, 3):
+        for pieces in itertools.combinations_with_replacement(sorted(_PIECES), n_pieces):
+            drawn, n = [], 0
+            for piece in pieces:
+                drawn += [(name, f"v{n + a}", f"v{n + b}") for name, a, b in _PIECES[piece]]
+                n += 1 + max(max(a, b) for _, a, b in _PIECES[piece])
+            if n > 6:
+                continue
+            for arity in (0, 1):
+                q = _cq(drawn, arity)
+                form = _cq_form(q)
+                for _ in range(3):
+                    renamed = q.rename(dict(zip(sorted(q.quantified_vars()),
+                                                rng.sample(pool, len(pool)))))
+                    assert _cq_form(renamed) == form, pieces
+                keys.setdefault(form, set()).add(cq_canonical(q))
+    assert all(len(ks) == 1 for ks in keys.values())
+    assert len(set.union(*keys.values())) == len(keys)
 
 
 def test_witness_keys_fix_the_answer_tuple():

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import surface
-from .model import FULL_SCHEMA, OMQ, OmqlabError, Ontology, Schema
+from .model import EMPTY_ONTOLOGY, FULL_SCHEMA, OMQ, OmqlabError, Schema
 from .chase import canonical_model, oblivious_chase
 from .entailment import is_consistent
 from .evaluation import evaluate_fpt, evaluate_naive
@@ -52,7 +52,7 @@ def _load_schema(arg: str | None) -> Schema:
 
 
 def _load_omq(args) -> OMQ:
-    onto = surface.parse_ontology(_read(args.onto)) if args.onto else Ontology((),)
+    onto = surface.parse_ontology(_read(args.onto)) if args.onto else EMPTY_ONTOLOGY
     query = surface.parse_query(_read(args.query))
     return OMQ(onto, _load_schema(args.schema), query)
 
@@ -252,6 +252,10 @@ def cmd_dlf_equiv1(args) -> int:
     return EXIT_OK
 
 
+# each subcommand's parser by name, filled by build_parser
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one;
@@ -346,11 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="prefix for witness .cq/.dl files")
     sp.set_defaults(func=cmd_dlf_equiv1)
 
+    _COMMANDS.update(sub.choices)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # what the two-level parse does once argv[0] names a command: the
+        # command's parser reads the rest, and the top level rejects what
+        # it leaves over; only the top level's own pass over argv is saved
+        args, rest = command.parse_known_args(argv[1:])
+        if rest:
+            parser.error("unrecognized arguments: " + " ".join(rest))
     try:
         return args.func(args)
     except OmqlabError as e:

@@ -58,10 +58,6 @@ class Concept:
     def key(self):
         raise NotImplementedError
 
-    def is_el(self) -> bool:
-        """True if the concept uses no inverse roles."""
-        return all(not r.inverted for r in self.roles())
-
     def roles(self) -> Iterator[Role]:
         return iter(())
 
@@ -349,23 +345,34 @@ class DialectError(OmqlabError):
         super().__init__(f"dialect {dialect.value}: " + "; ".join(violations))
 
 
-def _el_concept_ok(c: Concept, allow_bot: bool, allow_inverse: bool) -> bool:
-    if c.contains_bot() and not allow_bot:
-        return False
-    if not allow_inverse and not c.is_el():
-        return False
-    return True
+def _bot_and_inverse(c: Concept) -> tuple[bool, bool]:
+    """Whether ``c`` has a bot subconcept, and whether it uses an inverse
+    role, from one walk of its syntax tree."""
+    bot = inverse = False
+    todo = [c]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Exists):
+            inverse = inverse or node.role.inverted
+            todo.append(node.filler)
+        elif isinstance(node, Conj):
+            todo.extend(node.parts)
+        elif isinstance(node, Bot):
+            bot = True
+    return bot, inverse
 
 
 def _check_inclusion_shape(ax: ConceptInclusion, allow_bot, allow_inverse) -> Optional[str]:
     # bot may appear only as the full right-hand side
-    if ax.lhs.contains_bot():
+    lhs_bot, lhs_inverse = _bot_and_inverse(ax.lhs)
+    if lhs_bot:
         return "bot on the left-hand side of"
-    if ax.rhs.contains_bot() and not isinstance(ax.rhs, Bot):
+    rhs_bot, rhs_inverse = _bot_and_inverse(ax.rhs)
+    if rhs_bot and not isinstance(ax.rhs, Bot):
         return "bot nested inside the right-hand side of"
     if not allow_bot and isinstance(ax.rhs, Bot):
         return "bot not admitted:"
-    if not allow_inverse and (not ax.lhs.is_el() or not ax.rhs.is_el()):
+    if not allow_inverse and (lhs_inverse or rhs_inverse):
         return "inverse role not admitted:"
     return None
 
@@ -389,13 +396,35 @@ def check_dialect_axioms(axioms: Iterable[Axiom], dialect: Dialect) -> list[str]
     return [v for _, v in sorted(bad)]
 
 
+# What each dialect admits, read by ``_check_one_axiom`` from these tables
+# rather than from ``Dialect`` members, whose every attribute lookup costs
+# more than a dictionary lookup.  ELHI family: bot, inverse roles, role
+# inclusions, range restrictions.
+_ELHI_ADMITS = {
+    Dialect.EL: (False, False, False, False),
+    Dialect.EL_BOT: (True, False, False, False),
+    Dialect.ELH_BOT: (True, False, True, False),
+    Dialect.ELHDR_BOT: (True, False, True, True),
+    Dialect.ELI: (False, True, False, False),
+    Dialect.ELI_BOT: (True, True, False, False),
+    Dialect.ELHI_BOT: (True, True, True, True),
+}
+# DL-Lite: the axiom forms admitted besides concept inclusions, and whether
+# a conjunctive left-hand side may have a right-hand side other than bot
+_DLLITE_ADMITS = {
+    Dialect.DLLITE_R: ((RoleInclusion, RoleDisjointness), False),
+    Dialect.DLLITE_R_HORN: ((RoleInclusion, RoleDisjointness), True),
+    Dialect.DLLITE_F: ((RoleDisjointness, Functionality), False),
+}
+_DLLITE_F_EQ = Dialect.DLLITE_F_EQ
+
+
 def _check_one_axiom(ax: Axiom, d: Dialect) -> Optional[str]:
     """Why ``d`` does not admit ``ax``, as the violation's text before the
     axiom, or None when it does."""
-    if d in ELHI_FAMILY:
-        allow_bot = d not in (Dialect.EL, Dialect.ELI)
-        allow_inverse = d in (Dialect.ELI, Dialect.ELI_BOT, Dialect.ELHI_BOT)
-        allow_role_inc = d in (Dialect.ELH_BOT, Dialect.ELHDR_BOT, Dialect.ELHI_BOT)
+    elhi = _ELHI_ADMITS.get(d)
+    if elhi is not None:
+        allow_bot, allow_inverse, allow_role_inc, allow_range = elhi
         if isinstance(ax, ConceptInclusion):
             return _check_inclusion_shape(ax, allow_bot, allow_inverse)
         if isinstance(ax, RoleInclusion):
@@ -406,37 +435,29 @@ def _check_one_axiom(ax: Axiom, d: Dialect) -> Optional[str]:
             return None
         if isinstance(ax, RangeRestriction):
             # expressible directly with an inverse role in ELHI_bot
-            if d in (Dialect.ELHDR_BOT, Dialect.ELHI_BOT):
-                if d is Dialect.ELHDR_BOT and not _el_concept_ok(ax.filler, True, False):
-                    return "range filler must be an EL_bot concept:"
-                return None
-            return "range restriction not admitted:"
+            if not allow_range:
+                return "range restriction not admitted:"
+            if not allow_inverse and _bot_and_inverse(ax.filler)[1]:
+                return "range filler must be an EL_bot concept:"
+            return None
         return "axiom form not admitted:"
 
-    if d is Dialect.DLLITE_F_EQ:
+    if d is _DLLITE_F_EQ:
         if isinstance(ax, Functionality):
             return None
         return "only functionality assertions admitted:"
 
-    if d in (Dialect.DLLITE_R, Dialect.DLLITE_R_HORN):
-        if isinstance(ax, ConceptInclusion):
-            return _check_dllite_inclusion(ax, horn=d is Dialect.DLLITE_R_HORN)
-        if isinstance(ax, RoleInclusion):
-            if ax.lhs.inverted:
-                return "inverse role on the left of a role inclusion:"
-            return None
-        if isinstance(ax, RoleDisjointness):
-            return None
+    dllite = _DLLITE_ADMITS.get(d)
+    if dllite is None:
+        raise ValueError(f"unknown dialect {d!r}")
+    others, horn = dllite
+    if isinstance(ax, ConceptInclusion):
+        return _check_dllite_inclusion(ax, horn)
+    if not isinstance(ax, others):
         return "axiom form not admitted:"
-
-    if d is Dialect.DLLITE_F:
-        if isinstance(ax, ConceptInclusion):
-            return _check_dllite_inclusion(ax, horn=False)
-        if isinstance(ax, (RoleDisjointness, Functionality)):
-            return None
-        return "axiom form not admitted:"
-
-    raise ValueError(f"unknown dialect {d!r}")
+    if isinstance(ax, RoleInclusion) and ax.lhs.inverted:
+        return "inverse role on the left of a role inclusion:"
+    return None
 
 
 def infer_dialect(axioms: Iterable[Axiom]) -> Dialect:
@@ -447,6 +468,16 @@ def infer_dialect(axioms: Iterable[Axiom]) -> Dialect:
         if not any(_check_one_axiom(ax, d) for ax in axioms):
             return d
     raise DialectError(Dialect.ELHI_BOT, check_dialect_axioms(axioms, Dialect.ELHI_BOT))
+
+
+def infer_ontology(axioms: Iterable[Axiom]) -> Ontology:
+    """``Ontology(axioms, infer_dialect(axioms))`` with one check of the
+    axioms, not two: the inference has found that dialect admits them."""
+    axioms = list(axioms)
+    o = object.__new__(Ontology)
+    object.__setattr__(o, "dialect", infer_dialect(axioms))
+    object.__setattr__(o, "axioms", frozenset(axioms))
+    return o
 
 
 EMPTY_ONTOLOGY = Ontology((), Dialect.EL)

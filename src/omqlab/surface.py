@@ -49,7 +49,7 @@ from .model import (
     TOP,
     UCQ,
     conj,
-    infer_dialect,
+    infer_ontology,
 )
 
 
@@ -295,8 +295,9 @@ def parse_ontology(text: str) -> Ontology:
         else:
             axioms.append(ConceptInclusion(Atomic(a), Atomic(b)))
 
-    dialect = declared if declared is not None else infer_dialect(axioms)
-    return Ontology(axioms, dialect)
+    if declared is None:
+        return infer_ontology(axioms)
+    return Ontology(axioms, declared)
 
 
 def serialize_ontology(o: Ontology) -> str:

@@ -202,16 +202,29 @@ def ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
     Every other contraction of width at most ``k`` coarsens one of them,
     so it is their homomorphic image and the union is equivalent to the
     union of all such contractions (Barcelo, Libkin and Romero, SICOMP
-    2014).  Widths below 1 are refused: every CQ has width at least 1."""
+    2014).  Widths below 1 are refused: every CQ has width at least 1.
+
+    A disjunct of width at most ``k`` is taken as it is: it is its own
+    only finest contraction, since the walk in ``_finest_contractions``
+    keeps the identity partition at its first step and skips every other
+    partition, which coarsens it.  Only wider disjuncts are walked."""
+    return _approximation(Q, k)[0]
+
+
+def _approximation(Q: OMQ, k: int) -> tuple[OMQ, list[CQ]]:
+    """``ucq_k_approximation(Q, k)``, and the disjuncts of ``Q`` wider than
+    ``k``, each width measured once."""
     if k < 1:
         raise OmqlabError(f"the width-k approximation needs k >= 1, got {k}")
+    wide = [cq for cq in Q.query.disjuncts if cq_treewidth(cq) > k]
     out = distinct_up_to_isomorphism(
-        [qc for cq in Q.query.disjuncts for qc, _ in _finest_contractions(cq, k)])
+        [qc for cq in Q.query.disjuncts
+         for qc in ([qc for qc, _ in _finest_contractions(cq, k)] if cq in wide else [cq])])
     if not out:
         # no tree-like contraction exists; the approximation is the empty
         # query, represented by an unsatisfiable disjunct over fresh names
         out = [_unsatisfiable_disjunct(Q)]
-    return OMQ(Q.ontology, Q.schema, UCQ(out))
+    return OMQ(Q.ontology, Q.schema, UCQ(out)), wide
 
 
 def _finest_contractions(q: CQ, k: int) -> list[tuple]:
@@ -499,9 +512,7 @@ def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
             f"width-k equivalence handles the ELHI family and DL-LiteR(-horn), "
             f"got {Q.ontology.dialect.value}; DL-LiteF width-1 equivalence is "
             f"decided by decide_ubcq1_equiv (omqlab dlf-equiv1)")
-    Qa = ucq_k_approximation(Q, k)
-    # the approximation has just measured each disjunct's identity contraction
-    wide = [cq for cq in Q.query.disjuncts if cq_treewidth(cq) > k]
+    Qa, wide = _approximation(Q, k)
     if not wide:
         return TwEquivVerdict("yes", witness=Qa)
     Qw = Q.with_query(UCQ(wide))

@@ -94,9 +94,12 @@ def rand_elhdr_ontology(rng: random.Random, n_axioms: int, names=None,
 def rand_axioms(rng: random.Random, n_axioms: int, names=("A", "B", "C"),
                 roles=("r", "s")) -> list:
     """Random axioms of every form, drawn so that each dialect of
-    ``DIALECT_INFERENCE_ORDER`` is the least one admitting some draws."""
+    ``DIALECT_INFERENCE_ORDER`` is the least one admitting some draws, and
+    each violation the dialect checks name occurs in some."""
     def basic():
         pick = rng.random()
+        if pick < 0.04:
+            return BOT
         if pick < 0.5:
             return Atomic(rng.choice(names))
         if pick < 0.8:
@@ -114,8 +117,10 @@ def rand_axioms(rng: random.Random, n_axioms: int, names=("A", "B", "C"),
             axioms.append(RoleInclusion(Role(roles[0], rng.random() < 0.3),
                                         Role(roles[1], rng.random() < 0.3)))
         elif pick < 0.37:
-            axioms.append(RangeRestriction(
-                rng.choice(roles), rand_concept(rng, names, roles, 1, False)))
+            filler = rand_concept(rng, names, roles, 1, False)
+            if rng.random() < 0.2:
+                filler = Exists(Role(rng.choice(roles), True), filler)
+            axioms.append(RangeRestriction(rng.choice(roles), filler))
         elif pick < 0.7:
             lhs = basic() if rng.random() < 0.6 else conj(basic(), basic())
             rhs = BOT if rng.random() < 0.2 else basic()
@@ -124,6 +129,8 @@ def rand_axioms(rng: random.Random, n_axioms: int, names=("A", "B", "C"),
             lhs = rand_concept(rng, names, roles, 2, rng.random() < 0.3, allow_top=False)
             rhs = BOT if rng.random() < 0.2 else rand_concept(
                 rng, names, roles, 2, rng.random() < 0.3)
+            if rng.random() < 0.05:
+                rhs = Exists(Role(rng.choice(roles)), conj(rhs, BOT))
             axioms.append(ConceptInclusion(lhs, rhs))
     return axioms
 

@@ -68,7 +68,17 @@ from omqlab.treelike import (
     entailed_concept_trees,
     ucq_k_approximation,
 )
-from omqlab.model import DIALECT_INFERENCE_ORDER, DialectError, Fact, _check_one_axiom, axiom_key
+from omqlab.model import (
+    DIALECT_INFERENCE_ORDER,
+    ELHI_FAMILY,
+    DialectError,
+    Fact,
+    Functionality,
+    RangeRestriction,
+    RoleDisjointness,
+    _check_dllite_inclusion,
+    axiom_key,
+)
 from omqlab.surface import ParseError, _Cursor, _name, _tokenize_line
 
 
@@ -636,13 +646,84 @@ def parse_query_by_cursor(text: str) -> UCQ:
     return UCQ(disjuncts)
 
 
+def _is_el(c: Concept) -> bool:
+    return all(not r.inverted for r in c.roles())
+
+
+def _check_inclusion_shape(ax: ConceptInclusion, allow_bot, allow_inverse):
+    # bot may appear only as the full right-hand side
+    if ax.lhs.contains_bot():
+        return "bot on the left-hand side of"
+    if ax.rhs.contains_bot() and not isinstance(ax.rhs, Bot):
+        return "bot nested inside the right-hand side of"
+    if not allow_bot and isinstance(ax.rhs, Bot):
+        return "bot not admitted:"
+    if not allow_inverse and (not _is_el(ax.lhs) or not _is_el(ax.rhs)):
+        return "inverse role not admitted:"
+    return None
+
+
+def check_one_axiom(ax, d: Dialect):
+    """The reference for ``model._check_one_axiom``: each dialect's
+    conditions spelled out, each concept walked once per question."""
+    if d in ELHI_FAMILY:
+        allow_bot = d not in (Dialect.EL, Dialect.ELI)
+        allow_inverse = d in (Dialect.ELI, Dialect.ELI_BOT, Dialect.ELHI_BOT)
+        allow_role_inc = d in (Dialect.ELH_BOT, Dialect.ELHDR_BOT, Dialect.ELHI_BOT)
+        if isinstance(ax, ConceptInclusion):
+            return _check_inclusion_shape(ax, allow_bot, allow_inverse)
+        if isinstance(ax, RoleInclusion):
+            if not allow_role_inc:
+                return "role inclusion not admitted:"
+            if not allow_inverse and (ax.lhs.inverted or ax.rhs.inverted):
+                return "inverse role not admitted:"
+            return None
+        if isinstance(ax, RangeRestriction):
+            # expressible directly with an inverse role in ELHI_bot
+            if d in (Dialect.ELHDR_BOT, Dialect.ELHI_BOT):
+                if d is Dialect.ELHDR_BOT and not _is_el(ax.filler):
+                    return "range filler must be an EL_bot concept:"
+                return None
+            return "range restriction not admitted:"
+        return "axiom form not admitted:"
+
+    if d is Dialect.DLLITE_F_EQ:
+        if isinstance(ax, Functionality):
+            return None
+        return "only functionality assertions admitted:"
+
+    if d in (Dialect.DLLITE_R, Dialect.DLLITE_R_HORN):
+        if isinstance(ax, ConceptInclusion):
+            return _check_dllite_inclusion(ax, horn=d is Dialect.DLLITE_R_HORN)
+        if isinstance(ax, RoleInclusion):
+            if ax.lhs.inverted:
+                return "inverse role on the left of a role inclusion:"
+            return None
+        if isinstance(ax, RoleDisjointness):
+            return None
+        return "axiom form not admitted:"
+
+    if d is Dialect.DLLITE_F:
+        if isinstance(ax, ConceptInclusion):
+            return _check_dllite_inclusion(ax, horn=False)
+        if isinstance(ax, (RoleDisjointness, Functionality)):
+            return None
+        return "axiom form not admitted:"
+
+    raise ValueError(f"unknown dialect {d!r}")
+
+
+def dialect_violations(axioms, d: Dialect) -> list[str]:
+    """``check_dialect_axioms`` by ``check_one_axiom``, on every axiom in
+    ``axiom_key`` order."""
+    return [f"{v} {ax}" for ax in sorted(axioms, key=axiom_key)
+            if (v := check_one_axiom(ax, d))]
+
+
 def infer_dialect_sequentially(axioms) -> Dialect:
     """``infer_dialect`` by checking every axiom, in ``axiom_key`` order,
     against each dialect of the inference order in turn."""
-    def violations(d):
-        return [f"{v} {ax}" for ax in sorted(axioms, key=axiom_key)
-                if (v := _check_one_axiom(ax, d))]
     for d in DIALECT_INFERENCE_ORDER:
-        if not violations(d):
+        if not dialect_violations(axioms, d):
             return d
-    raise DialectError(Dialect.ELHI_BOT, violations(Dialect.ELHI_BOT))
+    raise DialectError(Dialect.ELHI_BOT, dialect_violations(axioms, Dialect.ELHI_BOT))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -462,3 +463,79 @@ def test_parser_is_built_once_and_shared_across_calls(files, capsys, monkeypatch
         seen.append((code, out))
     assert [c for c, _ in seen] == [0, 2, 0, 0, 0, 0]
     assert seen[0] == seen[-1] == (0, "b\n")
+
+
+def test_eval_without_onto_uses_the_empty_el_ontology(files, capsys):
+    # an absent --onto is the empty ontology an empty .dl file parses to,
+    # so the pebble game, which refuses inverse roles, answers too
+    (files / "empty.dl").write_text("")
+    base = ["eval", "--query", str(files / "unary.cq"), "--db", str(files / "d.db")]
+    outs = [run(capsys, *base, "--algo", algo) for algo in ("naive", "fpt", "pebble")]
+    outs.append(run(capsys, *base, "--algo", "pebble", "--onto", str(files / "empty.dl")))
+    assert outs == [(0, "b\n", "")] * 4
+
+
+def _two_level_main(argv) -> int:
+    """``main`` as it reads argv through the whole parser."""
+    from omqlab.cli import build_parser
+    from omqlab.model import OmqlabError
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except OmqlabError as e:
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return e.exit_code
+
+
+DISPATCH_ARGV = [
+    ["eval", "--onto", "ex1.dl", "--query", "unary.cq", "--db", "d.db"],
+    ["consistent", "--onto", "ex1.dl", "--db", "d.db", "--json"],
+    ["chase", "--onto", "ex1.dl", "--db", "d.db", "--depth", "1"],
+    ["treewidth", "--query", "fig2.cq"],
+    ["core", "--query", "fig2.cq"],
+    ["approx", "--onto", "ex1.dl", "--query", "fig2.cq", "-k", "1"],
+    ["tw-equiv", "--query", "fig2.cq", "-k", "1", "--json"],
+    ["contain", "--onto", "ex1.dl", "--query", "fig2.cq", "--query2", "unary.cq"],
+    ["rewrite", "--onto", "ex1.dl", "--query", "fig2.cq"],
+    ["unravel", "--db", "d.db", "-k", "1", "--depth", "1"],
+    ["dlf-rew", "--onto", "func.dl", "--query", "fig2.cq"],
+    ["dlf-equiv1", "--onto", "func.dl", "--query", "fig2.cq"],
+    ["eval", "--onto", "ex1.dl", "--db", "d.db"],  # missing required option
+    ["treewidth", "--query", "fig2.cq", "--bogus"],  # unknown option
+    ["treewidth", "--query", "fig2.cq", "extra", "--more"],  # leftover arguments
+    ["treewidth", "--que", "fig2.cq"],  # abbreviation
+    ["treewidth", "--query=fig2.cq", "--json"],
+    ["approx", "--query", "fig2.cq", "-k1"],
+    ["approx", "--query", "fig2.cq", "-kx"],  # bad type
+    ["eval", "--query", "unary.cq", "--db", "d.db", "--algo", "slow"],  # bad choice
+    ["treewidth", "--query", "-"],  # stdin
+    ["treewidth", "--", "--query", "fig2.cq"],
+    ["treewidth", "--query", "fig2.cq", "--"],
+    ["treewidth", "--query", "bad.cq"],  # a parse error: exit code 2
+    ["-h"],
+    ["--help"],
+    ["eval", "-h"],
+    ["tw-equiv", "--query", "fig2.cq", "--help"],
+    ["frobnicate", "--query", "fig2.cq"],  # unknown command
+    ["--query", "fig2.cq"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_main_dispatch_matches_the_two_level_parse(files, capsys, monkeypatch, argv):
+    # main hands argv to the named command's parser; what a user sees must
+    # be what the full parse through the top-level parser gives
+    (files / "func.dl").write_text("func r\n")
+    (files / "bad.cq").write_text("q(x) :- A(x,\n")
+    monkeypatch.chdir(files)
+    seen = []
+    for entry in (main, _two_level_main):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(FIG2_TEXT + "\n"))
+        try:
+            code = entry(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        seen.append((code, out.out, out.err))
+    assert seen[0] == seen[1]

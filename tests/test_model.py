@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omqlab.entailment import satisfies_functionality
 from omqlab.model import (
@@ -28,11 +29,13 @@ from omqlab.model import (
     cq_as_database,
     gaifman_graph,
     infer_dialect,
+    infer_ontology,
     restrict_database,
 )
 from fixtures import fig2_cq
 from gen import rand_axioms, rand_concept, rand_database
 from oracles import (
+    dialect_violations,
     infer_dialect_sequentially,
     scan_concept_extension,
     scan_satisfies_functionality,
@@ -128,6 +131,27 @@ def test_infer_dialect_matches_the_sequential_check():
         assert outcomes[0] == outcomes[1], [str(a) for a in axioms]
         seen.add(outcomes[0] if isinstance(outcomes[0], Dialect) else "error")
     assert seen == set(Dialect) | {"error"}
+
+
+@settings(max_examples=600, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 4))
+def test_dialect_checks_match_the_reference(rng, n):
+    # the one-walk checks against the reference's spelled-out conditions:
+    # the same violations for every dialect, the same inferred dialect, and
+    # an inferred ontology equal to the one checked against that dialect
+    axioms = rand_axioms(rng, n)
+    for d in Dialect:
+        assert check_dialect_axioms(axioms, d) == dialect_violations(axioms, d), d
+    outcomes = []
+    for infer in (infer_dialect, infer_dialect_sequentially,
+                  lambda axs: infer_ontology(axs).dialect):
+        try:
+            outcomes.append(infer(axioms))
+        except DialectError as e:
+            outcomes.append(f"error: {e}")
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if isinstance(outcomes[0], Dialect):
+        assert infer_ontology(axioms) == Ontology(axioms, outcomes[0])
 
 
 def test_dialect_error_lists_violations_in_axiom_order():

@@ -462,6 +462,13 @@ _DISJUNCT = st.tuples(_CYCLE, st.lists(_ATOMS, min_size=1, max_size=5)).map(
     lambda t: t[0] + t[1])
 
 
+def _ucq_of(disjuncts, arity):
+    avs = tuple(_VARS[:arity])
+    assume(all(set(avs) <= {t for at in atoms for t in at.terms()}
+               for atoms in disjuncts))
+    return UCQ(CQ(avs, atoms) for atoms in disjuncts)
+
+
 @settings(max_examples=120, deadline=None)
 @given(disjuncts=st.lists(_DISJUNCT, min_size=1, max_size=2),
        arity=st.sampled_from([0, 1]),
@@ -470,14 +477,60 @@ _DISJUNCT = st.tuples(_CYCLE, st.lists(_ATOMS, min_size=1, max_size=5)).map(
        k=st.sampled_from([1, 2]))
 def test_narrow_disjuncts_skip_containment_shrinking(disjuncts, arity, n_axioms,
                                                      onto_seed, schema, k):
-    avs = tuple(_VARS[:arity])
-    assume(all(set(avs) <= {t for at in atoms for t in at.terms()}
-               for atoms in disjuncts))
     o = rand_elhdr_ontology(random.Random(onto_seed), n_axioms,
                             names=["A1", "B1"], roles=["r", "s"])
     Q = OMQ(o, FULL_SCHEMA if schema is None else Schema.of(schema),
-            UCQ(CQ(avs, atoms) for atoms in disjuncts))
+            _ucq_of(disjuncts, arity))
     _check_against_all_disjuncts(Q, k, budget=4)
+
+
+def _witness_forms(v):
+    """The witness's disjuncts up to isomorphism, the answer variables
+    named by their positions."""
+    if v.witness is None:
+        return None
+    out = set()
+    for q in v.witness.query.disjuncts:
+        by_position = {x: f"_a{i}" for i, x in enumerate(q.answer_vars)}
+        out.add(canonical_form(q.rename(by_position).atoms, tuple(by_position.values())))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(disjuncts=st.lists(_DISJUNCT, min_size=1, max_size=3),
+       arity=st.sampled_from([0, 1]),
+       n_axioms=st.integers(0, 3), onto_seed=st.integers(0, 2**16),
+       schema=st.sampled_from([None, ("A1", "r"), ("A1", "B1", "r", "s")]),
+       k=st.sampled_from([1, 2]), data=st.data())
+def test_tw_equiv_ignores_disjunct_order_and_variable_names(
+        disjuncts, arity, n_axioms, onto_seed, schema, k, data):
+    # the approximation is the finest contractions of every disjunct, up to
+    # isomorphism; neither the order of the disjuncts nor the names of the
+    # variables may change it, or the outcome
+    o = rand_elhdr_ontology(random.Random(onto_seed), n_axioms,
+                            names=["A1", "B1"], roles=["r", "s"])
+    S = FULL_SCHEMA if schema is None else Schema.of(schema)
+    q = _ucq_of(disjuncts, arity)
+    names = data.draw(st.permutations(["y0", "y1", "y2", "x3", "x0", "z"]))
+    renaming = dict(zip(_VARS, names))
+    variants = [q, UCQ(data.draw(st.permutations(q.disjuncts))),
+                UCQ(cq.rename(renaming) for cq in q.disjuncts)]
+    seen = []
+    for u in variants:
+        v = decide_tw_equiv_general(OMQ(o, S, u), k, budget=4)
+        seen.append((v.outcome, _witness_forms(v)))
+    assert seen[0] == seen[1] == seen[2], [str(u) for u in variants]
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms=_DISJUNCT, arity=st.sampled_from([0, 1, 2]), k=st.sampled_from([1, 2]))
+def test_a_narrow_disjunct_is_its_own_finest_contraction(atoms, arity, k):
+    (q,) = _ucq_of([atoms], arity).disjuncts
+    finest = _finest_contractions(q, k)
+    if cq_treewidth(q) <= k:
+        assert finest == [(q, tuple(range(len(q.variables()))))]
+    else:
+        assert q not in [qc for qc, _ in finest]
 
 
 def test_containment_basics():

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 4 unknown verdict / budget exhausted; an input
 omqlab refuses raises ``OmqlabError``, whose ``exit_code`` is the exit
-code (2 parse error, 3 dialect, schema or query violation, 5 internal cap
-exceeded).  Any other exception propagates with its traceback.
+code (2 parse error, 3 dialect, schema or query violation, or a file
+that cannot be read or written, 5 internal cap exceeded).  Any other
+exception propagates with its traceback.
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -14,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import surface
 from .model import EMPTY_ONTOLOGY, FULL_SCHEMA, OMQ, OmqlabError, Schema
@@ -41,8 +41,19 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     # the builtin open: Path.read_text adds about as much time per file as
     # parsing a small query takes
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise OmqlabError(f"cannot read {path}: {e.strerror}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise OmqlabError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _load_schema(arg: str | None) -> Schema:
@@ -130,8 +141,7 @@ def cmd_chase(args) -> int:
         return EXIT_OK
     print(surface.serialize_database(ch.facts), end="")
     if args.provenance:
-        Path(args.provenance).write_text(json.dumps(prov, sort_keys=True),
-                                         encoding="utf-8")
+        _write(args.provenance, json.dumps(prov, sort_keys=True))
         print(f"provenance written to {args.provenance}", file=sys.stderr)
     return EXIT_OK
 
@@ -183,10 +193,8 @@ def cmd_tw_equiv(args) -> int:
             print(surface.serialize_database(verdict.counterexample),
                   end="", file=sys.stderr)
     if verdict.outcome == "yes" and args.out:
-        Path(args.out + ".cq").write_text(
-            surface.serialize_query(verdict.witness.query), encoding="utf-8")
-        Path(args.out + ".dl").write_text(
-            surface.serialize_ontology(verdict.witness.ontology), encoding="utf-8")
+        _write(args.out + ".cq", surface.serialize_query(verdict.witness.query))
+        _write(args.out + ".dl", surface.serialize_ontology(verdict.witness.ontology))
         print(f"witness written to {args.out}.cq / {args.out}.dl", file=sys.stderr)
     return EXIT_OK if verdict.outcome != "unknown" else EXIT_UNKNOWN
 
@@ -245,10 +253,8 @@ def cmd_dlf_equiv1(args) -> int:
     else:
         print(verdict.outcome.upper())
     if verdict.outcome == "yes" and args.out:
-        Path(args.out + ".cq").write_text(
-            surface.serialize_query(verdict.witness.query), encoding="utf-8")
-        Path(args.out + ".dl").write_text(
-            surface.serialize_ontology(verdict.witness.ontology), encoding="utf-8")
+        _write(args.out + ".cq", surface.serialize_query(verdict.witness.query))
+        _write(args.out + ".dl", surface.serialize_ontology(verdict.witness.ontology))
     return EXIT_OK
 
 

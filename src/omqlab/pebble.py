@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .model import (
@@ -172,14 +173,13 @@ def exists_mccs(q: CQ) -> list[frozenset]:
 
 class LabelContext:
     """Memoized machinery for checking labelings of the CQ ``q`` against
-    ``d``, over ``sat``, the clash-free saturation of ``d``."""
+    a database, over ``sat``, its clash-free saturation."""
 
-    def __init__(self, q: CQ, d: Database, sat: Saturation, const_requirements=None):
+    def __init__(self, q: CQ, sat: Saturation, const_requirements=None):
         # var -> rooted tree queries that must certify at the variable's
         # constant (stands in for attaching entailed concept copies)
         self.const_requirements = const_requirements or {}
         self.q = q
-        self.d = d
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
         self._systems: dict = {}
@@ -367,7 +367,8 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     """The game's work that does not depend on the candidate tuple, for
     the CQ ``q`` under ``o`` over ``d`` with its clash-free saturation
     ``sat``: the consistency of the query database, the labeling context
-    and the anchored labels.  Returns the test for one candidate tuple."""
+    and each variable's candidate labels.  Returns the test for one
+    candidate tuple."""
     qsat = consistent_saturation(cq_as_database(q), o)
     if qsat is None:
         return lambda a: False
@@ -377,15 +378,11 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     requirements: dict = {}
     for x, tree in _concept_trees(qsat, q.variables()):
         requirements.setdefault(x, []).append(tree)
-    ctx = LabelContext(q, d, sat, requirements)
+    ctx = LabelContext(q, sat, requirements)
 
     quantified = sorted(q.quantified_vars())
-    size = min(k + 1, len(quantified))
-    # positions over maximal pebble sets decide the game: smaller positions
-    # are restrictions of surviving maximal ones
-    vsets = [frozenset(c) for c in itertools.combinations(quantified, size)]
-
-    anchor_labels: dict[str, list] = {v: [] for v in quantified}
+    consts = [Const(c) for c in sorted(d.dom)]
+    candidates: dict[str, list] = {v: consts + [EXIST] for v in quantified}
     reps = set()
     for pair in guarded_pairs(q):
         sysm = ctx.system(pair)
@@ -399,149 +396,88 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
         labels = [Anchored(sysm.rep, c) for c in sorted(d.dom)
                   if ctx.dtree_holds_at(sysm.dtree, c)]
         for v in sysm.members():
-            if v in anchor_labels:
-                anchor_labels[v].extend(labels)
-    return functools.partial(_play, ctx, quantified, vsets, anchor_labels)
+            if v in candidates:
+                candidates[v].extend(labels)
+    size = min(k + 1, len(quantified))
+    return functools.partial(_play, ctx, quantified, size, candidates)
 
 
-def _play(ctx: LabelContext, quantified: list, vsets: list, anchor_labels: dict,
+def _play(ctx: LabelContext, quantified: list, size: int, candidates: dict,
           a: tuple) -> bool:
-    """The game for one candidate tuple: pin the answer variables, then
-    let Duplicator answer on the maximal pebble sets ``vsets``."""
+    """The game for one candidate tuple: pin the answer variables, build
+    the table of valid labelings of every pebble set of at most ``size``
+    variables, smallest first, then let Duplicator answer on the maximal
+    sets (a smaller position is a restriction of a maximal one).
+
+    A labeling of V enters V's table when it passes the conditions on V
+    and its restriction to each set one variable smaller is in that set's
+    table.  So the tables hold exactly the labelings that pass the
+    conditions on their sets: a restriction of such a labeling passes the
+    conditions on the smaller set, whose window has a subset of V's atoms
+    and variables, and whose grounding check skips a variable it leaves
+    out.  An empty table is a position where Spoiler wins at once."""
     pins = {x: Const(c) for x, c in zip(ctx.q.answer_vars, a)}
     if not ctx.is_labeling(pins, frozenset()):
         return False
-    if not vsets:
-        return True  # no quantified variables; the pins were checked above
-
-    # per-variable universe, prefiltered by singleton validity
-    consts = [Const(c) for c in sorted(ctx.d.dom)]
-    universe: dict[str, list] = {}
-    for v in quantified:
-        cands = consts + [EXIST] + anchor_labels[v]
-        keep = []
-        for l in cands:
+    # a set's labelings are tuples aligned with its sorted variables; each
+    # set extends the table of its first m-1 variables by its last one
+    tables: dict[tuple, set] = {(): {()}}
+    for m in range(1, size + 1):
+        for V in itertools.combinations(quantified, m):
+            on_vars = frozenset(V)
+            smaller = [(i, tables[V[:i] + V[i + 1:]]) for i in range(m - 1)]
             labels = dict(pins)
-            labels[v] = l
-            if ctx.is_labeling(labels, frozenset({v})):
-                keep.append(l)
-        if not keep:
-            return False
-        universe[v] = keep
-
-    # pairwise compatibility per variable pair (within any position)
-    pair_ok: dict = {}
-    for v1, v2 in itertools.combinations(quantified, 2):
-        allowed = []
-        base = dict(pins)
-        for l1 in universe[v1]:
-            base[v1] = l1
-            for l2 in universe[v2]:
-                base[v2] = l2
-                if ctx.is_labeling(base, frozenset({v1, v2})):
-                    allowed.append((l1, l2))
-            del base[v2]
-        pair_ok[(v1, v2)] = set(allowed)
-
-    def enumerate_labelings(V: frozenset) -> list:
-        vlist = sorted(V)
-        if len(vlist) == 1:
-            return [(l,) for l in universe[vlist[0]]]
-        if len(vlist) == 2:
-            return sorted(pair_ok[(vlist[0], vlist[1])], key=str)
-        out = []
-        labels = dict(pins)
-
-        def rec(i: int, acc: list):
-            if i == len(vlist):
-                labels.update(zip(vlist, acc))
-                if ctx.is_labeling(labels, V):
-                    out.append(tuple(acc))
-                return
-            v = vlist[i]
-            for l in universe[v]:
-                good = True
-                for j in range(i):
-                    w = vlist[j]
-                    key = (w, v) if w < v else (v, w)
-                    pr = (acc[j], l) if w < v else (l, acc[j])
-                    if pr not in pair_ok[key]:
-                        good = False
-                        break
-                if good:
-                    acc.append(l)
-                    rec(i + 1, acc)
-                    acc.pop()
-
-        rec(0, [])
-        return out
-
-    valid: dict[frozenset, list] = {}
-    for V in vsets:
-        out = enumerate_labelings(V)
-        if not out:
-            return False  # Spoiler moves here and wins immediately
-        valid[V] = out
-
-    return _duplicator_survives(vsets, valid)
+            table = set()
+            for t in tables[V[:-1]]:
+                for l in candidates[V[-1]]:
+                    f = t + (l,)
+                    for i, sub in smaller:
+                        if f[:i] + f[i + 1:] not in sub:
+                            break
+                    else:
+                        labels.update(zip(V, f))
+                        if ctx.is_labeling(labels, on_vars):
+                            table.add(f)
+            if not table:
+                return False
+            tables[V] = table
+    return _duplicator_survives(list(itertools.combinations(quantified, size)),
+                                tables)
 
 
-def _duplicator_survives(vsets: list, valid: dict) -> bool:
-    """Greatest fixpoint over maximal positions, by support propagation:
-    a position needs, for every other pebble set, a live position agreeing
-    on the overlap; when a support bucket empties, its dependants die."""
-    var_index = {V: {v: i for i, v in enumerate(sorted(V))} for V in vsets}
-    shared = {(V, V2): tuple(sorted(V & V2))
-              for V in vsets for V2 in vsets if V != V2}
+def _duplicator_survives(vsets: list, live: dict) -> bool:
+    """Greatest fixpoint of the game over the maximal pebble sets ``vsets``
+    (sorted tuples of equal size) and their tables ``live``, which it
+    shrinks in place: a labeling of V dies when some set W that shares all
+    but one of V's variables has no live labeling agreeing with it on
+    V & W.  Duplicator survives when no table empties.
 
-    def project(V, assignment, svars):
-        idx = var_index[V]
-        return tuple(assignment[idx[v]] for v in svars)
-
-    counts: dict = {}
-    watchers: dict = {}
-    contributes: dict = {}
-    alive: dict = {}
-    for V in vsets:
-        for assignment in valid[V]:
-            alive[(V, assignment)] = True
-            buckets = set()
-            for V2 in vsets:
-                if V2 == V:
-                    continue
-                svars = shared[(V2, V)]
-                buckets.add((V, svars, project(V, assignment, svars)))
-            contributes[(V, assignment)] = buckets
-            for b in buckets:
-                counts[b] = counts.get(b, 0) + 1
-
-    dead: list = []
-    for V in vsets:
-        for assignment in valid[V]:
-            for V2 in vsets:
-                if V2 == V:
-                    continue
-                svars = shared[(V, V2)]
-                need = (V2, svars, project(V, assignment, svars))
-                if counts.get(need, 0) == 0:
-                    dead.append((V, assignment))
-                    break
-                watchers.setdefault(need, []).append((V, assignment))
-
-    remaining = {V: len(valid[V]) for V in vsets}
-    while dead:
-        pos = dead.pop()
-        if not alive.get(pos, False):
-            continue
-        alive[pos] = False
-        V, _ = pos
-        remaining[V] -= 1
-        if remaining[V] == 0:
-            return False
-        for b in contributes[pos]:
-            counts[b] -= 1
-            if counts[b] == 0:
-                for dep in watchers.get(b, ()):
-                    if alive.get(dep, False):
-                        dead.append(dep)
-    return all(remaining[V] > 0 for V in vsets)
+    Supports over sets that share fewer variables follow, as in Dalmau,
+    Kolaitis and Vardi (CP 2002).  V reaches W through sets that each
+    share all but one variable with the one before, swapping a variable of
+    V - W for one of W - V at a time.  At each step the fixpoint has a live
+    labeling that agrees with the one before on the shared variables,
+    which hold V & W, so the last agrees with the first on V & W.  The
+    fixpoint is therefore the one with supports over every pair of sets."""
+    # (V, W) -> the projections of V's and W's labelings onto V & W, and
+    # W -> the sets V whose labelings W supports
+    keys: dict = {}
+    around: dict = {V: [] for V in vsets}
+    for V, W in itertools.permutations(vsets, 2):
+        at = [(i, W.index(v)) for i, v in enumerate(V) if v in W]
+        if len(at) == len(V) - 1:
+            keys[V, W] = (itemgetter(*(i for i, _ in at)),
+                          itemgetter(*(j for _, j in at)))
+            around[W].append(V)
+    work = dict.fromkeys(keys)  # an ordered set of the semijoins V by W to run
+    while work:
+        V, W = work.popitem()[0]
+        on_v, on_w = keys[V, W]
+        agree = set(map(on_w, live[W]))
+        kept = {f for f in live[V] if on_v(f) in agree}
+        if len(kept) < len(live[V]):
+            if not kept:
+                return False
+            live[V] = kept
+            work.update(((U, V), None) for U in around[V])
+    return True

@@ -4,21 +4,23 @@ These deliberately take the dumb route: fact lookups by scanning every
 fact, bounded oblivious chase plus plain homomorphism search, with a
 depth-stability re-check, isomorphism keys that try every permutation,
 maximum contractions by a scan of every partition, an exhaustive
-subquery search for tree-likeness, and the UCQ_k-approximation over
-every contraction.  The
+subquery search for tree-likeness, the UCQ_k-approximation over
+every contraction, and the pebble game with supports over every overlap
+of two pebble sets, its tables built through pair maps.  The
 paper's constructions that the program itself does not run
 (injective-only satisfaction, dangling-tree removal, implied types, the
 per-disjunct width-1 route for unions) live here too, as references the
 tests check against the program.
 """
 
+import functools
 import itertools
 import json
 
 from omqlab.chase import canonical_model, oblivious_chase
 from omqlab.dllitef import decide_ubcq1_equiv
 from omqlab.entailment import TOP_NAME, _elhi_view, is_consistent, normalize, saturate
-from omqlab.evaluation import chase_steps, evaluate_naive
+from omqlab.evaluation import _certain_answers, chase_steps, evaluate_naive
 from omqlab.graphalg import _ditree_root, cq_treewidth, treewidth
 from omqlab.homtools import (
     HomError,
@@ -79,6 +81,7 @@ from omqlab.model import (
     _check_dllite_inclusion,
     axiom_key,
 )
+from omqlab.pebble import Const, _check_pebble_input, _prepare_game
 from omqlab.surface import ParseError, _Cursor, _name, _tokenize_line
 
 
@@ -727,3 +730,166 @@ def infer_dialect_sequentially(axioms) -> Dialect:
         if not dialect_violations(axioms, d):
             return d
     raise DialectError(Dialect.ELHI_BOT, dialect_violations(axioms, Dialect.ELHI_BOT))
+
+
+# ---------------------------------------------------------------------------
+# The pebble game with supports over every overlap
+
+
+def evaluate_pebble_all_overlaps(Q: OMQ, d: Database, k: int):
+    """``evaluate_pebble`` with the reference game below in place of
+    ``pebble._play``; the per-disjunct preparation is the program's."""
+    _check_pebble_input(Q)
+
+    def prepare(sat):
+        def per_disjunct(cq):
+            game = _prepare_game(cq, Q.ontology, d, sat, k)
+            if not isinstance(game, functools.partial):
+                return game  # the disjunct's own database is inconsistent
+            return functools.partial(play_all_overlaps, *game.args)
+        return per_disjunct
+    return _certain_answers(Q, d, prepare)
+
+
+def play_all_overlaps(ctx, quantified: list, size: int, candidates: dict,
+                      a: tuple) -> bool:
+    """The game for one candidate tuple, its tables built in three steps:
+    each variable's labels valid on it alone, each pair's valid label
+    pairs, then each maximal pebble set's labelings whose pairs are all
+    valid and that pass the conditions on the set."""
+    pins = {x: Const(c) for x, c in zip(ctx.q.answer_vars, a)}
+    if not ctx.is_labeling(pins, frozenset()):
+        return False
+    # positions over maximal pebble sets decide the game: smaller positions
+    # are restrictions of surviving maximal ones
+    vsets = [frozenset(c) for c in itertools.combinations(quantified, size)]
+
+    # per-variable universe, prefiltered by singleton validity
+    universe: dict[str, list] = {}
+    for v in quantified:
+        keep = []
+        for l in candidates[v]:
+            labels = dict(pins)
+            labels[v] = l
+            if ctx.is_labeling(labels, frozenset({v})):
+                keep.append(l)
+        if not keep:
+            return False
+        universe[v] = keep
+
+    # pairwise compatibility per variable pair (within any position)
+    pair_ok: dict = {}
+    for v1, v2 in itertools.combinations(quantified, 2):
+        allowed = []
+        base = dict(pins)
+        for l1 in universe[v1]:
+            base[v1] = l1
+            for l2 in universe[v2]:
+                base[v2] = l2
+                if ctx.is_labeling(base, frozenset({v1, v2})):
+                    allowed.append((l1, l2))
+            del base[v2]
+        pair_ok[(v1, v2)] = set(allowed)
+
+    def enumerate_labelings(V: frozenset) -> list:
+        vlist = sorted(V)
+        if len(vlist) == 1:
+            return [(l,) for l in universe[vlist[0]]]
+        if len(vlist) == 2:
+            return sorted(pair_ok[(vlist[0], vlist[1])], key=str)
+        out = []
+        labels = dict(pins)
+
+        def rec(i: int, acc: list):
+            if i == len(vlist):
+                labels.update(zip(vlist, acc))
+                if ctx.is_labeling(labels, V):
+                    out.append(tuple(acc))
+                return
+            v = vlist[i]
+            for l in universe[v]:
+                good = True
+                for j in range(i):
+                    w = vlist[j]
+                    key = (w, v) if w < v else (v, w)
+                    pr = (acc[j], l) if w < v else (l, acc[j])
+                    if pr not in pair_ok[key]:
+                        good = False
+                        break
+                if good:
+                    acc.append(l)
+                    rec(i + 1, acc)
+                    acc.pop()
+
+        rec(0, [])
+        return out
+
+    valid: dict[frozenset, list] = {}
+    for V in vsets:
+        out = enumerate_labelings(V)
+        if not out:
+            return False  # Spoiler moves here and wins immediately
+        valid[V] = out
+
+    return duplicator_survives_all_overlaps(vsets, valid)
+
+
+def duplicator_survives_all_overlaps(vsets: list, valid: dict) -> bool:
+    """Greatest fixpoint over maximal positions, by support propagation:
+    a position needs, for every other pebble set, a live position agreeing
+    on the overlap; when a support bucket empties, its dependants die."""
+    var_index = {V: {v: i for i, v in enumerate(sorted(V))} for V in vsets}
+    shared = {(V, V2): tuple(sorted(V & V2))
+              for V in vsets for V2 in vsets if V != V2}
+
+    def project(V, assignment, svars):
+        idx = var_index[V]
+        return tuple(assignment[idx[v]] for v in svars)
+
+    counts: dict = {}
+    watchers: dict = {}
+    contributes: dict = {}
+    alive: dict = {}
+    for V in vsets:
+        for assignment in valid[V]:
+            alive[(V, assignment)] = True
+            buckets = set()
+            for V2 in vsets:
+                if V2 == V:
+                    continue
+                svars = shared[(V2, V)]
+                buckets.add((V, svars, project(V, assignment, svars)))
+            contributes[(V, assignment)] = buckets
+            for b in buckets:
+                counts[b] = counts.get(b, 0) + 1
+
+    dead: list = []
+    for V in vsets:
+        for assignment in valid[V]:
+            for V2 in vsets:
+                if V2 == V:
+                    continue
+                svars = shared[(V, V2)]
+                need = (V2, svars, project(V, assignment, svars))
+                if counts.get(need, 0) == 0:
+                    dead.append((V, assignment))
+                    break
+                watchers.setdefault(need, []).append((V, assignment))
+
+    remaining = {V: len(valid[V]) for V in vsets}
+    while dead:
+        pos = dead.pop()
+        if not alive.get(pos, False):
+            continue
+        alive[pos] = False
+        V, _ = pos
+        remaining[V] -= 1
+        if remaining[V] == 0:
+            return False
+        for b in contributes[pos]:
+            counts[b] -= 1
+            if counts[b] == 0:
+                for dep in watchers.get(b, ()):
+                    if alive.get(dep, False):
+                        dead.append(dep)
+    return all(remaining[V] > 0 for V in vsets)

@@ -191,6 +191,25 @@ def test_input_errors_exit_3(files, capsys, monkeypatch):
     assert (code, out) == (3, "") and "OMQLAB_BUDGET" in err
 
 
+@pytest.mark.parametrize("argv, out, err", [
+    (["treewidth", "--query", "{d}/missing.cq"], "",
+     "cannot read {d}/missing.cq"),
+    (["eval", "--query", "{d}/unary.cq", "--db", "{d}/missing.db"], "",
+     "cannot read {d}/missing.db"),
+    (["tw-equiv", "--onto", "{d}/ex1.dl", "--query", "{d}/fig2.cq", "-k", "1",
+      "--out", "{d}/nodir/w"], "YES\n", "cannot write {d}/nodir/w.cq"),
+    (["chase", "--onto", "{d}/ex1.dl", "--db", "{d}/d.db", "--provenance",
+      "{d}/nodir/p.json"], None, "cannot write {d}/nodir/p.json"),
+], ids=["query", "db", "out", "provenance"])
+def test_file_errors_exit_3(files, capsys, argv, out, err):
+    # an unreadable input or unwritable output is one line on stderr, not a
+    # traceback; what was printed before the write stays on stdout
+    code, got_out, got_err = run(capsys, *(a.format(d=files) for a in argv))
+    assert code == 3
+    assert got_err == f"error: {err.format(d=files)}: No such file or directory\n"
+    assert out is None or got_out == out
+
+
 @pytest.mark.parametrize("algo, k", [("pebble", "-1"), ("pebble", "0"), ("fpt", "-3")])
 def test_eval_rejects_width_below_1(files, capsys, algo, k):
     (files / "tri.cq").write_text("q() :- r(x,y), r(y,z), r(z,x)\n")

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omqlab.entailment import consistent_saturation, is_consistent
 from omqlab.evaluation import evaluate_naive
@@ -14,6 +16,7 @@ from omqlab.model import (
     OmqlabError,
     Ontology,
     Role,
+    RoleFact,
     RoleInclusion,
     UCQ,
     cq_as_database,
@@ -23,6 +26,7 @@ from omqlab.pebble import (
     Const,
     EXIST,
     LabelContext,
+    _duplicator_survives,
     evaluate_pebble,
     exists_mccs,
     reach,
@@ -33,7 +37,11 @@ from fixtures import Q1, d_example1, fig2, fig2_cq, omega1
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from gen import rand_cq, rand_database, rand_elhdr_ontology
-from oracles import extend_with_entailed_atoms
+from oracles import (
+    duplicator_survives_all_overlaps,
+    evaluate_pebble_all_overlaps,
+    extend_with_entailed_atoms,
+)
 
 
 def _q(text):
@@ -41,7 +49,7 @@ def _q(text):
 
 
 def _ctx(Q, d):
-    return LabelContext(Q.query.disjuncts[0], d, consistent_saturation(d, Q.ontology))
+    return LabelContext(Q.query.disjuncts[0], consistent_saturation(d, Q.ontology))
 
 
 def test_reach_base():
@@ -265,3 +273,87 @@ def test_hom_induced_labelings_validate():
         assert ctx.is_labeling(labels, frozenset(q.quantified_vars())), (
             o.sorted_axioms(), str(d), str(q), {k: str(x) for k, x in labels.items()})
     assert checked >= 10
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_k_overlap_fixpoint_matches_all_overlap_supports(data):
+    # each maximal pebble set's table is a few random rows, or every row
+    # but a few (so that a removal travels along sets that share k
+    # variables), plus the projections of a few full assignments (so that
+    # Duplicator can survive); supports over sets that share k variables
+    # must give the verdict of supports over every overlap
+    n = data.draw(st.integers(2, 6), label="variables")
+    k = data.draw(st.integers(1, 3), label="k")
+    n_labels = data.draw(st.integers(1, 3), label="labels")
+    size = min(k + 1, n)
+    label = st.integers(0, n_labels - 1)
+    full = data.draw(st.lists(st.tuples(*[label] * n), max_size=2), label="full")
+    every_row = set(itertools.product(range(n_labels), repeat=size))
+    vsets = list(itertools.combinations(range(n), size))
+    tables = {}
+    for V in vsets:
+        rows = data.draw(st.sets(st.tuples(*[label] * size), max_size=6))
+        if data.draw(st.booleans(), label="dense"):
+            rows = every_row - rows
+        rows |= {tuple(g[v] for v in V) for g in full}
+        tables[V] = rows or every_row
+    expected = duplicator_survives_all_overlaps(
+        [frozenset(V) for V in vsets], {frozenset(V): sorted(t) for V, t in tables.items()})
+    assert _duplicator_survives(vsets, {V: set(t) for V, t in tables.items()}) == expected
+
+
+def test_the_fixpoint_carries_a_removal_back_to_filtered_sets():
+    # Spoiler wins here, but a fixpoint that ran each semijoin once, in
+    # the order this one runs them, lets Duplicator survive: a removal has
+    # to reach sets that were already filtered against the shrunk table
+    tables = {(0, 1): {(0, 0), (1, 1), (1, 2)},
+              (0, 2): {(0, 1), (1, 0), (1, 2)},
+              (0, 3): {(1, 1), (2, 0), (2, 1)},
+              (1, 2): {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 1)},
+              (1, 3): {(0, 0), (1, 1), (2, 1)},
+              (2, 3): {(0, 0), (0, 2), (1, 1), (1, 2), (2, 2)}}
+    vsets = sorted(tables)
+    assert not duplicator_survives_all_overlaps(
+        [frozenset(V) for V in vsets], {frozenset(V): sorted(t) for V, t in tables.items()})
+    assert not _duplicator_survives(vsets, tables)
+
+
+def _directed_cycle_omq(rng, n, arity):
+    xs = [f"x{i}" for i in range(n)]
+    atoms = [f"r({xs[i]},{xs[(i + 1) % n]})" for i in range(n)]
+    if rng.random() < 0.3:
+        atoms.append(f"{rng.choice(['A1', 'B1'])}({rng.choice(xs)})")
+    q = parse_query(f"q({','.join(xs[:arity])}) :- {', '.join(atoms)}")
+    o = rand_elhdr_ontology(rng, rng.randint(1, 3), names=["A1", "B1"], roles=["r", "s"])
+    return OMQ(o, FULL_SCHEMA, q)
+
+
+def _cycle_database(rng, m):
+    extra = rand_database(rng, m, names=["A1", "B1"], roles=["r", "s"],
+                          n_facts=rng.randint(0, m))
+    cycle = [RoleFact("r", f"c{i}", f"c{(i + 1) % m}") for i in range(m)]
+    return Database(cycle + sorted(extra.facts, key=str))
+
+
+def test_pebble_matches_the_all_overlap_game_on_directed_cycles():
+    # criterion 4 and the random sample play at k = tw(q), where the game
+    # is exact; a directed cycle at k = 1 is where it is one-sided, since
+    # two pebbles walk around any cycle of the data, of any length
+    rng = random.Random(16)
+    above_naive = n = 0
+    while n < 40:
+        Q = _directed_cycle_omq(rng, rng.randint(3, 6), rng.choice([0, 1]))
+        d = _cycle_database(rng, rng.randint(2, 5))
+        if not is_consistent(d, Q.ontology):
+            continue
+        n += 1
+        naive = evaluate_naive(Q, d).answers
+        for k in (1, 2, 3):
+            game = evaluate_pebble(Q, d, k).answers
+            assert game == evaluate_pebble_all_overlaps(Q, d, k).answers, (k, str(Q.query), str(d))
+            assert naive <= game
+            if k >= 2:
+                assert game == naive  # the cycles have tree width 2
+            above_naive += k == 1 and game != naive
+    assert above_naive >= 1

@@ -19,6 +19,7 @@ from .model import (
     ConceptFact,
     Database,
     Fact,
+    OmqlabError,
     Ontology,
     Role,
     RoleFact,
@@ -68,6 +69,8 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
     firing attaches a fresh tree even when the conclusion already holds.
     Fresh trees are only attached at constants whose forest depth is below
     ``depth``; each (constant, axiom) pair fires at most once."""
+    if depth < 0:
+        raise OmqlabError(f"the chase needs depth >= 0, got {depth}")
     o = _elhi_view(o)
     inclusions = o.concept_inclusions()  # range restrictions fold in here
     role_incs = o.role_inclusions()
@@ -157,6 +160,8 @@ def canonical_model(d: Database, o: Ontology, steps: int) -> CanonicalModel:
     up to ``steps`` over the original constants then agree with the full
     universal model.  On data inconsistent with ``o``, functionality
     included, the result is the saturation alone."""
+    if steps < 0:
+        raise OmqlabError(f"the canonical model needs steps >= 0, got {steps}")
     sat = consistent_saturation(d, o)
     if sat is None:
         return CanonicalModel(saturate(d, o).database,

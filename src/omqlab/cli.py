@@ -93,6 +93,17 @@ def _emit_answers(args, result) -> None:
             print(",".join(t))
 
 
+def _emit_query(args, q) -> int:
+    """A query result: the ``.cq`` text, or ``{"query": text}`` with
+    ``--json``, the shape of ``tw-equiv``'s ``witness``."""
+    text = surface.serialize_query(q)
+    if args.json:
+        print(json.dumps({"query": text}))
+    else:
+        print(text, end="")
+    return EXIT_OK
+
+
 def _boolean(args) -> bool:
     return getattr(args, "_arity", 1) == 0
 
@@ -161,16 +172,12 @@ def cmd_treewidth(args) -> int:
 def cmd_core(args) -> int:
     q = surface.parse_query(_read(args.query))
     from .model import UCQ
-    cored = UCQ(tuple(core(cq) for cq in q.disjuncts))
-    print(surface.serialize_query(cored), end="")
-    return EXIT_OK
+    return _emit_query(args, UCQ(tuple(core(cq) for cq in q.disjuncts)))
 
 
 def cmd_approx(args) -> int:
     Q = _load_omq(args)
-    Qa = ucq_k_approximation(Q, args.k)
-    print(surface.serialize_query(Qa.query), end="")
-    return EXIT_OK
+    return _emit_query(args, ucq_k_approximation(Q, args.k).query)
 
 
 def cmd_tw_equiv(args) -> int:
@@ -214,9 +221,7 @@ def cmd_contain(args) -> int:
 
 def cmd_rewrite(args) -> int:
     Q = _load_omq(args)
-    out = rewriting(Q)
-    print(surface.serialize_query(out.query), end="")
-    return EXIT_OK
+    return _emit_query(args, rewriting(Q).query)
 
 
 def cmd_unravel(args) -> int:
@@ -235,10 +240,7 @@ def cmd_unravel(args) -> int:
 
 def cmd_dlf_rew(args) -> int:
     from .dllitef import rew
-    Q = _load_omq(args)
-    out = rew(Q)
-    print(surface.serialize_query(out), end="")
-    return EXIT_OK
+    return _emit_query(args, rew(_load_omq(args)))
 
 
 def cmd_dlf_equiv1(args) -> int:

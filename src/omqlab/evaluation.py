@@ -1,5 +1,7 @@
-"""OMQ evaluation pipelines: naive (canonical model + homomorphism) and
-bounded-treewidth dynamic programming.
+"""OMQ evaluation pipelines over the truncated canonical model: naive
+(homomorphism search) and width-k (a bottom-up join over a tree
+decomposition of each disjunct, in which every variable is bound by an
+atom or a child's table, never by ranging over the domain).
 
 An inconsistent database has every tuple as a certain answer; results
 carry an explicit ``consistent`` flag so the caller can surface this.
@@ -21,7 +23,7 @@ from .model import (
     Role,
     RoleFact,
     UCQ,
-    gaifman_graph,
+    UndirectedGraph,
 )
 from .chase import canonical_model_of
 from .entailment import Saturation, consistent_saturation
@@ -210,9 +212,22 @@ class _TreeEvaluator:
 
 
 class _WidthPlan:
-    """The part of the width-``k`` join that depends on the query alone:
-    the decomposition of the quantified part, the bag charged with each
-    atom and a rooted bag order.  ``holds`` runs the join for one tuple."""
+    """The width-``k`` join of one disjunct over a tree decomposition of its
+    quantified part (Flum, Frick and Grohe, JACM 2002; the join is
+    Yannakakis', VLDB 1981).  Each atom is charged to the first bag that
+    holds its quantified terms, so an atom over answer variables only goes
+    to bag 0.  Bag i keeps the quantified variables of its charged atoms
+    plus the variables its children send up, and sends up those of its
+    kept variables that its parent's bag holds.  ``holds`` runs the join
+    for one tuple: bags come children first, so one pass in index order
+    is bottom-up.
+
+    The join is exact.  A variable's kept bags are the paths from the bags
+    charged with its atoms up to the top of its own bags, so they are
+    connected, and it is dropped only at that top, below which every atom
+    over it is charged.  A kept variable that no atom of the bag covers is
+    sent up by a child, so every variable is bound by an atom or a child's
+    table and none ranges over the domain."""
 
     def __init__(self, q: CQ, k: int):
         w = cq_treewidth(q)
@@ -220,92 +235,56 @@ class _WidthPlan:
             raise OmqlabError(f"disjunct has tree width {w} > {k}")
         answer = set(q.answer_vars)
         self.answer_vars = q.answer_vars
-        # atoms entirely over answer variables: checked once per tuple
-        self.fixed_atoms = [at for at in q.sorted_atoms() if set(at.terms()) <= answer]
-        quantified = sorted(q.quantified_vars())
-        self.order: list = []
-        if not quantified:
-            return
+        quantified = q.quantified_vars()
+        _, td = treewidth(UndirectedGraph(quantified, [
+            at.terms() for at in q.atoms
+            if isinstance(at, RoleFact) and set(at.terms()) <= quantified]))
 
-        restricted = [at for at in q.atoms
-                      if all(t in quantified for t in at.terms())]
-        g = gaifman_graph(Database(restricted))
-        for v in quantified:
-            g.add_vertex(v)
-        _, td = treewidth(g)
-
-        # atom -> the bag charged with checking it (all quantified terms inside)
-        self.bags = bags = [set(b) for b in td.bags]
-        charge: dict[int, list] = {i: [] for i in range(len(bags))}
+        charged: list[list] = [[] for _ in td.bags]
         for at in q.sorted_atoms():
             qvars = set(at.terms()) - answer
-            if qvars:
-                home = next((i for i, b in enumerate(bags) if qvars <= b), None)
-                if home is None:
-                    raise AssertionError("decomposition misses an atom")
-                charge[home].append(at)
-        # per bag: sorted variables, charged atoms, the answer variables
-        # they pin and the bag variables they miss
-        self.bag_queries = []
-        for b, atoms in zip(bags, charge.values()):
+            charged[next(i for i, b in enumerate(td.bags) if qvars <= b)].append(at)
+        # per bag: its atoms, the answer variables they pin, the columns the
+        # atoms bind, one (child, row key, child key, child rest) per child
+        # and the columns sent up
+        self.steps = []
+        sent: list[tuple] = []
+        for i, atoms in enumerate(charged):
             sub = CQ((), atoms)
-            self.bag_queries.append((sorted(b), sub, sorted(sub.variables() & answer),
-                                     [v for v in sorted(b) if v not in sub.variables()]))
-
-        # root the bag tree and order children
-        adj = td._adj()
-        self.parent = {0: None}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            self.order.append(u)
-            for w in sorted(adj[u]):
-                if w not in self.parent:
-                    self.parent[w] = u
-                    stack.append(w)
-        self.children = {i: [w for w in adj[i] if self.parent.get(w) == i] for i in adj}
-
-    def _bag_assignments(self, i: int, d: Database, pin: dict):
-        vars_i, sub, pinned, extra = self.bag_queries[i]
-        fixed = {v: pin[v] for v in pinned}
-        for h in iter_homomorphisms(sub, d, fixed=fixed):
-            base = {v: h[v] for v in vars_i if v in h}
-            if extra:
-                for combo in itertools.product(sorted(d.dom), repeat=len(extra)):
-                    th = dict(base)
-                    th.update(zip(extra, combo))
-                    yield th
-            else:
-                yield base
+            bound = sorted(sub.variables() - answer)
+            cols = list(bound)
+            joins = []
+            for c in (j for j, p in enumerate(td.parent) if p == i):
+                shared = [v for v in sent[c] if v in cols]
+                rest = [v for v in sent[c] if v not in cols]
+                joins.append((c, [cols.index(v) for v in shared],
+                              [sent[c].index(v) for v in shared],
+                              [sent[c].index(v) for v in rest]))
+                cols += rest
+            p = td.parent[i]
+            sent.append(tuple(v for v in cols if p is not None and v in td.bags[p]))
+            self.steps.append((sub, sorted(sub.variables() & answer), bound, joins,
+                               [cols.index(v) for v in sent[i]]))
 
     def holds(self, d: Database, a: tuple) -> bool:
-        """Join of partial homomorphisms into ``d`` along the decomposition,
-        answer variables pinned to ``a``."""
+        """The join into ``d`` with the answer variables pinned to ``a``:
+        per bag, the homomorphisms of its atoms, joined with each child's
+        table on the variables they share and projected onto what the bag
+        sends up.  An empty table ends it."""
         pin = dict(zip(self.answer_vars, a))
-        for at in self.fixed_atoms:
-            if at.rename(pin) not in d.facts:
-                return False
-        if not self.order:
-            return True
-
-        bags = self.bags
-        messages: dict[int, set] = {}
-        for i in reversed(self.order):
-            table = set()
-            for th in self._bag_assignments(i, d, pin):
-                good = True
-                for w in self.children[i]:
-                    sep = tuple(sorted((v, th[v]) for v in bags[i] & bags[w]))
-                    if sep not in messages[w]:
-                        good = False
-                        break
-                if good:
-                    table.add(tuple(sorted(th.items())))
+        tables: list[set] = []
+        for sub, pinned, bound, joins, send in self.steps:
+            rows = [tuple(h[v] for v in bound) for h in
+                    iter_homomorphisms(sub, d, {v: pin[v] for v in pinned})]
+            for c, here, there, rest in joins:
+                index: dict = {}
+                for t in tables[c]:
+                    index.setdefault(tuple(t[j] for j in there), []).append(
+                        tuple(t[j] for j in rest))
+                rows = [r + ext for r in rows
+                        for ext in index.get(tuple(r[j] for j in here), ())]
+            table = {tuple(r[j] for j in send) for r in rows}
             if not table:
                 return False
-            up = self.parent[i]
-            if up is not None:
-                sepvars = bags[i] & bags[up]
-                messages[i] = {tuple(sorted((v, c) for v, c in th if v in sepvars))
-                               for th in table}
+            tables.append(table)
         return True

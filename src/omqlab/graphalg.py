@@ -32,10 +32,12 @@ MINOR_VERTEX_CAP = 12
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Bags indexed by id, plus tree edges over bag ids."""
+    """Bags indexed by id, and each bag's parent: a later bag, or ``None``
+    for the last bag, the root.  Children come before their parent, so a
+    walk in index order is bottom-up."""
 
     bags: tuple  # tuple of frozensets, index = bag id
-    edges: frozenset  # frozenset of frozenset({i, j})
+    parent: tuple  # parent[i] > i, and parent[-1] is None
 
     @property
     def width(self) -> int:
@@ -44,7 +46,10 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
     def validate(self, g: UndirectedGraph) -> list[str]:
-        """The three defining conditions, checked directly."""
+        """The defining conditions: every vertex and edge in a bag, a tree
+        whose parents are later bags, and for each vertex one top, a bag
+        holding it that is the root or whose parent lacks it.  Over a tree,
+        one top means the vertex's bags are connected."""
         out = []
         covered = set().union(*self.bags) if self.bags else set()
         if set(g.vertices) - covered:
@@ -52,43 +57,18 @@ class TreeDecomposition:
         for e in g.edges():
             if not any(e <= b for b in self.bags):
                 out.append(f"edge {sorted(e, key=str)} in no bag")
-        # tree shape
         n = len(self.bags)
-        if n and len(self.edges) != n - 1:
-            out.append("bag tree has the wrong number of edges")
-        if n and not self._tree_connected():
-            out.append("bag tree is disconnected")
-        # connectedness of each vertex's bag set
-        for v in g.vertices:
-            ids = [i for i, b in enumerate(self.bags) if v in b]
-            if ids and not self._connected_within(set(ids)):
-                out.append(f"bags of {v} are not connected")
+        for i, p in enumerate(self.parent):
+            if (p is None) != (i == n - 1) or p is not None and not i < p < n:
+                out.append(f"bag {i} has parent {p}, not a later bag")
+        if out:
+            return out
+        for v in sorted(g.vertices, key=str):
+            tops = [i for i, (b, p) in enumerate(zip(self.bags, self.parent))
+                    if v in b and (p is None or v not in self.bags[p])]
+            if len(tops) > 1:
+                out.append(f"bags of {v} have {len(tops)} tops: {tops}")
         return out
-
-    def _adj(self):
-        adj = {i: set() for i in range(len(self.bags))}
-        for e in self.edges:
-            i, j = tuple(e)
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    def _tree_connected(self) -> bool:
-        return self._connected_within(set(range(len(self.bags))))
-
-    def _connected_within(self, ids: set) -> bool:
-        if not ids:
-            return True
-        adj = self._adj()
-        seen = {next(iter(sorted(ids)))}
-        stack = list(seen)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in ids and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == ids
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +99,7 @@ def _treewidth_uncached(g: UndirectedGraph) -> tuple[int, TreeDecomposition]:
                           f"got {len(g.vertices)}")
     vertices = sorted(g.vertices, key=str)
     if not vertices:
-        return 0, TreeDecomposition((frozenset(),), frozenset())
+        return 0, TreeDecomposition((frozenset(),), (None,))
 
     # preprocessing: peel degree-<=1 and simplicial vertices, remember order
     work = {v: set(g.neighbours(v)) for v in vertices}
@@ -147,9 +127,7 @@ def _treewidth_uncached(g: UndirectedGraph) -> tuple[int, TreeDecomposition]:
 
     # full elimination order: peeled first, then the core order
     order = [v for v, _ in peeled] + core_order
-    bags, edges = _decomposition_from_order(g, order)
-    td = TreeDecomposition(tuple(bags), frozenset(edges))
-    return width, td
+    return width, _decomposition_from_order(g, order)
 
 
 def _is_clique(vs: set, adj: dict) -> bool:
@@ -218,32 +196,25 @@ def _elimination_dp(adj: dict) -> tuple[list, int]:
     return order, best[full][0]
 
 
-def _decomposition_from_order(g: UndirectedGraph, order: list) -> tuple[list, set]:
-    """Bags from an elimination order (fill-in simulation)."""
-    if not order:
-        return [frozenset()], set()
+def _decomposition_from_order(g: UndirectedGraph, order: list) -> TreeDecomposition:
+    """Bags from an elimination order (fill-in simulation): bag i holds the
+    i-th vertex and its later neighbours, and its parent is the bag of the
+    first of them, or bag i + 1 when there is none."""
     pos = {v: i for i, v in enumerate(order)}
     adj = {v: set(g.neighbours(v)) for v in g.vertices}
     bags: list[frozenset] = []
-    later: list[set] = []
-    for v in order:
+    parent: list = []
+    for i, v in enumerate(order):
         nbrs = {w for w in adj[v] if pos[w] > pos[v]}
         bags.append(frozenset({v} | nbrs))
-        later.append(nbrs)
+        parent.append(min((pos[w] for w in nbrs), default=i + 1))
         for a in nbrs:
             adj[a].discard(v)
             for b in nbrs:
                 if a != b:
                     adj[a].add(b)
-    edges: set = set()
-    for i, v in enumerate(order):
-        nbrs = later[i]
-        if nbrs:
-            first = min(nbrs, key=lambda w: pos[w])
-            edges.add(frozenset({i, pos[first]}))
-        elif i + 1 < len(order):
-            edges.add(frozenset({i, i + 1}))
-    return bags, edges
+    parent[-1] = None
+    return TreeDecomposition(tuple(bags), tuple(parent))
 
 
 def cq_treewidth(q: CQ) -> int:
@@ -419,6 +390,10 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     redundant.  Constants adjacent only to tuple constants still receive
     (fact-free) bag copies; dropping them would lose certain answers.
     """
+    if k < 1:
+        raise QueryError(f"the unraveling needs k >= 1, got {k}")
+    if depth < 0:
+        raise QueryError(f"the unraveling needs depth >= 0, got {depth}")
     _check_anchors(d, a)
     anchors = set(a)
     base = Database([f for f in d.facts if not (set(f.terms()) & anchors)])

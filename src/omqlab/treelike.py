@@ -507,6 +507,8 @@ def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
     with or without the narrow ones, and when no disjunct is wide the
     approximation is the query up to isomorphic duplicates, equivalent to
     it under any schema."""
+    if budget < 0:
+        raise OmqlabError(f"the counterexample search needs budget >= 0, got {budget}")
     if Q.ontology.dialect not in TW_EQUIV_DIALECTS:
         raise OmqlabError(
             f"width-k equivalence handles the ELHI family and DL-LiteR(-horn), "

@@ -230,6 +230,34 @@ def test_width_k_approximation_rejects_width_below_1(files, capsys, command, k):
     assert err == f"error: the width-k approximation needs k >= 1, got {k}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["unravel", "--db", "{d}/d.db", "-k", "-1", "--depth", "1"],
+     "the unraveling needs k >= 1, got -1"),
+    (["unravel", "--db", "{d}/d.db", "-k", "0", "--depth", "1"],
+     "the unraveling needs k >= 1, got 0"),
+    (["unravel", "--db", "{d}/d.db", "-k", "1", "--depth", "-1"],
+     "the unraveling needs depth >= 0, got -1"),
+    (["chase", "--onto", "{d}/ex1.dl", "--db", "{d}/d.db", "--depth", "-1"],
+     "the chase needs depth >= 0, got -1"),
+    (["chase", "--onto", "{d}/ex1.dl", "--db", "{d}/d.db", "--canonical",
+      "--steps", "-2"], "the canonical model needs steps >= 0, got -2"),
+    (["tw-equiv", "--onto", "{d}/ex1.dl", "--query", "{d}/fig2.cq", "-k", "1",
+      "--budget", "-1"], "the counterexample search needs budget >= 0, got -1"),
+], ids=["unravel-k-negative", "unravel-k-0", "unravel-depth", "chase-depth",
+        "canonical-steps", "tw-equiv-budget"])
+def test_out_of_range_numbers_exit_3(files, capsys, argv, err):
+    code, out, got = run(capsys, *(a.format(d=files) for a in argv))
+    assert (code, out, got) == (3, "", f"error: {err}\n")
+
+
+def test_negative_budget_from_the_environment_exits_3(files, capsys, monkeypatch):
+    monkeypatch.setenv("OMQLAB_BUDGET", "-2")
+    code, out, err = run(capsys, "tw-equiv", "--onto", str(files / "ex1.dl"),
+                         "--query", str(files / "fig2.cq"), "-k", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: the counterexample search needs budget >= 0, got -2\n"
+
+
 def test_unravel_rejects_anchor_outside_the_data(files, capsys):
     code, out, err = run(capsys, "unravel", "--db", str(files / "d.db"), "-k", "1",
                          "--depth", "1", "--tuple", "a,zz")
@@ -289,6 +317,25 @@ def test_approx_command(files, capsys):
     assert len(out.strip().splitlines()) == 4
     printed = Q1.with_query(parse_query(out))
     assert equivalent_full_schema(printed, full_ucq_k_approximation(Q1, 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["core", "--query", "{d}/dup.cq"],
+    ["approx", "--onto", "{d}/ex1.dl", "--query", "{d}/fig2.cq", "-k", "1"],
+    ["rewrite", "--onto", "{d}/ex1.dl", "--query", "{d}/fig2.cq"],
+    ["dlf-rew", "--onto", "{d}/f.dl", "--query", "{d}/merge.cq"],
+], ids=["core", "approx", "rewrite", "dlf-rew"])
+def test_query_commands_print_json(files, capsys, argv):
+    # --json gives {"query": the .cq text}, the plain output verbatim
+    (files / "dup.cq").write_text("q(x) :- A(y), A(z), r(x,y)\n")
+    (files / "f.dl").write_text("func r\n")
+    (files / "merge.cq").write_text("q() :- r(x,y1), r(x,y2), A(y1), B(y2)\n")
+    argv = [a.format(d=files) for a in argv]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and plain.startswith("q(")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {"query": plain}
 
 
 def test_contain_command(files, capsys):

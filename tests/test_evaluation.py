@@ -1,17 +1,21 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from omqlab.evaluation import (
+    _WidthPlan,
     evaluate_fpt,
     evaluate_naive,
 )
 from omqlab.entailment import is_consistent
-from omqlab.graphalg import cq_treewidth
+from omqlab.graphalg import cq_treewidth, treewidth
 from omqlab.pebble import evaluate_pebble
 from omqlab.model import (
     CQ,
+    ConceptFact,
     Database,
     FULL_SCHEMA,
     OMQ,
@@ -19,9 +23,10 @@ from omqlab.model import (
     RoleFact,
     Schema,
     UCQ,
+    UndirectedGraph,
     cq_as_database,
 )
-from omqlab.surface import parse_database, parse_query
+from omqlab.surface import parse_database, parse_ontology, parse_query
 from fixtures import (
     D1,
     D2,
@@ -211,3 +216,115 @@ def test_each_evaluation_saturates_its_data_once(monkeypatch):
         assert evaluate(Q).answers == frozenset({("a",)})
         assert len(calls) == expected, (Q, expected)
         assert calls[0] == d
+
+
+_QVARS = [f"x{i}" for i in range(5)]
+_CONSTS = [f"c{i}" for i in range(5)]
+_NAMES = ["A1", "A2", "B1"]
+
+
+def _facts(terms):
+    return st.lists(st.one_of(
+        st.tuples(st.sampled_from(_NAMES), st.sampled_from(terms)).map(
+            lambda t: ConceptFact(*t)),
+        st.tuples(st.sampled_from(["r", "s"]), st.sampled_from(terms),
+                  st.sampled_from(terms)).map(lambda t: RoleFact(*t))),
+        min_size=1, max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_axioms=st.integers(0, 5), onto_seed=st.integers(0, 2**16),
+       facts=_facts(_CONSTS), disjuncts=st.lists(_facts(_QVARS), min_size=1, max_size=2),
+       arity=st.integers(0, 2))
+def test_fpt_matches_naive_shrinking(n_axioms, onto_seed, facts, disjuncts, arity):
+    # the width-k join at the largest disjunct width against plain
+    # homomorphism search, over the same canonical model
+    o = rand_elhdr_ontology(random.Random(onto_seed), n_axioms, names=_NAMES,
+                            roles=["r", "s"])
+    avs = tuple(_QVARS[:arity])
+    assume(all(set(avs) <= {t for at in atoms for t in at.terms()}
+               for atoms in disjuncts))
+    q = UCQ(CQ(avs, atoms) for atoms in disjuncts)
+    k = max(cq_treewidth(cq) for cq in q.disjuncts)
+    assume(k <= 2)
+    Q, d = OMQ(o, FULL_SCHEMA, q), Database(facts)
+    assert evaluate_fpt(Q, d, k) == evaluate_naive(Q, d)
+
+
+def _kept_bags(plan: _WidthPlan) -> list:
+    """The variables each bag of ``plan`` keeps, read back from its steps:
+    the columns its atoms bind, then what each child sends that they miss."""
+    kept, sent = [], []
+    for _, _, bound, joins, send in plan.steps:
+        cols = list(bound)
+        for c, _, _, rest in joins:
+            cols += [sent[c][j] for j in rest]
+        kept.append(cols)
+        sent.append([cols[j] for j in send])
+    return kept
+
+
+def test_kept_bags_are_connected_and_atoms_charged_inside_their_bag():
+    rng = random.Random(17)
+    for _ in range(150):
+        q = rand_cq(rng, rng.randint(1, 8), rng.randint(0, 2), names=["A", "B"],
+                    roles=["r", "s"], max_tw=3)
+        plan = _WidthPlan(q, 3)
+        quantified = q.quantified_vars()
+        td = treewidth(UndirectedGraph(quantified, [
+            at.terms() for at in q.atoms
+            if isinstance(at, RoleFact) and set(at.terms()) <= quantified]))[1]
+        assert len(plan.steps) == len(td.bags)
+        kept = _kept_bags(plan)
+        charged = []
+        for i, (sub, _, bound, joins, _) in enumerate(plan.steps):
+            assert set(kept[i]) <= td.bags[i]
+            assert [c for c, *_ in joins] == [c for c, p in enumerate(td.parent) if p == i]
+            for at in sub.atoms:
+                assert set(at.terms()) - set(q.answer_vars) <= td.bags[i]
+                charged.append(at)
+        assert sorted(charged, key=str) == sorted(q.atoms, key=str)
+        for v in quantified:
+            tops = [i for i, p in enumerate(td.parent)
+                    if v in kept[i] and (p is None or v not in kept[p])]
+            assert len(tops) == 1, (q, v, kept, td)
+
+
+# the criterion-4 instances 470 and 1,641 (seed 2024): a bag variable that
+# no atom of its bag covers once ranged over all of the canonical model
+_SLOW_FOR_THE_DOMAIN_JOIN = [
+    ("""A2 <= exists s . top
+A2 <= top
+B1 <= top
+exists s . B1 <= A1
+top & top <= A2 & (exists r . B1) & (exists s . B1)
+""", "q() :- A2(x3), A2(x4), A3(x4), B1(x5), r(x1,x5), r(x5,x1), r(x5,x4), "
+     "s(x0,x2), s(x1,x0), s(x3,x0), s(x4,x0)",
+     "A2(c0)\nA3(c4)\nB1(c3)\nB1(c4)\nB1(c5)\nr(c2,c0)\nr(c2,c5)\nr(c4,c1)\n",
+     False),
+    ("""A1 <= A1
+A3 <= A1
+A3 <= A2
+B1 <= top & A1 & A2 & (exists s . top)
+top & top & A3 <= A3 & A3 & (exists r . B1)
+s <= r
+range s <= B1
+""", "q() :- A2(x2), r(x0,x0), r(x1,x3), r(x2,x0), r(x4,x3), r(x5,x2), s(x0,x1), "
+     "s(x1,x3), s(x1,x4), s(x2,x5), s(x4,x5)",
+     "A1(c2)\nA1(c5)\nA2(c4)\nA3(c3)\nB1(c2)\nB1(c3)\nB1(c4)\nr(c3,c0)\nr(c3,c5)\n"
+     "r(c5,c0)\nr(c5,c1)\ns(c1,c5)\ns(c2,c5)\ns(c3,c2)\ns(c3,c3)\n",
+     True),
+]
+
+
+@pytest.mark.parametrize("onto, query, db, holds", _SLOW_FOR_THE_DOMAIN_JOIN,
+                         ids=["instance-470", "instance-1641"])
+def test_fpt_binds_uncovered_bag_variables_through_children(onto, query, db, holds):
+    Q = OMQ(parse_ontology("dialect: ELHdr_bot\n" + onto), FULL_SCHEMA,
+            parse_query(query))
+    d = parse_database(db)
+    t0 = time.perf_counter()
+    res = evaluate_fpt(Q, d, 2)
+    assert time.perf_counter() - t0 < 2.0
+    assert res == evaluate_naive(Q, d)
+    assert res.boolean() == holds

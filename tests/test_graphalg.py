@@ -58,6 +58,23 @@ def test_treewidth_witness_always_validates():
         assert td.width >= w
 
 
+def test_validate_reports_each_broken_condition():
+    path = UndirectedGraph("abc", [("a", "b"), ("b", "c")])
+    ab, bc, ac = frozenset("ab"), frozenset("bc"), frozenset("ac")
+    assert TreeDecomposition((ab, bc), (1, None)).validate(path) == []
+    cases = [
+        (TreeDecomposition((ab, bc, frozenset("c")), (2, 0, None)),
+         "bag 1 has parent 0, not a later bag"),
+        (TreeDecomposition((ab, bc), (None, None)), "bag 0 has parent None, not a later bag"),
+        (TreeDecomposition((ab, bc), (1, 0)), "bag 1 has parent 0, not a later bag"),
+        (TreeDecomposition((ab, bc, ac), (1, 2, None)), "bags of a have 2 tops: [0, 2]"),
+        (TreeDecomposition((ab,), (None,)), "uncovered vertices: ['c']"),
+        (TreeDecomposition((ab, frozenset("c")), (1, None)), "edge ['b', 'c'] in no bag"),
+    ]
+    for td, problem in cases:
+        assert problem in td.validate(path), (td, td.validate(path))
+
+
 def test_treewidth_cap():
     vs = [f"v{i}" for i in range(30)]
     with pytest.raises(CapExceeded):

@@ -41,7 +41,6 @@ ALLOWED_FIELDS: dict = {}
 # Defaulted parameters no package call passes, each with its outside caller.
 ALLOWED_PARAMS = {
     "cli.main(argv)": "tests and perfbench/worker.py call main(argv)",
-    "model.UndirectedGraph.__init__(edges)": "test_graphalg builds graphs from edge lists",
 }
 
 

@@ -2,12 +2,12 @@
 canonical model (saturation, type copies, then bounded successor rounds).
 
 Fresh constants are numbered deterministically (`_n<k>` for chase nodes,
-`_t<k>` for type copies), so identical inputs produce identical output.
+`_t<k>` for type copies), skipping the names the input uses, so identical
+inputs produce identical output.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +19,7 @@ from .model import (
     ConceptFact,
     Database,
     Fact,
+    FreshVars,
     OmqlabError,
     Ontology,
     Role,
@@ -77,7 +78,7 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
     facts: set[Fact] = set(d.facts)
     prov: dict[str, Provenance] = {a: Provenance("original") for a in sorted(d.dom)}
     fired: set = set()
-    counter = itertools.count()
+    fresh = FreshVars("_n", d.dom)
 
     changed = True
     while changed:
@@ -105,20 +106,20 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
                     continue
                 fired.add((a, ax))
                 changed = True
-                _attach_concept(ax.rhs, a, ax, facts, prov, counter)
+                _attach_concept(ax.rhs, a, ax, facts, prov, fresh)
                 if len(prov) > CHASE_NODE_CAP:
                     raise CapExceeded("chase grew past the node cap")
     return ChaseDb(Database(facts), prov)
 
 
-def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict, counter) -> None:
+def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict,
+                    fresh: FreshVars) -> None:
     """Attach the tree-shaped database of ``c`` with its root glued to ``root``."""
     q = concept_as_cq(c, rooted=True)
     rename = {q.answer_vars[0]: root}
     order = sorted(q.variables() - {q.answer_vars[0]})
     for v in order:
-        fresh = f"_n{next(counter)}"
-        rename[v] = fresh
+        rename[v] = fresh.next()
     for at in q.sorted_atoms():
         facts.add(at.rename(rename))
     # provenance and depths: tree distance from the root
@@ -176,8 +177,8 @@ def canonical_model_of(sat: Saturation, steps: int,
     facts: set[Fact] = set(sat.database.facts)
     types: dict[str, frozenset] = dict(sat.types)
     prov: dict[str, Provenance] = {a: Provenance("original") for a in sorted(types)}
-    tcount = itertools.count()
-    ncount = itertools.count()
+    tnames = FreshVars("_t", frozenset(types))
+    nnames = FreshVars("_n", frozenset(types))
 
     # type copies: one fresh constant per maximal implied type (projected to
     # the ontology's sub-concepts; names outside sub(O) cannot hold at
@@ -194,7 +195,7 @@ def canonical_model_of(sat: Saturation, steps: int,
         for t in sorted(maximal, key=sorted):
             if share_copies and t in copied:
                 continue
-            c = f"_t{next(tcount)}"
+            c = tnames.next()
             copied[t] = c
             types[c] = onorm.close(t)
             prov[c] = Provenance("type_copy", parent=a)
@@ -245,7 +246,7 @@ def canonical_model_of(sat: Saturation, steps: int,
             # re-check: an earlier addition this round may witness it now
             if any(child <= types.get(b, frozenset()) for b in successors(a, role)):
                 continue
-            b = f"_n{next(ncount)}"
+            b = nnames.next()
             frontier.append(b)
             types[b] = child
             prov[b] = Provenance("anonymous", parent=a, depth=prov[a].depth + 1)

@@ -78,7 +78,7 @@ def _default_budget(args) -> int:
         raise OmqlabError(f"OMQLAB_BUDGET is not an integer: {env!r}") from None
 
 
-def _emit_answers(args, result) -> None:
+def _emit_answers(args, result, arity: int) -> None:
     if args.json:
         print(surface.serialize_answers(result.consistent, sorted(result.answers)))
         return
@@ -87,7 +87,7 @@ def _emit_answers(args, result) -> None:
     if result.answers and next(iter(result.answers)) == ():
         print("true")
     elif not result.answers:
-        print("false" if _boolean(args) else "")
+        print("false" if arity == 0 else "")
     else:
         for t in sorted(result.answers):
             print(",".join(t))
@@ -104,13 +104,8 @@ def _emit_query(args, q) -> int:
     return EXIT_OK
 
 
-def _boolean(args) -> bool:
-    return getattr(args, "_arity", 1) == 0
-
-
 def cmd_eval(args) -> int:
     Q = _load_omq(args)
-    args._arity = Q.arity
     d = surface.parse_database(_read(args.db))
     if args.algo == "naive":
         res = evaluate_naive(Q, d)
@@ -121,7 +116,7 @@ def cmd_eval(args) -> int:
     else:
         k = args.k if args.k is not None else 1
         res = evaluate_pebble(Q, d, k)
-    _emit_answers(args, res)
+    _emit_answers(args, res, Q.arity)
     return EXIT_OK
 
 

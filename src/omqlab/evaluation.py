@@ -23,11 +23,10 @@ from .model import (
     Role,
     RoleFact,
     UCQ,
-    UndirectedGraph,
 )
 from .chase import canonical_model_of
 from .entailment import Saturation, consistent_saturation
-from .graphalg import cq_treewidth, treewidth
+from .graphalg import cq_decomposition, cq_treewidth
 from .homtools import find_homomorphism, iter_homomorphisms
 
 
@@ -235,10 +234,7 @@ class _WidthPlan:
             raise OmqlabError(f"disjunct has tree width {w} > {k}")
         answer = set(q.answer_vars)
         self.answer_vars = q.answer_vars
-        quantified = q.quantified_vars()
-        _, td = treewidth(UndirectedGraph(quantified, [
-            at.terms() for at in q.atoms
-            if isinstance(at, RoleFact) and set(at.terms()) <= quantified]))
+        td = cq_decomposition(q)
 
         charged: list[list] = [[] for _ in td.bags]
         for at in q.sorted_atoms():

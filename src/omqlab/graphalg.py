@@ -18,6 +18,7 @@ from .model import (
     CapExceeded,
     Database,
     Fact,
+    FreshVars,
     QueryError,
     RoleFact,
     UndirectedGraph,
@@ -217,18 +218,32 @@ def _decomposition_from_order(g: UndirectedGraph, order: list) -> TreeDecomposit
     return TreeDecomposition(tuple(bags), tuple(parent))
 
 
-def cq_treewidth(q: CQ) -> int:
-    """Treewidth of the quantified-variable restriction, at least 1.
-    Its edges are the atoms over two distinct quantified variables.
-    Variables without such an edge add no width, so they stay out of the
-    exact search and its vertex cap."""
+def _quantified_graph(q: CQ) -> UndirectedGraph:
+    """The graph of the quantified-variable restriction: its edges are the
+    atoms over two distinct quantified variables.  Variables without such
+    an edge add no width, so they stay out of the exact search and its
+    vertex cap."""
     answers = q.answer_vars
-    g = UndirectedGraph()
-    for at in q.atoms:
-        ts = at.terms()
-        if len(ts) == 2 and ts[0] not in answers and ts[1] not in answers:
-            g.add_edge(*ts)
-    return max(1, treewidth(g)[0])
+    return UndirectedGraph(edges=[
+        at.terms() for at in q.atoms if isinstance(at, RoleFact)
+        and at.a not in answers and at.b not in answers])
+
+
+def cq_treewidth(q: CQ) -> int:
+    """Treewidth of the quantified-variable restriction, at least 1."""
+    return max(1, treewidth(_quantified_graph(q))[0])
+
+
+def cq_decomposition(q: CQ) -> TreeDecomposition:
+    """A decomposition of every quantified variable of ``q`` of width
+    ``cq_treewidth(q)``: the witness of that width, with a leaf bag under
+    the root for each quantified variable outside its graph."""
+    g = _quantified_graph(q)
+    td = treewidth(g)[1]
+    lone = [frozenset({v}) for v in sorted(q.quantified_vars() - g.vertices)]
+    n, root = len(lone), len(lone) + len(td.bags) - 1
+    return TreeDecomposition(tuple(lone) + td.bags, (root,) * n + tuple(
+        None if p is None else p + n for p in td.parent))
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +345,13 @@ def _automorphisms(d: Database, fixed: set) -> list[dict]:
 
 
 def _grow_bags(dom: list, src: Database, autos: list, k: int, rounds: int,
-               root: dict) -> tuple[set, list]:
+               root: dict, fresh: FreshVars) -> tuple[set, list]:
     """The bag loop shared by the unravelings: for ``rounds`` generations
     from the root bag, whose constants ``root`` maps to themselves or to
     nothing, one child bag per automorphism orbit of at most ``k + 1``
     constants of ``dom`` not already in the parent's image, with fresh
-    copies of the new constants and the facts of ``src`` over them.
-    Returns the copied facts and the fresh nodes."""
-    fresh_count = itertools.count()
+    copies of the new constants, named by ``fresh``, and the facts of
+    ``src`` over them.  Returns the copied facts and the fresh nodes."""
     facts: set[Fact] = set()
     nodes: list[UnravelNode] = []
     # frontier entries: {original constant -> copy} of one bag
@@ -362,7 +376,7 @@ def _grow_bags(dom: list, src: Database, autos: list, k: int, rounds: int,
                         if c in proj:
                             mapping[c] = proj[c]
                         else:
-                            copy = f"_u{next(fresh_count)}"
+                            copy = fresh.next()
                             mapping[c] = copy
                             nodes.append(UnravelNode(copy, c))
                     for f in src.facts:
@@ -401,7 +415,8 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     autos = _automorphisms(d, anchors) if len(base_dom) <= 7 else [
         {c: c for c in base_dom}]
 
-    facts, nodes = _grow_bags(base_dom, base, autos, k, depth + 1, {})
+    facts, nodes = _grow_bags(base_dom, base, autos, k, depth + 1, {},
+                              FreshVars("_u", d.dom))
     facts |= {f for f in d.facts if set(f.terms()) <= anchors}
 
     # re-attach crossing facts along the projection
@@ -428,7 +443,8 @@ def unravel1_at(d: Database, a: str, depth: int) -> Unraveling:
     _check_anchors(d, (a,))
     dom = sorted(d.dom)
     autos = _automorphisms(d, set()) if len(dom) <= 7 else [{c: c for c in dom}]
-    facts, nodes = _grow_bags(dom, d, autos, 1, depth, {a: a})
+    facts, nodes = _grow_bags(dom, d, autos, 1, depth, {a: a},
+                              FreshVars("_u", d.dom))
     facts |= {f for f in d.facts if set(f.terms()) <= {a}}
     return Unraveling(Database(facts), (UnravelNode(a, a), *nodes))
 

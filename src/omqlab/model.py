@@ -885,16 +885,20 @@ class OMQ:
 
 
 class FreshVars:
-    """Deterministic fresh-symbol source, scoped per operation call."""
+    """Deterministic fresh-symbol source, scoped per operation call; it
+    skips the names in ``avoid``, such as the constants of an input."""
 
-    def __init__(self, prefix: str = "_v"):
+    def __init__(self, prefix: str = "_v", avoid: frozenset = frozenset()):
         self.prefix = prefix
+        self.avoid = avoid
         self.n = 0
 
     def next(self) -> str:
-        s = f"{self.prefix}{self.n}"
-        self.n += 1
-        return s
+        while True:
+            s = f"{self.prefix}{self.n}"
+            self.n += 1
+            if s not in self.avoid:
+                return s
 
 
 def concept_as_cq(c: Concept, rooted: bool = True, fresh: Optional[FreshVars] = None) -> CQ:

@@ -1,12 +1,13 @@
 """Certain-answer evaluation through labelings and the modified existential
 pebble game (inverse-free dialects, full schema).
 
-A labeling assigns each variable a database constant, the marker "maps
-somewhere anonymous" for fully anonymous components, or an anchored
-marker naming a guarded-pair system and the database constant below
-which the variable's image hangs.  Local conditions make labelings
-certify homomorphisms into the chase; the game decides their existence
-with k+1 pebbles.
+A labeling assigns each variable a label, a plain value: a database
+constant (its name, a ``str``), the marker ``EXIST`` ("maps somewhere
+anonymous") for fully anonymous components, or an anchored label, the
+tuple (representative guarded pair, anchor constant) naming a reach
+system and the database constant below which the variable's image
+hangs.  Local conditions make labelings certify homomorphisms into the
+chase; the game decides their existence with k+1 pebbles.
 
 Three ambiguities in the source material are resolved here (the
 agreement suite exercises all of them):
@@ -56,34 +57,13 @@ PEBBLE_DIALECTS = {Dialect.EL, Dialect.EL_BOT, Dialect.ELH_BOT, Dialect.ELHDR_BO
 # Labels
 
 
-@dataclass(frozen=True)
-class Const:
-    value: str
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Exist:
-    def __str__(self) -> str:
-        return "exists"
-
-
-EXIST = Exist()
-
-
-@dataclass(frozen=True)
-class Anchored:
-    pair: tuple   # representative guarded pair (x', y')
-    at: str       # anchor constant
-
-    def __str__(self) -> str:
-        return f"(({self.pair[0]},{self.pair[1]}),{self.at})"
+# the anonymous marker: neither a str nor a tuple, so no constant name or
+# anchored label equals it
+EXIST = object()
 
 
 def is_const(l) -> bool:
-    return isinstance(l, Const)
+    return isinstance(l, str)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +125,6 @@ class ReachSystem:
     levels: dict
     dtree: Optional[CQ]          # rooted, may have root self-loops; None: not eligible
 
-    def level_set(self, v: str) -> set:
-        return self.levels.get(v, set())
-
-    def members(self) -> frozenset:
-        return frozenset(self.levels)
-
 
 def exists_mccs(q: CQ) -> list[frozenset]:
     """Atom sets of the maximal connected components containing only
@@ -182,15 +156,41 @@ class LabelContext:
         self.q = q
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
-        self._systems: dict = {}
-        self._levels: dict = {}
-        self._member_dtrees: dict = {}
         self._dtree_answers: dict = {}
         self._windows: dict = {}
-        self._links = role_links(q)
+        self.systems = self._reach_systems()
         # variables allowed to carry the anonymous marker: members of
         # full-query components whose tree witness the database satisfies
         self.exist_ok: frozenset = self._exist_ok()
+
+    def _reach_systems(self) -> dict:
+        """The reach system of every guarded pair, always over the full
+        query, keyed by the pair and by its representative."""
+        links = role_links(self.q)
+        # a pair's levels, and a member set's dtree, computed once while
+        # the systems are built; self-loops at the root class stand for
+        # database facts at the anchor
+        levels_of = functools.cache(lambda pair: reach(self.q, pair, links))
+        dtree_of = functools.cache(lambda members: dtree(
+            CQ((), self.q.restrict(members).atoms), root_loops=True))
+        answers = set(self.q.answer_vars)
+        systems: dict = {}
+        for pair in guarded_pairs(self.q):
+            if pair in systems:
+                continue  # the representative of an earlier pair
+            levels = levels_of(pair)
+            level0 = sorted(v for v, ls in levels.items() if 0 in ls)
+            level1 = sorted(v for v, ls in levels.items() if 1 in ls)
+            # the canonical representative must regenerate this very
+            # system, else labels naming it would be ambiguous between
+            # systems
+            rep = next(cand for cand in ((x0, y0) for x0 in level0
+                                         for y0 in level1 if y0 not in answers)
+                       if cand == pair or levels_of(cand) == levels)
+            if rep not in systems:
+                systems[rep] = ReachSystem(rep, levels, dtree_of(frozenset(levels)))
+            systems[pair] = systems[rep]
+        return systems
 
     def _exist_ok(self) -> frozenset:
         ok = set()
@@ -213,41 +213,6 @@ class LabelContext:
             self._windows[on_vars] = hit
         return hit
 
-    def levels(self, pair: tuple) -> dict:
-        """``reach`` of a guarded pair over the full query."""
-        hit = self._levels.get(pair)
-        if hit is None:
-            hit = reach(self.q, pair, self._links)
-            self._levels[pair] = hit
-        return hit
-
-    def system(self, pair: tuple) -> ReachSystem:
-        """Reach system of a guarded pair, always over the full query."""
-        hit = self._systems.get(pair)
-        if hit is not None:
-            return hit
-        levels = self.levels(pair)
-        level0 = sorted(v for v, ls in levels.items() if 0 in ls)
-        level1 = sorted(v for v, ls in levels.items() if 1 in ls)
-        # the canonical representative must regenerate this very system,
-        # else labels naming it would be ambiguous between systems
-        rep = pair
-        answers = set(self.q.answer_vars)
-        for cand in ((x0, y0) for x0 in level0 for y0 in level1
-                     if y0 not in answers):
-            if cand == pair or self.levels(cand) == levels:
-                rep = cand
-                break
-        members = frozenset(levels)
-        if members not in self._member_dtrees:
-            # self-loops at the root class stand for database facts at
-            # the anchor
-            self._member_dtrees[members] = dtree(
-                CQ((), self.q.restrict(members).atoms), root_loops=True)
-        hit = ReachSystem(rep, levels, self._member_dtrees[members])
-        self._systems[pair] = hit
-        return hit
-
     def dtree_holds_at(self, dt: CQ, c: str) -> bool:
         key = (dt.atoms, dt.answer_vars)
         answers = self._dtree_answers.get(key)
@@ -261,7 +226,7 @@ class LabelContext:
     def is_labeling(self, labels: dict, on_vars: frozenset) -> bool:
         """Do the labeling conditions hold on the restriction of the query
         to ``on_vars`` (plus the answer variables)?  Label values:
-        constants, ``EXIST``, or ``Anchored(pair, constant)``."""
+        constant names, ``EXIST``, or anchored labels ``(pair, constant)``."""
         answer_vars, variables, atoms, role_atoms = self.window(on_vars)
         for x in answer_vars:
             if not is_const(labels.get(x)):
@@ -269,27 +234,27 @@ class LabelContext:
         const_vars = {v for v in variables if is_const(labels.get(v))}
         for v in const_vars:
             for tree_q in self.const_requirements.get(v, ()):
-                if not self.dtree_holds_at(tree_q, labels[v].value):
+                if not self.dtree_holds_at(tree_q, labels[v]):
                     return False
         for at in atoms:
             terms = at.terms()
             if all(t in const_vars for t in terms):
-                fact = at.rename({t: labels[t].value for t in terms})
+                fact = at.rename({t: labels[t] for t in terms})
                 if fact not in self.chminus.facts:
                     return False
         for v in variables:
             lv = labels.get(v)
-            if lv == EXIST and v not in self.exist_ok:
+            if lv is EXIST and v not in self.exist_ok:
                 return False
-            if isinstance(lv, Anchored):
-                sysm = self.system(lv.pair)
-                if v not in sysm.members():
+            if isinstance(lv, tuple):
+                (px, py), anchor = lv
+                if v not in self.systems[px, py].levels:
                     return False
                 # grounding: the representative pair pins its own variables
-                lx = labels.get(lv.pair[0])
-                if lx is not None and lx != Const(lv.at):
+                lx = labels.get(px)
+                if lx is not None and lx != anchor:
                     return False
-                ly = labels.get(lv.pair[1])
+                ly = labels.get(py)
                 if ly is not None and ly != lv:
                     return False
         return all(self._role_atom_ok(at, labels) for at in role_atoms)
@@ -300,19 +265,19 @@ class LabelContext:
         if is_const(ly) and not is_const(lx):
             return False
         # anchored sources push their anchor onto targets
-        if isinstance(lx, Anchored) and ly != lx:
+        if isinstance(lx, tuple) and ly != lx:
             return False
         # anchored targets constrain their sources by tree level
-        if isinstance(ly, Anchored):
-            sysm = self.system(ly.pair)
-            ls = sysm.level_set(at.b)
+        if isinstance(ly, tuple):
+            pair, anchor = ly
+            ls = self.systems[pair].levels[at.b]  # a member: checked above
             ok = False
-            if 1 in ls and is_const(lx) and lx.value == ly.at:
+            if 1 in ls and lx == anchor:
                 ok = True
             if (ls - {0, 1}) and lx == ly:
                 ok = True
             if 0 in ls and is_const(lx) and RoleFact(
-                    at.name, lx.value, ly.at) in self.chminus.facts:
+                    at.name, lx, anchor) in self.chminus.facts:
                 ok = True
             if not ok:
                 return False
@@ -324,15 +289,15 @@ class LabelContext:
                 continue
             if y in self.q.answer_vars:
                 return False
-            sysm = self.system((x, y))
+            sysm = self.systems[x, y]
             if sysm.dtree is None:
                 return False
-            if not self.dtree_holds_at(sysm.dtree, lxx.value):
+            if not self.dtree_holds_at(sysm.dtree, lxx):
                 return False
-            if not isinstance(lyy, Anchored) or lyy.at != lxx.value:
+            if not isinstance(lyy, tuple) or lyy[1] != lxx:
                 return False
-            px, py = lyy.pair
-            if 0 not in sysm.level_set(px) or 1 not in sysm.level_set(py):
+            (px, py), _ = lyy
+            if 0 not in sysm.levels.get(px, ()) or 1 not in sysm.levels.get(py, ()):
                 return False
         return True
 
@@ -381,21 +346,18 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     ctx = LabelContext(q, sat, requirements)
 
     quantified = sorted(q.quantified_vars())
-    consts = [Const(c) for c in sorted(d.dom)]
+    consts = sorted(d.dom)
     candidates: dict[str, list] = {v: consts + [EXIST] for v in quantified}
     reps = set()
-    for pair in guarded_pairs(q):
-        sysm = ctx.system(pair)
+    for sysm in ctx.systems.values():
         if sysm.dtree is None or sysm.rep in reps:
             continue
-        # a pair and its representative have equal levels, hence equal
-        # members and one dtree: the labels are the representative's.
-        # Anchors whose tree witness fails at c can never occur in a valid
-        # full labeling.
+        # a pair and its representative share one system: the labels are
+        # the representative's.  Anchors whose tree witness fails at c can
+        # never occur in a valid full labeling.
         reps.add(sysm.rep)
-        labels = [Anchored(sysm.rep, c) for c in sorted(d.dom)
-                  if ctx.dtree_holds_at(sysm.dtree, c)]
-        for v in sysm.members():
+        labels = [(sysm.rep, c) for c in consts if ctx.dtree_holds_at(sysm.dtree, c)]
+        for v in sysm.levels:
             if v in candidates:
                 candidates[v].extend(labels)
     size = min(k + 1, len(quantified))
@@ -416,7 +378,7 @@ def _play(ctx: LabelContext, quantified: list, size: int, candidates: dict,
     conditions on the smaller set, whose window has a subset of V's atoms
     and variables, and whose grounding check skips a variable it leaves
     out.  An empty table is a position where Spoiler wins at once."""
-    pins = {x: Const(c) for x, c in zip(ctx.q.answer_vars, a)}
+    pins = dict(zip(ctx.q.answer_vars, a))
     if not ctx.is_labeling(pins, frozenset()):
         return False
     # a set's labelings are tuples aligned with its sorted variables; each

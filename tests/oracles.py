@@ -81,7 +81,7 @@ from omqlab.model import (
     _check_dllite_inclusion,
     axiom_key,
 )
-from omqlab.pebble import Const, _check_pebble_input, _prepare_game
+from omqlab.pebble import _check_pebble_input, _prepare_game
 from omqlab.surface import ParseError, _Cursor, _name, _tokenize_line
 
 
@@ -757,7 +757,7 @@ def play_all_overlaps(ctx, quantified: list, size: int, candidates: dict,
     each variable's labels valid on it alone, each pair's valid label
     pairs, then each maximal pebble set's labelings whose pairs are all
     valid and that pass the conditions on the set."""
-    pins = {x: Const(c) for x, c in zip(ctx.q.answer_vars, a)}
+    pins = dict(zip(ctx.q.answer_vars, a))
     if not ctx.is_labeling(pins, frozenset()):
         return False
     # positions over maximal pebble sets decide the game: smaller positions

@@ -220,6 +220,58 @@ def test_eval_rejects_width_below_1(files, capsys, algo, k):
     assert f"got {k}\n" in err
 
 
+@pytest.fixture()
+def taken_names(tmp_path):
+    # a database that already uses the names the chase would make up
+    (tmp_path / "o.dl").write_text("A <= exists r . B\n")
+    (tmp_path / "d.db").write_text("A(a)\nC(_n0)\n")
+    (tmp_path / "b.cq").write_text("q(x) :- B(x)\n")
+    (tmp_path / "rc.cq").write_text("q() :- r(x,y), C(y)\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("algo", ["naive", "fpt", "pebble"])
+@pytest.mark.parametrize("query, expected", [("b.cq", "\n"), ("rc.cq", "false\n")])
+def test_eval_fresh_elements_skip_the_data_constants(taken_names, capsys, algo,
+                                                     query, expected):
+    # the element r-reachable from a is anonymous: it neither answers B nor
+    # carries the database's C(_n0)
+    code, out, _ = run(capsys, "eval", "--onto", str(taken_names / "o.dl"),
+                       "--query", str(taken_names / query),
+                       "--db", str(taken_names / "d.db"), "--algo", algo)
+    assert (code, out) == (0, expected)
+
+
+def test_chase_fresh_elements_skip_the_data_constants(taken_names, capsys):
+    code, out, _ = run(capsys, "chase", "--onto", str(taken_names / "o.dl"),
+                       "--db", str(taken_names / "d.db"), "--depth", "1", "--json")
+    assert code == 0
+    got = json.loads(out)
+    assert got["facts"] == ["A(a)", "B(_n1)", "C(_n0)", "r(a,_n1)"]
+    assert got["provenance"]["_n0"] == {"depth": 0, "kind": "original"}
+    assert got["provenance"]["_n1"]["kind"] == "anonymous"
+
+
+def test_unravel_copies_skip_the_data_constants(files, capsys):
+    (files / "u.db").write_text("r(_u0,b)\nA(b)\n")
+    code, out, _ = run(capsys, "unravel", "--db", str(files / "u.db"), "-k", "1",
+                       "--depth", "0", "--tuple", "_u0")
+    assert code == 0
+    assert out.splitlines() == ["A(_u1)", "r(_u0,_u1)"]
+
+
+@pytest.mark.parametrize("algo", ["naive", "fpt", "pebble"])
+def test_eval_wide_but_shallow_query(files, capsys, algo):
+    # thirty quantified variables in no binary atom: width 1, and more
+    # vertices than the exact treewidth search takes
+    atoms = ", ".join(f"A(x{i})" for i in range(30))
+    (files / "wide.cq").write_text(f"q() :- {atoms}\n")
+    (files / "a.db").write_text("A(a)\n")
+    code, out, err = run(capsys, "eval", "--query", str(files / "wide.cq"),
+                         "--db", str(files / "a.db"), "--algo", algo)
+    assert (code, out, err) == (0, "true\n", "")
+
+
 @pytest.mark.parametrize("command", ["tw-equiv", "approx"])
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_width_k_approximation_rejects_width_below_1(files, capsys, command, k):

@@ -11,7 +11,7 @@ from omqlab.evaluation import (
     evaluate_naive,
 )
 from omqlab.entailment import is_consistent
-from omqlab.graphalg import cq_treewidth, treewidth
+from omqlab.graphalg import cq_decomposition, cq_treewidth
 from omqlab.pebble import evaluate_pebble
 from omqlab.model import (
     CQ,
@@ -23,7 +23,6 @@ from omqlab.model import (
     RoleFact,
     Schema,
     UCQ,
-    UndirectedGraph,
     cq_as_database,
 )
 from omqlab.surface import parse_database, parse_ontology, parse_query
@@ -236,9 +235,12 @@ def _facts(terms):
 @given(n_axioms=st.integers(0, 5), onto_seed=st.integers(0, 2**16),
        facts=_facts(_CONSTS), disjuncts=st.lists(_facts(_QVARS), min_size=1, max_size=2),
        arity=st.integers(0, 2))
-def test_fpt_matches_naive_shrinking(n_axioms, onto_seed, facts, disjuncts, arity):
-    # the width-k join at the largest disjunct width against plain
-    # homomorphism search, over the same canonical model
+def test_fpt_and_pebble_match_naive_shrinking(n_axioms, onto_seed, facts, disjuncts,
+                                              arity):
+    # the width-k join and the (k+1)-pebble game at the largest disjunct
+    # width against plain homomorphism search; the ELHdr draws are
+    # inverse-free over the full schema, so the game is exact here and
+    # shares no label or game code with the check
     o = rand_elhdr_ontology(random.Random(onto_seed), n_axioms, names=_NAMES,
                             roles=["r", "s"])
     avs = tuple(_QVARS[:arity])
@@ -248,7 +250,9 @@ def test_fpt_matches_naive_shrinking(n_axioms, onto_seed, facts, disjuncts, arit
     k = max(cq_treewidth(cq) for cq in q.disjuncts)
     assume(k <= 2)
     Q, d = OMQ(o, FULL_SCHEMA, q), Database(facts)
-    assert evaluate_fpt(Q, d, k) == evaluate_naive(Q, d)
+    expected = evaluate_naive(Q, d)
+    assert evaluate_fpt(Q, d, k) == expected
+    assert evaluate_pebble(Q, d, k) == expected
 
 
 def _kept_bags(plan: _WidthPlan) -> list:
@@ -271,9 +275,7 @@ def test_kept_bags_are_connected_and_atoms_charged_inside_their_bag():
                     roles=["r", "s"], max_tw=3)
         plan = _WidthPlan(q, 3)
         quantified = q.quantified_vars()
-        td = treewidth(UndirectedGraph(quantified, [
-            at.terms() for at in q.atoms
-            if isinstance(at, RoleFact) and set(at.terms()) <= quantified]))[1]
+        td = cq_decomposition(q)
         assert len(plan.steps) == len(td.bags)
         kept = _kept_bags(plan)
         charged = []

@@ -22,8 +22,6 @@ from omqlab.model import (
     cq_as_database,
 )
 from omqlab.pebble import (
-    Anchored,
-    Const,
     EXIST,
     LabelContext,
     _duplicator_survives,
@@ -74,7 +72,7 @@ def test_reach_rejects_answer_second():
 
 def _system(text, pair):
     Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, parse_query(text))
-    return _ctx(Q, Database(())).system(pair)
+    return _ctx(Q, Database(())).systems[pair]
 
 
 def test_eligibility():
@@ -107,8 +105,7 @@ def test_extend_query_plus():
 
 def test_is_d_labeling_const_hom():
     d = parse_database("A1(a)\nA2(b)\nA3(c)\nr(b,a)\nr(b,c)")
-    labels = {"x1": Const("a"), "x2": Const("b"), "x3": Const("c"),
-              "x4": Const("b")}
+    labels = {"x1": "a", "x2": "b", "x3": "c", "x4": "b"}
     assert _ctx(Q1, d).is_labeling(labels, frozenset({"x1", "x2", "x3", "x4"}))
 
 
@@ -116,7 +113,7 @@ def test_is_d_labeling_condition3():
     o = parse_ontology("A <= exists r . top")
     Q = OMQ(o, FULL_SCHEMA, parse_query("q() :- r(x,y), A(x)"))
     d = parse_database("A(a)")
-    labels = {"x": EXIST, "y": Const("a")}
+    labels = {"x": EXIST, "y": "a"}
     assert not _ctx(Q, d).is_labeling(labels, frozenset({"x", "y"}))
 
 
@@ -124,9 +121,9 @@ def test_is_d_labeling_anchored():
     o = parse_ontology("A <= exists r . top")
     Q = OMQ(o, FULL_SCHEMA, parse_query("q() :- A(x), r(x,y)"))
     d = parse_database("A(a)")
-    labels = {"x": Const("a"), "y": Anchored(("x", "y"), "a")}
+    labels = {"x": "a", "y": (("x", "y"), "a")}
     assert _ctx(Q, d).is_labeling(labels, frozenset({"x", "y"}))
-    labels_bad = {"x": Const("a"), "y": Anchored(("x", "y"), "zz")}
+    labels_bad = {"x": "a", "y": (("x", "y"), "zz")}
     assert not _ctx(Q, d).is_labeling(labels_bad, frozenset({"x", "y"}))
 
 
@@ -246,7 +243,7 @@ def test_hom_induced_labelings_validate():
         ok_build = True
         for v in sorted(q.variables()):
             if h[v] in d.dom:
-                labels[v] = Const(h[v])
+                labels[v] = h[v]
         anon = [v for v in sorted(q.variables()) if h[v] not in d.dom]
         for v in anon:
             assigned = False
@@ -255,9 +252,9 @@ def test_hom_induced_labelings_validate():
                     continue
                 for x, y in ((at.a, at.b), (at.b, at.a)):
                     if h.get(x) in d.dom and h.get(y) not in d.dom:
-                        sysm = ctx.system((x, y))
-                        if v in sysm.members() and sysm.dtree is not None:
-                            labels[v] = Anchored(sysm.rep, h[x])
+                        sysm = ctx.systems[x, y]
+                        if v in sysm.levels and sysm.dtree is not None:
+                            labels[v] = (sysm.rep, h[x])
                             assigned = True
                             break
                 if assigned:

@@ -26,7 +26,7 @@ for const, prov in sorted(chased.provenance.items()):
 # fixed number of witnessed successor rounds.  Matches of queries up to
 # the round count agree with the infinite model.
 cm = canonical_model(db, onto, steps=2)
-print("\ncanonical model size:", len(cm.database.dom), "constants")
+print("\ncanonical model size:", len(cm.facts.dom), "constants")
 # ada's type: the sub-concepts of the ontology that hold at ada.
 sat = saturate(db, onto)
 print("types at ada:", sorted(map(str, sat.onorm.concepts_of(sat.types["ada"]))))

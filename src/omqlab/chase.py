@@ -29,6 +29,7 @@ from .model import (
     restrict_database,
 )
 from .entailment import (
+    TOP_NAME,
     Saturation,
     _elhi_view,
     consistent_saturation,
@@ -51,6 +52,9 @@ class Provenance:
 
 @dataclass(frozen=True)
 class ChaseDb:
+    """A chase result, from ``oblivious_chase`` or ``canonical_model``: its
+    facts and each constant's provenance."""
+
     facts: Database
     provenance: dict
 
@@ -146,16 +150,7 @@ def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict,
 # Truncated canonical model
 
 
-@dataclass(frozen=True)
-class CanonicalModel:
-    database: Database       # plain facts: role facts + concept-name facts
-    provenance: dict
-
-    def chase_db(self) -> ChaseDb:
-        return ChaseDb(self.database, self.provenance)
-
-
-def canonical_model(d: Database, o: Ontology, steps: int) -> CanonicalModel:
+def canonical_model(d: Database, o: Ontology, steps: int) -> ChaseDb:
     """Saturate ``d``, add one copy per maximal implied type, then run the
     witnessed-successor rule for ``steps`` rounds.  Query matches of size
     up to ``steps`` over the original constants then agree with the full
@@ -165,13 +160,13 @@ def canonical_model(d: Database, o: Ontology, steps: int) -> CanonicalModel:
         raise OmqlabError(f"the canonical model needs steps >= 0, got {steps}")
     sat = consistent_saturation(d, o)
     if sat is None:
-        return CanonicalModel(saturate(d, o).database,
-                              {a: Provenance("original") for a in d.dom})
+        return ChaseDb(saturate(d, o).database,
+                       {a: Provenance("original") for a in d.dom})
     return canonical_model_of(sat, steps)
 
 
 def canonical_model_of(sat: Saturation, steps: int,
-                       share_copies: bool = True) -> CanonicalModel:
+                       share_copies: bool = True) -> ChaseDb:
     """``canonical_model`` past the saturation step; ``sat`` must be clash-free."""
     onorm = sat.onorm
     facts: set[Fact] = set(sat.database.facts)
@@ -188,7 +183,7 @@ def canonical_model_of(sat: Saturation, steps: int,
     for a in sorted(sat.types):
         reach = onorm.reachable_types(sat.types[a])
         projected = {frozenset(n for n in t
-                               if n in onorm.name_concept and n != "_top")
+                               if n in onorm.name_concept and n != TOP_NAME)
                      for t in reach}
         projected.discard(frozenset())
         maximal = [t for t in projected if not any(t < u for u in projected)]
@@ -257,11 +252,11 @@ def canonical_model_of(sat: Saturation, steps: int,
                 index_fact(f)
             for n in sorted(child):
                 cc = onorm.name_concept.get(n)
+                # TOP_NAME names top, not a concept name, and stays out
                 if cc is None or isinstance(cc, Atomic):
-                    if n != "_top":
-                        facts.add(ConceptFact(n, b))
+                    facts.add(ConceptFact(n, b))
             if len(types) > CHASE_NODE_CAP:
                 raise CapExceeded("canonical model grew past the node cap")
         frontier.sort()
 
-    return CanonicalModel(Database(facts), prov)
+    return ChaseDb(Database(facts), prov)

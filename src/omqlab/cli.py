@@ -132,8 +132,7 @@ def cmd_chase(args) -> int:
     onto = surface.parse_ontology(_read(args.onto))
     d = surface.parse_database(_read(args.db))
     if args.canonical:
-        cm = canonical_model(d, onto, args.steps)
-        ch = cm.chase_db()
+        ch = canonical_model(d, onto, args.steps)
     else:
         ch = oblivious_chase(d, onto, args.depth)
     prov = {c: {"kind": p.kind,

@@ -25,6 +25,7 @@ from .model import (
     RoleFact,
     UCQ,
     cq_as_database,
+    cq_components,
     gaifman_graph,
 )
 from .entailment import _elhi_view
@@ -109,31 +110,11 @@ def _trees_in(q: CQ, protected: frozenset = frozenset()) -> list[tuple[str, froz
 
 
 def _is_pendant_tree(atoms: frozenset, root: str) -> bool:
-    pairs = set()
-    nodes = {root}
-    for at in atoms:
-        ts = at.terms()
-        nodes.update(ts)
-        if len(ts) == 2:
-            if ts[0] == ts[1]:
-                return False
-            pairs.add(frozenset(ts))
-    if len(pairs) != len(nodes) - 1:
+    if any(isinstance(at, RoleFact) and at.a == at.b for at in atoms):
         return False
-    adj: dict = {}
-    for e in pairs:
-        a, b = tuple(e)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == nodes
+    g = gaifman_graph(Database(atoms))
+    g.add_vertex(root)
+    return len(g.edges()) == len(g.vertices) - 1 and g.is_connected()
 
 
 def _generator_atoms(o: Ontology, q_names: Iterable[str], x: str, fresh: FreshVars):
@@ -173,7 +154,7 @@ def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
         if key in gen_cache:
             return gen_cache[key]
         sub = CQ((root,), atoms)
-        fresh = FreshVars("_g")
+        fresh = FreshVars("_g", p.variables())
         out = [at for at in _generator_atoms(o, q_names, root, fresh)
                if generates(onames, at, sub, rooted=True)]
         gen_cache[key] = out
@@ -185,7 +166,7 @@ def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
         if atoms in det_cache:
             return det_cache[atoms]
         sub = CQ((), atoms)
-        fresh = FreshVars("_g")
+        fresh = FreshVars("_g", p.variables())
         out = [at for at in _generator_atoms(o, q_names, "_d0", fresh)
                if generates(onames, at, sub, rooted=False)]
         det_cache[atoms] = out
@@ -217,7 +198,7 @@ def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
                 continue
             for combo in itertools.product(*gen_options) if gen_options else [()]:
                 atoms2 = set(remaining)
-                fresh = FreshVars("_f")
+                fresh = FreshVars("_f", p.variables())
                 for x, g in combo:
                     atoms2.add(_instantiate_generator(g, x, fresh))
                 base = CQ(p.answer_vars, atoms2)
@@ -230,12 +211,9 @@ def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
 
 
 def _instantiate_generator(g, x: str, fresh: FreshVars):
-    """Re-anchor a generator atom (built around some anchor) at ``x``."""
-    if isinstance(g, ConceptFact):
-        return ConceptFact(g.name, x)
-    if g.a.startswith("_g"):
-        return RoleFact(g.name, fresh.next(), x)
-    return RoleFact(g.name, x, fresh.next())
+    """A copy of a generator atom anchored at ``x`` whose other term, if
+    any, is fresh."""
+    return g.rename({t: fresh.next() for t in g.terms() if t != x})
 
 
 def _tree_subsets(trees: list):
@@ -259,9 +237,8 @@ def _detached_variants(base: CQ, detached_generators,
                        protected: frozenset = frozenset()) -> Iterable[CQ]:
     """Replace any set of fully detachable components by generating atoms;
     components holding protected variables stay."""
-    comps = _components(base)
     det: list[tuple[frozenset, list]] = []
-    for comp_atoms in comps:
+    for comp_atoms in cq_components(base):
         if {t for at in comp_atoms for t in at.terms()} & protected:
             continue
         gens = detached_generators(comp_atoms)
@@ -270,7 +247,7 @@ def _detached_variants(base: CQ, detached_generators,
     yield base
     if not det:
         return
-    fresh = FreshVars("_h")
+    fresh = FreshVars("_h", base.variables())
     for size in range(1, len(det) + 1):
         for combo in itertools.combinations(det, size):
             for choice in itertools.product(*(gens for _, gens in combo)):
@@ -285,16 +262,6 @@ def _rename_detached(g, fresh: FreshVars):
     if isinstance(g, ConceptFact):
         return ConceptFact(g.name, fresh.next())
     return RoleFact(g.name, fresh.next(), fresh.next())
-
-
-def _components(q: CQ) -> list[frozenset]:
-    g = gaifman_graph(cq_as_database(q))
-    out = []
-    for comp in g.connected_components():
-        atoms = frozenset(at for at in q.atoms if set(at.terms()) <= comp)
-        if atoms:
-            out.append(atoms)
-    return out
 
 
 def rew(Q: OMQ) -> UCQ:

@@ -9,7 +9,9 @@ The engine works on a normalized rule set over concept *names*:
 plus role inclusions.  Every subconcept of the ontology (and any extra
 concepts a caller supplies) receives a definitional name wired in both
 directions, so membership of a complex concept at an element is always
-readable off the element's name type.
+readable off the element's name type.  Definitional names (``_n.<k>``)
+and the name of top (``_top.``) hold a dot, which no name in an
+ontology, database or query file can, so they never meet a user's name.
 
 Subsumption and friends are answered from the canonical structure of a
 seed type: a tree whose node types form the least fixpoint of the rule
@@ -46,7 +48,7 @@ from .model import (
     Top,
 )
 
-TOP_NAME = "_top"
+TOP_NAME = "_top."
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class NormalOntology:
             self.defname[c] = c.name
             self.name_concept.setdefault(c.name, c)
             return c.name
-        name = f"_n{next(self._fresh)}"
+        name = f"_n.{next(self._fresh)}"
         self.defname[c] = name
         self.name_concept[name] = c
         if isinstance(c, Conj):

@@ -78,7 +78,7 @@ def _over_canonical_model(Q: OMQ, d: Database, per_disjunct) -> EvalResult:
     once, from the saturation of ``d``, and ``per_disjunct(cq, target)``
     prepares each disjunct against it."""
     def prepare(sat: Saturation):
-        target = canonical_model_of(sat, chase_steps(Q.query)).database
+        target = canonical_model_of(sat, chase_steps(Q.query)).facts
         return lambda cq: per_disjunct(cq, target)
     return _certain_answers(Q, d, prepare)
 
@@ -146,17 +146,8 @@ class _TreeEvaluator:
         return frozenset(out)
 
     def holds_somewhere(self, q: CQ) -> bool:
-        """Boolean: does the tree match anywhere in the canonical model?"""
-        if q.answer_vars:
-            root = q.answer_vars[0]
-        else:
-            # pick the tree root: the unique variable without incoming edges
-            targets = {at.b for at in q.atoms
-                       if isinstance(at, RoleFact) and at.a != at.b}
-            roots = sorted(q.variables() - targets)
-            root = roots[0]
-            q = CQ((root,), q.atoms)
-        _, shape, loops = self._parse_tree(q)
+        """Does the rooted tree query match anywhere in the canonical model?"""
+        root, shape, loops = self._parse_tree(q)
         if not loops:
             seen = set()
             for a in sorted(self.sat.types):

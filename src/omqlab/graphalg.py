@@ -272,19 +272,12 @@ def _ditree_root(d: Database, root_loops: bool) -> Optional[str]:
         return None
     if loops and not (root_loops and loops == {root}):
         return None
-    # connectivity from the root
-    children: dict = {}
-    for a, b in pairs:
-        children.setdefault(a, set()).add(b)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in children.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return root if seen == set(d.dom) else None
+    # Every other vertex has one parent, and the walk up its parents ends at
+    # the root unless it runs into a cycle.  With one edge fewer than
+    # vertices the graph has no cycle once it is weakly connected (two
+    # opposite pairs count as one undirected edge), so then every vertex
+    # is reached from the root.
+    return root if gaifman_graph(d).is_connected() else None
 
 
 def dtree_merge(q: CQ) -> CQ:

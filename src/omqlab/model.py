@@ -813,6 +813,13 @@ def cq_as_database(q: CQ) -> Database:
     return Database(q.atoms)
 
 
+def cq_components(q: CQ) -> list[frozenset]:
+    """The atom sets of the connected components of ``q``'s Gaifman graph,
+    in the order of ``UndirectedGraph.connected_components``."""
+    return [frozenset(at for at in q.atoms if at.terms()[0] in comp)
+            for comp in gaifman_graph(cq_as_database(q)).connected_components()]
+
+
 class UCQ:
     """A nonempty disjunction of CQs sharing one answer-variable tuple."""
 

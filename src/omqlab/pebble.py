@@ -42,13 +42,14 @@ from .model import (
     Ontology,
     QueryError,
     RoleFact,
+    Top,
     cq_as_database,
+    cq_components,
     gaifman_graph,
 )
 from .entailment import Saturation, consistent_saturation
 from .evaluation import EvalResult, _TreeEvaluator, _certain_answers
 from .graphalg import dtree
-from .treelike import _concept_trees
 
 PEBBLE_DIALECTS = {Dialect.EL, Dialect.EL_BOT, Dialect.ELH_BOT, Dialect.ELHDR_BOT}
 
@@ -129,16 +130,10 @@ class ReachSystem:
 def exists_mccs(q: CQ) -> list[frozenset]:
     """Atom sets of the maximal connected components containing only
     quantified variables."""
-    g = gaifman_graph(cq_as_database(q))
     answers = set(q.answer_vars)
-    out = []
-    for comp in g.connected_components():
-        if comp & answers:
-            continue
-        atoms = frozenset(at for at in q.atoms if set(at.terms()) <= comp)
-        if atoms:
-            out.append(atoms)
-    return sorted(out, key=lambda s: sorted(map(str, s)))
+    return sorted((atoms for atoms in cq_components(q)
+                   if not any(t in answers for at in atoms for t in at.terms())),
+                  key=lambda s: sorted(map(str, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +145,12 @@ class LabelContext:
     a database, over ``sat``, its clash-free saturation."""
 
     def __init__(self, q: CQ, sat: Saturation, const_requirements=None):
-        # var -> rooted tree queries that must certify at the variable's
-        # constant (stands in for attaching entailed concept copies)
+        # var -> definitional names that the saturated type of the
+        # variable's constant must hold (stands in for attaching entailed
+        # concept copies)
         self.const_requirements = const_requirements or {}
         self.q = q
+        self.types = sat.types
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
         self._dtree_answers: dict = {}
@@ -196,9 +193,7 @@ class LabelContext:
         ok = set()
         for atoms in exists_mccs(self.q):
             dt = dtree(CQ((), atoms))
-            if dt is None:
-                continue
-            if self.trees.holds_somewhere(CQ((), dt.atoms)):
+            if dt is not None and self.trees.holds_somewhere(dt):
                 ok.update(t for at in atoms for t in at.terms())
         return frozenset(ok)
 
@@ -233,9 +228,8 @@ class LabelContext:
                 return False
         const_vars = {v for v in variables if is_const(labels.get(v))}
         for v in const_vars:
-            for tree_q in self.const_requirements.get(v, ()):
-                if not self.dtree_holds_at(tree_q, labels[v]):
-                    return False
+            if not self.const_requirements.get(v, frozenset()) <= self.types[labels[v]]:
+                return False
         for at in atoms:
             terms = at.terms()
             if all(t in const_vars for t in terms):
@@ -267,19 +261,17 @@ class LabelContext:
         # anchored sources push their anchor onto targets
         if isinstance(lx, tuple) and ly != lx:
             return False
-        # anchored targets constrain their sources by tree level
+        # anchored targets constrain their sources by tree level.  A constant
+        # source needs no level-0 case: the boundary check below makes it
+        # the anchor and puts the label's pair (px, py) at levels 0 and 1 of
+        # reach((source, target)).  There py's 1 derives from the target's 1
+        # by single steps through levels >= 1 (level 0 derives nothing), and
+        # such steps reverse, forward into upward and back; so the target
+        # is at level 1 of reach((px, py)), its own system
         if isinstance(ly, tuple):
             pair, anchor = ly
             ls = self.systems[pair].levels[at.b]  # a member: checked above
-            ok = False
-            if 1 in ls and lx == anchor:
-                ok = True
-            if (ls - {0, 1}) and lx == ly:
-                ok = True
-            if 0 in ls and is_const(lx) and RoleFact(
-                    at.name, lx, anchor) in self.chminus.facts:
-                ok = True
-            if not ok:
+            if not (1 in ls and lx == anchor or (ls - {0, 1}) and lx == ly):
                 return False
         # a constant-to-anonymous edge needs an eligible, satisfied,
         # well-anchored boundary pair
@@ -337,13 +329,17 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     qsat = consistent_saturation(cq_as_database(q), o)
     if qsat is None:
         return lambda a: False
-    # Entailed concept copies are folded into per-variable certification
-    # conditions instead of fresh atoms: the game then runs on the original
-    # variable set.
-    requirements: dict = {}
-    for x, tree in _concept_trees(qsat, q.variables()):
-        requirements.setdefault(x, []).append(tree)
-    ctx = LabelContext(q, sat, requirements)
+    # Entailed concept copies are folded into per-variable requirements
+    # instead of fresh atoms, so the game runs on the original variable
+    # set: a variable's constant must hold the left-hand sides that the
+    # query database entails at the variable, read off its saturated type.
+    # Over these dialects the one left-hand side with an edge into its root
+    # is a range restriction's exists inv(r) . top, which a type holds only
+    # at constants with an r-predecessor.  It is entailed at x only through
+    # a role atom of the query into x, which demands that predecessor too.
+    lhs = {qsat.onorm.defname[ci.lhs] for ci in qsat.onorm.source.concept_inclusions()
+           if not (ci.lhs.contains_bot() or isinstance(ci.lhs, Top))}
+    ctx = LabelContext(q, sat, {x: lhs & t for x, t in qsat.types.items()})
 
     quantified = sorted(q.quantified_vars())
     consts = sorted(d.dom)

@@ -45,7 +45,6 @@ from .model import (
 )
 from .chase import canonical_model_of
 from .entailment import (
-    Saturation,
     _elhi_view,
     _role_closure,
     clash_free_saturation,
@@ -213,17 +212,21 @@ def ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
 
 def _approximation(Q: OMQ, k: int) -> tuple[OMQ, list[CQ]]:
     """``ucq_k_approximation(Q, k)``, and the disjuncts of ``Q`` wider than
-    ``k``, each width measured once."""
+    ``k``, each width measured once.
+
+    Each wide disjunct has a finest contraction, so the union is never
+    empty.  The partition that merges every quantified variable into one
+    block, leaving each answer variable apart, has width 1 <= k: its
+    quantified-variable restriction has a single vertex.  The walk in
+    ``_finest_contractions`` expands every partition it does not keep, so
+    unless it keeps another one first, it reaches that partition by merges
+    and keeps it."""
     if k < 1:
         raise OmqlabError(f"the width-k approximation needs k >= 1, got {k}")
     wide = [cq for cq in Q.query.disjuncts if cq_treewidth(cq) > k]
     out = distinct_up_to_isomorphism(
         [qc for cq in Q.query.disjuncts
          for qc in ([qc for qc, _ in _finest_contractions(cq, k)] if cq in wide else [cq])])
-    if not out:
-        # no tree-like contraction exists; the approximation is the empty
-        # query, represented by an unsatisfiable disjunct over fresh names
-        out = [_unsatisfiable_disjunct(Q)]
     return OMQ(Q.ontology, Q.schema, UCQ(out)), wide
 
 
@@ -308,18 +311,6 @@ def _coarsens(coarse: tuple, fine: tuple) -> bool:
     return len(set(zip(fine, coarse))) == max(fine, default=-1) + 1
 
 
-def _unsatisfiable_disjunct(Q: OMQ) -> CQ:
-    # a fresh concept name never entailed: matches nothing beyond its own
-    # occurrences, and the schema keeps it out of databases when non-full
-    names = {n for cq in Q.query.disjuncts for n in cq.names()}
-    fresh = "_never"
-    while fresh in names:
-        fresh += "_"
-    avs = Q.query.answer_vars
-    atoms = [ConceptFact(fresh, x) for x in avs] or [ConceptFact(fresh, "_z")]
-    return CQ(avs, atoms)
-
-
 def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
     """Q1 <= Q2 over the full schema: every disjunct database of Q1 must
     admit a homomorphism from some disjunct of Q2 into its chase under Q2's
@@ -366,7 +357,7 @@ def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
             continue
         cm = canonical_model_of(sat, steps)
         answers = [merge.get(x, x) for x in q1.answer_vars]
-        if not any(find_homomorphism(q2, cm.database, dict(zip(q2.answer_vars, answers)))
+        if not any(find_homomorphism(q2, cm.facts, dict(zip(q2.answer_vars, answers)))
                    is not None for q2 in Q2.query.disjuncts):
             return d1
     return None
@@ -407,7 +398,7 @@ def maximum_contractions(Q: OMQ) -> list[OMQ]:
     while level:
         merges = {m for rgs in level for m in _merges(rgs, answer_at)}
         above = {m for m in merges if find_homomorphism(
-            contraction(q, var, m)[0], cm.database, fixed) is not None}
+            contraction(q, var, m)[0], cm.facts, fixed) is not None}
         maximal += [rgs for rgs in level if above.isdisjoint(_merges(rgs, answer_at))]
         level = above
     out = sorted((contraction(q, var, rgs) for rgs in maximal),
@@ -421,16 +412,12 @@ def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
     containing bot, that the chase of the query database satisfies at a
     variable (of ``variables``, by default of the query): sorted axioms,
     then sorted variables, each pair once.  The tree is a fresh copy of the
-    left side whose answer variable is its root."""
+    left side whose answer variable is its root; its variables are named
+    ``_e<k>``, skipping the query's variables."""
     q = Q.query.disjuncts[0]
     sat = saturate(cq_as_database(q), normalize(_elhi_view(Q.ontology)))
-    return _concept_trees(sat, q.variables() if variables is None else variables)
-
-
-def _concept_trees(sat: Saturation, variables: Iterable[str]):
-    """``entailed_concept_trees`` read off the query database's saturation."""
-    xs = sorted(variables)
-    fresh = FreshVars("_e")
+    xs = sorted(q.variables() if variables is None else variables)
+    fresh = FreshVars("_e", q.variables())
     seen: set = set()
     for ci in sat.onorm.source.concept_inclusions():
         c = ci.lhs
@@ -466,7 +453,7 @@ def rewriting(Q: OMQ) -> OMQ:
     # per-constant copies keep the provenance walk attributable
     cm = canonical_model_of(consistent_saturation(cq_as_database(q), Q.ontology),
                             chase_steps(UCQ((qc,))), share_copies=False)
-    h = find_homomorphism(qc, cm.database, {x: x for x in qc.answer_vars})
+    h = find_homomorphism(qc, cm.facts, {x: x for x in qc.answer_vars})
     if h is None:
         raise AssertionError("maximum contraction lost its witnessing homomorphism")
     rng = set(h.values())
@@ -540,8 +527,7 @@ def _candidate_databases(Q: OMQ, budget: int):
     replaced by schema concepts that entail them."""
     o = Q.ontology
     schema = Q.schema
-    vocab = sorted(o.concept_names()
-                   | {n for cq in Q.query.disjuncts for n in cq.names()})
+    vocab = sorted(o.concept_names() | Q.query.names())
     s_concepts = [n for n in vocab if schema.admits(n)]
     seen: set = set()
     for cq in Q.query.disjuncts:
@@ -629,8 +615,7 @@ def contains_dllite_horn(Q1: OMQ, Q2: OMQ) -> bool:
     from .dllitef import rewrite_family
 
     cap = max(len(cq.atoms) + len(cq.variables()) for cq in Q1.query.disjuncts)
-    vocab = len({n for cq in Q1.query.disjuncts for n in cq.names()}
-                | {n for cq in Q2.query.disjuncts for n in cq.names()}) + 1
+    vocab = len(Q1.query.names() | Q2.query.names()) + 1
     cap = cap * (vocab + 1)
 
     seen: set = set()

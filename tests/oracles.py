@@ -21,7 +21,7 @@ from omqlab.chase import canonical_model, oblivious_chase
 from omqlab.dllitef import decide_ubcq1_equiv
 from omqlab.entailment import TOP_NAME, _elhi_view, is_consistent, normalize, saturate
 from omqlab.evaluation import _certain_answers, chase_steps, evaluate_naive
-from omqlab.graphalg import _ditree_root, cq_treewidth, treewidth
+from omqlab.graphalg import _directed_pairs, cq_treewidth, treewidth
 from omqlab.homtools import (
     HomError,
     contraction,
@@ -65,7 +65,6 @@ from omqlab.treelike import (
     _candidate_databases,
     _coarsens,
     _uncontained_disjunct,
-    _unsatisfiable_disjunct,
     contains_full_schema,
     entailed_concept_trees,
     ucq_k_approximation,
@@ -245,7 +244,7 @@ def maximum_contractions_by_scan(Q: OMQ) -> list[OMQ]:
     for rgs in restricted_growth_strings(len(var)):
         c = contraction(q, var, rgs)
         if c is not None and find_homomorphism(
-                c[0], cm.database, {x: x for x in q.answer_vars}) is not None:
+                c[0], cm.facts, {x: x for x in q.answer_vars}) is not None:
             equiv.append((rgs, c))
     out = sorted((c for rgs, c in equiv
                   if not any(r2 != rgs and _coarsens(r2, rgs) for r2, _ in equiv)),
@@ -269,12 +268,12 @@ def distinct_by_canonical_key(cqs: list[CQ]) -> list[CQ]:
 
 def full_ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
     """Same ontology and schema; the query becomes every contraction of a
-    disjunct whose tree width is at most ``k`` (deduplicated)."""
+    disjunct whose tree width is at most ``k`` (deduplicated).  For k >= 1
+    that is never empty: the contraction that merges every quantified
+    variable into one block has width 1."""
     out = distinct_by_canonical_key([qc for cq in Q.query.disjuncts
                                      for qc, _ in contractions(cq)
                                      if cq_treewidth(qc) <= k])
-    if not out:
-        out = [_unsatisfiable_disjunct(Q)]
     return OMQ(Q.ontology, Q.schema, UCQ(out))
 
 
@@ -304,7 +303,7 @@ def disjunct_contained(o: Ontology, q1: CQ, q2: CQ) -> bool:
         return True
     cm = canonical_model(d1, o, chase_steps(UCQ((q2,))))
     fixed = dict(zip(q2.answer_vars, q1.answer_vars))
-    return find_homomorphism(q2, cm.database, fixed) is not None
+    return find_homomorphism(q2, cm.facts, fixed) is not None
 
 
 def _prune_disjuncts(Q: OMQ) -> list:
@@ -378,7 +377,7 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
                 continue
             cm = canonical_model(dq, Q.ontology, chase_steps(UCQ((p,))))
             fixed = {x: x for x in p.answer_vars}
-            if find_homomorphism(p, cm.database, fixed) is not None:
+            if find_homomorphism(p, cm.facts, fixed) is not None:
                 hit = cand
                 break
         if hit is None:
@@ -515,7 +514,69 @@ def strip_trees(p: CQ) -> CQ:
 def is_ditree(d: Database) -> bool:
     """True iff the directed role graph is a tree (multi-edges fine,
     reflexive loops not)."""
-    return not d.dom or _ditree_root(d, root_loops=False) is not None
+    return not d.dom or ditree_root_by_walk(d, root_loops=False) is not None
+
+
+def ditree_root_by_walk(d: Database, root_loops: bool):
+    """``graphalg._ditree_root`` with its connectivity read off a walk down
+    the role edges from the root, the reference for its weak-connectivity
+    test."""
+    pairs = _directed_pairs(d)
+    loops = {a for a, b in pairs if a == b}
+    pairs -= {(a, a) for a in loops}
+    indeg = {v: 0 for v in d.dom}
+    for _, b in pairs:
+        indeg[b] += 1
+    roots = [v for v, k in indeg.items() if k == 0]
+    if len(roots) != 1 or any(k > 1 for k in indeg.values()):
+        return None
+    root = roots[0]
+    if len(pairs) != len(d.dom) - 1:
+        return None
+    if loops and not (root_loops and loops == {root}):
+        return None
+    children: dict = {}
+    for a, b in pairs:
+        children.setdefault(a, set()).add(b)
+    seen = {root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in children.get(u, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return root if seen == set(d.dom) else None
+
+
+def is_pendant_tree_by_walk(atoms, root: str) -> bool:
+    """``dllitef._is_pendant_tree`` by counting the distinct term pairs and
+    walking them from the root, the reference for its graph test."""
+    pairs = set()
+    nodes = {root}
+    for at in atoms:
+        ts = at.terms()
+        nodes.update(ts)
+        if len(ts) == 2:
+            if ts[0] == ts[1]:
+                return False
+            pairs.add(frozenset(ts))
+    if len(pairs) != len(nodes) - 1:
+        return False
+    adj: dict = {}
+    for e in pairs:
+        a, b = tuple(e)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seen = {root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in adj.get(u, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == nodes
 
 
 # ---------------------------------------------------------------------------

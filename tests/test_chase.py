@@ -112,23 +112,23 @@ def test_homomorphism_transport():
 
 def test_canonical_model_simple():
     cm = canonical_model(parse_database("A(a)"), parse_ontology("A <= exists r . B"), 1)
-    roles = list(cm.database.role_facts())
+    roles = list(cm.facts.role_facts())
     assert any(f.a == "a" for f in roles)
-    assert any(f.name == "B" for f in cm.database.concept_facts())
+    assert any(f.name == "B" for f in cm.facts.concept_facts())
 
 
 def test_canonical_model_empty_ontology():
     d = parse_database("A(a)\nB(b)\nr(a,b)")
     cm = canonical_model(d, EMPTY_ONTOLOGY, 3)
-    assert cm.database == d
+    assert cm.facts == d
 
 
 def test_canonical_model_saturates():
     # a missing concept is derived at the right constant before matching
     d = parse_database("B1(h1)\nA2(x2)\nr(x2,h1)")
     cm = canonical_model(d, omega2, 2)
-    assert ConceptFact("A1", "h1") in cm.database.facts
-    assert ConceptFact("A4", "x2") in cm.database.facts
+    assert ConceptFact("A1", "h1") in cm.facts.facts
+    assert ConceptFact("A4", "x2") in cm.facts.facts
 
 
 def test_canonical_model_of_inconsistent_data_is_its_saturation():
@@ -137,8 +137,8 @@ def test_canonical_model_of_inconsistent_data_is_its_saturation():
     o = parse_ontology("A <= B\nB <= bot")
     cm = canonical_model(d, o, 2)
     assert set(cm.provenance) == d.dom
-    assert cm.database == saturate(d, o).database
-    assert ConceptFact("B", "a") in cm.database.facts
+    assert cm.facts == saturate(d, o).database
+    assert ConceptFact("B", "a") in cm.facts.facts
 
 
 def test_canonical_agrees_with_deep_chase():

@@ -10,6 +10,7 @@ import pytest
 import omqlab
 from omqlab.cli import main
 from omqlab.surface import parse_query
+from omqlab.treelike import canonical_form
 from fixtures import FIG2_TEXT, Q1
 from oracles import equivalent_full_schema, full_ucq_k_approximation
 
@@ -657,3 +658,125 @@ def test_main_dispatch_matches_the_two_level_parse(files, capsys, monkeypatch, a
         out = capsys.readouterr()
         seen.append((code, out.out, out.err))
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("algo", ["naive", "fpt", "pebble"])
+@pytest.mark.parametrize("onto, query", [
+    ("A <= exists r . (B & C)\n_n0 <= D\n", "q(x) :- D(x)\n"),
+    ("_top <= B\n", "q(x) :- B(x)\n"),
+])
+def test_eval_user_names_are_not_normal_form_names(tmp_path, capsys, algo, onto, query):
+    # _n0 and _top are a user's concept names, which A(a) does not entail;
+    # the normal form's own names cannot be written in an input file
+    (tmp_path / "o.dl").write_text(onto)
+    (tmp_path / "q.cq").write_text(query)
+    (tmp_path / "d.db").write_text("A(a)\n")
+    code, out, err = run(capsys, "eval", "--onto", str(tmp_path / "o.dl"),
+                         "--query", str(tmp_path / "q.cq"),
+                         "--db", str(tmp_path / "d.db"), "--algo", algo)
+    assert (code, out, err) == (0, "\n", "")
+
+
+def _printed_forms(text: str) -> list:
+    return sorted(canonical_form(cq.atoms, cq.answer_vars)
+                  for cq in parse_query(text).disjuncts)
+
+
+@pytest.mark.parametrize("command, onto, query, name", [
+    # rewrite attaches a copy of exists r . B at x, named _e<k>
+    ("rewrite", "exists r . B <= C\n", "q(x) :- r(x,y), B(y), D({v}), s(x,{v})\n", "_e1"),
+    # dlf-rew re-attaches r(x,_f0) for the pendant tree r(x,y)
+    ("dlf-rew", "dialect: DL-LiteF\nB <= exists r . top\nfunc s\n",
+     "q() :- D({v}), r({v},y)\n", "_gx"),
+])
+def test_invented_names_skip_the_query_variables(tmp_path, capsys, command, onto,
+                                                 query, name):
+    (tmp_path / "o.dl").write_text(onto)
+    outs = []
+    for v in (name, "w"):
+        (tmp_path / "q.cq").write_text(query.format(v=v))
+        code, out, err = run(capsys, command, "--onto", str(tmp_path / "o.dl"),
+                             "--query", str(tmp_path / "q.cq"))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert _printed_forms(outs[0]) == _printed_forms(outs[1]), outs
+
+
+def test_eval_reports_inconsistent_data_on_stderr(tmp_path, capsys):
+    (tmp_path / "o.dl").write_text("A <= bot\n")
+    (tmp_path / "q.cq").write_text("q(x) :- B(x)\n")
+    (tmp_path / "d.db").write_text("A(a)\nB(b)\n")
+    code, out, err = run(capsys, "eval", "--onto", str(tmp_path / "o.dl"),
+                         "--query", str(tmp_path / "q.cq"), "--db", str(tmp_path / "d.db"))
+    assert (code, out, err) == (0, "a\nb\n", "inconsistent: every tuple is a certain answer\n")
+
+
+@pytest.mark.parametrize("onto, expected", [
+    ("disjoint-roles r, s\nt <= r\nt <= s\n", "false\n"),
+    ("disjoint-roles r, s\nt <= r\n", "true\n"),
+])
+def test_consistent_sees_a_role_below_every_disjoint_role(tmp_path, capsys, onto,
+                                                          expected):
+    # a's t-successor is an r- and an s-successor when t <= r and t <= s
+    (tmp_path / "o.dl").write_text(f"dialect: DL-LiteR\n{onto}A <= exists t . top\n")
+    (tmp_path / "d.db").write_text("A(a)\n")
+    code, out, err = run(capsys, "consistent", "--onto", str(tmp_path / "o.dl"),
+                         "--db", str(tmp_path / "d.db"))
+    assert (code, out, err) == (0, expected, "")
+
+
+def _contain(tmp_path, capsys, schema, onto, query, query2, onto2=None):
+    (tmp_path / "s.schema").write_text(schema)
+    (tmp_path / "o.dl").write_text(onto)
+    (tmp_path / "q1.cq").write_text(query)
+    (tmp_path / "q2.cq").write_text(query2)
+    argv = ["contain", "--schema", str(tmp_path / "s.schema"),
+            "--onto", str(tmp_path / "o.dl"),
+            "--query", str(tmp_path / "q1.cq"), "--query2", str(tmp_path / "q2.cq")]
+    if onto2 is not None:
+        (tmp_path / "o2.dl").write_text(onto2)
+        argv += ["--onto2", str(tmp_path / "o2.dl")]
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("clash", ["A <= bot", "disjoint-roles r, s"])
+@pytest.mark.parametrize("same", [True, False])
+def test_contain_probes_clash_witnesses_under_a_schema(tmp_path, capsys, clash, same):
+    # B is outside the schema, so only a database inconsistent with the left
+    # ontology can separate: every tuple answers the left query there, and
+    # the right query answers none unless the right ontology clashes too
+    onto = f"dialect: DL-LiteR\n{clash}\n"
+    got = _contain(tmp_path, capsys, "A\nr\ns\n", onto, "q() :- B(x)\n",
+                   "q() :- B(x)\n", onto if same else "")
+    assert got == (0, "true\n" if same else "false\n", "")
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_contain_probes_a_functionality_witness_under_a_schema(tmp_path, capsys, same):
+    onto = "dialect: DL-LiteF\nfunc r\n"
+    got = _contain(tmp_path, capsys, "r\n", onto, "q() :- B(x)\n", "q() :- B(x)\n",
+                   onto if same else "")
+    assert got == (0, "true\n" if same else "false\n", "")
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_contain_separates_on_a_witness_inconsistent_with_the_left_ontology(
+        tmp_path, capsys, same):
+    # the left query's own database A(x) clashes with A <= bot
+    onto = "dialect: DL-LiteR\nA <= bot\n"
+    got = _contain(tmp_path, capsys, "A\n", onto, "q() :- A(x)\n", "q() :- A(x)\n",
+                   onto if same else "")
+    assert got == (0, "true\n" if same else "false\n", "")
+
+
+@pytest.mark.parametrize("onto, schema", [
+    ("s <= r\nC <= exists s . top\n", "s\n"),
+    ("t <= inv(r)\n", "t\n"),
+])
+def test_contain_re_sources_a_role_fact_by_a_schema_sub_role(tmp_path, capsys,
+                                                             onto, schema):
+    # r is outside the schema: the witness r(x,y) survives only as s(x,y),
+    # or as t(y,x), and there the left query holds and the right one not
+    got = _contain(tmp_path, capsys, schema, f"dialect: DL-LiteR\n{onto}",
+                   "q() :- r(x,y)\n", "q() :- B(x)\n")
+    assert got == (0, "false\n", "")

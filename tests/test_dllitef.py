@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omqlab.dllitef import (
+    _is_pendant_tree,
     decide_ubcq1_equiv,
     generates,
     id_functional,
@@ -30,7 +32,23 @@ from omqlab.surface import parse_database, parse_ontology, parse_query
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from gen import rand_database
-from oracles import ubcq_equiv_via_disjuncts
+from oracles import is_pendant_tree_by_walk, ubcq_equiv_via_disjuncts
+
+
+_TERMS = ["x", "y", "z", "u", "v"]
+_atoms = st.lists(st.one_of(
+    st.builds(RoleFact, st.sampled_from("rs"), st.sampled_from(_TERMS),
+              st.sampled_from(_TERMS)),
+    st.builds(ConceptFact, st.sampled_from("AB"), st.sampled_from(_TERMS))),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=600, deadline=None)
+@given(atoms=_atoms, root=st.sampled_from(_TERMS))
+def test_pendant_tree_test_matches_the_walk_from_the_root(atoms, root):
+    # the Gaifman-graph test against counting term pairs and walking them
+    atoms = frozenset(atoms)
+    assert _is_pendant_tree(atoms, root) == is_pendant_tree_by_walk(atoms, root)
 
 
 def test_split_ontology():

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from omqlab.graphalg import (
     CapExceeded,
     TreeDecomposition,
+    _ditree_root,
     cq_treewidth,
     dtree,
     is_minor,
@@ -24,7 +26,7 @@ from omqlab.model import (
 )
 from omqlab.surface import parse_database, parse_query
 from fixtures import D1, fig2_cq
-from oracles import is_ditree
+from oracles import ditree_root_by_walk, is_ditree
 
 
 def _cycle(n=4):
@@ -96,6 +98,35 @@ def test_is_ditree():
     assert is_ditree(parse_database("r(a,b)\ns(a,b)\nr(b,c)"))
     assert not is_ditree(parse_database("r(a,a)"))
     assert not is_ditree(parse_database("r(a,b)\nr(c,b)"))
+
+
+@st.composite
+def _near_ditrees(draw):
+    """Role facts over up to six constants: a random tree with each edge
+    pointing either way, then a few facts added, dropped or made loops, so
+    that trees, forests, cycles and two-parent vertices all occur."""
+    n = draw(st.integers(1, 6))
+    cs = [f"c{i}" for i in range(n)]
+    facts = {ConceptFact("A", c) for c in cs}
+    for i in range(1, n):
+        p = cs[draw(st.integers(0, i - 1))]
+        a, b = (p, cs[i]) if draw(st.booleans()) else (cs[i], p)
+        facts.add(RoleFact(draw(st.sampled_from("rs")), a, b))
+    extra = st.builds(RoleFact, st.sampled_from("rs"), st.sampled_from(cs),
+                      st.sampled_from(cs))
+    facts |= set(draw(st.lists(extra, max_size=2)))
+    drop = draw(st.sets(st.sampled_from(sorted(facts, key=str)), max_size=2))
+    return Database(facts - drop)
+
+
+@settings(max_examples=600, deadline=None)
+@given(d=_near_ditrees(), root_loops=st.booleans())
+# in-degrees and edge count fit, but a cycle sits apart from the root
+@example(d=parse_database("A(a)\nr(b,c)\nr(c,b)"), root_loops=False)
+@example(d=parse_database("A(a)\nr(b,c)\nr(c,d)\nr(d,b)"), root_loops=False)
+def test_ditree_root_matches_the_walk_from_the_root(d, root_loops):
+    # the weak-connectivity test against the walk down the role edges
+    assert _ditree_root(d, root_loops) == ditree_root_by_walk(d, root_loops)
 
 
 def test_dtree():

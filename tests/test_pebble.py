@@ -2,10 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from omqlab.entailment import consistent_saturation, is_consistent
-from omqlab.evaluation import evaluate_naive
+from omqlab.evaluation import _TreeEvaluator, evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.model import (
     Database,
@@ -18,7 +18,9 @@ from omqlab.model import (
     Role,
     RoleFact,
     RoleInclusion,
+    Top,
     UCQ,
+    concept_as_cq,
     cq_as_database,
 )
 from omqlab.pebble import (
@@ -127,6 +129,28 @@ def test_is_d_labeling_anchored():
     assert not _ctx(Q, d).is_labeling(labels_bad, frozenset({"x", "y"}))
 
 
+def test_boundary_pair_needs_its_tree_witness_at_the_constant():
+    # x1 as an anonymous s-successor of c0: the boundary pair's tree
+    # witness s(x0,x1) holds at c0 only when c0 has an s-successor
+    Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, parse_query("q() :- s(x0,x1)"))
+    labels = {"x0": "c0", "x1": (("x0", "x1"), "c0")}
+    window = frozenset({"x0", "x1"})
+    assert _ctx(Q, parse_database("s(c0,c1)")).is_labeling(labels, window)
+    assert not _ctx(Q, parse_database("A1(c0)")).is_labeling(labels, window)
+
+
+def test_an_anchored_label_grounds_its_pair_at_the_anchor():
+    # z hangs two levels below the anchor a in the reach system of (x, y),
+    # whose x sits at the anchor itself, so x must take a; no atom of the
+    # window {x, z} says so
+    o = parse_ontology("A <= exists r . exists r . B")
+    Q = OMQ(o, FULL_SCHEMA, parse_query("q() :- r(x,y), r(y,z), B(z)"))
+    ctx = _ctx(Q, parse_database("A(a)\nB(b)"))
+    window = frozenset({"x", "z"})
+    assert ctx.is_labeling({"x": "a", "z": (("x", "y"), "a")}, window)
+    assert not ctx.is_labeling({"x": "b", "z": (("x", "y"), "a")}, window)
+
+
 def test_tree_memo_is_per_tree_query():
     # one context answers many tree queries; a match memoized for one tree
     # must not answer for another tree with the same variable and type
@@ -138,6 +162,44 @@ def test_tree_memo_is_per_tree_query():
     ctx = _ctx(Q, d)
     assert ctx.dtree_holds_at(with_a, "a")
     assert not ctx.dtree_holds_at(with_b, "a")
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_requirements_read_off_types_match_the_tree_evaluator(rng):
+    # a constant's saturated type holds an inverse-free left-hand side's
+    # definitional name exactly where the tree evaluator certifies its tree
+    names, roles = ["A1", "A2", "B1"], ["r", "s"]
+    o = rand_elhdr_ontology(rng, rng.randint(1, 6), names=names, roles=roles)
+    d = rand_database(rng, rng.randint(1, 5), names=names, roles=roles)
+    sat = consistent_saturation(d, o)
+    assume(sat is not None)
+    trees = _TreeEvaluator(sat)
+    for ci in o.concept_inclusions():
+        c = ci.lhs
+        if c.contains_bot() or isinstance(c, Top) or any(r.inverted for r in c.roles()):
+            continue
+        name = sat.onorm.defname[c]
+        assert trees.answers(concept_as_cq(c)) == {a for a, t in sat.types.items()
+                                                   if name in t}, str(ci)
+
+
+def test_range_restriction_requirement_asks_for_a_predecessor():
+    # the left-hand side of range r <= B is exists inv(r) . top; the tree
+    # evaluator ignores the edge into the root and certifies every constant,
+    # the saturated types only those with an r-predecessor.  The game reads
+    # the types, and still answers as naive does: the query's r-atom into y
+    # demands the predecessor too
+    o = parse_ontology("dialect: ELHdr_bot\nrange r <= B")
+    d = parse_database("r(a,b)\nA(c)")
+    sat = consistent_saturation(d, o)
+    (ci,) = o.concept_inclusions()
+    name = sat.onorm.defname[ci.lhs]
+    assert _TreeEvaluator(sat).answers(concept_as_cq(ci.lhs)) == {"a", "b", "c"}
+    assert {a for a, t in sat.types.items() if name in t} == {"b"}
+    for text in ("q(y) :- r(x,y)", "q(y) :- r(x,y), B(y)", "q() :- r(x,y), s(y,z)"):
+        Q = OMQ(o, FULL_SCHEMA, parse_query(text))
+        assert evaluate_pebble(Q, d, 1).answers == evaluate_naive(Q, d).answers, text
 
 
 def test_pebble_matches_naive_on_example1():
@@ -233,7 +295,7 @@ def test_hom_induced_labelings_validate():
         cm = canonical_model_of(consistent_saturation(d, o), chase_steps(Q.query),
                                 share_copies=False)
         h = None
-        for cand in iter_homomorphisms(q, cm.database):
+        for cand in iter_homomorphisms(q, cm.facts):
             h = cand
             break
         if h is None:

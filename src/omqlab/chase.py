@@ -102,7 +102,7 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
         current = Database(facts)
         # rule 1: concept inclusions
         for ax in inclusions:
-            if ax.rhs.contains_bot() or ax.lhs.contains_bot():
+            if ax.rhs.contains_bot():
                 continue
             ext = concept_extension(current, ax.lhs)
             for a in sorted(ext):
@@ -119,7 +119,7 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
 def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict,
                     fresh: FreshVars) -> None:
     """Attach the tree-shaped database of ``c`` with its root glued to ``root``."""
-    q = concept_as_cq(c, rooted=True)
+    q = concept_as_cq(c)
     rename = {q.answer_vars[0]: root}
     order = sorted(q.variables() - {q.answer_vars[0]})
     for v in order:

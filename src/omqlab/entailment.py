@@ -109,8 +109,6 @@ class NormalOntology:
             self._define(c)
 
         for ci in inclusions:
-            if ci.lhs.contains_bot():
-                continue  # vacuous
             if isinstance(ci.rhs, Bot):
                 self.bot_names.add(self.defname[ci.lhs])
             else:
@@ -406,13 +404,14 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
 
 def _elhi_view(o: Ontology) -> Ontology:
     """The ELHI_bot part of an ontology: DL-Lite inclusions translate
-    directly; role disjointness folds into unsatisfiable existentials;
-    functionality is handled by the callers that own it."""
+    directly, except the vacuous ones with ``bot`` on the left, which
+    ELHI_bot does not admit; role disjointness folds into unsatisfiable
+    existentials; functionality is handled by the callers that own it."""
     if o.dialect in ELHI_FAMILY:
         return o
     if o.dialect not in DLLITE_FAMILY:
         raise OmqlabError(o.dialect.value)
-    axioms: list = list(o.concept_inclusions())
+    axioms: list = [ci for ci in o.concept_inclusions() if not ci.lhs.contains_bot()]
     axioms += o.role_inclusions()
     sup = _role_closure(Ontology(axioms, Dialect.ELHI_BOT))
     for dis in o.role_disjointness():

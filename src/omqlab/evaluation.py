@@ -9,7 +9,6 @@ carry an explicit ``consistent`` flag so the caller can surface this.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -93,14 +92,16 @@ def evaluate_naive(Q: OMQ, d: Database) -> EvalResult:
 
 
 def evaluate_fpt(Q: OMQ, d: Database, k: int) -> EvalResult:
-    """Same canonical model, then width-``k`` dynamic programming per
-    disjunct and candidate tuple."""
+    """Same canonical model, then one width-``k`` join per disjunct, which
+    gives every answer; a candidate tuple is tested by membership."""
     if k < 1:
         raise OmqlabError(f"width-k evaluation needs k >= 1, got {k}")
     plans = {cq: _WidthPlan(cq, k) for cq in Q.query.disjuncts}
 
     def per_disjunct(cq: CQ, target: Database):
-        return functools.partial(plans[cq].holds, target)
+        plan = plans[cq]
+        answers = plan.answers(target)
+        return lambda a: tuple(a[i] for i in plan.answer_pos) in answers
     return _over_canonical_model(Q, d, per_disjunct)
 
 
@@ -206,39 +207,38 @@ class _WidthPlan:
     quantified part (Flum, Frick and Grohe, JACM 2002; the join is
     Yannakakis', VLDB 1981).  Each atom is charged to the first bag that
     holds its quantified terms, so an atom over answer variables only goes
-    to bag 0.  Bag i keeps the quantified variables of its charged atoms
-    plus the variables its children send up, and sends up those of its
-    kept variables that its parent's bag holds.  ``holds`` runs the join
-    for one tuple: bags come children first, so one pass in index order
-    is bottom-up.
+    to bag 0.  Bag i keeps the variables of its charged atoms plus those
+    its children send up, and sends up its kept answer variables and the
+    kept variables its parent's bag holds.  ``answers`` runs the join once:
+    bags come children first, so one pass in index order is bottom-up, and
+    the root's table holds every answer of the disjunct.
 
     The join is exact.  A variable's kept bags are the paths from the bags
-    charged with its atoms up to the top of its own bags, so they are
-    connected, and it is dropped only at that top, below which every atom
-    over it is charged.  A kept variable that no atom of the bag covers is
-    sent up by a child, so every variable is bound by an atom or a child's
-    table and none ranges over the domain."""
+    charged with its atoms up to the top of its own bags (the root, for an
+    answer variable), so they are connected, and it is dropped only at
+    that top, below which every atom over it is charged.  A kept variable
+    that no atom of the bag covers is sent up by a child, so every
+    variable is bound by an atom or a child's table and none ranges over
+    the domain; an answer variable that no atom binds matches any constant."""
 
     def __init__(self, q: CQ, k: int):
         w = cq_treewidth(q)
         if w > k:
             raise OmqlabError(f"disjunct has tree width {w} > {k}")
         answer = set(q.answer_vars)
-        self.answer_vars = q.answer_vars
         td = cq_decomposition(q)
 
         charged: list[list] = [[] for _ in td.bags]
         for at in q.sorted_atoms():
             qvars = set(at.terms()) - answer
             charged[next(i for i, b in enumerate(td.bags) if qvars <= b)].append(at)
-        # per bag: its atoms, the answer variables they pin, the columns the
-        # atoms bind, one (child, row key, child key, child rest) per child
-        # and the columns sent up
+        # per bag: its atoms, the columns they bind, one (child, row key,
+        # child key, child rest) per child and the columns sent up
         self.steps = []
         sent: list[tuple] = []
         for i, atoms in enumerate(charged):
             sub = CQ((), atoms)
-            bound = sorted(sub.variables() - answer)
+            bound = sorted(sub.variables())
             cols = list(bound)
             joins = []
             for c in (j for j, p in enumerate(td.parent) if p == i):
@@ -249,20 +249,19 @@ class _WidthPlan:
                               [sent[c].index(v) for v in rest]))
                 cols += rest
             p = td.parent[i]
-            sent.append(tuple(v for v in cols if p is not None and v in td.bags[p]))
-            self.steps.append((sub, sorted(sub.variables() & answer), bound, joins,
-                               [cols.index(v) for v in sent[i]]))
+            sent.append(tuple(v for v in cols if v in answer
+                              or p is not None and v in td.bags[p]))
+            self.steps.append((sub, bound, joins, [cols.index(v) for v in sent[i]]))
+        # the positions in a candidate tuple of the root's columns
+        self.answer_pos = [q.answer_vars.index(v) for v in sent[-1]]
 
-    def holds(self, d: Database, a: tuple) -> bool:
-        """The join into ``d`` with the answer variables pinned to ``a``:
-        per bag, the homomorphisms of its atoms, joined with each child's
-        table on the variables they share and projected onto what the bag
-        sends up.  An empty table ends it."""
-        pin = dict(zip(self.answer_vars, a))
+    def answers(self, d: Database) -> set:
+        """The join into ``d``: per bag, the homomorphisms of its atoms,
+        joined with each child's table on the variables they share and
+        projected onto what the bag sends up.  An empty table ends it."""
         tables: list[set] = []
-        for sub, pinned, bound, joins, send in self.steps:
-            rows = [tuple(h[v] for v in bound) for h in
-                    iter_homomorphisms(sub, d, {v: pin[v] for v in pinned})]
+        for sub, bound, joins, send in self.steps:
+            rows = [tuple(h[v] for v in bound) for h in iter_homomorphisms(sub, d)]
             for c, here, there, rest in joins:
                 index: dict = {}
                 for t in tables[c]:
@@ -272,6 +271,6 @@ class _WidthPlan:
                         for ext in index.get(tuple(r[j] for j in here), ())]
             table = {tuple(r[j] for j in send) for r in rows}
             if not table:
-                return False
+                return table
             tables.append(table)
-        return True
+        return tables[-1]

@@ -908,9 +908,8 @@ class FreshVars:
                 return s
 
 
-def concept_as_cq(c: Concept, rooted: bool = True, fresh: Optional[FreshVars] = None) -> CQ:
-    """Tree-shaped CQ representing ``c``; the root is the answer variable
-    when ``rooted``, and the query is Boolean otherwise.
+def concept_as_cq(c: Concept, fresh: Optional[FreshVars] = None) -> CQ:
+    """Tree-shaped CQ representing ``c``, its root the answer variable.
 
     ``top`` yields a single fresh variable with no atoms.
     """
@@ -920,9 +919,7 @@ def concept_as_cq(c: Concept, rooted: bool = True, fresh: Optional[FreshVars] = 
     root = fresh.next()
     atoms: list[Fact] = []
     _concept_atoms(c, root, fresh, atoms)
-    if rooted:
-        return CQ((root,), atoms)
-    return CQ((), atoms)
+    return CQ((root,), atoms)
 
 
 def _concept_atoms(c: Concept, node: str, fresh: FreshVars, out: list) -> None:

@@ -124,7 +124,7 @@ def guarded_pairs(q: CQ) -> list[tuple]:
 class ReachSystem:
     rep: tuple                   # canonical representative pair
     levels: dict
-    dtree: Optional[CQ]          # rooted, may have root self-loops; None: not eligible
+    anchors: tuple               # sorted constants where its dtree holds; () if none
 
 
 def exists_mccs(q: CQ) -> list[frozenset]:
@@ -153,7 +153,6 @@ class LabelContext:
         self.types = sat.types
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
-        self._dtree_answers: dict = {}
         self._windows: dict = {}
         self.systems = self._reach_systems()
         # variables allowed to carry the anonymous marker: members of
@@ -164,12 +163,16 @@ class LabelContext:
         """The reach system of every guarded pair, always over the full
         query, keyed by the pair and by its representative."""
         links = role_links(self.q)
-        # a pair's levels, and a member set's dtree, computed once while
-        # the systems are built; self-loops at the root class stand for
-        # database facts at the anchor
         levels_of = functools.cache(lambda pair: reach(self.q, pair, links))
-        dtree_of = functools.cache(lambda members: dtree(
-            CQ((), self.q.restrict(members).atoms), root_loops=True))
+
+        # a member set's anchors, computed once while the systems are built:
+        # where its dtree holds (self-loops at the root class stand for
+        # database facts at the anchor), none when it has no dtree
+        @functools.cache
+        def anchors_of(members: frozenset) -> tuple:
+            dt = dtree(CQ((), self.q.restrict(members).atoms), root_loops=True)
+            return () if dt is None else tuple(sorted(self.trees.answers(dt)))
+
         answers = set(self.q.answer_vars)
         systems: dict = {}
         for pair in guarded_pairs(self.q):
@@ -185,7 +188,7 @@ class LabelContext:
                                          for y0 in level1 if y0 not in answers)
                        if cand == pair or levels_of(cand) == levels)
             if rep not in systems:
-                systems[rep] = ReachSystem(rep, levels, dtree_of(frozenset(levels)))
+                systems[rep] = ReachSystem(rep, levels, anchors_of(frozenset(levels)))
             systems[pair] = systems[rep]
         return systems
 
@@ -207,14 +210,6 @@ class LabelContext:
                    tuple(at for at in sub.atoms if isinstance(at, RoleFact)))
             self._windows[on_vars] = hit
         return hit
-
-    def dtree_holds_at(self, dt: CQ, c: str) -> bool:
-        key = (dt.atoms, dt.answer_vars)
-        answers = self._dtree_answers.get(key)
-        if answers is None:
-            answers = set(self.trees.answers(dt))
-            self._dtree_answers[key] = answers
-        return c in answers
 
     # -- the conditions ------------------------------------------------------
 
@@ -282,11 +277,7 @@ class LabelContext:
             if y in self.q.answer_vars:
                 return False
             sysm = self.systems[x, y]
-            if sysm.dtree is None:
-                return False
-            if not self.dtree_holds_at(sysm.dtree, lxx):
-                return False
-            if not isinstance(lyy, tuple) or lyy[1] != lxx:
+            if lxx not in sysm.anchors or not isinstance(lyy, tuple) or lyy[1] != lxx:
                 return False
             (px, py), _ = lyy
             if 0 not in sysm.levels.get(px, ()) or 1 not in sysm.levels.get(py, ()):
@@ -338,21 +329,17 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
     # at constants with an r-predecessor.  It is entailed at x only through
     # a role atom of the query into x, which demands that predecessor too.
     lhs = {qsat.onorm.defname[ci.lhs] for ci in qsat.onorm.source.concept_inclusions()
-           if not (ci.lhs.contains_bot() or isinstance(ci.lhs, Top))}
+           if not isinstance(ci.lhs, Top)}
     ctx = LabelContext(q, sat, {x: lhs & t for x, t in qsat.types.items()})
 
     quantified = sorted(q.quantified_vars())
     consts = sorted(d.dom)
     candidates: dict[str, list] = {v: consts + [EXIST] for v in quantified}
-    reps = set()
-    for sysm in ctx.systems.values():
-        if sysm.dtree is None or sysm.rep in reps:
-            continue
+    for sysm in {s.rep: s for s in ctx.systems.values()}.values():
         # a pair and its representative share one system: the labels are
         # the representative's.  Anchors whose tree witness fails at c can
         # never occur in a valid full labeling.
-        reps.add(sysm.rep)
-        labels = [(sysm.rep, c) for c in consts if ctx.dtree_holds_at(sysm.dtree, c)]
+        labels = [(sysm.rep, c) for c in sysm.anchors]
         for v in sysm.levels:
             if v in candidates:
                 candidates[v].extend(labels)
@@ -367,13 +354,16 @@ def _play(ctx: LabelContext, quantified: list, size: int, candidates: dict,
     variables, smallest first, then let Duplicator answer on the maximal
     sets (a smaller position is a restriction of a maximal one).
 
-    A labeling of V enters V's table when it passes the conditions on V
-    and its restriction to each set one variable smaller is in that set's
-    table.  So the tables hold exactly the labelings that pass the
-    conditions on their sets: a restriction of such a labeling passes the
-    conditions on the smaller set, whose window has a subset of V's atoms
-    and variables, and whose grounding check skips a variable it leaves
-    out.  An empty table is a position where Spoiler wins at once."""
+    Besides the pinned answers, each condition is unary (constant
+    requirements, ``EXIST`` eligibility, system membership) or binary (an
+    atom's facts, ``_role_atom_ok``, the grounding of an anchored label's
+    pair), so it holds on V when it holds on V's sets of one or two
+    variables.  A labeling of such a set enters its table when it passes
+    the conditions and its restrictions one variable smaller are in their
+    tables; a larger set's labeling enters when those restrictions are, as
+    in k-consistency (Dalmau, Kolaitis and Vardi, CP 2002).  So the tables
+    hold exactly the labelings that pass the conditions on their sets.  An
+    empty table is a position where Spoiler wins at once."""
     pins = dict(zip(ctx.q.answer_vars, a))
     if not ctx.is_labeling(pins, frozenset()):
         return False
@@ -384,7 +374,6 @@ def _play(ctx: LabelContext, quantified: list, size: int, candidates: dict,
         for V in itertools.combinations(quantified, m):
             on_vars = frozenset(V)
             smaller = [(i, tables[V[:i] + V[i + 1:]]) for i in range(m - 1)]
-            labels = dict(pins)
             table = set()
             for t in tables[V[:-1]]:
                 for l in candidates[V[-1]]:
@@ -393,8 +382,7 @@ def _play(ctx: LabelContext, quantified: list, size: int, candidates: dict,
                         if f[:i] + f[i + 1:] not in sub:
                             break
                     else:
-                        labels.update(zip(V, f))
-                        if ctx.is_labeling(labels, on_vars):
+                        if m > 2 or ctx.is_labeling(pins | dict(zip(V, f)), on_vars):
                             table.add(f)
             if not table:
                 return False

@@ -426,7 +426,7 @@ def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
         seen.add(c)
         for x in xs:
             if sat.onorm.defname[c] in sat.types.get(x, ()):
-                yield x, concept_as_cq(c, rooted=True, fresh=fresh)
+                yield x, concept_as_cq(c, fresh=fresh)
 
 
 def _attach_trees(q: CQ, atoms: Iterable, trees) -> CQ:
@@ -662,9 +662,9 @@ def _clash_witnesses(o: Ontology, schema: Schema):
     onorm = _elhi_view(o)
     fresh = FreshVars("_w")
     for ax in onorm.concept_inclusions():
-        if not ax.rhs.contains_bot() or ax.lhs.contains_bot():
+        if not ax.rhs.contains_bot():
             continue
-        d = cq_as_database(concept_as_cq(ax.lhs, rooted=True, fresh=fresh))
+        d = cq_as_database(concept_as_cq(ax.lhs, fresh=fresh))
         if d.dom and d.uses_only(schema) and not is_consistent(d, o):
             yield d
     for dis in o.role_disjointness():

@@ -22,9 +22,12 @@ from omqlab.model import (
     RoleInclusion,
     TOP,
     BOT,
+    FULL_SCHEMA,
+    OMQ,
     UCQ,
     conj,
 )
+from omqlab.entailment import is_consistent
 from omqlab.graphalg import cq_treewidth
 
 
@@ -199,6 +202,23 @@ def rand_ucq(rng: random.Random, n_disjuncts: int, n_vars: int, arity: int,
             q = CQ(avs, [at for at in q.atoms]) if q.answer_vars != avs else q
         ds.append(q)
     return UCQ(ds)
+
+
+def criterion4_instances(seed: int):
+    """Acceptance criterion 4's endless stream: ELHdr OMQs over the full
+    schema with one CQ of tree width at most 2, each with a nonempty
+    database consistent with its ontology, as (OMQ, database,
+    max(1, tree width))."""
+    rng = random.Random(seed)
+    names, roles = ["A1", "A2", "A3", "B1"], ["r", "s"]
+    while True:
+        o = rand_elhdr_ontology(rng, rng.randint(1, 8), names=names, roles=roles)
+        d = rand_database(rng, rng.randint(2, 6), names=names, roles=roles)
+        arity = rng.choice([0, 0, 1])
+        q = rand_cq(rng, rng.randint(max(arity, 1), 6), arity, names=names,
+                    roles=roles, max_tw=2)
+        if d.dom and is_consistent(d, o):
+            yield OMQ(o, FULL_SCHEMA, UCQ((q,))), d, max(1, cq_treewidth(q))
 
 
 def rand_tw_bounded_database(rng: random.Random, k: int, n_bags: int,

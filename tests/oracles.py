@@ -158,7 +158,7 @@ def _bounded_subsumes(o, c, d, extra_depth) -> bool:
     axdepth = max([concept_depth(ci.lhs) + concept_depth(ci.rhs)
                    for ci in o.concept_inclusions()] + [1])
     depth = concept_depth(c) + concept_depth(d) + axdepth + extra_depth
-    root_q = concept_as_cq(c, rooted=True)
+    root_q = concept_as_cq(c)
     root = root_q.answer_vars[0]
     db = Database(root_q.atoms) if root_q.atoms else Database(
         [ConceptFact("_seed", root)])
@@ -167,7 +167,7 @@ def _bounded_subsumes(o, c, d, extra_depth) -> bool:
         return True
     if d.contains_bot():
         return False
-    dq = concept_as_cq(d, rooted=True)
+    dq = concept_as_cq(d)
     return find_homomorphism(dq, ch.facts, {dq.answer_vars[0]: root}) is not None
 
 

@@ -55,6 +55,7 @@ from fixtures import (
     omega16,
 )
 from gen import (
+    criterion4_instances,
     rand_cq,
     rand_database,
     rand_elhdr_ontology,
@@ -121,22 +122,10 @@ def test_criterion_3_sixteen_axiom_fixtures():
 
 def test_criterion_4_tri_agreement():
     t0 = time.time()
-    rng = random.Random(2024)
     disagreements = 0
     n = 0
-    while n < 500:
-        o = rand_elhdr_ontology(rng, rng.randint(1, 8),
-                                names=["A1", "A2", "A3", "B1"], roles=["r", "s"])
-        d = rand_database(rng, rng.randint(2, 6),
-                          names=["A1", "A2", "A3", "B1"], roles=["r", "s"])
-        arity = rng.choice([0, 0, 1])
-        q = rand_cq(rng, rng.randint(max(arity, 1), 6), arity,
-                    names=["A1", "A2", "A3", "B1"], roles=["r", "s"], max_tw=2)
-        if not d.dom or not is_consistent(d, o):
-            continue
+    for Q, d, k in itertools.islice(criterion4_instances(2024), 500):
         n += 1
-        Q = OMQ(o, FULL_SCHEMA, UCQ((q,)))
-        k = max(1, cq_treewidth(q))
         a1 = evaluate_naive(Q, d).answers
         a2 = evaluate_fpt(Q, d, k).answers
         a3 = evaluate_pebble(Q, d, k).answers

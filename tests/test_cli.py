@@ -344,6 +344,26 @@ def test_chase_command(files, capsys):
     assert "A4(b)" in out
 
 
+@pytest.mark.parametrize("header", ["dialect: DL-LiteR\n", ""],
+                         ids=["declared", "inferred"])
+@pytest.mark.parametrize("command", [["eval", "--query", "c.cq"], ["consistent"],
+                                     ["chase"]], ids=["eval", "consistent", "chase"])
+def test_vacuous_bot_inclusion_changes_nothing(files, capsys, header, command):
+    # DL-Lite admits bot on the left; such an axiom says nothing, and the
+    # commands print what they print without it (a file with no header
+    # infers DL-LiteR)
+    (files / "vacuous.dl").write_text(header + "bot <= A\nB <= C\n")
+    (files / "plain.dl").write_text(header + "B <= C\n")
+    (files / "b.db").write_text("B(a)\n")
+    (files / "c.cq").write_text("q(x) :- C(x)\n")
+    name, *rest = command
+    rest = [str(files / a) if a.endswith(".cq") else a for a in rest]
+    outs = [run(capsys, name, "--onto", str(files / onto), "--db", str(files / "b.db"),
+                *rest) for onto in ("vacuous.dl", "plain.dl")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and outs[0][1]
+
+
 def test_chase_provenance_sidecar(files, capsys):
     (files / "ex.dl").write_text("A2 <= exists r . B\n")
     side = files / "prov.json"

@@ -259,7 +259,7 @@ def _kept_bags(plan: _WidthPlan) -> list:
     """The variables each bag of ``plan`` keeps, read back from its steps:
     the columns its atoms bind, then what each child sends that they miss."""
     kept, sent = [], []
-    for _, _, bound, joins, send in plan.steps:
+    for _, bound, joins, send in plan.steps:
         cols = list(bound)
         for c, _, _, rest in joins:
             cols += [sent[c][j] for j in rest]
@@ -279,8 +279,9 @@ def test_kept_bags_are_connected_and_atoms_charged_inside_their_bag():
         assert len(plan.steps) == len(td.bags)
         kept = _kept_bags(plan)
         charged = []
-        for i, (sub, _, bound, joins, _) in enumerate(plan.steps):
-            assert set(kept[i]) <= td.bags[i]
+        for i, (sub, bound, joins, _) in enumerate(plan.steps):
+            # answer columns are kept on their way up to the root
+            assert set(kept[i]) - set(q.answer_vars) <= td.bags[i]
             assert [c for c, *_ in joins] == [c for c, p in enumerate(td.parent) if p == i]
             for at in sub.atoms:
                 assert set(at.terms()) - set(q.answer_vars) <= td.bags[i]
@@ -290,6 +291,19 @@ def test_kept_bags_are_connected_and_atoms_charged_inside_their_bag():
             tops = [i for i, p in enumerate(td.parent)
                     if v in kept[i] and (p is None or v not in kept[p])]
             assert len(tops) == 1, (q, v, kept, td)
+        bound = {t for at in q.atoms for t in at.terms()}
+        assert bound & set(q.answer_vars) <= set(kept[-1])  # the root, last in order
+
+
+def test_fpt_answer_variable_without_atoms_matches_any_constant():
+    # the parser rejects such a query, CQ admits it: x is bound by no atom,
+    # so the join's root has no column for it and any constant matches
+    q = CQ(("x", "y"), [ConceptFact("A", "y"), RoleFact("r", "y", "z")])
+    Q = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, UCQ((q,)))
+    d = parse_database("A(a)\nr(a,b)\nA(b)")
+    expected = {(c, "a") for c in ("a", "b")}
+    assert evaluate_naive(Q, d).answers == expected
+    assert evaluate_fpt(Q, d, 1).answers == expected
 
 
 # the criterion-4 instances 470 and 1,641 (seed 2024): a bag variable that

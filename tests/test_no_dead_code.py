@@ -9,9 +9,11 @@ The scans are by name:
 * a class-body field, or an attribute a method stores on ``self``, counts
   as read when its name is read as an attribute anywhere in the package;
 * a parameter with a default counts as passed when some call in the
-  package to a function or method of that name passes it, by position or
-  keyword (or through ``*``/``**``).  Calls to a class count for its
-  ``__init__``, or for its dataclass fields when it has no ``__init__``.
+  package to a function or method of that name passes it a value other
+  than its default, by position or keyword (or through ``*``/``**``); an
+  argument that is not a literal counts as another value.  Calls to a
+  class count for its ``__init__``, or for its dataclass fields when it
+  has no ``__init__``.
 
 So a member that shares its name with one used elsewhere passes; the
 tests catch what nothing mentions, not everything unused.
@@ -142,9 +144,10 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 def _signatures():
     """(qualified name, callee name, positional parameters, defaulted
     positional parameters, defaulted keyword-only parameters) for every
-    function, method and dataclass constructor of the package.  A method's
-    positional parameters exclude ``self``/``cls``; an ``__init__``, and a
-    dataclass without one, is called by its class's name."""
+    function, method and dataclass constructor of the package; a defaulted
+    parameter comes as (name, default expression).  A method's positional
+    parameters exclude ``self``/``cls``; an ``__init__``, and a dataclass
+    without one, is called by its class's name."""
     def visit(node, prefix: str, in_class: ast.ClassDef | None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
@@ -155,7 +158,8 @@ def _signatures():
                     fields = [st for st in child.body if isinstance(st, ast.AnnAssign)
                               and isinstance(st.target, ast.Name)]
                     names = [st.target.id for st in fields]
-                    defaulted = [st.target.id for st in fields if st.value is not None]
+                    defaulted = [(st.target.id, st.value) for st in fields
+                                 if st.value is not None]
                     yield f"{prefix}{child.name}", child.name, names, defaulted, []
             elif isinstance(child, ast.FunctionDef):
                 a = child.args
@@ -164,8 +168,8 @@ def _signatures():
                              for d in child.decorator_list)
                 if in_class is not None and not static:
                     pos = pos[1:]
-                defaulted = pos[len(pos) - len(a.defaults):] if a.defaults else []
-                kwonly = [p.arg for p, dflt in zip(a.kwonlyargs, a.kw_defaults)
+                defaulted = list(zip(pos[len(pos) - len(a.defaults):], a.defaults))
+                kwonly = [(p.arg, dflt) for p, dflt in zip(a.kwonlyargs, a.kw_defaults)
                           if dflt is not None]
                 callee = (in_class.name if in_class is not None and child.name == "__init__"
                           else child.name)
@@ -179,8 +183,8 @@ def _signatures():
 
 
 def _calls() -> dict:
-    """Callee name -> list of (positional argument count, keyword names);
-    a ``*`` or ``**`` splat passes every parameter."""
+    """Callee name -> list of (positional arguments, keyword name ->
+    argument, splat); a ``*`` or ``**`` splat passes every parameter."""
     out: dict = {}
     for tree in _trees().values():
         for n in ast.walk(tree):
@@ -194,23 +198,37 @@ def _calls() -> dict:
                 continue
             splat = (any(isinstance(a, ast.Starred) for a in n.args)
                      or any(k.arg is None for k in n.keywords))
-            npos = float("inf") if splat else len(n.args)
-            kws = {k.arg for k in n.keywords if k.arg is not None}
-            out.setdefault(name, []).append((npos, kws, splat))
+            kws = {k.arg: k.value for k in n.keywords if k.arg is not None}
+            out.setdefault(name, []).append((n.args, kws, splat))
     return out
+
+
+def _same_literal(a: ast.expr, b: ast.expr) -> bool:
+    try:
+        x, y = ast.literal_eval(a), ast.literal_eval(b)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+    return type(x) is type(y) and x == y
+
+
+def _passes_another_value(site: tuple, i, p: str, default: ast.expr) -> bool:
+    """Does the call ``site`` pass the parameter ``p``, at position ``i``
+    (None when keyword-only), a value other than ``default``?"""
+    args, kws, splat = site
+    if splat:
+        return True
+    arg = args[i] if i is not None and i < len(args) else kws.get(p)
+    return arg is not None and not _same_literal(arg, default)
 
 
 def _unpassed_params() -> list[str]:
     calls = _calls()
     out = []
     for qual, callee, pos, defaulted, kwonly in _signatures():
-        sites = calls.get(callee, [])
-        for p in defaulted:
-            i = pos.index(p)
-            if not any(npos > i or p in kws for npos, kws, _ in sites):
-                out.append(f"{qual}({p})")
-        for p in kwonly:
-            if not any(splat or p in kws for _, kws, splat in sites):
+        for p, default in defaulted + kwonly:
+            i = pos.index(p) if p in pos else None
+            if not any(_passes_another_value(site, i, p, default)
+                       for site in calls.get(callee, [])):
                 out.append(f"{qual}({p})")
     return sorted(out)
 

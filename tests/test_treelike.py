@@ -799,7 +799,7 @@ def test_entailed_concept_trees_match_per_pair_entailment():
         for c in lhss:
             for x in sorted(q.variables()):
                 if entailed_concept_fact(dq, o, c, x):
-                    want.append((x, concept_as_cq(c, rooted=True, fresh=fresh)))
+                    want.append((x, concept_as_cq(c, fresh=fresh)))
         assert list(entailed_concept_trees(Q)) == want
         pairs_seen += len(want)
     assert pairs_seen > 0

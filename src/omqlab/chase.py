@@ -8,7 +8,6 @@ inputs produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
@@ -26,6 +25,7 @@ from .model import (
     RoleFact,
     concept_as_cq,
     concept_extension,
+    record,
     restrict_database,
 )
 from .entailment import (
@@ -40,7 +40,7 @@ from .entailment import (
 CHASE_NODE_CAP = 500000
 
 
-@dataclass(frozen=True)
+@record
 class Provenance:
     """Where a constant of a chase result comes from."""
 
@@ -50,7 +50,7 @@ class Provenance:
     depth: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class ChaseDb:
     """A chase result, from ``oblivious_chase`` or ``canonical_model``: its
     facts and each constant's provenance."""

@@ -7,7 +7,6 @@ databases, and the width-1 equivalence decision.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .model import (
@@ -27,6 +26,7 @@ from .model import (
     cq_as_database,
     cq_components,
     gaifman_graph,
+    record,
 )
 from .entailment import _elhi_view
 from .evaluation import evaluate_naive
@@ -37,7 +37,7 @@ from .treelike import TwEquivVerdict, canonical_form, decide_tw_equiv_general
 REW_VARIABLE_CAP = 10
 
 
-@dataclass(frozen=True)
+@record
 class FunctionalSplit:
     inclusions: Ontology          # everything except functionality
     functionalities: frozenset    # functional role names

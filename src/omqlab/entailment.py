@@ -23,7 +23,6 @@ generating axiom), which keeps the computation finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import (
@@ -46,12 +45,13 @@ from .model import (
     RoleFact,
     TOP,
     Top,
+    record,
 )
 
 TOP_NAME = "_top."
 
 
-@dataclass(frozen=True)
+@record
 class ExistsRule:
     """``exists role . filler_name <= head`` (detection direction)."""
 
@@ -60,7 +60,7 @@ class ExistsRule:
     head: str
 
 
-@dataclass(frozen=True)
+@record
 class SuccRule:
     """``body <= exists role . succ`` (generation direction)."""
 
@@ -69,7 +69,7 @@ class SuccRule:
     succ: str
 
 
-@dataclass
+@record
 class _Canonical:
     root: frozenset
     reachable: frozenset
@@ -333,7 +333,7 @@ def subsumes(o: Ontology, c: Concept, d: Concept) -> bool:
     return onorm.defname[d] in onorm.root_type(seed)
 
 
-@dataclass
+@record
 class Saturation:
     """Result of saturating a database: closed facts and per-constant types."""
 

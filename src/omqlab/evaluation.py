@@ -10,7 +10,6 @@ carry an explicit ``consistent`` flag so the caller can surface this.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .model import (
     CQ,
@@ -22,6 +21,7 @@ from .model import (
     Role,
     RoleFact,
     UCQ,
+    record,
 )
 from .chase import canonical_model_of
 from .entailment import Saturation, consistent_saturation
@@ -29,7 +29,7 @@ from .graphalg import cq_decomposition, cq_treewidth
 from .homtools import find_homomorphism, iter_homomorphisms
 
 
-@dataclass(frozen=True)
+@record
 class EvalResult:
     consistent: bool
     answers: frozenset
@@ -161,22 +161,30 @@ class _TreeEvaluator:
         return bool(self.answers(q))
 
     def _match_real(self, v: str, e: str, shape) -> bool:
-        _, concept_at, edges = shape
+        """Does ``v``'s subtree match at the real constant ``e``?  Memoized
+        next to ``_match_anon`` (a constant never equals a type), so each
+        (query variable, constant) pair is decided once per tree query, and
+        the work is O(|q| * |facts|) calls, not one per path in the data."""
+        atoms, concept_at, edges = shape
+        key = (atoms, v, e)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         names = self.sat.types.get(e, frozenset())
-        for n in concept_at.get(v, ()):
-            if n not in names:
-                return False
+        ok = all(n in names for n in concept_at.get(v, ()))
         for w, role_names in edges.get(v, ()):
+            if not ok:
+                break
             succs = None
             for rn in role_names:
                 s = self.sat.database.successors(e, Role(rn))
                 succs = s if succs is None else (succs & s)
                 if not succs:
                     break
-            if not (any(self._match_real(w, b, shape) for b in sorted(succs or ()))
-                    or self._match_child(w, names, role_names, shape)):
-                return False
-        return True
+            ok = (any(self._match_real(w, b, shape) for b in sorted(succs or ()))
+                  or self._match_child(w, names, role_names, shape))
+        self._memo[key] = ok
+        return ok
 
     def _match_anon(self, v: str, t: frozenset, shape) -> bool:
         atoms, concept_at, edges = shape

@@ -10,7 +10,6 @@ guards against accidental blowups.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
@@ -24,6 +23,7 @@ from .model import (
     UndirectedGraph,
     cq_as_database,
     gaifman_graph,
+    record,
 )
 from .homtools import merge_to_fixpoint
 
@@ -31,7 +31,7 @@ TREEWIDTH_VERTEX_CAP = 25
 MINOR_VERTEX_CAP = 12
 
 
-@dataclass(frozen=True)
+@record
 class TreeDecomposition:
     """Bags indexed by id, and each bag's parent: a later bag, or ``None``
     for the last bag, the root.  Children come before their parent, so a
@@ -311,13 +311,13 @@ def dtree(q: CQ, root_loops: bool = False) -> Optional[CQ]:
 # Unravelings
 
 
-@dataclass(frozen=True)
+@record
 class UnravelNode:
     constant: str
     projection: str  # the original constant this one copies
 
 
-@dataclass(frozen=True)
+@record
 class Unraveling:
     database: Database
     nodes: tuple  # UnravelNode per fresh or reused constant of the bag tree

@@ -8,8 +8,83 @@ equal concepts compare equal regardless of how they were written down.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+import operator
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+def record(cls=None, *, order=False):
+    """Class decorator for an immutable record, as
+    ``dataclasses.dataclass(frozen=True, order=order)`` makes it: the
+    class's annotated fields, in order, are the parameters of ``__init__``
+    (a class-level value is the default), and records compare and hash by
+    their field tuple, equal only within one class.
+
+    ``__init__``, ``__eq__`` and ``__hash__`` are compiled from the source
+    ``dataclass`` generates, in one ``exec`` per class, so hashes, set
+    order and speed are the same.  ``__repr__`` (the same text), the
+    frozen guards and the order methods are closures.  A method the class
+    defines itself is kept.  Loading omqlab thus imports neither
+    ``dataclasses`` nor ``inspect`` and compiles three methods per record,
+    not up to ten."""
+    if cls is None:
+        return functools.partial(record, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    slots = cls.__dict__.get("__slots__", ())
+    ns = {"__name__": cls.__module__, "_set": object.__setattr__}
+    params = ["self"]
+    for n in names:
+        if n in cls.__dict__ and n not in slots:
+            ns[f"_dflt_{n}"] = cls.__dict__[n]
+            params.append(f"{n}=_dflt_{n}")
+        else:
+            params.append(n)
+    mine = "".join(f"self.{n}," for n in names)
+    theirs = "".join(f"other.{n}," for n in names)
+    source = "\n".join(
+        [f"def __init__({', '.join(params)}):"]
+        + ([f" _set(self, {n!r}, {n})" for n in names] or [" pass"])
+        + ["def __eq__(self, other):",
+           " if other.__class__ is self.__class__:",
+           f"  return ({mine}) == ({theirs})",
+           " return NotImplemented",
+           "def __hash__(self):",
+           f" return hash(({mine}))"])
+    exec(source, ns)
+    methods = {m: ns[m] for m in ("__init__", "__eq__", "__hash__")}
+
+    def __repr__(self):
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    methods.update(__repr__=__repr__, __setattr__=__setattr__, __delattr__=__delattr__)
+    if order:
+        get = operator.attrgetter(*names)  # the bare value for one name
+        fields_of = get if len(names) > 1 else lambda r: (get(r),)
+
+        def compare(op):
+            def method(self, other):
+                if other.__class__ is self.__class__:
+                    return op(fields_of(self), fields_of(other))
+                return NotImplemented
+            return method
+
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            methods[f"__{op.__name__}__"] = compare(op)
+    for name, fn in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, fn)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +111,7 @@ class CapExceeded(OmqlabError):
 # Roles and concepts
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Role:
     """A role name or its inverse.  ``(r^-)^- = r`` by construction."""
 
@@ -72,7 +147,7 @@ class Concept:
         return self.key() < other.key()
 
 
-@dataclass(frozen=True)
+@record
 class Top(Concept):
     __slots__ = ()
 
@@ -83,7 +158,7 @@ class Top(Concept):
         return "top"
 
 
-@dataclass(frozen=True)
+@record
 class Bot(Concept):
     __slots__ = ()
 
@@ -94,7 +169,7 @@ class Bot(Concept):
         return "bot"
 
 
-@dataclass(frozen=True)
+@record
 class Atomic(Concept):
     __slots__ = ("name",)
     name: str
@@ -106,7 +181,7 @@ class Atomic(Concept):
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Concept):
     __slots__ = ("role", "filler")
     role: Role
@@ -130,7 +205,7 @@ class Exists(Concept):
         return f"exists {self.role} . {filler}"
 
 
-@dataclass(frozen=True)
+@record
 class Conj(Concept):
     """Conjunction over a flattened, canonically ordered tuple of parts."""
 
@@ -190,7 +265,7 @@ def is_basic_concept(c: Concept) -> bool:
 # Axioms and ontologies
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class ConceptInclusion:
     lhs: Concept
     rhs: Concept
@@ -199,7 +274,7 @@ class ConceptInclusion:
         return f"{self.lhs} <= {self.rhs}"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class RoleInclusion:
     lhs: Role
     rhs: Role
@@ -208,7 +283,7 @@ class RoleInclusion:
         return f"{self.lhs} <= {self.rhs}"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class RangeRestriction:
     """``range r <= C``, standing for the inclusion  exists inv(r).top <= C."""
 
@@ -222,7 +297,7 @@ class RangeRestriction:
         return f"range {self.role} <= {self.filler}"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class RoleDisjointness:
     roles: tuple  # role names
 
@@ -230,7 +305,7 @@ class RoleDisjointness:
         return "disjoint-roles " + ", ".join(self.roles)
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Functionality:
     role: str
 
@@ -298,7 +373,7 @@ DIALECT_INFERENCE_ORDER = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Ontology:
     axioms: frozenset
     dialect: Dialect
@@ -487,10 +562,10 @@ EMPTY_ONTOLOGY = Ontology((), Dialect.EL)
 # Schemas, databases, facts
 
 
-@dataclass(frozen=True)
+@record
 class Schema:
     full: bool
-    names: frozenset = field(default_factory=frozenset)
+    names: frozenset = frozenset()
 
     @staticmethod
     def full_schema() -> "Schema":
@@ -510,7 +585,7 @@ class Schema:
 FULL_SCHEMA = Schema.full_schema()
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class ConceptFact:
     """``A(a)``; also used as a unary query atom with a variable in ``a``."""
 
@@ -527,7 +602,7 @@ class ConceptFact:
         return f"{self.name}({self.a})"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class RoleFact:
     """``r(a,b)``; also used as a binary query atom."""
 
@@ -873,7 +948,7 @@ class UCQ:
         return "\n".join(str(d) for d in self.disjuncts)
 
 
-@dataclass(frozen=True)
+@record
 class OMQ:
     ontology: Ontology
     schema: Schema

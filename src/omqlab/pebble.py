@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
@@ -46,6 +45,7 @@ from .model import (
     cq_as_database,
     cq_components,
     gaifman_graph,
+    record,
 )
 from .entailment import Saturation, consistent_saturation
 from .evaluation import EvalResult, _TreeEvaluator, _certain_answers
@@ -120,7 +120,7 @@ def guarded_pairs(q: CQ) -> list[tuple]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ReachSystem:
     rep: tuple                   # canonical representative pair
     levels: dict

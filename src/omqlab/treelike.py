@@ -15,7 +15,6 @@ individualization and refinement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import (
@@ -42,6 +41,7 @@ from .model import (
     concept_as_cq,
     cq_as_database,
     conj,
+    record,
 )
 from .chase import canonical_model_of
 from .entailment import (
@@ -64,7 +64,7 @@ from .homtools import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class TwEquivVerdict:
     outcome: str                       # "yes" | "no" | "unknown"
     witness: Optional[OMQ] = None      # for "yes": an equivalent UCQ_k OMQ
@@ -604,11 +604,6 @@ def contains_dllite_horn(Q1: OMQ, Q2: OMQ) -> bool:
     generated-tree elimination) with per-fact weakenings; their sizes stay
     within the |q|*(|vocab|+1) witness bound.  Databases inconsistent with
     the left ontology are additionally probed through clash patterns."""
-    allowed = {Dialect.DLLITE_R, Dialect.DLLITE_R_HORN, Dialect.DLLITE_F,
-               Dialect.DLLITE_F_EQ} | ELHI_FAMILY
-    for Q in (Q1, Q2):
-        if Q.ontology.dialect not in allowed:
-            raise OmqlabError(f"dialect {Q.ontology.dialect.value} not supported")
     if Q1.arity != Q2.arity:
         return False
     schema = Q1.schema

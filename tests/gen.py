@@ -250,3 +250,19 @@ def rand_tw_bounded_database(rng: random.Random, k: int, n_bags: int,
                 facts.append(RoleFact(rng.choice(roles), rng.choice(bag),
                                       rng.choice(bag)))
     return Database(facts)
+
+
+def dead_end_paths(n: int, seed: int = 7):
+    """The dead-end path family: ontology ``A <= B``, the Boolean query
+    ``q() :- r(x0,x1), ..., r(x{n-1},xn), B(xn)``, and a database of 30
+    constants with 4 random ``r``-successors each and no concept fact, so
+    nothing entails ``B`` and the answer is empty, as (OMQ, database).
+    The database has about 4^n ``r``-paths of length n."""
+    rng = random.Random(seed)
+    consts = [f"c{i}" for i in range(30)]
+    d = Database(RoleFact("r", a, b) for a in consts
+                 for b in rng.sample([c for c in consts if c != a], 4))
+    o = Ontology([ConceptInclusion(Atomic("A"), Atomic("B"))], Dialect.EL)
+    atoms = [RoleFact("r", f"x{i}", f"x{i + 1}") for i in range(n)]
+    q = CQ((), atoms + [ConceptFact("B", f"x{n}")])
+    return OMQ(o, FULL_SCHEMA, UCQ((q,))), d

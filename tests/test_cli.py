@@ -800,3 +800,21 @@ def test_contain_re_sources_a_role_fact_by_a_schema_sub_role(tmp_path, capsys,
     got = _contain(tmp_path, capsys, schema, f"dialect: DL-LiteR\n{onto}",
                    "q() :- r(x,y)\n", "q() :- B(x)\n")
     assert got == (0, "false\n", "")
+
+
+def test_cli_import_loads_no_dataclasses_and_the_same_modules():
+    # records are built without dataclasses, so neither it nor inspect is
+    # loaded; dllitef stays lazy and no other module moves in or out
+    probe = "import sys, omqlab.cli; print(*sys.modules, sep='\\n')"
+    src = str(Path(omqlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    assert {m for m in loaded if m.startswith("omqlab.")} == {
+        f"omqlab.{m}" for m in ("cli", "surface", "model", "entailment", "chase",
+                                "evaluation", "graphalg", "homtools", "pebble",
+                                "treelike")}

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from omqlab.entailment import satisfies_functionality
 from omqlab.model import (
     Atomic,
     BOT,
+    Bot,
     CQ,
     ConceptFact,
     ConceptInclusion,
@@ -22,6 +25,7 @@ from omqlab.model import (
     Role,
     RoleFact,
     TOP,
+    Top,
     check_dialect_axioms,
     concept_as_cq,
     concept_extension,
@@ -30,6 +34,7 @@ from omqlab.model import (
     gaifman_graph,
     infer_dialect,
     infer_ontology,
+    record,
     restrict_database,
 )
 from fixtures import fig2_cq
@@ -226,3 +231,93 @@ def test_cq_roundtrip_through_database():
     q = fig2_cq
     back = CQ(q.answer_vars, cq_as_database(q).facts)
     assert back == q
+
+
+# ---------------------------------------------------------------------------
+# Records against their dataclass twins
+
+
+def _pair(decorate):
+    class Pair:
+        name: str
+        n: int = 0
+        tag: frozenset = frozenset()
+    return decorate(Pair)
+
+
+def _single(decorate):
+    class Single:
+        roles: tuple
+    return decorate(Single)
+
+
+RECORDS = [_pair(record(order=True)), _single(record(order=True))]
+TWINS = [_pair(dataclasses.dataclass(frozen=True, order=True)),
+         _single(dataclasses.dataclass(frozen=True, order=True))]
+
+
+def _fields(r) -> tuple:
+    return tuple(getattr(r, n) for n in type(r).__annotations__)
+
+
+def test_record_matches_its_dataclass_twin():
+    rng = random.Random(5)
+    Pair, Single = RECORDS
+    TwinPair, TwinSingle = TWINS
+    args = [(rng.choice("abc"), rng.randint(0, 2)) for _ in range(30)]
+    recs = [Pair(*a) for a in args] + [Single(tuple(a[0] * a[1])) for a in args]
+    twins = [TwinPair(*a) for a in args] + [TwinSingle(tuple(a[0] * a[1])) for a in args]
+    for r, t in zip(recs, twins):
+        assert repr(r) == repr(t)
+        assert hash(r) == hash(t) == hash(_fields(t))
+        assert r != t and r != _fields(t)
+    for i, j in itertools.product(range(30), repeat=2):
+        for xs in (recs, twins):
+            a, b = xs[i], xs[j]  # one class
+            c, d = xs[30 + i], xs[30 + j]  # the one-field class
+            assert (a == b, a < b, a <= b, a > b, a >= b) == (
+                args[i] == args[j], args[i] < args[j], args[i] <= args[j],
+                args[i] > args[j], args[i] >= args[j])
+            x, y = c.roles, d.roles
+            assert (c == d, c < d, c <= d, c > d, c >= d) == (
+                x == y, x < y, x <= y, x > y, x >= y)
+    assert [_fields(r) for r in sorted(recs[:30])] == [_fields(t) for t in sorted(twins[:30])]
+    with pytest.raises(TypeError):
+        recs[0] < twins[0]
+    with pytest.raises(TypeError):
+        recs[0] < recs[30]
+
+
+def test_record_defaults_keywords_and_frozen_fields():
+    for Pair in (RECORDS[0], TWINS[0]):
+        assert Pair("a") == Pair(name="a", n=0, tag=frozenset())
+        assert Pair(n=2, name="b") == Pair("b", 2)
+        assert Pair("a").tag is Pair("b").tag
+        with pytest.raises(TypeError):
+            Pair()
+        with pytest.raises(TypeError):
+            Pair("a", 1, frozenset(), 3)
+        r = Pair("a", 1)
+        with pytest.raises(AttributeError):
+            r.n = 2
+        with pytest.raises(AttributeError):
+            del r.n
+        with pytest.raises(AttributeError):
+            r.other = 2
+        assert r == Pair("a", 1)
+
+
+def test_record_keeps_methods_the_class_defines():
+    @record
+    class Named:
+        name: str
+
+        def __repr__(self):
+            return f"<{self.name}>"
+
+    assert repr(Named("a")) == "<a>"
+    assert Named("a") == Named("a") and hash(Named("a")) == hash(("a",))
+    # records of different classes differ even when both have no fields
+    assert TOP == Top() and BOT == Bot() and TOP != BOT
+    assert hash(TOP) == hash(BOT) == hash(())
+    assert Ontology([]).dialect == Dialect.ELHI_BOT

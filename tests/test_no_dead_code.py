@@ -12,8 +12,8 @@ The scans are by name:
   package to a function or method of that name passes it a value other
   than its default, by position or keyword (or through ``*``/``**``); an
   argument that is not a literal counts as another value.  Calls to a
-  class count for its ``__init__``, or for its dataclass fields when it
-  has no ``__init__``.
+  class count for its ``__init__``, or for its record fields when it is a
+  ``model.record`` (or a dataclass) and has no ``__init__``.
 
 So a member that shares its name with one used elsewhere passes; the
 tests catch what nothing mentions, not everything unused.
@@ -133,10 +133,13 @@ def _unread_fields() -> list[str]:
 # Defaulted parameters
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Is ``cls`` decorated by ``record`` or ``dataclass``, with or without
+    arguments, so that its annotated fields are its constructor's
+    parameters?"""
     for dec in cls.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Name) and target.id == "dataclass":
+        if isinstance(target, ast.Name) and target.id in ("record", "dataclass"):
             return True
     return False
 
@@ -144,9 +147,9 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 def _signatures():
     """(qualified name, callee name, positional parameters, defaulted
     positional parameters, defaulted keyword-only parameters) for every
-    function, method and dataclass constructor of the package; a defaulted
+    function, method and record constructor of the package; a defaulted
     parameter comes as (name, default expression).  A method's positional
-    parameters exclude ``self``/``cls``; an ``__init__``, and a dataclass
+    parameters exclude ``self``/``cls``; an ``__init__``, and a record
     without one, is called by its class's name."""
     def visit(node, prefix: str, in_class: ast.ClassDef | None):
         for child in ast.iter_child_nodes(node):
@@ -154,7 +157,7 @@ def _signatures():
                 yield from visit(child, f"{prefix}{child.name}.", child)
                 has_init = any(isinstance(m, ast.FunctionDef) and m.name == "__init__"
                                for m in child.body)
-                if _is_dataclass(child) and not has_init:
+                if _is_record(child) and not has_init:
                     fields = [st for st in child.body if isinstance(st, ast.AnnAssign)
                               and isinstance(st.target, ast.Name)]
                     names = [st.target.id for st in fields]
@@ -184,10 +187,15 @@ def _signatures():
 
 def _calls() -> dict:
     """Callee name -> list of (positional arguments, keyword name ->
-    argument, splat); a ``*`` or ``**`` splat passes every parameter."""
+    argument, splat); a ``*`` or ``**`` splat passes every parameter, and
+    a bare decorator ``@f`` on ``def g``/``class g`` is the call ``f(g)``."""
     out: dict = {}
     for tree in _trees().values():
         for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                for dec in n.decorator_list:
+                    if isinstance(dec, ast.Name):
+                        out.setdefault(dec.id, []).append(([ast.Name(n.name)], {}, False))
             if not isinstance(n, ast.Call):
                 continue
             if isinstance(n.func, ast.Name):

@@ -8,6 +8,7 @@ from omqlab.entailment import consistent_saturation, is_consistent
 from omqlab.evaluation import _TreeEvaluator, evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.model import (
+    CQ,
     Database,
     Dialect,
     EMPTY_ONTOLOGY,
@@ -36,7 +37,7 @@ from fixtures import Q1, d_example1, fig2, fig2_cq, omega1
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
-from gen import criterion4_instances, rand_cq, rand_database, rand_elhdr_ontology
+from gen import criterion4_instances, dead_end_paths, rand_cq, rand_database, rand_elhdr_ontology
 from oracles import (
     duplicator_survives_all_overlaps,
     evaluate_pebble_all_overlaps,
@@ -165,6 +166,29 @@ def test_tree_memo_is_per_tree_query():
     trees = _TreeEvaluator(sat)
     assert "a" in trees.answers(with_a)
     assert "a" not in trees.answers(with_b)
+
+
+def test_tree_matching_on_real_constants_grows_linearly(monkeypatch):
+    # the dead-end path family has about 4^n r-paths of length n and no
+    # match; the memo decides each (query variable, constant) pair once, so
+    # the root tries every constant and each matched pair asks each of its
+    # successors once: calls <= |dom| + n * |facts|
+    calls = [0]
+    match_real = _TreeEvaluator._match_real
+
+    def counted(self, v, e, shape):
+        calls[0] += 1
+        return match_real(self, v, e, shape)
+
+    monkeypatch.setattr(_TreeEvaluator, "_match_real", counted)
+    for n in (4, 8, 16):
+        Q, d = dead_end_paths(n)
+        (q,) = Q.query.disjuncts
+        calls[0] = 0
+        trees = _TreeEvaluator(consistent_saturation(d, Q.ontology))
+        assert trees.answers(CQ(("x0",), q.atoms)) == frozenset()
+        assert calls[0] <= len(d.dom) + n * len(d.facts), n
+    assert evaluate_pebble(Q, d, 1).answers == frozenset()
 
 
 @settings(max_examples=300, deadline=None)

@@ -31,8 +31,8 @@ from .model import (
 from .entailment import (
     TOP_NAME,
     Saturation,
-    _elhi_view,
     consistent_saturation,
+    elhi_view,
     saturate,
 )
 
@@ -76,7 +76,7 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
     ``depth``; each (constant, axiom) pair fires at most once."""
     if depth < 0:
         raise OmqlabError(f"the chase needs depth >= 0, got {depth}")
-    o = _elhi_view(o)
+    o = elhi_view(o)
     inclusions = o.concept_inclusions()  # range restrictions fold in here
     role_incs = o.role_inclusions()
     facts: set[Fact] = set(d.facts)

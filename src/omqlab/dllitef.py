@@ -28,7 +28,7 @@ from .model import (
     gaifman_graph,
     record,
 )
-from .entailment import _elhi_view
+from .entailment import elhi_view
 from .evaluation import evaluate_naive
 from .graphalg import is_minor
 from .homtools import contractions, functional_quotient
@@ -70,7 +70,7 @@ def generates(o: Ontology, atom, p: CQ, rooted: bool = True) -> bool:
     query's answer variable must be answered by its own name in the atom;
     detached mode asks for a Boolean match anywhere."""
     d = Database([atom])
-    res = evaluate_naive(OMQ(_elhi_view(o), FULL_SCHEMA, UCQ((p,))), d)
+    res = evaluate_naive(OMQ(elhi_view(o), FULL_SCHEMA, UCQ((p,))), d)
     if not rooted:
         return bool(res.answers)
     if not p.answer_vars:
@@ -119,7 +119,7 @@ def _is_pendant_tree(atoms: frozenset, root: str) -> bool:
 
 def _generator_atoms(o: Ontology, q_names: Iterable[str], x: str, fresh: FreshVars):
     """Candidate generating atoms anchored at ``x``: A(x), S(x,z), S(z,x)."""
-    onames = _elhi_view(o)
+    onames = elhi_view(o)
     concepts = sorted(o.concept_names() | set(q_names))
     roles = sorted({r.name for ax in onames.concept_inclusions()
                     for side in (ax.lhs, ax.rhs) for r in side.roles()}
@@ -145,7 +145,7 @@ def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
     protected = frozenset(p.answer_vars)
     results: dict = {}
     g_p = gaifman_graph(cq_as_database(p))
-    onames = _elhi_view(o)
+    onames = elhi_view(o)
     q_names = p.names()
     gen_cache: dict = {}
 
@@ -294,7 +294,7 @@ def decide_ubcq1_equiv(Q: OMQ) -> TwEquivVerdict:
         raise QueryError("the width-1 decision expects Boolean queries")
     split = split_ontology(Q.ontology)
     q2 = id_functional(Q.query, split.functionalities)
-    Q2 = OMQ(_elhi_view(split.inclusions), FULL_SCHEMA, q2)
+    Q2 = OMQ(elhi_view(split.inclusions), FULL_SCHEMA, q2)
     verdict = decide_tw_equiv_general(Q2, 1)
     if verdict.is_yes():
         witness = OMQ(Q.ontology, FULL_SCHEMA, verdict.witness.query)

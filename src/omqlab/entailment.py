@@ -115,7 +115,7 @@ class NormalOntology:
                 self.conj_rules.append(
                     (frozenset({self.defname[ci.lhs]}), self.defname[ci.rhs]))
 
-        self.super_roles = _role_closure(source)
+        self.super_roles = role_closure(source)
         self._dedupe()
         self._canon_cache: dict[frozenset, _Canonical] = {}
 
@@ -272,7 +272,7 @@ class NormalOntology:
         return new
 
 
-def _role_closure(o: Ontology) -> dict:
+def role_closure(o: Ontology) -> dict:
     """Reflexive-transitive super-role map, closed under inversion."""
     roles: set[Role] = set()
     for ci in o.concept_inclusions():
@@ -322,7 +322,7 @@ def subsumes(o: Ontology, c: Concept, d: Concept) -> bool:
     if isinstance(c, Bot):
         return True
     extra = [x for x in (c, d) if not x.contains_bot()]
-    onorm = normalize(_elhi_view(o), extra)
+    onorm = normalize(elhi_view(o), extra)
     if c.contains_bot():
         return True
     seed = frozenset({onorm.defname[c]})
@@ -349,7 +349,7 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
     """Close a database under consequence: concept facts entailed by each
     constant's conjunction, existential premises along explicit role
     facts, and the role hierarchy."""
-    onorm = o if isinstance(o, NormalOntology) else normalize(_elhi_view(o))
+    onorm = o if isinstance(o, NormalOntology) else normalize(elhi_view(o))
 
     role_facts: set[RoleFact] = set()
     types: dict[str, set] = {a: set() for a in d.dom}
@@ -402,7 +402,7 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
                       {a: frozenset(t) for a, t in types.items()}, onorm)
 
 
-def _elhi_view(o: Ontology) -> Ontology:
+def elhi_view(o: Ontology) -> Ontology:
     """The ELHI_bot part of an ontology: DL-Lite inclusions translate
     directly, except the vacuous ones with ``bot`` on the left, which
     ELHI_bot does not admit; role disjointness folds into unsatisfiable
@@ -413,7 +413,7 @@ def _elhi_view(o: Ontology) -> Ontology:
         raise OmqlabError(o.dialect.value)
     axioms: list = [ci for ci in o.concept_inclusions() if not ci.lhs.contains_bot()]
     axioms += o.role_inclusions()
-    sup = _role_closure(Ontology(axioms, Dialect.ELHI_BOT))
+    sup = role_closure(Ontology(axioms, Dialect.ELHI_BOT))
     for dis in o.role_disjointness():
         targets = set(dis.roles)
         for r in sorted({x for x in sup} | {Role(n) for n in targets}, key=str):
@@ -448,7 +448,7 @@ def clash_free_saturation(d: Database, o: Ontology) -> Optional[Saturation]:
     ``d`` maps into; a functionality violation, not checked here, need not,
     as the map may merge the two successors."""
     if o.dialect in DLLITE_FAMILY:
-        sup = _role_closure(_elhi_view(o))
+        sup = role_closure(elhi_view(o))
         pairs: dict[tuple, set] = {}
         for f in d.facts:
             if not isinstance(f, RoleFact):
@@ -460,7 +460,7 @@ def clash_free_saturation(d: Database, o: Ontology) -> Optional[Saturation]:
             for names in pairs.values():
                 if set(dis.roles) <= names:
                     return None
-    sat = saturate(d, normalize(_elhi_view(o)))
+    sat = saturate(d, normalize(elhi_view(o)))
     return None if sat.clashes() else sat
 
 

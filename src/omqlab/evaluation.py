@@ -1,7 +1,8 @@
-"""OMQ evaluation pipelines over the truncated canonical model: naive
-(homomorphism search) and width-k (a bottom-up join over a tree
-decomposition of each disjunct, in which every variable is bound by an
-atom or a child's table, never by ranging over the domain).
+"""The certain-answers driver of all three pipelines, and the two that run
+over the truncated canonical model: naive (homomorphism search) and
+width-k (a bottom-up join over a tree decomposition of each disjunct, in
+which every variable is bound by an atom or a child's table, never by
+ranging over the domain).  The pebble game lives in ``pebble``.
 
 An inconsistent database has every tuple as a certain answer; results
 carry an explicit ``consistent`` flag so the caller can surface this.
@@ -13,13 +14,9 @@ import itertools
 
 from .model import (
     CQ,
-    ConceptFact,
     Database,
     OMQ,
     OmqlabError,
-    QueryError,
-    Role,
-    RoleFact,
     UCQ,
     record,
 )
@@ -52,7 +49,7 @@ def chase_steps(q: UCQ) -> int:
     return max(len(cq.variables()) for cq in q.disjuncts) + 1
 
 
-def _certain_answers(Q: OMQ, d: Database, prepare) -> EvalResult:
+def certain_answers(Q: OMQ, d: Database, prepare) -> EvalResult:
     """The one certain-answers loop of the three pipelines.  ``prepare(sat)``
     runs on the saturation of ``d`` once ``d`` is known consistent with the
     ontology and returns the per-disjunct preparation, which runs once per
@@ -79,7 +76,7 @@ def _over_canonical_model(Q: OMQ, d: Database, per_disjunct) -> EvalResult:
     def prepare(sat: Saturation):
         target = canonical_model_of(sat, chase_steps(Q.query)).facts
         return lambda cq: per_disjunct(cq, target)
-    return _certain_answers(Q, d, prepare)
+    return certain_answers(Q, d, prepare)
 
 
 def evaluate_naive(Q: OMQ, d: Database) -> EvalResult:
@@ -103,111 +100,6 @@ def evaluate_fpt(Q: OMQ, d: Database, k: int) -> EvalResult:
         answers = plan.answers(target)
         return lambda a: tuple(a[i] for i in plan.answer_pos) in answers
     return _over_canonical_model(Q, d, per_disjunct)
-
-
-class _TreeEvaluator:
-    """Certain answers of downward-tree queries, decided directly over the
-    saturation and the type engine (no materialized canonical model)."""
-
-    def __init__(self, sat: Saturation):
-        self.onorm = sat.onorm
-        self.sat = sat
-        self._memo: dict = {}
-
-    def _parse_tree(self, q: CQ):
-        """Root, shape and root loops of a tree query; the shape is
-        (atoms, concept names per variable, child edges per variable), and
-        its atoms key the memo, which serves every tree query."""
-        root = q.answer_vars[0]
-        concept_at: dict = {}
-        down: dict = {}
-        loops: list = []
-        for at in q.sorted_atoms():
-            if isinstance(at, ConceptFact):
-                concept_at.setdefault(at.a, []).append(at.name)
-            elif at.a == at.b:
-                if at.a != root:
-                    raise QueryError("tree queries admit loops at the root only")
-                loops.append(at.name)
-            else:
-                down.setdefault(at.a, {}).setdefault(at.b, []).append(at.name)
-        # edges[parent] = [(child, sorted role names of the multi-edge)]
-        edges = {p: sorted((w, tuple(sorted(names))) for w, names in kids.items())
-                 for p, kids in down.items()}
-        return root, (q.atoms, concept_at, edges), loops
-
-    def answers(self, q: CQ) -> frozenset:
-        """Real constants at which the rooted tree query certainly holds."""
-        root, shape, loops = self._parse_tree(q)
-        out = set()
-        for e in sorted(self.sat.types):
-            if all(RoleFact(n, e, e) in self.sat.database.facts for n in loops) \
-                    and self._match_real(root, e, shape):
-                out.add(e)
-        return frozenset(out)
-
-    def holds_somewhere(self, q: CQ) -> bool:
-        """Does the rooted tree query match anywhere in the canonical model?"""
-        root, shape, loops = self._parse_tree(q)
-        if not loops:
-            seen = set()
-            for a in sorted(self.sat.types):
-                for t in self.onorm.reachable_types(self.sat.types[a]):
-                    if t in seen:
-                        continue
-                    seen.add(t)
-                    if self._match_anon(root, t, shape):
-                        return True
-        return bool(self.answers(q))
-
-    def _match_real(self, v: str, e: str, shape) -> bool:
-        """Does ``v``'s subtree match at the real constant ``e``?  Memoized
-        next to ``_match_anon`` (a constant never equals a type), so each
-        (query variable, constant) pair is decided once per tree query, and
-        the work is O(|q| * |facts|) calls, not one per path in the data."""
-        atoms, concept_at, edges = shape
-        key = (atoms, v, e)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        names = self.sat.types.get(e, frozenset())
-        ok = all(n in names for n in concept_at.get(v, ()))
-        for w, role_names in edges.get(v, ()):
-            if not ok:
-                break
-            succs = None
-            for rn in role_names:
-                s = self.sat.database.successors(e, Role(rn))
-                succs = s if succs is None else (succs & s)
-                if not succs:
-                    break
-            ok = (any(self._match_real(w, b, shape) for b in sorted(succs or ()))
-                  or self._match_child(w, names, role_names, shape))
-        self._memo[key] = ok
-        return ok
-
-    def _match_anon(self, v: str, t: frozenset, shape) -> bool:
-        atoms, concept_at, edges = shape
-        key = (atoms, v, t)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._memo[key] = False  # cycles in the type graph cannot help
-        ok = (all(n in t for n in concept_at.get(v, ()))
-              and all(self._match_child(w, t, role_names, shape)
-                      for w, role_names in edges.get(v, ())))
-        self._memo[key] = ok
-        return ok
-
-    def _match_child(self, w: str, t: frozenset, role_names: tuple, shape) -> bool:
-        """Does ``w``'s subtree match at an anonymous successor of a term
-        of type ``t``, along a role below every role of ``role_names``?"""
-        for role, child in self.onorm.children(t):
-            sups = self.onorm.super_roles.get(role, {role})
-            if all(Role(rn) in sups for rn in role_names) \
-                    and self._match_anon(w, child, shape):
-                return True
-        return False
 
 
 class _WidthPlan:

@@ -30,25 +30,25 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import itemgetter
-from typing import Optional
 
 from .model import (
     CQ,
+    ConceptFact,
     Database,
     Dialect,
     OMQ,
     OmqlabError,
     Ontology,
     QueryError,
+    Role,
     RoleFact,
     Top,
     cq_as_database,
     cq_components,
-    gaifman_graph,
     record,
 )
 from .entailment import Saturation, consistent_saturation
-from .evaluation import EvalResult, _TreeEvaluator, _certain_answers
+from .evaluation import EvalResult, certain_answers
 from .graphalg import dtree
 
 PEBBLE_DIALECTS = {Dialect.EL, Dialect.EL_BOT, Dialect.ELH_BOT, Dialect.ELHDR_BOT}
@@ -68,56 +68,124 @@ def is_const(l) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Tree queries
+
+
+class _TreeEvaluator:
+    """Certain answers of downward-tree queries, decided directly over the
+    saturation and the type engine (no materialized canonical model).
+
+    A variable's subtree is matched through its shape: the concept names
+    at the variable and its child edges, each a sorted tuple of role names
+    and the child's shape.  Shapes are interned as small integers across
+    every tree query the evaluator serves, and the memo is keyed on (shape,
+    constant or type), so equal subtrees of different queries, such as the
+    suffixes of one path, are decided once."""
+
+    def __init__(self, sat: Saturation):
+        self.onorm = sat.onorm
+        self.sat = sat
+        self._shape_ids: dict = {}  # (concept names, child edges) -> shape
+        self._shapes: list = []     # shape -> (concept names, child edges)
+        self._memo: dict = {}
+
+    def _parse_tree(self, q: CQ):
+        """The shape of a tree query's root, and its root loops."""
+        root = q.answer_vars[0]
+        concept_at: dict = {}
+        down: dict = {}
+        loops: list = []
+        for at in q.sorted_atoms():
+            if isinstance(at, ConceptFact):
+                concept_at.setdefault(at.a, []).append(at.name)
+            elif at.a == at.b:
+                if at.a != root:
+                    raise QueryError("tree queries admit loops at the root only")
+                loops.append(at.name)
+            else:
+                down.setdefault(at.a, {}).setdefault(at.b, []).append(at.name)
+
+        def shape(v: str) -> int:
+            node = (tuple(sorted(concept_at.get(v, ()))),
+                    tuple(sorted({(tuple(sorted(names)), shape(w))
+                                  for w, names in down.get(v, {}).items()})))
+            if node not in self._shape_ids:
+                self._shape_ids[node] = len(self._shapes)
+                self._shapes.append(node)
+            return self._shape_ids[node]
+        return shape(root), loops
+
+    def answers(self, q: CQ) -> frozenset:
+        """Real constants at which the rooted tree query certainly holds."""
+        root, loops = self._parse_tree(q)
+        return frozenset(e for e in sorted(self.sat.types)
+                         if all(RoleFact(n, e, e) in self.sat.database.facts for n in loops)
+                         and self._match_real(root, e))
+
+    def holds_somewhere(self, q: CQ) -> bool:
+        """Does the rooted tree query match anywhere in the canonical model?"""
+        root, loops = self._parse_tree(q)
+        return (not loops and any(self._match_anon(root, t) for a in sorted(self.sat.types)
+                                  for t in self.onorm.reachable_types(self.sat.types[a]))
+                or bool(self.answers(q)))
+
+    def _match_real(self, s: int, e: str) -> bool:
+        """Does a subtree of shape ``s`` match at the real constant ``e``?
+        Memoized next to ``_match_anon`` (a constant never equals a type),
+        so each (shape, constant) pair is decided once, and a tree query of
+        n edges takes at most |dom| + n * |facts| calls."""
+        key = (s, e)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        concepts, kids = self._shapes[s]
+        names = self.sat.types.get(e, frozenset())
+        ok = all(n in names for n in concepts)
+        for role_names, w in kids:
+            if not ok:
+                break
+            succs = frozenset.intersection(
+                *(self.sat.database.successors(e, Role(rn)) for rn in role_names))
+            ok = (any(self._match_real(w, b) for b in sorted(succs))
+                  or self._match_child(w, names, role_names))
+        self._memo[key] = ok
+        return ok
+
+    def _match_anon(self, s: int, t: frozenset) -> bool:
+        """Does a subtree of shape ``s`` match at an anonymous term of type
+        ``t``?  Calls descend to child shapes, so none recurs on its key."""
+        key = (s, t)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        concepts, kids = self._shapes[s]
+        ok = (all(n in t for n in concepts)
+              and all(self._match_child(w, t, role_names) for role_names, w in kids))
+        self._memo[key] = ok
+        return ok
+
+    def _match_child(self, w: int, t: frozenset, role_names: tuple) -> bool:
+        """Does a subtree of shape ``w`` match at an anonymous successor of
+        a term of type ``t``, along a role below every role of ``role_names``?"""
+        for role, child in self.onorm.children(t):
+            sups = self.onorm.super_roles.get(role, {role})
+            if all(Role(rn) in sups for rn in role_names) \
+                    and self._match_anon(w, child):
+                return True
+        return False
+
+
+# ---------------------------------------------------------------------------
 # Reach systems
 
 
-def role_links(q: CQ) -> tuple[dict, dict]:
-    """Each variable's successors and predecessors along the role atoms."""
-    succ: dict[str, list] = {}
-    pred: dict[str, list] = {}
-    for at in q.atoms:
-        if isinstance(at, RoleFact):
-            succ.setdefault(at.a, []).append(at.b)
-            pred.setdefault(at.b, []).append(at.a)
-    return succ, pred
-
-
-def reach(q: CQ, pair: tuple, links: Optional[tuple] = None) -> dict:
-    """Leveled reach sets of a guarded pair (x, y) with y quantified:
-    variable -> set of levels.  Level 0 sits at the anchor constant,
-    level i >= 1 at depth i of the anonymous tree below it.  ``links`` is
-    ``role_links(q)``, computed here when not given."""
-    x, y = pair
-    if y in q.answer_vars:
-        raise QueryError("the second pair component must be quantified")
-    cap = len(q.variables()) + 1  # deeper levels are unrealizable in a ditree
-    succ, pred = links or role_links(q)
-    levels: dict[str, set] = {x: {0}, y: {1}}
-    work = [(x, 0), (y, 1)]
-    while work:
-        v, i = work.pop()
-        # forward: a variable at level i >= 1 pushes its successors deeper;
-        # upward: a variable at level i+1 pulls its predecessors to i
-        steps = [(w, i + 1) for w in succ.get(v, ()) if 0 < i < cap]
-        steps += [(w, i - 1) for w in pred.get(v, ()) if i >= 1]
-        for w, j in steps:
-            ls = levels.setdefault(w, set())
-            if j not in ls:
-                ls.add(j)
-                work.append((w, j))
-    return levels
-
-
 def guarded_pairs(q: CQ) -> list[tuple]:
-    g = gaifman_graph(cq_as_database(q))
-    out = []
+    """Both orders of each edge of the Gaifman graph, edges in sorted
+    order, that have a quantified second component."""
     answers = set(q.answer_vars)
-    for e in sorted(g.edges(), key=lambda e: sorted(e, key=str)):
-        a, b = sorted(e)
-        for x, y in ((a, b), (b, a)):
-            if y not in answers:
-                out.append((x, y))
-    return out
+    edges = sorted({tuple(sorted((at.a, at.b))) for at in q.atoms
+                    if isinstance(at, RoleFact) and at.a != at.b})
+    return [(x, y) for a, b in edges for x, y in ((a, b), (b, a)) if y not in answers]
 
 
 @record
@@ -125,6 +193,64 @@ class ReachSystem:
     rep: tuple                   # canonical representative pair
     levels: dict
     anchors: tuple               # sorted constants where its dtree holds; () if none
+
+
+def reach_systems(q: CQ, anchors_of) -> dict:
+    """The reach system of every guarded pair (x, y) of ``q``, keyed by the
+    pair and by its representative; ``anchors_of(members)`` gives the
+    anchors of a system over the variable set ``members``.  Levels map a variable to its set of levels: level
+    0 sits at the anchor constant, level i >= 1 at depth i of the
+    anonymous tree below it, up to cap = |vars| + 1 (deeper levels are
+    unrealizable in a ditree).
+
+    The reach set of (x, y) starts from x@0 and y@1 and closes under two
+    steps along each role atom r(u, w): forward from u@i to w@(i+1) for
+    1 <= i < cap, and upward from w@(i+1) to u@i.  Level 0 takes no step,
+    and between levels >= 1 the two steps undo each other.  So the nodes
+    at levels >= 1 that the pair reaches are C, the component of y@1 in
+    the undirected graph of those steps, which one union-find pass finds
+    for every pair at once.  The rest are x@0 and up0(C), the sources u@0
+    of the atoms r(u, w) with w@1 in C: reach((x, y)) = {x@0} + C + up0(C).
+
+    A system's representative is the first candidate (x0, y0) in sorted
+    order, x0 at level 0 and y0 quantified at level 1, whose own reach set
+    is the pair's, so that a label names one system.  As y0@1 lies in C,
+    that set is {x0@0} + C + up0(C), except that x0 = y0 starts x0 at
+    level 1 only.  Guarded pairs have x != y, so the sets agree iff x and
+    x0 are both in up0(C), or x0 = x != y0."""
+    cap = len(q.variables()) + 1
+    links = [(at.a, at.b) for at in q.atoms if isinstance(at, RoleFact)]
+    # node -> its component's node set; each step merges the smaller set
+    # into the larger
+    comp = {(v, i): {(v, i)} for v in q.variables() for i in range(1, cap + 1)}
+    for u, w in links:
+        for i in range(1, cap):
+            a, b = sorted((comp[u, i], comp[w, i + 1]), key=len, reverse=True)
+            if a is not b:
+                a |= b
+                comp.update(dict.fromkeys(b, a))
+
+    answers = set(q.answer_vars)
+    systems: dict = {}
+    anchors: dict = {}  # member set -> its anchors, shared by its systems
+    for x, y in guarded_pairs(q):
+        if (x, y) in systems:
+            continue  # the representative of an earlier pair
+        c = comp[y, 1]
+        ups = {u for u, w in links if (w, 1) in c}
+        level1 = sorted(v for v, i in c if i == 1 and v not in answers)
+        rep = ((min(ups), level1[0]) if x in ups
+               else (x, next(y0 for y0 in level1 if y0 != x)))
+        if rep not in systems:
+            levels: dict = {}
+            for v, i in [*c, *((u, 0) for u in ups | {x})]:
+                levels.setdefault(v, set()).add(i)
+            members = frozenset(levels)
+            if members not in anchors:
+                anchors[members] = anchors_of(members)
+            systems[rep] = ReachSystem(rep, levels, anchors[members])
+        systems[x, y] = systems[rep]
+    return systems
 
 
 def exists_mccs(q: CQ) -> list[frozenset]:
@@ -154,43 +280,18 @@ class LabelContext:
         self.chminus = sat.database
         self.trees = _TreeEvaluator(sat)
         self._windows: dict = {}
-        self.systems = self._reach_systems()
+        # every guarded pair's reach system, always over the full query
+        self.systems = reach_systems(q, self._anchors)
         # variables allowed to carry the anonymous marker: members of
         # full-query components whose tree witness the database satisfies
         self.exist_ok: frozenset = self._exist_ok()
 
-    def _reach_systems(self) -> dict:
-        """The reach system of every guarded pair, always over the full
-        query, keyed by the pair and by its representative."""
-        links = role_links(self.q)
-        levels_of = functools.cache(lambda pair: reach(self.q, pair, links))
-
-        # a member set's anchors, computed once while the systems are built:
-        # where its dtree holds (self-loops at the root class stand for
-        # database facts at the anchor), none when it has no dtree
-        @functools.cache
-        def anchors_of(members: frozenset) -> tuple:
-            dt = dtree(CQ((), self.q.restrict(members).atoms), root_loops=True)
-            return () if dt is None else tuple(sorted(self.trees.answers(dt)))
-
-        answers = set(self.q.answer_vars)
-        systems: dict = {}
-        for pair in guarded_pairs(self.q):
-            if pair in systems:
-                continue  # the representative of an earlier pair
-            levels = levels_of(pair)
-            level0 = sorted(v for v, ls in levels.items() if 0 in ls)
-            level1 = sorted(v for v, ls in levels.items() if 1 in ls)
-            # the canonical representative must regenerate this very
-            # system, else labels naming it would be ambiguous between
-            # systems
-            rep = next(cand for cand in ((x0, y0) for x0 in level0
-                                         for y0 in level1 if y0 not in answers)
-                       if cand == pair or levels_of(cand) == levels)
-            if rep not in systems:
-                systems[rep] = ReachSystem(rep, levels, anchors_of(frozenset(levels)))
-            systems[pair] = systems[rep]
-        return systems
+    def _anchors(self, members: frozenset) -> tuple:
+        """Where the dtree of a system's members holds (self-loops at the
+        root class stand for database facts at the anchor); none when
+        they have no dtree."""
+        dt = dtree(CQ((), self.q.restrict(members).atoms), root_loops=True)
+        return () if dt is None else tuple(sorted(self.trees.answers(dt)))
 
     def _exist_ok(self) -> frozenset:
         ok = set()
@@ -308,7 +409,7 @@ def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
 
     def prepare(sat: Saturation):
         return lambda cq: _prepare_game(cq, Q.ontology, d, sat, k)
-    return _certain_answers(Q, d, prepare)
+    return certain_answers(Q, d, prepare)
 
 
 def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):

@@ -45,12 +45,12 @@ from .model import (
 )
 from .chase import canonical_model_of
 from .entailment import (
-    _elhi_view,
-    _role_closure,
     clash_free_saturation,
     consistent_saturation,
+    elhi_view,
     is_consistent,
     normalize,
+    role_closure,
     saturate,
     subsumes,
 )
@@ -330,7 +330,7 @@ def _entails(o: Ontology, other: Ontology) -> bool:
     """Does ``o`` entail every axiom of ``other``?  Concept and range
     inclusions are decided by ``subsumes``, role inclusions by ``o``'s role
     closure; functionality and disjointness axioms must occur in ``o``."""
-    sup = _role_closure(o)
+    sup = role_closure(o)
     return (all(subsumes(o, ci.lhs, ci.rhs) for ci in other.concept_inclusions())
             and all(ri.rhs in sup.get(ri.lhs, frozenset({ri.lhs}))
                     for ri in other.role_inclusions())
@@ -415,7 +415,7 @@ def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
     left side whose answer variable is its root; its variables are named
     ``_e<k>``, skipping the query's variables."""
     q = Q.query.disjuncts[0]
-    sat = saturate(cq_as_database(q), normalize(_elhi_view(Q.ontology)))
+    sat = saturate(cq_as_database(q), normalize(elhi_view(Q.ontology)))
     xs = sorted(q.variables() if variables is None else variables)
     fresh = FreshVars("_e", q.variables())
     seen: set = set()
@@ -568,7 +568,7 @@ def _sourcing_variants(o: Ontology, d: Database, schema: Schema, answers: tuple)
     sourced by any schema concept that entails it, a role fact by any
     schema (sub-)role implying it; facts outside the schema must be
     re-sourced or the candidate dies."""
-    sup = _role_closure(_elhi_view(o))
+    sup = role_closure(elhi_view(o))
     vocab_c = sorted(o.concept_names() | set(d.index.concepts))
     vocab_c = [n for n in vocab_c if schema.admits(n)]
     per_fact: list[list] = []
@@ -654,7 +654,7 @@ def _separates(Q1: OMQ, Q2: OMQ, d: Database, a: tuple) -> bool:
 def _clash_witnesses(o: Ontology, schema: Schema):
     """Small schema databases inconsistent with the ontology, one per
     reachable clash axiom (when its pattern survives the schema)."""
-    onorm = _elhi_view(o)
+    onorm = elhi_view(o)
     fresh = FreshVars("_w")
     for ax in onorm.concept_inclusions():
         if not ax.rhs.contains_bot():

@@ -5,8 +5,9 @@ fact, bounded oblivious chase plus plain homomorphism search, with a
 depth-stability re-check, isomorphism keys that try every permutation,
 maximum contractions by a scan of every partition, an exhaustive
 subquery search for tree-likeness, the UCQ_k-approximation over
-every contraction, and the pebble game with supports over every overlap
-of two pebble sets, its tables built through pair maps.  The
+every contraction, the pebble game with supports over every overlap
+of two pebble sets, its tables built through pair maps, and reach
+systems by one search per guarded pair and per representative.  The
 paper's constructions that the program itself does not run
 (injective-only satisfaction, dangling-tree removal, implied types, the
 per-disjunct width-1 route for unions) live here too, as references the
@@ -19,8 +20,8 @@ import json
 
 from omqlab.chase import canonical_model, oblivious_chase
 from omqlab.dllitef import decide_ubcq1_equiv
-from omqlab.entailment import TOP_NAME, _elhi_view, is_consistent, normalize, saturate
-from omqlab.evaluation import _certain_answers, chase_steps, evaluate_naive
+from omqlab.entailment import TOP_NAME, elhi_view, is_consistent, normalize, saturate
+from omqlab.evaluation import certain_answers, chase_steps, evaluate_naive
 from omqlab.graphalg import _directed_pairs, cq_treewidth, treewidth
 from omqlab.homtools import (
     HomError,
@@ -80,7 +81,7 @@ from omqlab.model import (
     _check_dllite_inclusion,
     axiom_key,
 )
-from omqlab.pebble import _check_pebble_input, _prepare_game
+from omqlab.pebble import ReachSystem, _check_pebble_input, _prepare_game
 from omqlab.surface import ParseError, _Cursor, _name, _tokenize_line
 
 
@@ -584,7 +585,7 @@ def is_pendant_tree_by_walk(atoms, root: str) -> bool:
 
 
 def entailed_concept_fact(d: Database, o: Ontology, c: Concept, a: str) -> bool:
-    onorm = normalize(_elhi_view(o))
+    onorm = normalize(elhi_view(o))
     if c not in set(onorm.sub_concepts):
         raise ValueError(f"{c} is not a sub-concept of the ontology")
     sat = saturate(d, onorm)
@@ -599,7 +600,7 @@ def type_implies(o: Ontology, t1, t2) -> bool:
     if set(t2) <= set(t1):
         return True
     marker = conj(*t2)
-    o2 = Ontology(list(_elhi_view(o).axioms) + [ConceptInclusion(marker, BOT)],
+    o2 = Ontology(list(elhi_view(o).axioms) + [ConceptInclusion(marker, BOT)],
                   Dialect.ELHI_BOT)
     onorm = normalize(o2, t1)
     return onorm.is_unsat(frozenset(onorm.defname[c] for c in t1))
@@ -608,7 +609,7 @@ def type_implies(o: Ontology, t1, t2) -> bool:
 def max_successor_types(o: Ontology, t, r: Role) -> list[frozenset]:
     """Inclusion-maximal types t2 with ``o |= conj(t) <= exists r . conj(t2)``,
     read off the canonical root's ``r``-children."""
-    onorm = normalize(_elhi_view(o), list(t))
+    onorm = normalize(elhi_view(o), list(t))
     seed = frozenset(onorm.defname[c] for c in t)
     if onorm.is_unsat(seed):
         return [frozenset(onorm.sub_concepts) - {TOP}]
@@ -809,7 +810,7 @@ def evaluate_pebble_all_overlaps(Q: OMQ, d: Database, k: int):
                 return game  # the disjunct's own database is inconsistent
             return functools.partial(play_all_overlaps, *game.args)
         return per_disjunct
-    return _certain_answers(Q, d, prepare)
+    return certain_answers(Q, d, prepare)
 
 
 def play_all_overlaps(ctx, quantified: list, size: int, candidates: dict,
@@ -954,3 +955,74 @@ def duplicator_survives_all_overlaps(vsets: list, valid: dict) -> bool:
                     if alive.get(dep, False):
                         dead.append(dep)
     return all(remaining[V] > 0 for V in vsets)
+
+
+# ---------------------------------------------------------------------------
+# Reach systems by one search per pair
+
+
+def reach_by_search(q: CQ, pair: tuple, links: tuple) -> dict:
+    """Leveled reach set of a guarded pair (x, y), y quantified, by a
+    breadth-first search from x at level 0 and y at level 1: variable ->
+    set of levels.  ``links`` is (successors, predecessors) along the role
+    atoms.  A start x = y keeps level 1 only, as a dict literal does."""
+    x, y = pair
+    cap = len(q.variables()) + 1  # deeper levels are unrealizable in a ditree
+    succ, pred = links
+    levels: dict[str, set] = {x: {0}, y: {1}}
+    work = [(x, 0), (y, 1)]
+    while work:
+        v, i = work.pop()
+        # forward: a variable at level i >= 1 pushes its successors deeper;
+        # upward: a variable at level i+1 pulls its predecessors to i
+        steps = [(w, i + 1) for w in succ.get(v, ()) if 0 < i < cap]
+        steps += [(w, i - 1) for w in pred.get(v, ()) if i >= 1]
+        for w, j in steps:
+            ls = levels.setdefault(w, set())
+            if j not in ls:
+                ls.add(j)
+                work.append((w, j))
+    return levels
+
+
+def guarded_pairs_by_graph(q: CQ) -> list[tuple]:
+    """Both orders of each Gaifman-graph edge, edges in sorted order, that
+    have a quantified second component."""
+    g = gaifman_graph(cq_as_database(q))
+    out = []
+    answers = set(q.answer_vars)
+    for e in sorted(g.edges(), key=lambda e: sorted(e, key=str)):
+        a, b = sorted(e)
+        for x, y in ((a, b), (b, a)):
+            if y not in answers:
+                out.append((x, y))
+    return out
+
+
+def reach_systems_by_search(q: CQ, anchors_of) -> dict:
+    """``pebble.reach_systems`` by one search per guarded pair, each
+    system's representative found by searching from every candidate until
+    one regenerates the system."""
+    succ: dict = {}
+    pred: dict = {}
+    for at in q.atoms:
+        if isinstance(at, RoleFact):
+            succ.setdefault(at.a, []).append(at.b)
+            pred.setdefault(at.b, []).append(at.a)
+    levels_of = functools.cache(lambda pair: reach_by_search(q, pair, (succ, pred)))
+    anchors_of = functools.cache(anchors_of)
+    answers = set(q.answer_vars)
+    systems: dict = {}
+    for pair in guarded_pairs_by_graph(q):
+        if pair in systems:
+            continue
+        levels = levels_of(pair)
+        level0 = sorted(v for v, ls in levels.items() if 0 in ls)
+        level1 = sorted(v for v, ls in levels.items() if 1 in ls)
+        rep = next(cand for cand in ((x0, y0) for x0 in level0
+                                     for y0 in level1 if y0 not in answers)
+                   if cand == pair or levels_of(cand) == levels)
+        if rep not in systems:
+            systems[rep] = ReachSystem(rep, levels, anchors_of(frozenset(levels)))
+        systems[pair] = systems[rep]
+    return systems

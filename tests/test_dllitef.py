@@ -12,7 +12,7 @@ from omqlab.dllitef import (
     rewrite_family,
     split_ontology,
 )
-from omqlab.entailment import _elhi_view, is_consistent, satisfies_functionality
+from omqlab.entailment import elhi_view, is_consistent, satisfies_functionality
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.model import (
@@ -243,5 +243,5 @@ exists inv(r) . top <= B
         if not d.dom:
             continue
         plain = evaluate_naive(OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, rq), d).boolean()
-        with_onto = evaluate_naive(OMQ(_elhi_view(o), FULL_SCHEMA, rq), d).boolean()
+        with_onto = evaluate_naive(OMQ(elhi_view(o), FULL_SCHEMA, rq), d).boolean()
         assert plain == with_onto, str(d)

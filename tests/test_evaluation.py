@@ -255,6 +255,63 @@ def test_fpt_and_pebble_match_naive_shrinking(n_axioms, onto_seed, facts, disjun
     assert evaluate_pebble(Q, d, k) == expected
 
 
+def _elhdr_omq(n_axioms, onto_seed, disjuncts, arity):
+    """An ELHdr OMQ over the full schema and its largest disjunct width,
+    at least 1; None when an answer variable occurs in no atom."""
+    o = rand_elhdr_ontology(random.Random(onto_seed), n_axioms, names=_NAMES,
+                            roles=["r", "s"])
+    avs = tuple(_QVARS[:arity])
+    if not all(set(avs) <= {t for at in atoms for t in at.terms()}
+               for atoms in disjuncts):
+        return None
+    q = UCQ(CQ(avs, atoms) for atoms in disjuncts)
+    return OMQ(o, FULL_SCHEMA, q), max(1, *(cq_treewidth(cq) for cq in q.disjuncts))
+
+
+def _pipelines(k):
+    return [("naive", evaluate_naive),
+            ("fpt", lambda Q, d: evaluate_fpt(Q, d, k)),
+            ("pebble", lambda Q, d: evaluate_pebble(Q, d, k))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_axioms=st.integers(0, 5), onto_seed=st.integers(0, 2**16),
+       facts=_facts(_CONSTS), disjuncts=st.lists(_facts(_QVARS), min_size=1, max_size=2),
+       arity=st.integers(0, 2), order=st.permutations(range(len(_CONSTS))))
+def test_renaming_constants_renames_the_answers(n_axioms, onto_seed, facts, disjuncts,
+                                                arity, order):
+    # a bijection onto fresh names, in a shuffled order, so no pipeline may
+    # lean on the constants' names or their sort order
+    drawn = _elhdr_omq(n_axioms, onto_seed, disjuncts, arity)
+    assume(drawn is not None and drawn[1] <= 2)
+    Q, k = drawn
+    d = Database(facts)
+    m = {c: f"e{order[i]}" for i, c in enumerate(sorted(d.dom))}
+    renamed = Database(f.rename(m) for f in facts)
+    for name, evaluate in _pipelines(k):
+        before, after = evaluate(Q, d), evaluate(Q, renamed)
+        assert after.consistent == before.consistent, name
+        assert after.answers == {tuple(m[c] for c in a) for a in before.answers}, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_axioms=st.integers(0, 5), onto_seed=st.integers(0, 2**16),
+       facts=_facts(_CONSTS), more=_facts(_CONSTS + ["c5"]),
+       disjuncts=st.lists(_facts(_QVARS), min_size=1, max_size=2),
+       arity=st.integers(0, 2))
+def test_adding_consistent_facts_removes_no_answer(n_axioms, onto_seed, facts, more,
+                                                   disjuncts, arity):
+    # certain answers are monotone in the data while it stays consistent;
+    # the added facts may bring a new constant
+    drawn = _elhdr_omq(n_axioms, onto_seed, disjuncts, arity)
+    assume(drawn is not None and drawn[1] <= 2)
+    Q, k = drawn
+    d, bigger = Database(facts), Database(facts + more)
+    assume(is_consistent(bigger, Q.ontology))
+    for name, evaluate in _pipelines(k):
+        assert evaluate(Q, d).answers <= evaluate(Q, bigger).answers, name
+
+
 def _kept_bags(plan: _WidthPlan) -> list:
     """The variables each bag of ``plan`` keeps, read back from its steps:
     the columns its atoms bind, then what each child sends that they miss."""

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from omqlab.entailment import consistent_saturation, is_consistent
-from omqlab.evaluation import _TreeEvaluator, evaluate_naive
+from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.model import (
     CQ,
+    ConceptFact,
     Database,
     Dialect,
     EMPTY_ONTOLOGY,
@@ -27,10 +28,11 @@ from omqlab.model import (
 from omqlab.pebble import (
     EXIST,
     LabelContext,
+    _TreeEvaluator,
     _duplicator_survives,
     evaluate_pebble,
     exists_mccs,
-    reach,
+    reach_systems,
 )
 from omqlab.surface import parse_database, parse_ontology, parse_query
 from fixtures import Q1, d_example1, fig2, fig2_cq, omega1
@@ -42,6 +44,7 @@ from oracles import (
     duplicator_survives_all_overlaps,
     evaluate_pebble_all_overlaps,
     extend_with_entailed_atoms,
+    reach_systems_by_search,
 )
 
 
@@ -53,24 +56,54 @@ def _ctx(Q, d):
     return LabelContext(Q.query.disjuncts[0], consistent_saturation(d, Q.ontology))
 
 
+def _levels(q, pair):
+    return reach_systems(q, lambda members: ())[pair].levels
+
+
 def test_reach_base():
-    levels = reach(_q("q() :- r(x,y)"), ("x", "y"))
+    levels = _levels(_q("q() :- r(x,y)"), ("x", "y"))
     assert levels == {"x": {0}, "y": {1}}
 
 
 def test_reach_forward():
-    levels = reach(_q("q() :- r(x,y), s(y,z)"), ("x", "y"))
+    levels = _levels(_q("q() :- r(x,y), s(y,z)"), ("x", "y"))
     assert levels["z"] == {2}
 
 
 def test_reach_upward():
-    levels = reach(_q("q() :- r(x,y), s(w,y)"), ("x", "y"))
+    levels = _levels(_q("q() :- r(x,y), s(w,y)"), ("x", "y"))
     assert levels["w"] == {0}
 
 
+@st.composite
+def _reach_cqs(draw):
+    """CQs of arity 0 to 2 over up to 7 variables, self-loops included."""
+    terms = st.sampled_from([f"x{i}" for i in range(draw(st.integers(1, 7)))])
+    atoms = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["r", "s"]), terms, terms).map(lambda t: RoleFact(*t)),
+        terms.map(lambda v: ConceptFact("A1", v))), min_size=1, max_size=10))
+    bound = sorted({t for at in atoms for t in at.terms()})
+    arity = draw(st.integers(0, min(2, len(bound))))
+    return CQ(tuple(draw(st.permutations(bound))[:arity]), atoms)
+
+
+@settings(max_examples=500, deadline=None)
+@given(q=_reach_cqs())
+def test_reach_systems_match_one_search_per_pair(q):
+    # the component pass against a search per guarded pair and per
+    # representative candidate: the same systems, keys in the same order
+    def anchors_of(members):
+        return tuple(sorted(members))
+    systems = reach_systems(q, anchors_of)
+    expected = reach_systems_by_search(q, anchors_of)
+    assert systems == expected
+    assert list(systems) == list(expected)
+
+
 def test_reach_rejects_answer_second():
-    with pytest.raises(Exception):
-        reach(parse_query("q(y) :- r(x,y)").disjuncts[0], ("x", "y"))
+    # a pair whose second component is an answer variable has no system
+    with pytest.raises(KeyError):
+        _levels(parse_query("q(y) :- r(x,y)").disjuncts[0], ("x", "y"))
 
 
 def _system(text, pair, db):
@@ -170,15 +203,18 @@ def test_tree_memo_is_per_tree_query():
 
 def test_tree_matching_on_real_constants_grows_linearly(monkeypatch):
     # the dead-end path family has about 4^n r-paths of length n and no
-    # match; the memo decides each (query variable, constant) pair once, so
+    # match; the memo decides each (subtree shape, constant) pair once, so
     # the root tries every constant and each matched pair asks each of its
-    # successors once: calls <= |dom| + n * |facts|
+    # successors once: calls <= |dom| + n * |facts| for one tree query.
+    # Pebble asks one tree query per suffix of the path, and the suffixes
+    # share their shapes, so doubling n at most about doubles the calls of
+    # a whole game (a memo keyed on whole queries quadruples them)
     calls = [0]
     match_real = _TreeEvaluator._match_real
 
-    def counted(self, v, e, shape):
+    def counted(self, *args):
         calls[0] += 1
-        return match_real(self, v, e, shape)
+        return match_real(self, *args)
 
     monkeypatch.setattr(_TreeEvaluator, "_match_real", counted)
     for n in (4, 8, 16):
@@ -188,7 +224,13 @@ def test_tree_matching_on_real_constants_grows_linearly(monkeypatch):
         trees = _TreeEvaluator(consistent_saturation(d, Q.ontology))
         assert trees.answers(CQ(("x0",), q.atoms)) == frozenset()
         assert calls[0] <= len(d.dom) + n * len(d.facts), n
-    assert evaluate_pebble(Q, d, 1).answers == frozenset()
+    per_game = []
+    for n in (4, 8, 16, 32):
+        Q, d = dead_end_paths(n)
+        calls[0] = 0
+        assert evaluate_pebble(Q, d, 1).answers == frozenset()
+        per_game.append(calls[0])
+    assert all(b <= 2.1 * a for a, b in zip(per_game, per_game[1:])), per_game
 
 
 @settings(max_examples=300, deadline=None)

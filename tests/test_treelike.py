@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from omqlab.entailment import _elhi_view
+from omqlab.entailment import elhi_view
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import contraction, contractions, core, restricted_growth_strings
@@ -792,7 +792,7 @@ def test_entailed_concept_trees_match_per_pair_entailment():
         fresh = FreshVars("_e")
         want = []
         lhss = []
-        for ci in _elhi_view(o).concept_inclusions():
+        for ci in elhi_view(o).concept_inclusions():
             c = ci.lhs
             if c not in lhss and not c.contains_bot() and not isinstance(c, Top):
                 lhss.append(c)

@@ -14,10 +14,24 @@ and the name of top (``_top.``) hold a dot, which no name in an
 ontology, database or query file can, so they never meet a user's name.
 
 Subsumption and friends are answered from the canonical structure of a
-seed type: a tree whose node types form the least fixpoint of the rule
-system, with information flowing both down (via inverse roles) and up
-(via existential premises).  Node types are memoized per (parent type,
-generating axiom), which keeps the computation finite.
+seed: a tree where a node of type t has one child per successor rule
+``A <= exists r . B`` with A in t, seeded with B and the names t forces
+downward on it.  Types are the least solution of
+
+    X(s) = close(s | the names each child of X(s) forces upward),
+
+where ``_flow`` gives the forced names either way.  A child's seed
+depends only on its parent's type, so the seeds reached from a seed form
+a finite system closed under child seeds, one unknown per seed.  Its
+least solution is the fixpoint of whole-tree passes (rerun a node update
+until a pass changes nothing): both grow types from ``close(seed)`` by
+derivable names only, so they stay below it, and both stop only where
+every type meets its equation.  And X(X(s)) = X(s): X(s) holds s, and
+with the same children it meets the equation of the seed X(s).  So each
+solved type is also kept under itself, and the children and reachable
+types of a type met before are lookups.  Every map lives on the
+``NormalOntology``, which ``normalize`` caches per process, and stops
+growing at 100,000 entries.
 """
 
 from __future__ import annotations
@@ -69,14 +83,6 @@ class SuccRule:
     succ: str
 
 
-@record
-class _Canonical:
-    root: frozenset
-    reachable: frozenset
-    clash: bool
-    children: list  # the root's (role, child type) pairs, in succ_rules order
-
-
 class NormalOntology:
     """Normalized rule system plus the fresh-name map for sub-concepts, and
     the least-fixpoint evaluation of canonical structures over name types."""
@@ -117,7 +123,9 @@ class NormalOntology:
 
         self.super_roles = role_closure(source)
         self._dedupe()
-        self._canon_cache: dict[frozenset, _Canonical] = {}
+        self._types: dict[frozenset, frozenset] = {}    # seed -> X(seed)
+        self._children: dict[frozenset, list] = {}      # type -> children
+        self._reachable: dict[frozenset, frozenset] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -164,22 +172,7 @@ class NormalOntology:
         out.discard(TOP)
         return frozenset(out)
 
-    # -- queries -------------------------------------------------------------
-
-    def root_type(self, seed: Iterable[str]) -> frozenset:
-        return self.canonical(frozenset(seed)).root
-
-    def reachable_types(self, seed: Iterable[str]) -> frozenset:
-        return self.canonical(frozenset(seed)).reachable
-
-    def is_unsat(self, seed: Iterable[str]) -> bool:
-        return self.canonical(frozenset(seed)).clash
-
-    def children(self, seed: frozenset) -> list:
-        """The (role, child type) pairs of the canonical root of ``seed``."""
-        return self.canonical(seed).children
-
-    # -- canonical structures ------------------------------------------------
+    # -- the type engine -----------------------------------------------------
 
     def close(self, names: frozenset) -> frozenset:
         t = set(names) | self.top_rules
@@ -192,84 +185,86 @@ class NormalOntology:
                     changed = True
         return frozenset(t)
 
-    def _sup(self, role: Role) -> frozenset:
-        return self.super_roles.get(role, frozenset({role}))
+    def _flow(self, t: frozenset, role: Role) -> frozenset:
+        """Names forced on an element with a ``role`` edge to an element of
+        type ``t``: upward from a child reached by ``role``, and downward,
+        as ``_flow(parent, role.inverse())``, onto that child."""
+        sups = self.super_roles.get(role, frozenset({role}))
+        return frozenset(r.head for r in self.exists_rules
+                         if r.role in sups and r.filler in t)
 
-    def _backflow(self, parent: frozenset, role: Role) -> set:
-        """Names forced on a child reached from ``parent`` via ``role``."""
-        inv_sups = self._sup(role.inverse())
-        return {r.head for r in self.exists_rules
-                if r.role in inv_sups and r.filler in parent}
+    def _child_seed(self, t: frozenset, rule: SuccRule) -> frozenset:
+        return self._flow(t, rule.role.inverse()) | {rule.succ}
 
-    def _upflow(self, child: frozenset, role: Role) -> set:
-        """Names forced on a parent with a ``role`` edge to ``child``."""
-        sups = self._sup(role)
-        return {r.head for r in self.exists_rules
-                if r.role in sups and r.filler in child}
+    def root_type(self, seed: Iterable[str]) -> frozenset:
+        """X(seed): the type of the canonical root of ``seed``."""
+        seed = frozenset(seed)
+        return self._types.get(seed) or self._solve(seed)
 
-    def canonical(self, seed: frozenset) -> _Canonical:
-        hit = self._canon_cache.get(seed)
-        if hit is not None:
-            return hit
-        memo: dict = {}
-        root = self.close(seed)
-        while True:
-            changed = [False]
-            visited: set = set()
-            root2 = self._update_node(root, None, None, memo, visited, changed)
-            if root2 == root and not changed[0]:
-                break
-            root = root2
+    def children(self, seed: Iterable[str]) -> list:
+        """The (role, child type) pairs of the canonical root of ``seed``,
+        one per successor rule whose body the root's type holds, in
+        succ_rules order."""
+        t = self.root_type(seed)
+        kids = self._children.get(t)
+        if kids is None:
+            kids = [(rule.role, self.root_type(self._child_seed(t, rule)))
+                    for rule in self.succ_rules if rule.body in t]
+            _keep(self._children, t, kids)
+        return kids
 
-        reachable: set[frozenset] = set()
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if t in reachable:
-                continue
-            reachable.add(t)
+    def reachable_types(self, seed: Iterable[str]) -> frozenset:
+        """The types of the canonical structure of ``seed``."""
+        t = self.root_type(seed)
+        reach = self._reachable.get(t)
+        if reach is None:
+            seen, stack = {t}, [t]
+            while stack:
+                new = {child for _, child in self.children(stack.pop())} - seen
+                seen |= new
+                stack += new
+            reach = frozenset(seen)
+            _keep(self._reachable, t, reach)
+        return reach
+
+    def is_unsat(self, seed: Iterable[str]) -> bool:
+        return any(t & self.bot_names for t in self.reachable_types(seed))
+
+    def _solve(self, seed: frozenset) -> frozenset:
+        """Solve ``seed`` and every seed it reaches by a worklist, and keep
+        them all: a seed is solved again when its type grows (its child
+        seeds change) or a child type it reads grows."""
+        val = {seed: self.close(seed)}
+        readers: dict[frozenset, set] = {}
+        work = [seed]
+        while work:
+            s = work.pop()
+            t = val[s]
+            names = set(t)
             for rule in self.succ_rules:
-                if rule.body in t:
-                    child = memo[(t, rule)]
-                    if child not in reachable:
-                        stack.append(child)
-        clash = any(t & self.bot_names for t in reachable)
-        children = [(rule.role, memo[(root, rule)])
-                    for rule in self.succ_rules if rule.body in root]
-        out = _Canonical(root, frozenset(reachable), clash, children)
-        if len(self._canon_cache) < 100000:
-            self._canon_cache[seed] = out
-        return out
+                if rule.body not in t:
+                    continue
+                cs = self._child_seed(t, rule)
+                child = val.get(cs) or self._types.get(cs)
+                if child is None:
+                    child = val[cs] = self.close(cs)
+                    work.append(cs)
+                readers.setdefault(cs, set()).add(s)
+                names |= self._flow(child, rule.role)
+            if not names <= t:
+                val[s] = self.close(frozenset(names))
+                work.extend(readers.get(s, ()))
+                work.append(s)
+        for s, t in val.items():
+            _keep(self._types, s, t)
+            _keep(self._types, t, t)
+        return val[seed]
 
-    def _update_node(self, current: frozenset, parent: Optional[frozenset],
-                     via: Optional[SuccRule], memo, visited, changed) -> frozenset:
-        key = (parent, via, current)
-        if key in visited:
-            return current
-        visited.add(key)
-        base = set(current)
-        if via is not None:
-            base.add(via.succ)
-            base |= self._backflow(parent, via.role)
-        for rule in self.succ_rules:
-            if rule.body not in current:
-                continue
-            ckey = (current, rule)
-            child = memo.get(ckey)
-            if child is None:
-                child = self.close(frozenset({rule.succ}) | self._backflow(current, rule.role))
-                memo[ckey] = child
-                changed[0] = True
-            child2 = self._update_node(child, current, rule, memo, visited, changed)
-            if child2 != child:
-                memo[ckey] = child2
-                changed[0] = True
-                child = child2
-            base |= self._upflow(child, rule.role)
-        new = self.close(frozenset(base))
-        if new != current:
-            changed[0] = True
-        return new
+
+def _keep(cache: dict, key, value) -> None:
+    """Store in a process-scope engine map, up to its cap."""
+    if len(cache) < 100000:
+        cache[key] = value
 
 
 def role_closure(o: Ontology) -> dict:

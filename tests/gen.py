@@ -67,6 +67,38 @@ def rand_eli_ontology(rng: random.Random, n_axioms: int, names=None, roles=None,
     return Ontology(axioms, Dialect.ELI_BOT)
 
 
+def elhi_ontologies(names=("A", "B", "C", "D"), leaves=4, max_axioms=6):
+    """Hypothesis strategy: ELHI_bot ontologies over roles ``r`` and ``s``,
+    with inverse roles in their concepts (at most ``leaves`` names or top
+    each) and up to two role inclusions, either side inverted."""
+    # imported here: the benchmark's stream writer imports this module
+    from hypothesis import strategies as st
+
+    role = st.builds(Role, st.sampled_from(["r", "s"]), st.booleans())
+    concept = st.recursive(
+        st.sampled_from([Atomic(n) for n in names] + [TOP]),
+        lambda sub: st.one_of(st.builds(Exists, role, sub),
+                              st.lists(sub, min_size=2, max_size=3).map(
+                                  lambda parts: conj(*parts))),
+        max_leaves=leaves)
+    inclusion = st.builds(ConceptInclusion, concept,
+                          st.one_of(concept, st.just(BOT)))
+    return st.builds(lambda cis, ris: Ontology(cis + ris, Dialect.ELHI_BOT),
+                     st.lists(inclusion, max_size=max_axioms),
+                     st.lists(st.builds(RoleInclusion, role, role), max_size=2))
+
+
+def rand_elhi_ontology(rng: random.Random, n_axioms: int) -> Ontology:
+    """``rand_eli_ontology`` plus, half the time, a role inclusion between
+    its two roles with each side inverted at random."""
+    axioms = list(rand_eli_ontology(rng, n_axioms).axioms)
+    if rng.random() < 0.5:
+        r, s = rng.sample(["r", "s"], 2)
+        axioms.append(RoleInclusion(Role(r, rng.random() < 0.5),
+                                    Role(s, rng.random() < 0.5)))
+    return Ontology(axioms, Dialect.ELHI_BOT)
+
+
 def rand_elhdr_ontology(rng: random.Random, n_axioms: int, names=None,
                         roles=None, depth=2, bot_prob=0.05) -> Ontology:
     """Random ontology in the inverse-free dialect with role inclusions and

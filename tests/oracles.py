@@ -6,8 +6,9 @@ depth-stability re-check, isomorphism keys that try every permutation,
 maximum contractions by a scan of every partition, an exhaustive
 subquery search for tree-likeness, the UCQ_k-approximation over
 every contraction, the pebble game with supports over every overlap
-of two pebble sets, its tables built through pair maps, and reach
-systems by one search per guarded pair and per representative.  The
+of two pebble sets, its tables built through pair maps, reach
+systems by one search per guarded pair and per representative, and
+canonical structures by whole-tree passes.  The
 paper's constructions that the program itself does not run
 (injective-only satisfaction, dangling-tree removal, implied types, the
 per-disjunct width-1 route for unions) live here too, as references the
@@ -644,6 +645,75 @@ def parse_answers(text: str) -> tuple[bool, list[tuple]]:
     """Read back the JSON answer format of ``serialize_answers``."""
     data = json.loads(text)
     return bool(data["consistent"]), [tuple(t) for t in data["answers"]]
+
+
+# ---------------------------------------------------------------------------
+# The type engine by whole-tree passes
+
+
+def reference_canonical(onorm, seed) -> tuple:
+    """The canonical structure of ``seed`` by whole-tree passes: rerun the
+    node update over the tree until a pass changes nothing.  A node's child
+    via a successor rule is memoized per (node type, rule) and grows in
+    place.  Returns the root type, the reachable types, whether one of them
+    clashes, and the root's (role, child type) pairs in succ_rules order."""
+    memo: dict = {}
+    root = onorm.close(frozenset(seed))
+    while True:
+        changed = [False]
+        root2 = _update_node(onorm, root, None, None, memo, set(), changed)
+        if root2 == root and not changed[0]:
+            break
+        root = root2
+    reachable: set = set()
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if t in reachable:
+            continue
+        reachable.add(t)
+        stack += [memo[(t, rule)] for rule in onorm.succ_rules if rule.body in t]
+    clash = any(t & onorm.bot_names for t in reachable)
+    children = [(rule.role, memo[(root, rule)])
+                for rule in onorm.succ_rules if rule.body in root]
+    return root, frozenset(reachable), clash, children
+
+
+def _forced(onorm, t, role) -> set:
+    """Names forced on an element with a ``role`` edge to one of type ``t``."""
+    sups = onorm.super_roles.get(role, frozenset({role}))
+    return {r.head for r in onorm.exists_rules if r.role in sups and r.filler in t}
+
+
+def _update_node(onorm, current, parent, via, memo, visited, changed):
+    key = (parent, via, current)
+    if key in visited:
+        return current
+    visited.add(key)
+    base = set(current)
+    if via is not None:
+        base.add(via.succ)
+        base |= _forced(onorm, parent, via.role.inverse())
+    for rule in onorm.succ_rules:
+        if rule.body not in current:
+            continue
+        ckey = (current, rule)
+        child = memo.get(ckey)
+        if child is None:
+            child = onorm.close(frozenset({rule.succ})
+                                | _forced(onorm, current, rule.role.inverse()))
+            memo[ckey] = child
+            changed[0] = True
+        child2 = _update_node(onorm, child, current, rule, memo, visited, changed)
+        if child2 != child:
+            memo[ckey] = child2
+            changed[0] = True
+            child = child2
+        base |= _forced(onorm, child, rule.role)
+    new = onorm.close(frozenset(base))
+    if new != current:
+        changed[0] = True
+    return new
 
 
 # ---------------------------------------------------------------------------

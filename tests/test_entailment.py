@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omqlab.entailment import (
     NormalOntology,
@@ -31,8 +32,14 @@ from fixtures import omega1
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
-from gen import rand_concept, rand_eli_ontology
-from oracles import entailed_concept_fact, max_successor_types, normal_axioms, type_implies
+from gen import elhi_ontologies, rand_concept, rand_elhi_ontology, rand_eli_ontology
+from oracles import (
+    entailed_concept_fact,
+    max_successor_types,
+    normal_axioms,
+    reference_canonical,
+    type_implies,
+)
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 r = Role("r")
@@ -162,3 +169,60 @@ def test_subsumes_oracle_agreement_sample():
         d = rand_concept(rng, ["A", "B", "C", "D"], ["r", "s"],
                          rng.randint(0, 3), True)
         assert subsumes(o, c, d) == oracle_subsumes(o, c, d)
+
+
+def _engine_matches_reference(onorm, seed) -> None:
+    root, reachable, clash, children = reference_canonical(onorm, seed)
+    assert onorm.root_type(seed) == root
+    assert onorm.reachable_types(seed) == reachable
+    assert onorm.is_unsat(seed) == clash
+    assert onorm.children(seed) == children
+
+
+@settings(max_examples=300, deadline=None)
+@given(o=elhi_ontologies(),
+       picks=st.lists(st.lists(st.integers(0, 63), max_size=3), min_size=1, max_size=4))
+def test_type_engine_matches_whole_tree_passes(o, picks):
+    # the least fixpoint over seeds against the reference that reruns the
+    # node update over the whole tree; seeds may hold a name outside the
+    # ontology, as saturated types do
+    onorm = NormalOntology(o)
+    names = sorted(onorm.name_concept) + ["Z"]
+    for pick in picks:
+        _engine_matches_reference(onorm, frozenset(names[i % len(names)] for i in pick))
+
+
+def test_type_engine_matches_whole_tree_passes_on_a_fixed_sweep():
+    for n in range(3000):
+        rng = random.Random(n)
+        onorm = NormalOntology(rand_elhi_ontology(rng, rng.randint(1, 6)))
+        names = sorted(onorm.name_concept)
+        for _ in range(6):
+            _engine_matches_reference(
+                onorm, frozenset(rng.sample(names, rng.randint(0, min(3, len(names))))))
+
+
+def test_a_solved_seed_answers_for_its_whole_structure_without_solving(monkeypatch):
+    # after root_type(s), every question about s and about the types of its
+    # canonical structure is a lookup: no further close call
+    calls = []
+    close = NormalOntology.close
+
+    def counted(self, names):
+        calls.append(names)
+        return close(self, names)
+
+    monkeypatch.setattr(NormalOntology, "close", counted)
+    for n in range(500):
+        rng = random.Random(n)
+        onorm = NormalOntology(rand_elhi_ontology(rng, rng.randint(1, 6)))
+        names = sorted(onorm.name_concept)
+        seed = frozenset(rng.sample(names, rng.randint(0, min(3, len(names)))))
+        onorm.root_type(seed)
+        calls.clear()
+        for t in [seed, *sorted(onorm.reachable_types(seed), key=sorted)]:
+            onorm.root_type(t)
+            onorm.children(t)
+            onorm.reachable_types(t)
+            onorm.is_unsat(t)
+        assert not calls, n

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from omqlab.evaluation import (
     _WidthPlan,
+    chase_steps,
     evaluate_fpt,
     evaluate_naive,
 )
@@ -41,7 +42,14 @@ from fixtures import (
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
-from gen import rand_cq, rand_database, rand_elhdr_ontology, rand_eli_ontology, rand_ucq
+from gen import (
+    elhi_ontologies,
+    rand_cq,
+    rand_database,
+    rand_elhdr_ontology,
+    rand_eli_ontology,
+    rand_ucq,
+)
 from omqlab.model import EMPTY_ONTOLOGY
 
 
@@ -253,6 +261,29 @@ def test_fpt_and_pebble_match_naive_shrinking(n_axioms, onto_seed, facts, disjun
     expected = evaluate_naive(Q, d)
     assert evaluate_fpt(Q, d, k) == expected
     assert evaluate_pebble(Q, d, k) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(o=elhi_ontologies(names=_NAMES, leaves=2, max_axioms=4),
+       facts=_facts(_CONSTS[:4]), disjuncts=st.lists(_facts(_QVARS), min_size=1, max_size=2),
+       arity=st.integers(0, 2))
+def test_naive_fpt_and_the_chase_oracle_agree_on_elhi(o, facts, disjuncts, arity):
+    # ELHI_bot with inverse roles and inverse role inclusions, which pebble
+    # refuses: the width-k join at the largest disjunct width and the
+    # oblivious chase, at least as deep as the canonical model's rounds,
+    # against plain homomorphism search into the canonical model
+    from oracles import oracle_answers
+    shared = sorted(set.intersection(*({t for at in atoms for t in at.terms()}
+                                       for atoms in disjuncts)))
+    assume(len(shared) >= arity)
+    q = UCQ(CQ(tuple(shared[:arity]), atoms) for atoms in disjuncts)
+    k = max(1, *(cq_treewidth(cq) for cq in q.disjuncts))
+    assume(k <= 2)
+    Q, d = OMQ(o, FULL_SCHEMA, q), Database(facts)
+    assume(is_consistent(d, o))
+    expected = evaluate_naive(Q, d)
+    assert evaluate_fpt(Q, d, k) == expected
+    assert oracle_answers(Q, d, depth=chase_steps(q)) == expected.answers
 
 
 def _elhdr_omq(n_axioms, onto_seed, disjuncts, arity):

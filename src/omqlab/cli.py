@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 4 unknown verdict / budget exhausted; an input
-omqlab refuses raises ``OmqlabError``, whose ``exit_code`` is the exit
-code (2 parse error, 3 dialect, schema or query violation, or a file
-that cannot be read or written, 5 internal cap exceeded).  Any other
-exception propagates with its traceback.
+Exit codes: 0 success, 4 an "unknown" verdict (``tw-equiv``, or
+``contain`` under a schema, when containment is neither proved nor
+refuted by a separating database); an input omqlab refuses raises
+``OmqlabError``, whose ``exit_code`` is the exit code (2 parse error, 3
+dialect, schema or query violation, or a file that cannot be read or
+written, 5 internal cap exceeded).  Any other exception propagates with
+its traceback.
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -25,8 +27,7 @@ from .graphalg import cq_treewidth, k_unravel
 from .homtools import core
 from .pebble import evaluate_pebble
 from .treelike import (
-    contains_dllite_horn,
-    contains_full_schema,
+    contained,
     decide_tw_equiv_general,
     rewriting,
     ucq_k_approximation,
@@ -204,13 +205,10 @@ def cmd_contain(args) -> int:
     Q1 = _load_omq(args)
     onto2 = surface.parse_ontology(_read(args.onto2)) if args.onto2 else Q1.ontology
     query2 = surface.parse_query(_read(args.query2))
-    Q2 = OMQ(onto2, Q1.schema, query2)
-    if Q1.schema.full:
-        ok = contains_full_schema(Q1, Q2)
-    else:
-        ok = contains_dllite_horn(Q1, Q2)
-    print(json.dumps({"contained": ok}) if args.json else ("true" if ok else "false"))
-    return EXIT_OK
+    ok = {"yes": True, "no": False}.get(contained(Q1, OMQ(onto2, Q1.schema, query2)).outcome)
+    print(json.dumps({"contained": ok}) if args.json
+          else "unknown" if ok is None else str(ok).lower())
+    return EXIT_UNKNOWN if ok is None else EXIT_OK
 
 
 def cmd_rewrite(args) -> int:

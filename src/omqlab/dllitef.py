@@ -32,7 +32,7 @@ from .entailment import elhi_view
 from .evaluation import evaluate_naive
 from .graphalg import is_minor
 from .homtools import contractions, functional_quotient
-from .treelike import TwEquivVerdict, canonical_form, decide_tw_equiv_general
+from .treelike import Verdict, canonical_form, decide_tw_equiv_general
 
 REW_VARIABLE_CAP = 10
 
@@ -132,13 +132,13 @@ def _generator_atoms(o: Ontology, q_names: Iterable[str], x: str, fresh: FreshVa
         yield RoleFact(name, fresh.next(), x)
 
 
-def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
+def rewrite_family(o: Ontology, p: CQ) -> list[CQ]:
     """All queries producible by: contracting ``p``, removing a set of
-    ontology-generatable pendant trees (optionally gated on the result
-    staying a minor of the original), re-attaching a generating atom per
-    removed tree, and replacing detachedly generatable components by their
-    generating atoms.  Deduplicated up to isomorphism.  Answer variables
-    never vanish into removed trees or replaced components."""
+    ontology-generatable pendant trees where the result stays a minor of
+    the original, re-attaching a generating atom per removed tree, and
+    replacing detachedly generatable components by their generating atoms.
+    Deduplicated up to isomorphism.  Answer variables never vanish into
+    removed trees or replaced components."""
     if len(p.variables()) > REW_VARIABLE_CAP:
         raise CapExceeded(
             f"rewriting enumeration capped at {REW_VARIABLE_CAP} variables")
@@ -180,12 +180,11 @@ def rewrite_family(o: Ontology, p: CQ, minor_gate: bool = True) -> list[CQ]:
             remaining = frozenset(pc.atoms) - removed
             kept_vars = {t for at in remaining for t in at.terms()} | {
                 x for x, _ in tset}
-            if minor_gate:
-                g_body = gaifman_graph(Database(remaining))
-                for x in kept_vars - {t for at in remaining for t in at.terms()}:
-                    g_body.add_vertex(x)
-                if not is_minor(g_body, g_p):
-                    continue
+            g_body = gaifman_graph(Database(remaining))
+            for x in kept_vars - {t for at in remaining for t in at.terms()}:
+                g_body.add_vertex(x)
+            if not is_minor(g_body, g_p):
+                continue
             gen_options = []
             ok = True
             for x, atoms in tset:
@@ -274,7 +273,7 @@ def rew(Q: OMQ) -> UCQ:
     split = split_ontology(Q.ontology)
     disjuncts: dict = {}
     for p in Q.query.disjuncts:
-        for w in rewrite_family(split.inclusions, p, minor_gate=True):
+        for w in rewrite_family(split.inclusions, p):
             disjuncts.setdefault(canonical_form(w.atoms, w.answer_vars), w)
     return UCQ(tuple(disjuncts[k] for k in sorted(disjuncts)))
 
@@ -283,7 +282,7 @@ def rew(Q: OMQ) -> UCQ:
 # Width-1 equivalence for DL-LiteF
 
 
-def decide_ubcq1_equiv(Q: OMQ) -> TwEquivVerdict:
+def decide_ubcq1_equiv(Q: OMQ) -> Verdict:
     """Width-1 equivalence of a Boolean DL-LiteF OMQ over the full schema,
     via the functionality-respecting contraction and the exact full-schema
     decision for the inclusion part; a "yes" witness is the width-1
@@ -298,5 +297,5 @@ def decide_ubcq1_equiv(Q: OMQ) -> TwEquivVerdict:
     verdict = decide_tw_equiv_general(Q2, 1)
     if verdict.is_yes():
         witness = OMQ(Q.ontology, FULL_SCHEMA, verdict.witness.query)
-        return TwEquivVerdict("yes", witness=witness)
-    return TwEquivVerdict("no", counterexample=verdict.counterexample)
+        return Verdict("yes", witness=witness)
+    return Verdict("no", counterexample=verdict.counterexample)

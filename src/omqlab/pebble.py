@@ -198,10 +198,10 @@ class ReachSystem:
 def reach_systems(q: CQ, anchors_of) -> dict:
     """The reach system of every guarded pair (x, y) of ``q``, keyed by the
     pair and by its representative; ``anchors_of(members)`` gives the
-    anchors of a system over the variable set ``members``.  Levels map a variable to its set of levels: level
-    0 sits at the anchor constant, level i >= 1 at depth i of the
-    anonymous tree below it, up to cap = |vars| + 1 (deeper levels are
-    unrealizable in a ditree).
+    anchors of a system over the variable set ``members``.  Levels map a
+    variable to its set of levels: level 0 sits at the anchor constant,
+    level i >= 1 at depth i of the anonymous tree below it, up to
+    cap = |vars| + 1 (deeper levels are unrealizable in a ditree).
 
     The reach set of (x, y) starts from x@0 and y@1 and closes under two
     steps along each role atom r(u, w): forward from u@i to w@(i+1) for
@@ -213,11 +213,11 @@ def reach_systems(q: CQ, anchors_of) -> dict:
     of the atoms r(u, w) with w@1 in C: reach((x, y)) = {x@0} + C + up0(C).
 
     A system's representative is the first candidate (x0, y0) in sorted
-    order, x0 at level 0 and y0 quantified at level 1, whose own reach set
-    is the pair's, so that a label names one system.  As y0@1 lies in C,
-    that set is {x0@0} + C + up0(C), except that x0 = y0 starts x0 at
-    level 1 only.  Guarded pairs have x != y, so the sets agree iff x and
-    x0 are both in up0(C), or x0 = x != y0."""
+    order, x0 != y0, x0 at level 0 and y0 quantified at level 1, whose own
+    reach set is the pair's, so that a label names one system.  As y0@1
+    lies in C, that set is {x0@0} + C + up0(C), and the sets agree iff x
+    and x0 are both in up0(C), or x0 = x (guarded pairs have x != y).
+    The pair (x, y) is a candidate itself, so one exists."""
     cap = len(q.variables()) + 1
     links = [(at.a, at.b) for at in q.atoms if isinstance(at, RoleFact)]
     # node -> its component's node set; each step merges the smaller set
@@ -239,7 +239,7 @@ def reach_systems(q: CQ, anchors_of) -> dict:
         c = comp[y, 1]
         ups = {u for u, w in links if (w, 1) in c}
         level1 = sorted(v for v, i in c if i == 1 and v not in answers)
-        rep = ((min(ups), level1[0]) if x in ups
+        rep = (min((x0, y0) for x0 in ups for y0 in level1 if x0 != y0) if x in ups
                else (x, next(y0 for y0 in level1 if y0 != x)))
         if rep not in systems:
             levels: dict = {}

@@ -1,7 +1,7 @@
-"""Semantic tree-likeness machinery: UCQ_k-approximation, full-schema
-containment and emptiness, maximum contractions, rewritings, the
-tree-likeness decision, and witness-bounded containment for
-the DL-Lite(R,horn) family.
+"""Semantic tree-likeness machinery: the UCQ_k-approximation, OMQ
+containment (exact over the full schema; under a schema "yes" where
+proved, "no" with a separating database, or "unknown"), maximum
+contractions, rewritings, and the tree-likeness decision.
 
 Everything here runs at desk scale and in a fixed order, so verdicts and
 witnesses are deterministic.  Contractions are found by walking the
@@ -14,16 +14,19 @@ individualization and refinement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Optional
 
 from .model import (
     Atomic,
     CQ,
+    CapExceeded,
+    Concept,
     ConceptFact,
     Database,
     Dialect,
-    DLLITE_FAMILY,
+    Exists,
     ELHI_FAMILY,
     FreshVars,
     Functionality,
@@ -35,6 +38,7 @@ from .model import (
     RoleDisjointness,
     RoleFact,
     Schema,
+    TOP,
     Top,
     UCQ,
     UndirectedGraph,
@@ -65,10 +69,10 @@ from .homtools import (
 
 
 @record
-class TwEquivVerdict:
+class Verdict:
     outcome: str                       # "yes" | "no" | "unknown"
-    witness: Optional[OMQ] = None      # for "yes": an equivalent UCQ_k OMQ
-    counterexample: Optional[Database] = None
+    witness: Optional[OMQ] = None      # width-k "yes": an equivalent UCQ_k OMQ
+    counterexample: Optional[Database] = None   # "no": a separating database
     note: str = ""
 
     def is_yes(self) -> bool:
@@ -192,7 +196,7 @@ def distinct_up_to_isomorphism(cqs: list[CQ]) -> list[CQ]:
 
 
 # ---------------------------------------------------------------------------
-# Approximation and containment
+# The UCQ_k-approximation
 
 
 def ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
@@ -311,19 +315,77 @@ def _coarsens(coarse: tuple, fine: tuple) -> bool:
     return len(set(zip(fine, coarse))) == max(fine, default=-1) + 1
 
 
-def contains_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
-    """Q1 <= Q2 over the full schema: every disjunct database of Q1 must
-    admit a homomorphism from some disjunct of Q2 into its chase under Q2's
-    ontology, fixing the answer tuple (``_uncontained_disjunct``).  That
-    test is exact when Q2's ontology entails Q1's; other pairs are refused."""
-    if not (Q1.schema.full and Q2.schema.full):
-        raise OmqlabError("containment check requires the full schema")
-    if Q2.ontology != Q1.ontology and not _entails(Q2.ontology, Q1.ontology):
+# ---------------------------------------------------------------------------
+# Containment
+
+
+def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
+    """Q1 <= Q2 over Q1's schema S: "yes", "no" with a separating database
+    (where Q1 has a certain answer Q2 lacks) of at most ``budget``
+    constants (None: any number), or "unknown".  Different arities: "no".
+
+    Full schema: exactly ``_uncontained_disjunct``, exact when O2 is O1 or
+    entails it (other pairs are refused); its database separates.
+
+    Otherwise a name is reachable if it is in S or on the right of an
+    inclusion of ``elhi_view(O1)`` whose left-hand names are reachable.  By
+    induction over chase steps, the chase of an S-database D under O1 uses
+    only reachable names: D's facts use names of S, and a step fires on
+    facts over the left-hand names of an inclusion and adds facts over its
+    right-hand ones (merges along functional roles add none).  So a
+    disjunct with an unreachable name is dead, matching the chase, the
+    universal model, of no S-database consistent with O1; and D can clash
+    only through a reachable clash: a bot inclusion with reachable
+    left-hand names, a role disjointness over reachable roles, or a
+    reachable functional role.  "yes" comes from two rules.
+
+    1. O2 is O1 or entails it, and ``_uncontained_disjunct`` clears each
+       live disjunct.  Let a be a certain answer of Q1 on an S-database D.
+       If D is inconsistent with O1 it is with O2, whose models are models
+       of O1, and a answers Q2.  Otherwise a live q1 matches the chase of
+       D at a, which maps into every model M of O2 containing D, M being a
+       model of O1; so q1's database maps there, merged along the
+       functional roles M satisfies, and with it its chase under O2,
+       holding a match of Q2 at a.  If a clash skipped q1, no such M
+       exists, and a answers Q2 as well.
+    2. No disjunct is live and O1 has no reachable clash: every S-database
+       is consistent with O1, and Q1 answers nothing on it.
+
+    "no" comes from one stream, ``_candidate_databases`` then
+    ``_clash_witnesses``, and one check: Q1's certain answers minus Q2's
+    (``evaluate_naive``; an inconsistent database gives every tuple).
+    Anything else is "unknown"."""
+    o1 = Q1.ontology
+    entailed = Q2.ontology == o1 or _entails(Q2.ontology, o1)
+    if Q1.schema.full and not entailed:
         raise OmqlabError("containment under two ontologies needs the right-hand "
                           "ontology to entail the left-hand one")
     if Q1.arity != Q2.arity:
-        return False
-    return _uncontained_disjunct(Q1, Q2) is None
+        return Verdict("no")
+    if Q1.schema.full:
+        cex = _uncontained_disjunct(Q1.query.disjuncts, Q2)
+        return Verdict("yes") if cex is None else Verdict("no", counterexample=cex)
+    view = elhi_view(o1)
+    reach = _reachable_names(view, Q1.schema)
+    live = [q for q in Q1.query.disjuncts if q.names() <= reach]
+    clash = (any(ci.rhs.contains_bot() and _names_of(ci.lhs) <= reach
+                 for ci in view.concept_inclusions())
+             or any(set(dis.roles) <= reach for dis in o1.role_disjointness())
+             or not o1.functional_roles().isdisjoint(reach))
+    if (entailed and _uncontained_disjunct(live, Q2) is None) or not (live or clash):
+        return Verdict("yes")
+    roles = {at.name for q in (*Q1.query, *Q2.query) for at in q.atoms
+             if isinstance(at, RoleFact)}
+    for o in (o1, Q2.ontology):
+        roles |= {r.name for r in role_closure(elhi_view(o))} | o.functional_roles() | {
+            r for dis in o.role_disjointness() for r in dis.roles}
+    for d in itertools.chain(_candidate_databases(Q1, roles),
+                             _clash_witnesses(o1, Q1.schema, roles)):
+        if (budget is None or len(d.dom) <= budget) and (
+                evaluate_naive(Q1, d).answers - evaluate_naive(Q2, d).answers):
+            return Verdict("no", counterexample=d)
+    bound = "" if budget is None else f" within {budget} constants"
+    return Verdict("unknown", note=f"no separating database{bound}")
 
 
 def _entails(o: Ontology, other: Ontology) -> bool:
@@ -338,18 +400,18 @@ def _entails(o: Ontology, other: Ontology) -> bool:
                     if isinstance(ax, (Functionality, RoleDisjointness))))
 
 
-def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
-    """The first disjunct database of Q1 into whose chase under Q2's
-    ontology no disjunct of Q2 maps (fixing the answer tuple); None if
-    there is none.  Each disjunct is first merged along Q2's functional
-    roles, as any database consistent with Q2's ontology that it matches
-    in merges them too; answer variables may merge.  A bot or role
+def _uncontained_disjunct(disjuncts: Iterable[CQ], Q2: OMQ) -> Optional[Database]:
+    """The first database of the ``disjuncts`` (of Q1) into whose chase
+    under Q2's ontology no disjunct of Q2 maps (fixing the answer tuple);
+    None if there is none.  Each disjunct is first merged along Q2's
+    functional roles, as any database consistent with Q2's ontology that it
+    matches in merges them too; answer variables may merge.  A bot or role
     disjointness clash of the merged database carries over to every
     database the disjunct matches in, where every tuple is then a certain
     answer of Q2, so the disjunct is contained."""
     steps = chase_steps(Q2.query)
     funcs = Q2.ontology.functional_roles()
-    for q1 in Q1.query.disjuncts:
+    for q1 in disjuncts:
         merge = functional_quotient(q1, funcs)
         d1 = Database(at.rename(merge) for at in q1.atoms) if merge else cq_as_database(q1)
         sat = clash_free_saturation(d1, Q2.ontology)
@@ -361,6 +423,109 @@ def _uncontained_disjunct(Q1: OMQ, Q2: OMQ) -> Optional[Database]:
                    is not None for q2 in Q2.query.disjuncts):
             return d1
     return None
+
+
+def _names_of(c: Concept) -> set:
+    """The concept and role names ``c`` mentions."""
+    return ({s.name for s in c.subconcepts() if isinstance(s, Atomic)}
+            | {r.name for r in c.roles()})
+
+
+def _reachable_names(view: Ontology, schema: Schema) -> set:
+    """The least set of names holding ``schema``'s and the right-hand names
+    of each inclusion of ``view`` whose left-hand names it holds."""
+    rules = [(_names_of(ci.lhs), _names_of(ci.rhs)) for ci in view.concept_inclusions()]
+    rules += [({ri.lhs.name}, {ri.rhs.name}) for ri in view.role_inclusions()]
+    reach = set(schema.names)
+    while new := {n for lhs, rhs in rules if lhs <= reach for n in rhs} - reach:
+        reach |= new
+    return reach
+
+
+def _candidate_databases(Q: OMQ, roles: set):
+    """Candidate S-databases separating Q from another OMQ, S its schema,
+    one per isomorphism class: each disjunct's contractions without their
+    facts outside S.  The concepts dropped at a variable may be re-sourced
+    there by a concept over S entailing them: a schema concept name (not
+    in ``roles``, the role names of both OMQs), an ontology left-hand side
+    (fresh successors), or ``top`` as one fact over the least schema name
+    (``_fact_on``).  A dropped role atom may be re-sourced by a schema
+    sub-role of its role (or of the inverse, ends swapped); at an end whose
+    other end occurs nowhere else, also by such a concept entailing
+    ``exists r . top``, r the atom's role from there.  A disjunct over more
+    than 10 variables exceeds the cap."""
+    o, schema = Q.ontology, Q.schema
+    view = elhi_view(o)
+    sources = [Atomic(b) for b in sorted(o.concept_names() | Q.query.names())
+               if schema.admits(b) and b not in roles]
+    sources += sorted({ci.lhs for ci in view.concept_inclusions()
+                       if not isinstance(ci.lhs, (Atomic, Top)) and not ci.lhs.contains_bot()
+                       and all(schema.admits(n) for n in _names_of(ci.lhs))})
+    sources += [TOP] if schema.names else []
+    sup = role_closure(view)
+    sub_roles = sorted(s for s in sup if not s.inverted and schema.admits(s.name))
+    entails = functools.cache(functools.partial(subsumes, o))
+    seen: set = set()
+    for cq in Q.query.disjuncts:
+        if len(cq.variables()) > 10:
+            raise CapExceeded("the separation search is capped at 10 variables")
+        for qc, _ in contractions(cq):
+            base = cq_as_database(qc)
+            keep = [f for f in base.facts if schema.admits(f.name)]
+            out = [f for f in base.facts if not schema.admits(f.name)]
+            fresh = FreshVars("_w", qc.variables())
+
+            def rooted_at(c: Concept, x: str) -> tuple:
+                if isinstance(c, Top):
+                    return (_fact_on(min(schema.names), x, roles, fresh),)
+                tree = concept_as_cq(c, fresh=fresh)
+                return tuple(at.rename({tree.answer_vars[0]: x}) for at in tree.atoms)
+
+            options: list[list] = []
+            for x in sorted({f.a for f in out if isinstance(f, ConceptFact)}):
+                needed = conj(*(Atomic(f.name) for f in out
+                                if isinstance(f, ConceptFact) and f.a == x))
+                options.append([()] + [rooted_at(c, x) for c in sources if entails(c, needed)])
+            for f in sorted(f for f in out if isinstance(f, RoleFact)):
+                r = Role(f.name)
+                opts = [()] + [(RoleFact(s.name, f.a, f.b),) for s in sub_roles
+                               if r in sup[s]]
+                opts += [(RoleFact(s.name, f.b, f.a),) for s in sub_roles
+                         if r.inverse() in sup[s]]
+                for x, leaf, role in ((f.a, f.b, r), (f.b, f.a, r.inverse())):
+                    if leaf != x and sum(leaf in g.terms() for g in base.facts) == 1:
+                        opts += [rooted_at(c, x) for c in sources
+                                 if entails(c, Exists(role, TOP))]
+                options.append(opts)
+            for combo in itertools.product(*options):
+                d = Database(keep + [f for facts in combo for f in facts])
+                if d.dom and (key := canonical_form(d.facts)) not in seen:
+                    seen.add(key)
+                    yield d
+
+
+def _fact_on(name: str, x: str, roles: set, fresh: FreshVars):
+    """A fact over ``name`` at ``x``, to a fresh constant if in ``roles``."""
+    return RoleFact(name, x, fresh.next()) if name in roles else ConceptFact(name, x)
+
+
+def _clash_witnesses(o: Ontology, schema: Schema, roles: set):
+    """Small databases over ``schema`` inconsistent with ``o``, where every
+    tuple is a certain answer: the tree of each bot inclusion's left side,
+    one fact per schema name (``_fact_on``), two role facts per role
+    disjointness and three per functional role."""
+    fresh = FreshVars("_w")
+    found = [cq_as_database(concept_as_cq(ax.lhs, fresh=fresh))
+             for ax in elhi_view(o).concept_inclusions()
+             if ax.rhs.contains_bot() and not ax.lhs.contains_bot()]
+    found += [Database([_fact_on(n, fresh.next(), roles, fresh)])
+              for n in sorted(schema.names)]
+    found += [Database([RoleFact(r, "w0", "w1") for r in dis.roles])
+              for dis in o.role_disjointness()]
+    found += [Database([RoleFact(r, "w0", "w1"), RoleFact(r, "w0", "w2")])
+              for r in sorted(o.functional_roles())]
+    yield from (d for d in found
+                if d.dom and d.uses_only(schema) and not is_consistent(d, o))
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +642,11 @@ def rewriting(Q: OMQ) -> OMQ:
 TW_EQUIV_DIALECTS = ELHI_FAMILY | {Dialect.DLLITE_R, Dialect.DLLITE_R_HORN}
 
 
-def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
-    """Full schema: exact, by containment in the UCQ_k-approximation.
-    Otherwise a bounded counterexample search (an honest semi-decision:
-    a returned "unknown" means no separating database was found).
+def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> Verdict:
+    """Is Q equivalent to an OMQ of tree width at most ``k``?  Exactly when
+    it is contained in its UCQ_k-approximation (contained in Q): the
+    verdict of ``contained`` within ``budget``, the approximation the
+    witness of "yes".
 
     Only the disjuncts wider than ``k`` are checked.  A disjunct ``q`` with
     ``cq_treewidth(q) <= k`` is its own finest contraction: the walk in
@@ -490,8 +656,9 @@ def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
     the identity composed with the functional-quotient renaming maps it
     into its own chase: ``_uncontained_disjunct`` never returns it, and
     every answer of ``q`` on a database is an answer of the approximation.
-    The first uncontained disjunct, and so the counterexample, is the same
-    with or without the narrow ones, and when no disjunct is wide the
+    So on every database Q and its wide disjuncts answer the same tuples
+    beyond the approximation's, and the first uncontained disjunct is the
+    same with or without the narrow ones.  When no disjunct is wide the
     approximation is the query up to isomorphic duplicates, equivalent to
     it under any schema."""
     if budget < 0:
@@ -502,172 +669,5 @@ def decide_tw_equiv_general(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
             f"got {Q.ontology.dialect.value}; DL-LiteF width-1 equivalence is "
             f"decided by decide_ubcq1_equiv (omqlab dlf-equiv1)")
     Qa, wide = _approximation(Q, k)
-    if not wide:
-        return TwEquivVerdict("yes", witness=Qa)
-    Qw = Q.with_query(UCQ(wide))
-    if Q.schema.full:
-        cex = _uncontained_disjunct(Qw, Qa)
-        if cex is None:
-            return TwEquivVerdict("yes", witness=Qa)
-        return TwEquivVerdict("no", counterexample=cex)
-    for d in _candidate_databases(Q, budget):
-        if len(d.dom) > budget or not d.uses_only(Q.schema):
-            continue
-        r1 = evaluate_naive(Qw, d)
-        r2 = evaluate_naive(Qa, d)
-        if r1.consistent and r1.answers - r2.answers:
-            return TwEquivVerdict("no", counterexample=d)
-    return TwEquivVerdict("unknown",
-                          note=f"no separating database within {budget} constants")
-
-
-def _candidate_databases(Q: OMQ, budget: int):
-    """Guided candidates for a separating database: schema-reducts of
-    disjunct-database contractions, with dropped concept atoms optionally
-    replaced by schema concepts that entail them."""
-    o = Q.ontology
-    schema = Q.schema
-    vocab = sorted(o.concept_names() | Q.query.names())
-    s_concepts = [n for n in vocab if schema.admits(n)]
-    seen: set = set()
-    for cq in Q.query.disjuncts:
-        for qc, _ in contractions(cq):
-            base = cq_as_database(qc)
-            keep = [f for f in base.facts if schema.admits(f.name)]
-            dropped: dict[str, list] = {}
-            for f in base.facts:
-                if not schema.admits(f.name) and isinstance(f, ConceptFact):
-                    dropped.setdefault(f.a, []).append(Atomic(f.name))
-            options: list[list] = []
-            slots = sorted(dropped)
-            for x in slots:
-                needed = conj(*dropped[x])
-                options.append([None] + [b for b in s_concepts
-                                         if subsumes(o, Atomic(b), needed)])
-            for combo in itertools.product(*options) if slots else [()]:
-                facts = list(keep)
-                for x, b in zip(slots, combo):
-                    if b is not None:
-                        facts.append(ConceptFact(b, x))
-                d = Database(facts)
-                if not d.dom or len(d.dom) > budget:
-                    continue
-                key = canonical_form(d.facts)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield d
-
-
-# ---------------------------------------------------------------------------
-# Witness-bounded containment for DL-Lite(R,horn)
-
-
-def _sourcing_variants(o: Ontology, d: Database, schema: Schema, answers: tuple):
-    """Per-fact weakenings of a witness database: a concept fact may be
-    sourced by any schema concept that entails it, a role fact by any
-    schema (sub-)role implying it; facts outside the schema must be
-    re-sourced or the candidate dies."""
-    sup = role_closure(elhi_view(o))
-    vocab_c = sorted(o.concept_names() | set(d.index.concepts))
-    vocab_c = [n for n in vocab_c if schema.admits(n)]
-    per_fact: list[list] = []
-    for f in sorted(d.facts, key=str):
-        opts: list = []
-        if isinstance(f, ConceptFact):
-            if schema.admits(f.name):
-                opts.append(f)
-            for b in vocab_c:
-                if b != f.name and subsumes(o, Atomic(b), Atomic(f.name)):
-                    opts.append(ConceptFact(b, f.a))
-        else:
-            target = Role(f.name)
-            if schema.admits(f.name):
-                opts.append(f)
-            for s, supers in sorted(sup.items(), key=lambda kv: str(kv[0])):
-                if s.inverted or s.name == f.name or not schema.admits(s.name):
-                    continue
-                if target in supers:
-                    opts.append(RoleFact(s.name, f.a, f.b))
-                if target.inverse() in supers:
-                    opts.append(RoleFact(s.name, f.b, f.a))
-        if not opts:
-            return
-        per_fact.append(opts)
-    for combo in itertools.product(*per_fact):
-        yield Database(combo), answers
-
-
-def contains_dllite_horn(Q1: OMQ, Q2: OMQ) -> bool:
-    """Containment for DL-Lite(R/horn) OMQs over a shared schema.  Witness
-    candidates are the databases of Q1's rewriting family (contraction +
-    generated-tree elimination) with per-fact weakenings; their sizes stay
-    within the |q|*(|vocab|+1) witness bound.  Databases inconsistent with
-    the left ontology are additionally probed through clash patterns."""
-    if Q1.arity != Q2.arity:
-        return False
-    schema = Q1.schema
-    from .dllitef import rewrite_family
-
-    cap = max(len(cq.atoms) + len(cq.variables()) for cq in Q1.query.disjuncts)
-    vocab = len(Q1.query.names() | Q2.query.names()) + 1
-    cap = cap * (vocab + 1)
-
-    seen: set = set()
-    for p in Q1.query.disjuncts:
-        answers = tuple(p.answer_vars)
-        for w in rewrite_family(Q1.ontology, p, minor_gate=False):
-            base = cq_as_database(w)
-            if not base.dom or len(base.dom) > cap:
-                continue
-            for d, a in _sourcing_variants(Q1.ontology, base, schema, answers):
-                if not d.uses_only(schema):
-                    continue
-                key = canonical_form(d.facts, a)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if _separates(Q1, Q2, d, a):
-                    return False
-    for d in _clash_witnesses(Q1.ontology, schema):
-        r2 = evaluate_naive(OMQ(Q2.ontology, schema, Q2.query), d)
-        if r2.consistent:
-            tuples = set(itertools.product(sorted(d.dom), repeat=Q2.arity))
-            if tuples - r2.answers:
-                return False
-    return True
-
-
-def _separates(Q1: OMQ, Q2: OMQ, d: Database, a: tuple) -> bool:
-    r1 = evaluate_naive(OMQ(Q1.ontology, Q1.schema, Q1.query), d)
-    if not r1.consistent:
-        r2 = evaluate_naive(OMQ(Q2.ontology, Q2.schema, Q2.query), d)
-        return r2.consistent
-    if a not in r1.answers:
-        return False
-    r2 = evaluate_naive(OMQ(Q2.ontology, Q2.schema, Q2.query), d)
-    if not r2.consistent:
-        return False
-    return a not in r2.answers
-
-
-def _clash_witnesses(o: Ontology, schema: Schema):
-    """Small schema databases inconsistent with the ontology, one per
-    reachable clash axiom (when its pattern survives the schema)."""
-    onorm = elhi_view(o)
-    fresh = FreshVars("_w")
-    for ax in onorm.concept_inclusions():
-        if not ax.rhs.contains_bot():
-            continue
-        d = cq_as_database(concept_as_cq(ax.lhs, fresh=fresh))
-        if d.dom and d.uses_only(schema) and not is_consistent(d, o):
-            yield d
-    for dis in o.role_disjointness():
-        facts = [RoleFact(r, "w0", "w1") for r in dis.roles]
-        d = Database(facts)
-        if d.uses_only(schema) and not is_consistent(d, o):
-            yield d
-    if o.dialect in DLLITE_FAMILY:
-        for r in sorted(o.functional_roles()):
-            if schema.admits(r):
-                yield Database([RoleFact(r, "w0", "w1"), RoleFact(r, "w0", "w2")])
+    verdict = contained(Q.with_query(UCQ(wide)), Qa, budget) if wide else Verdict("yes")
+    return Verdict("yes", witness=Qa) if verdict.is_yes() else verdict

@@ -10,6 +10,7 @@ from omqlab.model import (
     Concept,
     ConceptFact,
     ConceptInclusion,
+    Conj,
     Database,
     Dialect,
     Exists,
@@ -24,6 +25,7 @@ from omqlab.model import (
     BOT,
     FULL_SCHEMA,
     OMQ,
+    Schema,
     UCQ,
     conj,
 )
@@ -124,6 +126,70 @@ def rand_elhdr_ontology(rng: random.Random, n_axioms: int, names=None,
                 rhs = rand_concept(rng, names, roles, rng.randint(0, depth), False)
                 axioms.append(ConceptInclusion(lhs, rhs))
     return Ontology(axioms, Dialect.ELHDR_BOT)
+
+
+def rand_dllite_ontology(rng: random.Random, n_axioms: int, names=("A", "B"),
+                         roles=("r", "s"), horn: bool = False) -> Ontology:
+    """Random DL-LiteR ontology, DL-LiteR-horn with ``horn``: inclusions
+    between basic concepts (a name, top, or ``exists R . top`` for a role
+    or its inverse), bot on the right, conjunctive left-hand sides (with
+    bot on the right unless ``horn``), role inclusions and role
+    disjointness."""
+    def basic():
+        pick = rng.random()
+        if pick < 0.5:
+            return Atomic(rng.choice(names))
+        if pick < 0.9:
+            return Exists(Role(rng.choice(roles), rng.random() < 0.4), TOP)
+        return TOP
+
+    axioms = []
+    for _ in range(n_axioms):
+        pick = rng.random()
+        if pick < 0.15:
+            axioms.append(RoleInclusion(Role(rng.choice(roles)),
+                                        Role(rng.choice(roles), rng.random() < 0.4)))
+        elif pick < 0.22:
+            axioms.append(RoleDisjointness(tuple(rng.sample(roles, 2))))
+        else:
+            lhs = basic() if rng.random() < 0.7 else conj(basic(), basic())
+            rhs = BOT if rng.random() < 0.1 or (isinstance(lhs, Conj) and not horn) \
+                else basic()
+            axioms.append(ConceptInclusion(lhs, rhs))
+    return Ontology(axioms, Dialect.DLLITE_R_HORN if horn else Dialect.DLLITE_R)
+
+
+def rand_containment_pair(rng: random.Random, kind: str) -> tuple[OMQ, OMQ]:
+    """Two OMQs over one random schema of one to three of the names A, B,
+    E, r and s, for checking containment by brute force.  ``kind``
+    "dllite" draws DL-LiteR or DL-LiteR-horn ontologies over A and B,
+    "elhi" ELHI_bot ones.  The right ontology is the left one, the left one
+    with more axioms, a fresh draw, or empty, a quarter of the time each.
+    Each query is one CQ of one to three variables; both share an arity."""
+    names, roles = ["A", "B", "E"], ["r", "s"]
+    horn = rng.random() < 0.5
+
+    def draw(n: int) -> Ontology:
+        if kind == "dllite":
+            return rand_dllite_ontology(rng, n, names=names[:2], roles=roles, horn=horn)
+        axioms = list(rand_eli_ontology(rng, n, names=names[:2], roles=roles,
+                                        depth=1).axioms)
+        if rng.random() < 0.3:
+            axioms.append(RoleInclusion(Role("r", rng.random() < 0.5),
+                                        Role("s", rng.random() < 0.5)))
+        return Ontology(axioms, Dialect.ELHI_BOT)
+
+    o1 = draw(rng.randint(1, 3))
+    pick = rng.randrange(4)
+    o2 = (o1 if pick == 0
+          else Ontology(o1.axioms | draw(rng.randint(1, 2)).axioms, o1.dialect) if pick == 1
+          else draw(rng.randint(1, 3)) if pick == 2
+          else Ontology((), o1.dialect))
+    schema = Schema.of(rng.sample(names + roles, rng.randint(1, 3)))
+    arity = rng.choice([0, 1])
+    q1, q2 = (rand_cq(rng, rng.randint(1, 3), arity, names=names, roles=roles)
+              for _ in range(2))
+    return OMQ(o1, schema, UCQ((q1,))), OMQ(o2, schema, UCQ((q2,)))
 
 
 def rand_axioms(rng: random.Random, n_axioms: int, names=("A", "B", "C"),

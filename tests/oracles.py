@@ -62,12 +62,10 @@ from omqlab.model import (
 )
 from omqlab.treelike import (
     TW_EQUIV_DIALECTS,
-    TwEquivVerdict,
+    Verdict,
     _attach_trees,
-    _candidate_databases,
     _coarsens,
-    _uncontained_disjunct,
-    contains_full_schema,
+    contained,
     entailed_concept_trees,
     ucq_k_approximation,
 )
@@ -280,7 +278,7 @@ def full_ucq_k_approximation(Q: OMQ, k: int) -> OMQ:
 
 
 def equivalent_full_schema(Q1: OMQ, Q2: OMQ) -> bool:
-    return contains_full_schema(Q1, Q2) and contains_full_schema(Q2, Q1)
+    return contained(Q1, Q2).is_yes() and contained(Q2, Q1).is_yes()
 
 
 def is_empty_full_schema(Q: OMQ) -> bool:
@@ -356,7 +354,7 @@ def _subquery_candidates(qp: CQ, k: int):
                 yield cand
 
 
-def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
+def decide_tw_equiv_full(Q: OMQ, k: int) -> Verdict:
     """Exact tree-likeness decision over the full schema: per pruned
     disjunct, extend the query with entailed concept copies and search its
     subqueries of width at most ``k`` for an equivalent one (2^|atoms|
@@ -368,7 +366,7 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
     live = _prune_disjuncts(Q)
     if not live:
         witness = Q.with_query(UCQ((_full_contraction(Q.query.disjuncts[0]),)))
-        return TwEquivVerdict("yes", witness=witness, note="empty query")
+        return Verdict("yes", witness=witness, note="empty query")
     found = []
     for p in live:
         qp = extend_with_entailed_atoms(Q.with_query(UCQ((p,))))
@@ -383,30 +381,55 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> TwEquivVerdict:
                 hit = cand
                 break
         if hit is None:
-            return TwEquivVerdict("no")
+            return Verdict("no")
         found.append(hit)
-    return TwEquivVerdict("yes", witness=Q.with_query(UCQ(found)))
+    return Verdict("yes", witness=Q.with_query(UCQ(found)))
 
 
-def decide_tw_equiv_all_disjuncts(Q: OMQ, k: int, budget: int = 5) -> TwEquivVerdict:
+def decide_tw_equiv_all_disjuncts(Q: OMQ, k: int, budget: int = 5) -> Verdict:
     """``decide_tw_equiv_general`` with every disjunct checked, narrow or
-    wide: the containment of all of Q in its approximation over the full
-    schema, and a search for a database where all of Q answers more than
-    the approximation otherwise."""
+    wide: the containment of all of Q in its approximation."""
     Qa = ucq_k_approximation(Q, k)
-    if Q.schema.full:
-        cex = _uncontained_disjunct(Q, Qa)
-        if cex is None:
-            return TwEquivVerdict("yes", witness=Qa)
-        return TwEquivVerdict("no", counterexample=cex)
-    for d in _candidate_databases(Q, budget):
-        if len(d.dom) > budget or not d.uses_only(Q.schema):
-            continue
-        r1 = evaluate_naive(Q, d)
-        if r1.consistent and r1.answers - evaluate_naive(Qa, d).answers:
-            return TwEquivVerdict("no", counterexample=d)
-    return TwEquivVerdict("unknown",
-                          note=f"no separating database within {budget} constants")
+    v = contained(Q, Qa, budget)
+    return Verdict("yes", witness=Qa) if v.is_yes() else v
+
+
+def _role_names(o: Ontology) -> set:
+    """Every name ``o`` uses as a role."""
+    return ({r.name for ci in o.concept_inclusions() for side in (ci.lhs, ci.rhs)
+             for r in side.roles()}
+            | {r.name for ri in o.role_inclusions() for r in (ri.lhs, ri.rhs)}
+            | set(o.functional_roles())
+            | {r for dis in o.role_disjointness() for r in dis.roles})
+
+
+def separating_database_by_brute_force(Q1: OMQ, Q2: OMQ, constants: int = 2):
+    """The first database over Q1's schema, on up to ``constants``
+    constants, where Q1 has a certain answer that Q2 lacks; None if there
+    is none.  Every set of facts over the schema's names and the constants
+    is tried, smallest first, once up to renaming the constants.  A schema
+    name is a role where an ontology or a query uses it as one, and a
+    concept otherwise.  Answers come from ``evaluate_naive``, which gives
+    every tuple on a database inconsistent with the ontology."""
+    roles = _role_names(Q1.ontology) | _role_names(Q2.ontology) | {
+        at.name for q in (*Q1.query, *Q2.query) for at in q.atoms
+        if isinstance(at, RoleFact)}
+    consts = [f"c{i}" for i in range(constants)]
+    facts = [RoleFact(n, a, b) if n in roles else ConceptFact(n, a)
+             for n in sorted(Q1.schema.names)
+             for a in consts for b in (consts if n in roles else consts[:1])]
+    seen: set = set()
+    for size in range(1, len(facts) + 1):
+        for combo in itertools.combinations(facts, size):
+            key = min(tuple(sorted(str(f.rename(dict(zip(consts, p)))) for f in combo))
+                      for p in itertools.permutations(consts))
+            if key in seen:
+                continue
+            seen.add(key)
+            d = Database(combo)
+            if evaluate_naive(Q1, d).answers - evaluate_naive(Q2, d).answers:
+                return d
+    return None
 
 
 def ubcq_equiv_via_disjuncts(Q: OMQ, k: int) -> bool:
@@ -423,11 +446,8 @@ def ubcq_equiv_via_disjuncts(Q: OMQ, k: int) -> bool:
         others = [other for j, other in enumerate(Q.query.disjuncts) if j != i]
         if not others:
             return False
-        contained = any(
-            contains_full_schema(Q.with_query(UCQ((p,))),
-                                 Q.with_query(UCQ((other,))))
-            for other in others)
-        if not contained:
+        if not any(contained(Q.with_query(UCQ((p,))), Q.with_query(UCQ((other,)))).is_yes()
+                   for other in others):
             return False
     return True
 
@@ -1071,8 +1091,8 @@ def guarded_pairs_by_graph(q: CQ) -> list[tuple]:
 
 def reach_systems_by_search(q: CQ, anchors_of) -> dict:
     """``pebble.reach_systems`` by one search per guarded pair, each
-    system's representative found by searching from every candidate until
-    one regenerates the system."""
+    system's representative found by searching from every candidate
+    (x0, y0) with x0 != y0 until one regenerates the system."""
     succ: dict = {}
     pred: dict = {}
     for at in q.atoms:
@@ -1090,7 +1110,7 @@ def reach_systems_by_search(q: CQ, anchors_of) -> dict:
         level0 = sorted(v for v, ls in levels.items() if 0 in ls)
         level1 = sorted(v for v, ls in levels.items() if 1 in ls)
         rep = next(cand for cand in ((x0, y0) for x0 in level0
-                                     for y0 in level1 if y0 not in answers)
+                                     for y0 in level1 if y0 not in answers and y0 != x0)
                    if cand == pair or levels_of(cand) == levels)
         if rep not in systems:
             systems[rep] = ReachSystem(rep, levels, anchors_of(frozenset(levels)))

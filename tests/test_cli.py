@@ -132,8 +132,11 @@ def test_contain_cap_is_not_a_verdict(files, capsys, monkeypatch):
 
     monkeypatch.setattr(omqlab.treelike, "evaluate_naive", capped)
     (files / "s.schema").write_text("A2\nr\n")
+    # A2(x) is not contained in B(x) over the full schema, so the
+    # separating-database search runs
+    (files / "b.cq").write_text("q(x) :- B(x)\n")
     code, out, err = run(capsys, "contain", "--query", str(files / "unary.cq"),
-                         "--query2", str(files / "unary.cq"),
+                         "--query2", str(files / "b.cq"),
                          "--schema", str(files / "s.schema"))
     assert code == 5
     assert out == "" and "cap exceeded" in err
@@ -541,6 +544,12 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
     # not depend on the order in which a set yields the successor sets
     (tmp_path / "f.dl").write_text("dialect: DL-LiteF\nfunc r\n")
     (tmp_path / "m.cq").write_text("q() :- r(x,b), r(x,c), r(y,a), r(y,c)\n")
+    # B is outside the schema: only exists s . top <= B re-sources it, with
+    # an s-edge to a fresh constant, in a database where b.cq's r-triangle
+    # holds and its loop-bearing width-1 contractions do not
+    (tmp_path / "s.dl").write_text("exists s . top <= B\n")
+    (tmp_path / "rs.schema").write_text("r\ns\n")
+    (tmp_path / "loop.cq").write_text("q() :- r(x,x)\n")
     onto, db = ["--onto", "o.dl"], ["--db", "d.db"]
     invocations = [["eval", *onto, "--query", "u.cq", *db, "--algo", algo]
                    for algo in ("naive", "fpt", "pebble")]
@@ -551,7 +560,11 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
                     ["approx", *onto, "--query", "b.cq", "-k", "1"],
                     ["tw-equiv", "--onto", "ex1.dl", "--query", "fig2.cq",
                      "-k", "1", "--json"],
-                    ["dlf-equiv1", "--onto", "f.dl", "--query", "m.cq", "--json"]]
+                    ["dlf-equiv1", "--onto", "f.dl", "--query", "m.cq", "--json"],
+                    ["tw-equiv", "--onto", "s.dl", "--query", "b.cq", "-k", "1",
+                     "--schema", "rs.schema", "--json"],
+                    ["contain", "--onto", "s.dl", "--query", "b.cq", "--query2", "loop.cq",
+                     "--schema", "rs.schema"]]
     src = str(Path(omqlab.__file__).resolve().parent.parent)
     outputs = {}
     for seed in ("0", "1", "2"):
@@ -572,6 +585,9 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
     assert json.loads(outputs[tuple(invocations[8])].pop())["outcome"] == "yes"
     assert json.loads(outputs[tuple(invocations[9])].pop()) == {
         "outcome": "yes", "witness": "q() :- r(x,a), r(y,a)\n"}
+    separated = json.loads(outputs[tuple(invocations[10])].pop())
+    assert separated["outcome"] == "no" and "s(" in separated["counterexample"]
+    assert outputs[tuple(invocations[11])].pop() == "false\n"
 
 
 def test_parser_is_built_once_and_shared_across_calls(files, capsys, monkeypatch):
@@ -782,11 +798,13 @@ def test_contain_probes_a_functionality_witness_under_a_schema(tmp_path, capsys,
 @pytest.mark.parametrize("same", [True, False])
 def test_contain_separates_on_a_witness_inconsistent_with_the_left_ontology(
         tmp_path, capsys, same):
-    # the left query's own database A(x) clashes with A <= bot
+    # the left query's own database A(x) clashes with A <= bot.  Both
+    # OMQs hold exactly on the databases with an A fact, so the pair is
+    # contained; with an empty right ontology neither rule proves it
     onto = "dialect: DL-LiteR\nA <= bot\n"
     got = _contain(tmp_path, capsys, "A\n", onto, "q() :- A(x)\n", "q() :- A(x)\n",
                    onto if same else "")
-    assert got == (0, "true\n" if same else "false\n", "")
+    assert got == ((0, "true\n", "") if same else (4, "unknown\n", ""))
 
 
 @pytest.mark.parametrize("onto, schema", [
@@ -800,6 +818,44 @@ def test_contain_re_sources_a_role_fact_by_a_schema_sub_role(tmp_path, capsys,
     got = _contain(tmp_path, capsys, schema, f"dialect: DL-LiteR\n{onto}",
                    "q() :- r(x,y)\n", "q() :- B(x)\n")
     assert got == (0, "false\n", "")
+
+
+@pytest.mark.parametrize("dialect, onto, schema, query, query2, onto2", [
+    # r(a,b) is over the schema, and exists r . top puts a in B
+    ("DL-LiteR", "exists r . top <= B", "r\nE\n", "q(x) :- B(x)", "q(x) :- E(x)", None),
+    # r(a,b), A(b) puts a in B
+    ("EL", "exists r . A <= B", "r\nA\nE\n", "q(x) :- B(x)", "q(x) :- E(x)", None),
+    # A(a), B(a) forces an r-successor of a
+    ("DL-LiteR-horn", "A & B <= exists r . top", "A\nB\nE\n", "q() :- r(x,y)",
+     "q() :- E(x)", None),
+    # any one fact, such as A(a), is inconsistent with the left ontology
+    ("DL-LiteR", "top <= bot", "A\nC\n", "q() :- s(x,y)", "q() :- r(x,y)", ""),
+], ids=["exists-r-top", "el-exists-r-a", "horn-conjunction", "top-bot"])
+def test_contain_finds_the_separating_database_under_a_schema(
+        tmp_path, capsys, dialect, onto, schema, query, query2, onto2):
+    got = _contain(tmp_path, capsys, schema, f"dialect: {dialect}\n{onto}\n",
+                   query + "\n", query2 + "\n",
+                   None if onto2 is None else f"dialect: {dialect}\n{onto2}")
+    assert got == (0, "false\n", "")
+
+
+def test_contain_caps_the_separation_search(tmp_path, capsys):
+    # eleven variables: the contractions of the left disjunct are too many
+    # to try, and the cap is not a verdict
+    path = ", ".join(f"r(x{i},x{i + 1})" for i in range(10))
+    got = _contain(tmp_path, capsys, "r\nB\n", "C <= D\n", f"q() :- {path}, B(x10)\n",
+                   "q() :- r(x,y)\n", "")
+    assert got[:2] == (5, "") and "capped at 10 variables" in got[2]
+
+
+def test_contain_json_reports_unknown_as_null(tmp_path, capsys):
+    onto = "dialect: DL-LiteR\nA <= bot\n"
+    _contain(tmp_path, capsys, "A\n", onto, "q() :- A(x)\n", "q() :- A(x)\n", "")
+    code, out, err = run(capsys, "contain", "--schema", str(tmp_path / "s.schema"),
+                         "--onto", str(tmp_path / "o.dl"), "--onto2", str(tmp_path / "o2.dl"),
+                         "--query", str(tmp_path / "q1.cq"),
+                         "--query2", str(tmp_path / "q2.cq"), "--json")
+    assert (code, json.loads(out), err) == (4, {"contained": None}, "")
 
 
 def test_cli_import_loads_no_dataclasses_and_the_same_modules():

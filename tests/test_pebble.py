@@ -98,6 +98,7 @@ def test_reach_systems_match_one_search_per_pair(q):
     expected = reach_systems_by_search(q, anchors_of)
     assert systems == expected
     assert list(systems) == list(expected)
+    assert all(x0 != y0 for x0, y0 in (s.rep for s in systems.values()))
 
 
 def test_reach_rejects_answer_second():

@@ -10,20 +10,30 @@ from omqlab.graphalg import cq_treewidth
 from omqlab.homtools import contraction, contractions, core, restricted_growth_strings
 from omqlab.entailment import is_consistent
 from omqlab.model import (
+    BOT,
     CQ,
+    TOP,
+    Atomic,
     ConceptFact,
+    ConceptInclusion,
     Database,
+    Dialect,
     EMPTY_ONTOLOGY,
+    Exists,
     FULL_SCHEMA,
     FreshVars,
     OMQ,
-    OmqlabError,
+    Ontology,
     QueryError,
+    Role,
+    RoleDisjointness,
     RoleFact,
+    RoleInclusion,
     Schema,
     Top,
     UCQ,
     concept_as_cq,
+    conj,
     cq_as_database,
 )
 from omqlab.surface import (
@@ -39,8 +49,7 @@ from omqlab.treelike import (
     _quotient_width,
     _refined_colours,
     canonical_form,
-    contains_dllite_horn,
-    contains_full_schema,
+    contained,
     decide_tw_equiv_general,
     distinct_up_to_isomorphism,
     entailed_concept_trees,
@@ -62,6 +71,8 @@ from fixtures import (
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from gen import (
+    elhi_ontologies,
+    rand_containment_pair,
     rand_cq,
     rand_database,
     rand_eli_ontology,
@@ -79,12 +90,13 @@ from oracles import (
     full_ucq_k_approximation,
     is_empty_full_schema,
     maximum_contractions_by_scan,
+    separating_database_by_brute_force,
 )
 
 
 def test_approximation_example1():
     Qa = ucq_k_approximation(Q1, 1)
-    assert contains_full_schema(Qa, Q1)
+    assert contained(Qa, Q1).is_yes()
     x24 = fig2_cq.rename({"x4": "x2"})
     assert any(set(d.atoms) == set(x24.atoms) for d in Qa.query.disjuncts)
     assert all(cq_treewidth(d) <= 1 for d in Qa.query.disjuncts)
@@ -315,7 +327,8 @@ def test_canonical_form_of_symmetric_cqs_matches_the_permutation_key():
 
 def test_witness_keys_fix_the_answer_tuple():
     # isomorphic only by swapping x0 and x1, which moves the answer x0, so
-    # contains_dllite_horn must test both candidate witnesses
+    # a form that pins the answer variables keeps them apart, as
+    # distinct_up_to_isomorphism does for CQs
     d1 = parse_database("s(x0,x1)\ns(x1,x0)\ns(x1,x1)")
     d2 = parse_database("s(x0,x0)\ns(x0,x1)\ns(x1,x0)")
     assert canonical_form(d1.facts) == canonical_form(d2.facts)
@@ -391,20 +404,16 @@ def _verdict_bytes(v):
 
 def _check_against_all_disjuncts(Q, k, budget=5):
     """``decide_tw_equiv_general`` against the check of every disjunct:
-    the same bytes wherever a disjunct is wider than k, and "yes" with the
-    approximation as witness where none is.  Over the full schema the
-    outcome also matches the subset-search oracle on queries of at most 6
-    atoms, where its 2^|atoms| search stays fast."""
+    the same bytes, "yes" with the approximation as witness where no
+    disjunct is wider than k.  Over the full schema the outcome also
+    matches the subset-search oracle on queries of at most 6 atoms, where
+    its 2^|atoms| search stays fast."""
     v = decide_tw_equiv_general(Q, k, budget=budget)
     ref = decide_tw_equiv_all_disjuncts(Q, k, budget=budget)
     wide = any(cq_treewidth(c) > k for c in Q.query.disjuncts)
-    if wide or Q.schema.full:
-        assert _verdict_bytes(v) == _verdict_bytes(ref), (Q, k)
-    else:
-        # the search finds no database where Q answers more than its
-        # approximation, which it is equivalent to
-        assert ref.outcome == "unknown" and v.outcome == "yes", (Q, k)
-        assert v.witness == ucq_k_approximation(Q, k)
+    assert _verdict_bytes(v) == _verdict_bytes(ref), (Q, k)
+    if not wide:
+        assert v.outcome == "yes" and v.witness == ucq_k_approximation(Q, k)
     if Q.schema.full and sum(len(c.atoms) for c in Q.query.disjuncts) <= 6:
         assert decide_tw_equiv_full(Q, k).outcome == v.outcome, (Q, k)
     return v.outcome, wide
@@ -437,7 +446,7 @@ def test_narrow_disjuncts_skip_containment_with_the_same_verdicts():
             (True, "no", True, False), (True, "no", True, True),
             (True, "yes", True, True), (False, "yes", False, False),
             (False, "no", True, False), (False, "no", True, True),
-            (False, "unknown", True, False)} <= shapes
+            (False, "yes", True, False)} <= shapes
 
 
 _VARS = ["x0", "x1", "x2", "x3"]
@@ -534,13 +543,10 @@ def test_a_narrow_disjunct_is_its_own_finest_contraction(atoms, arity, k):
 
 
 def test_containment_basics():
-    assert contains_full_schema(Q1, Q1)
+    assert contained(Q1, Q1).is_yes()
     qa = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, parse_query("q(x) :- A(x)"))
     qb = OMQ(EMPTY_ONTOLOGY, FULL_SCHEMA, parse_query("q(x) :- B(x)"))
-    assert not contains_full_schema(qa, qb)
-    with pytest.raises(OmqlabError, match="containment check requires the full schema"):
-        contains_full_schema(OMQ(EMPTY_ONTOLOGY, Schema.of(["A"]),
-                                 parse_query("q(x) :- A(x)")), qa)
+    assert contained(qa, qb).outcome == "no"
 
 
 def test_example1_subquery_equivalence():
@@ -700,14 +706,15 @@ def test_ucq_pruning_keeps_semantics():
 def test_contains_dllite_horn_identity():
     o = parse_ontology("dialect: DL-LiteR-horn\nA <= B")
     Q = OMQ(o, FULL_SCHEMA, parse_query("q(x) :- B(x)"))
-    assert contains_dllite_horn(Q, Q)
+    assert contained(Q, Q).is_yes()
 
 
 def test_contains_dllite_horn_separation():
     s = Schema.of(["A", "B"])
     qa = OMQ(Ontology_dllite(), s, parse_query("q(x) :- A(x)"))
     qb = OMQ(Ontology_dllite(), s, parse_query("q(x) :- B(x)"))
-    assert not contains_dllite_horn(qa, qb)
+    v = contained(qa, qb)
+    assert v.outcome == "no" and v.counterexample == parse_database("A(x)")
 
 
 def Ontology_dllite():
@@ -720,8 +727,8 @@ def test_contains_dllite_horn_via_ontology():
     s = Schema.of(["A", "B"])
     qa = OMQ(o, s, parse_query("q(x) :- A(x)"))
     qb = OMQ(o, s, parse_query("q(x) :- B(x)"))
-    assert contains_dllite_horn(qa, qb)
-    assert not contains_dllite_horn(qb, qa)
+    assert contained(qa, qb).is_yes()
+    assert contained(qb, qa).outcome == "no"
 
 
 def test_contains_dllite_horn_existential():
@@ -730,10 +737,103 @@ def test_contains_dllite_horn_existential():
     q_edge = OMQ(o, s, parse_query("q(x) :- r(x,y)"))
     q_a = OMQ(o, s, parse_query("q(x) :- A(x)"))
     # A(x) forces an r-successor, so the edge query subsumes the A query
-    assert contains_dllite_horn(q_a, q_edge)
+    assert contained(q_a, q_edge).is_yes()
     # but an edge never forces A
-    assert not contains_dllite_horn(q_edge, q_a)
-    assert contains_dllite_horn(q_edge, q_edge)
+    assert contained(q_edge, q_a).outcome == "no"
+    assert contained(q_edge, q_edge).is_yes()
+
+
+@pytest.mark.parametrize("onto, schema, query, outcome, cex", [
+    # B occurs in no chase of an A-database, and nothing clashes there:
+    # the left OMQ is empty under the schema
+    ("A <= C", ["A"], "q(x) :- B(x)", "yes", None),
+    ("A <= C", ["A"], "q(x) :- r(x,y)", "yes", None),
+    # A reaches the clash A <= bot, where every tuple is an answer
+    ("A <= bot", ["A"], "q(x) :- B(x)", "no", "A(x)"),
+    # B is reachable from A, so the disjunct is live
+    ("A <= B", ["A"], "q(x) :- B(x)", "no", "A(x)"),
+])
+def test_contained_with_an_unrelated_right_ontology(onto, schema, query, outcome, cex):
+    Q1 = OMQ(parse_ontology(onto), Schema.of(schema), parse_query(query))
+    Q2 = OMQ(EMPTY_ONTOLOGY, Schema.of(schema), parse_query("q(x) :- E(x)"))
+    v = contained(Q1, Q2)
+    assert (v.outcome, v.counterexample) == (
+        outcome, None if cex is None else parse_database(cex))
+
+
+def _check_containment_verdict(Q1, Q2):
+    """``contained(Q1, Q2)``'s "no" database is over the schema and
+    separates, and no database on two constants separates a "yes"."""
+    v = contained(Q1, Q2)
+    if v.outcome == "no":
+        d = v.counterexample
+        assert d.uses_only(Q1.schema)
+        assert evaluate_naive(Q1, d).answers - evaluate_naive(Q2, d).answers
+    elif v.outcome == "yes":
+        assert separating_database_by_brute_force(Q1, Q2) is None, (Q1, Q2)
+    return v.outcome
+
+
+_BASIC = st.sampled_from([Atomic("A"), Atomic("B"), TOP]
+                         + [Exists(Role(r, inv), TOP) for r in ("r", "s")
+                            for inv in (False, True)])
+
+
+@st.composite
+def _dllite_ontologies(draw):
+    """DL-LiteR(-horn) ontologies over A, B, r and s: up to three concept
+    inclusions, a role inclusion and a role disjointness."""
+    horn = draw(st.booleans())
+    axioms = []
+    for lhs, rhs in draw(st.lists(st.tuples(st.lists(_BASIC, min_size=1, max_size=2),
+                                            st.one_of(_BASIC, st.just(BOT))),
+                                  max_size=3)):
+        axioms.append(ConceptInclusion(conj(*lhs), rhs if horn or len(lhs) == 1 else BOT))
+    role = st.sampled_from(["r", "s"])
+    axioms += draw(st.lists(st.builds(RoleInclusion, st.builds(Role, role),
+                                      st.builds(Role, role, st.booleans())), max_size=1))
+    if draw(st.booleans()):
+        axioms.append(RoleDisjointness(("r", "s")))
+    return Ontology(axioms, Dialect.DLLITE_R_HORN if horn else Dialect.DLLITE_R)
+
+
+_CONTAIN_ATOMS = st.one_of(
+    st.tuples(st.sampled_from(["A", "B", "E"]), st.sampled_from(_VARS[:3])).map(
+        lambda t: ConceptFact(*t)),
+    st.tuples(st.sampled_from(["r", "s"]), st.sampled_from(_VARS[:3]),
+              st.sampled_from(_VARS[:3])).map(lambda t: RoleFact(*t)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["dllite", "elhi"]), right=st.sampled_from(
+           ["same", "more", "other", "empty"]),
+       schema=st.sets(st.sampled_from(["A", "B", "E", "r", "s"]), min_size=1, max_size=3),
+       atoms=st.tuples(*[st.lists(_CONTAIN_ATOMS, min_size=1, max_size=3)] * 2),
+       arity=st.sampled_from([0, 1]), data=st.data())
+def test_contained_agrees_with_the_brute_force(kind, right, schema, atoms, arity, data):
+    # the right ontology is the left one, the left one with more axioms
+    # (so it entails the left one), another one, or empty
+    ontologies = (_dllite_ontologies() if kind == "dllite"
+                  else elhi_ontologies(names=("A", "B"), leaves=3, max_axioms=3))
+    o1 = data.draw(ontologies)
+    o2 = {"same": o1, "empty": Ontology((), o1.dialect)}.get(right) or data.draw(ontologies)
+    if right == "more":
+        o2 = Ontology(o1.axioms | o2.axioms,
+                      Dialect.DLLITE_R_HORN if kind == "dllite" else Dialect.ELHI_BOT)
+    q1, q2 = _ucq_of([atoms[0]], arity), _ucq_of([atoms[1]], arity)
+    S = Schema.of(schema)
+    _check_containment_verdict(OMQ(o1, S, q1), OMQ(o2, S, q2))
+
+
+def test_contained_agrees_with_the_brute_force_on_a_fixed_sweep():
+    # 400 pairs, DL-LiteR(-horn) and ELHI_bot alternately (seed 2525): 283
+    # "yes", 102 "no" and 15 "unknown", none of them with a separating
+    # database on two constants
+    rng = random.Random(2525)
+    outcomes = [_check_containment_verdict(*rand_containment_pair(
+        rng, "dllite" if i % 2 else "elhi")) for i in range(400)]
+    assert outcomes.count("unknown") <= 15
+    assert {"yes", "no", "unknown"} <= set(outcomes)
 
 
 def test_approx_soundness_random_full_schema():
@@ -743,7 +843,7 @@ def test_approx_soundness_random_full_schema():
         q = UCQ((rand_cq(rng, rng.randint(1, 4), 0, names=["A1", "B1"], roles=["r"]),))
         Q = OMQ(o, FULL_SCHEMA, q)
         Qa = ucq_k_approximation(Q, 1)
-        assert contains_full_schema(Qa, Q)
+        assert contained(Qa, Q).is_yes()
 
 
 def test_decision_matches_maximum_contraction_widths():

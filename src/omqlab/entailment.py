@@ -336,7 +336,16 @@ class Saturation:
     types: dict                        # constant -> frozenset of names
     onorm: NormalOntology
 
-    def clashes(self) -> bool:
+    def clashes(self, o: Ontology) -> bool:
+        """A bot clash, or the roles of a disjointness axiom of ``o`` on one
+        pair of the closed role facts."""
+        disjoint = o.role_disjointness()
+        if disjoint:
+            pairs: dict[tuple, set] = {}
+            for f in self.database.role_facts():
+                pairs.setdefault((f.a, f.b), set()).add(f.name)
+            if any(set(dis.roles) <= names for dis in disjoint for names in pairs.values()):
+                return True
         return any(self.onorm.is_unsat(t) for t in self.types.values())
 
 
@@ -442,21 +451,8 @@ def clash_free_saturation(d: Database, o: Ontology) -> Optional[Saturation]:
     disjointness clash.  Such a clash carries over to every database that
     ``d`` maps into; a functionality violation, not checked here, need not,
     as the map may merge the two successors."""
-    if o.dialect in DLLITE_FAMILY:
-        sup = role_closure(elhi_view(o))
-        pairs: dict[tuple, set] = {}
-        for f in d.facts:
-            if not isinstance(f, RoleFact):
-                continue
-            for s in sup.get(Role(f.name), frozenset({Role(f.name)})):
-                key = (f.b, f.a) if s.inverted else (f.a, f.b)
-                pairs.setdefault(key, set()).add(s.name)
-        for dis in o.role_disjointness():
-            for names in pairs.values():
-                if set(dis.roles) <= names:
-                    return None
     sat = saturate(d, normalize(elhi_view(o)))
-    return None if sat.clashes() else sat
+    return None if sat.clashes(o) else sat
 
 
 def is_consistent(d: Database, o: Ontology) -> bool:

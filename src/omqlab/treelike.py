@@ -327,37 +327,41 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     Full schema: exactly ``_uncontained_disjunct``, exact when O2 is O1 or
     entails it (other pairs are refused); its database separates.
 
-    Otherwise a name is reachable if it is in S or on the right of an
-    inclusion of ``elhi_view(O1)`` whose left-hand names are reachable.  By
-    induction over chase steps, the chase of an S-database D under O1 uses
-    only reachable names: D's facts use names of S, and a step fires on
-    facts over the left-hand names of an inclusion and adds facts over its
-    right-hand ones (merges along functional roles add none).  So a
-    disjunct with an unreachable name is dead, matching the chase, the
-    universal model, of no S-database consistent with O1; and D can clash
-    only through a reachable clash: a bot inclusion with reachable
-    left-hand names, a role disjointness over reachable roles, or a
-    reachable functional role.  "yes" comes from two rules.
+    Otherwise let D_S be one constant a with each name of S as a concept
+    and as a loop at a.  Every S-database D maps onto D_S, and the map
+    extends to one of C, D's chase under O1 without bot and functionality,
+    into C_S, D_S's (what ``saturate`` and ``canonical_model_of`` build: a
+    bot inclusion adds no rule, only a clash name).  So each type of C lies
+    in a type reachable from a.  A disjunct is live if it matches C_S with
+    its answer variables at a; only a live one answers on a D consistent
+    with O1, whose universal model C then is.  D clashes with O1 only by a
+    bot inclusion or role disjointness, either carried into C_S, or by two
+    successors along a functional role among D's own facts
+    (``satisfies_functionality``), so a role of S.  Let O1' be O1 without
+    its concept inclusions whose left side holds in no type reachable from
+    a.  D's chase under O1' maps into C, so into C_S, and no such left side
+    holds in it: it is C, and D clashes with O1 exactly when with O1'.
+    "yes" comes from two rules.
 
-    1. O2 is O1 or entails it, and ``_uncontained_disjunct`` clears each
-       live disjunct.  Let a be a certain answer of Q1 on an S-database D.
-       If D is inconsistent with O1 it is with O2, whose models are models
-       of O1, and a answers Q2.  Otherwise a live q1 matches the chase of
-       D at a, which maps into every model M of O2 containing D, M being a
-       model of O1; so q1's database maps there, merged along the
+    1. O2 is O1 or entails O1', and ``_uncontained_disjunct`` clears each
+       live disjunct.  Let t be a certain answer of Q1 on an S-database D.
+       If D is inconsistent with O1 it is with O1' and so with O2, whose
+       models are models of O1', and t answers Q2.  Otherwise a live q1
+       matches C at t, which maps into every model M of O2 containing D, M
+       being a model of O1'; so q1's database maps there, merged along the
        functional roles M satisfies, and with it its chase under O2,
-       holding a match of Q2 at a.  If a clash skipped q1, no such M
-       exists, and a answers Q2 as well.
-    2. No disjunct is live and O1 has no reachable clash: every S-database
-       is consistent with O1, and Q1 answers nothing on it.
+       holding a match of Q2 at t.  If a clash skipped q1, no such M
+       exists, and t answers Q2 as well.
+    2. No disjunct is live, D_S is consistent with O1, and no functional
+       role of O1 is in S: every S-database is consistent with O1, and Q1
+       answers nothing on it.
 
-    "no" comes from one stream, ``_candidate_databases`` then
-    ``_clash_witnesses``, and one check: Q1's certain answers minus Q2's
-    (``evaluate_naive``; an inconsistent database gives every tuple).
-    Anything else is "unknown"."""
-    o1 = Q1.ontology
-    entailed = Q2.ontology == o1 or _entails(Q2.ontology, o1)
-    if Q1.schema.full and not entailed:
+    "no" comes from one stream, ``_candidate_databases``, and one check:
+    Q1's certain answers minus Q2's (``evaluate_naive``; an inconsistent
+    database gives every tuple).  Anything else is "unknown"."""
+    o1, o2 = Q1.ontology, Q2.ontology
+    if Q1.schema.full and not (
+            o2 == o1 or _entails(o2, elhi_view(o2), o1.concept_inclusions(), o1)):
         raise OmqlabError("containment under two ontologies needs the right-hand "
                           "ontology to entail the left-hand one")
     if Q1.arity != Q2.arity:
@@ -365,22 +369,27 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     if Q1.schema.full:
         cex = _uncontained_disjunct(Q1.query.disjuncts, Q2)
         return Verdict("yes") if cex is None else Verdict("no", counterexample=cex)
-    view = elhi_view(o1)
-    reach = _reachable_names(view, Q1.schema)
-    live = [q for q in Q1.query.disjuncts if q.names() <= reach]
-    clash = (any(ci.rhs.contains_bot() and _names_of(ci.lhs) <= reach
-                 for ci in view.concept_inclusions())
-             or any(set(dis.roles) <= reach for dis in o1.role_disjointness())
-             or not o1.functional_roles().isdisjoint(reach))
-    if (entailed and _uncontained_disjunct(live, Q2) is None) or not (live or clash):
+    view1, view2 = elhi_view(o1), elhi_view(o2)
+    onorm = normalize(view1)
+    sat = saturate(Database(f for n in Q1.schema.names
+                            for f in (ConceptFact(n, "a"), RoleFact(n, "a", "a"))), onorm)
+    cm = canonical_model_of(sat, chase_steps(Q1.query))
+    live = [q for q in Q1.query.disjuncts
+            if find_homomorphism(q, cm.facts, dict.fromkeys(q.answer_vars, "a")) is not None]
+    if not (live or sat.clashes(o1) or o1.functional_roles() & Q1.schema.names):
+        return Verdict("yes")
+    reach = {t for seed in sat.types.values() for t in onorm.reachable_types(seed)}
+    fires = [ci for ci in o1.concept_inclusions()
+             if any(onorm.defname.get(ci.lhs) in t for t in reach)]
+    if ((o2 == o1 or _entails(o2, view2, fires, o1))
+            and _uncontained_disjunct(live, Q2) is None):
         return Verdict("yes")
     roles = {at.name for q in (*Q1.query, *Q2.query) for at in q.atoms
              if isinstance(at, RoleFact)}
-    for o in (o1, Q2.ontology):
-        roles |= {r.name for r in role_closure(elhi_view(o))} | o.functional_roles() | {
+    for o, view in ((o1, view1), (o2, view2)):
+        roles |= {r.name for r in role_closure(view)} | o.functional_roles() | {
             r for dis in o.role_disjointness() for r in dis.roles}
-    for d in itertools.chain(_candidate_databases(Q1, roles),
-                             _clash_witnesses(o1, Q1.schema, roles)):
+    for d in _candidate_databases(Q1, view1, roles):
         if (budget is None or len(d.dom) <= budget) and (
                 evaluate_naive(Q1, d).answers - evaluate_naive(Q2, d).answers):
             return Verdict("no", counterexample=d)
@@ -388,12 +397,13 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     return Verdict("unknown", note=f"no separating database{bound}")
 
 
-def _entails(o: Ontology, other: Ontology) -> bool:
-    """Does ``o`` entail every axiom of ``other``?  Concept and range
+def _entails(o: Ontology, view: Ontology, inclusions: Iterable, other: Ontology) -> bool:
+    """Does ``o``, whose ``elhi_view`` is ``view``, entail the concept
+    inclusions ``inclusions`` and every other axiom of ``other``?  Concept
     inclusions are decided by ``subsumes``, role inclusions by ``o``'s role
     closure; functionality and disjointness axioms must occur in ``o``."""
     sup = role_closure(o)
-    return (all(subsumes(o, ci.lhs, ci.rhs) for ci in other.concept_inclusions())
+    return (all(subsumes(view, ci.lhs, ci.rhs) for ci in inclusions)
             and all(ri.rhs in sup.get(ri.lhs, frozenset({ri.lhs}))
                     for ri in other.role_inclusions())
             and all(ax in o.axioms for ax in other.axioms
@@ -425,47 +435,33 @@ def _uncontained_disjunct(disjuncts: Iterable[CQ], Q2: OMQ) -> Optional[Database
     return None
 
 
-def _names_of(c: Concept) -> set:
-    """The concept and role names ``c`` mentions."""
-    return ({s.name for s in c.subconcepts() if isinstance(s, Atomic)}
-            | {r.name for r in c.roles()})
-
-
-def _reachable_names(view: Ontology, schema: Schema) -> set:
-    """The least set of names holding ``schema``'s and the right-hand names
-    of each inclusion of ``view`` whose left-hand names it holds."""
-    rules = [(_names_of(ci.lhs), _names_of(ci.rhs)) for ci in view.concept_inclusions()]
-    rules += [({ri.lhs.name}, {ri.rhs.name}) for ri in view.role_inclusions()]
-    reach = set(schema.names)
-    while new := {n for lhs, rhs in rules if lhs <= reach for n in rhs} - reach:
-        reach |= new
-    return reach
-
-
-def _candidate_databases(Q: OMQ, roles: set):
+def _candidate_databases(Q: OMQ, view: Ontology, roles: set):
     """Candidate S-databases separating Q from another OMQ, S its schema,
-    one per isomorphism class: each disjunct's contractions without their
-    facts outside S.  The concepts dropped at a variable may be re-sourced
-    there by a concept over S entailing them: a schema concept name (not
-    in ``roles``, the role names of both OMQs), an ontology left-hand side
-    (fresh successors), or ``top`` as one fact over the least schema name
-    (``_fact_on``).  A dropped role atom may be re-sourced by a schema
-    sub-role of its role (or of the inverse, ends swapped); at an end whose
-    other end occurs nowhere else, also by such a concept entailing
-    ``exists r . top``, r the atom's role from there.  A disjunct over more
-    than 10 variables exceeds the cap."""
+    ``view`` the ``elhi_view`` of its ontology O: first each disjunct's
+    contractions without their facts outside S, one per isomorphism class;
+    then ``_clash_witnesses``; then each contraction candidate without the
+    facts its other facts entail under O (``_without_entailed``), when
+    that is a new class.  The concepts dropped at a variable may be
+    re-sourced there by a concept over S entailing them: a schema concept
+    name (not in ``roles``, the role names of both OMQs), an ontology
+    left-hand side (fresh successors), or ``top`` as one fact over the
+    least schema name (``_fact_on``).  A dropped role atom may be
+    re-sourced by a schema sub-role of its role (or of the inverse, ends
+    swapped); at an end whose other end occurs nowhere else, also by such
+    a concept entailing ``exists r . top``, r the atom's role from there.
+    A disjunct over more than 10 variables exceeds the cap."""
     o, schema = Q.ontology, Q.schema
-    view = elhi_view(o)
     sources = [Atomic(b) for b in sorted(o.concept_names() | Q.query.names())
                if schema.admits(b) and b not in roles]
     sources += sorted({ci.lhs for ci in view.concept_inclusions()
                        if not isinstance(ci.lhs, (Atomic, Top)) and not ci.lhs.contains_bot()
-                       and all(schema.admits(n) for n in _names_of(ci.lhs))})
+                       and concept_as_cq(ci.lhs).names() <= schema.names})
     sources += [TOP] if schema.names else []
     sup = role_closure(view)
     sub_roles = sorted(s for s in sup if not s.inverted and schema.admits(s.name))
-    entails = functools.cache(functools.partial(subsumes, o))
+    entails = functools.cache(functools.partial(subsumes, view))
     seen: set = set()
+    found: list = []
     for cq in Q.query.disjuncts:
         if len(cq.variables()) > 10:
             raise CapExceeded("the separation search is capped at 10 variables")
@@ -501,7 +497,27 @@ def _candidate_databases(Q: OMQ, roles: set):
                 d = Database(keep + [f for facts in combo for f in facts])
                 if d.dom and (key := canonical_form(d.facts)) not in seen:
                     seen.add(key)
+                    found.append(d)
                     yield d
+    yield from _clash_witnesses(o, view, schema, roles)
+    onorm = normalize(view)
+    for d in found:
+        d = _without_entailed(d, onorm)
+        if (key := canonical_form(d.facts)) not in seen:
+            seen.add(key)
+            yield d
+
+
+def _without_entailed(d: Database, onorm) -> Database:
+    """``d`` without the facts the rest entails: in sorted order, a fact
+    is dropped when the saturation under ``onorm`` of the facts still held
+    without it holds it."""
+    facts = set(d.facts)
+    for f in d:
+        facts.discard(f)
+        if f not in saturate(Database(facts), onorm).database:
+            facts.add(f)
+    return Database(facts)
 
 
 def _fact_on(name: str, x: str, roles: set, fresh: FreshVars):
@@ -509,14 +525,15 @@ def _fact_on(name: str, x: str, roles: set, fresh: FreshVars):
     return RoleFact(name, x, fresh.next()) if name in roles else ConceptFact(name, x)
 
 
-def _clash_witnesses(o: Ontology, schema: Schema, roles: set):
-    """Small databases over ``schema`` inconsistent with ``o``, where every
-    tuple is a certain answer: the tree of each bot inclusion's left side,
-    one fact per schema name (``_fact_on``), two role facts per role
-    disjointness and three per functional role."""
+def _clash_witnesses(o: Ontology, view: Ontology, schema: Schema, roles: set):
+    """Small databases over ``schema`` inconsistent with ``o`` (whose
+    ``elhi_view`` is ``view``), where every tuple is a certain answer: the
+    tree of each bot inclusion's left side, one fact per schema name
+    (``_fact_on``), two role facts per role disjointness and three per
+    functional role."""
     fresh = FreshVars("_w")
     found = [cq_as_database(concept_as_cq(ax.lhs, fresh=fresh))
-             for ax in elhi_view(o).concept_inclusions()
+             for ax in view.concept_inclusions()
              if ax.rhs.contains_bot() and not ax.lhs.contains_bot()]
     found += [Database([_fact_on(n, fresh.next(), roles, fresh)])
               for n in sorted(schema.names)]

@@ -839,11 +839,24 @@ def test_contain_finds_the_separating_database_under_a_schema(
     assert got == (0, "false\n", "")
 
 
+@pytest.mark.parametrize("n", [6, 9])
+def test_contain_proves_a_path_under_an_ontology_that_cannot_fire(tmp_path, capsys, n):
+    # C <= D fires on no schema database, so the empty right ontology
+    # entails the part of the left one that can, and the path's own chase
+    # matches the right query
+    path = ", ".join(f"r(x{i},x{i + 1})" for i in range(n))
+    got = _contain(tmp_path, capsys, "r\nB\n", "C <= D\n", f"q() :- {path}, B(x{n})\n",
+                   "q() :- r(x,y)\n", "")
+    assert got == (0, "true\n", "")
+
+
 def test_contain_caps_the_separation_search(tmp_path, capsys):
-    # eleven variables: the contractions of the left disjunct are too many
-    # to try, and the cap is not a verdict
+    # B <= D fires on the schema database B(a), and the empty right
+    # ontology does not entail it, so neither rule proves the pair.  Eleven
+    # variables: the contractions of the left disjunct are too many to try,
+    # and the cap is not a verdict
     path = ", ".join(f"r(x{i},x{i + 1})" for i in range(10))
-    got = _contain(tmp_path, capsys, "r\nB\n", "C <= D\n", f"q() :- {path}, B(x10)\n",
+    got = _contain(tmp_path, capsys, "r\nB\n", "B <= D\n", f"q() :- {path}, B(x10)\n",
                    "q() :- r(x,y)\n", "")
     assert got[:2] == (5, "") and "capped at 10 variables" in got[2]
 

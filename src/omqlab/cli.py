@@ -252,15 +252,39 @@ def cmd_dlf_equiv1(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that keeps the actions ``add_argument`` returns
+    and the values ``set_defaults`` is given, for ``_read_direct``:
+    ``options`` maps the option strings of each store option without
+    ``nargs`` and each store-true flag to its action."""
+
+    def __init__(self, *args, **kwargs):
+        self.actions: list[argparse.Action] = []
+        self.options: dict[str, argparse.Action] = {}
+        self.given_defaults: dict = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions.append(action)
+        if kwargs.get("action", "store") in ("store", "store_true") and "nargs" not in kwargs:
+            self.options.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self.given_defaults.update(kwargs)
+
+
 # each subcommand's parser by name, filled by build_parser
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+_COMMANDS: dict[str, _Parser] = {}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one;
     argparse keeps no per-parse state on it."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="omqlab",
         description="Ontology-mediated query evaluation and analysis")
     sub = p.add_subparsers(dest="command", required=True)
@@ -354,19 +378,56 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_direct(command: _Parser, argv: list) -> argparse.Namespace | None:
+    """What ``command.parse_known_args(argv)`` returns, with nothing left
+    over, when ``argv`` holds only option strings of ``command.options``,
+    each once, each store option followed by a value that does not start
+    with ``-`` (``-`` itself aside), each value passing its action's
+    ``type`` and ``choices``, and every required option given; None for
+    any other argv, which argparse then reads.  As in argparse, an option
+    not given takes its action's default, then the parser's defaults fill
+    in."""
+    given = {}
+    i = 0
+    while i < len(argv):
+        action = command.options.get(argv[i])
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:
+            given[action.dest] = action.const
+            i += 1
+            continue
+        value = argv[i + 1] if i + 1 < len(argv) else None
+        if value is None or (value.startswith("-") and value != "-"):
+            return None
+        try:
+            value = action.type(value) if action.type else value
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+        i += 2
+    ns = argparse.Namespace(**given)
+    for action in command.actions:
+        if action.dest in given or action.default is argparse.SUPPRESS:
+            continue
+        if action.required:
+            return None
+        setattr(ns, action.dest, action.default)
+    for dest, value in command.given_defaults.items():
+        if not hasattr(ns, dest):
+            setattr(ns, dest, value)
+    return ns
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     command = _COMMANDS.get(argv[0]) if argv else None
-    if command is None:
+    args = _read_direct(command, argv[1:]) if command is not None else None
+    if args is None:
         args = parser.parse_args(argv)
-    else:
-        # what the two-level parse does once argv[0] names a command: the
-        # command's parser reads the rest, and the top level rejects what
-        # it leaves over; only the top level's own pass over argv is saved
-        args, rest = command.parse_known_args(argv[1:])
-        if rest:
-            parser.error("unrecognized arguments: " + " ".join(rest))
     try:
         return args.func(args)
     except OmqlabError as e:

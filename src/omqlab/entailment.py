@@ -300,13 +300,19 @@ _NORMAL_CACHE: dict = {}
 
 
 def normalize(o: Ontology, extra_concepts: Iterable[Concept] = ()) -> NormalOntology:
-    """Normal form of an ELHI_bot-family ontology (cached per input)."""
-    key = (o.axioms, o.dialect, tuple(sorted(extra_concepts, key=lambda c: c.key())))
-    hit = _NORMAL_CACHE.get(key)
+    """Normal form of the ``elhi_view`` of an ontology, cached per input
+    and per view: the view is built only on a miss, and a DL-Lite ontology
+    shares the form of an ELHI_bot one with the same view."""
+    extra = tuple(sorted(extra_concepts, key=lambda c: c.key()))
+    hit = _NORMAL_CACHE.get((o.axioms, o.dialect, extra))
     if hit is None:
-        hit = NormalOntology(o, extra_concepts)
+        view = elhi_view(o)
+        hit = _NORMAL_CACHE.get((view.axioms, view.dialect, extra))
+        if hit is None:
+            hit = NormalOntology(view, extra_concepts)
         if len(_NORMAL_CACHE) < 10000:
-            _NORMAL_CACHE[key] = hit
+            _NORMAL_CACHE[o.axioms, o.dialect, extra] = hit
+            _NORMAL_CACHE[view.axioms, view.dialect, extra] = hit
     return hit
 
 
@@ -317,7 +323,7 @@ def subsumes(o: Ontology, c: Concept, d: Concept) -> bool:
     if isinstance(c, Bot):
         return True
     extra = [x for x in (c, d) if not x.contains_bot()]
-    onorm = normalize(elhi_view(o), extra)
+    onorm = normalize(o, extra)
     if c.contains_bot():
         return True
     seed = frozenset({onorm.defname[c]})
@@ -353,7 +359,7 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
     """Close a database under consequence: concept facts entailed by each
     constant's conjunction, existential premises along explicit role
     facts, and the role hierarchy."""
-    onorm = o if isinstance(o, NormalOntology) else normalize(elhi_view(o))
+    onorm = o if isinstance(o, NormalOntology) else normalize(o)
 
     role_facts: set[RoleFact] = set()
     types: dict[str, set] = {a: set() for a in d.dom}
@@ -451,7 +457,7 @@ def clash_free_saturation(d: Database, o: Ontology) -> Optional[Saturation]:
     disjointness clash.  Such a clash carries over to every database that
     ``d`` maps into; a functionality violation, not checked here, need not,
     as the map may merge the two successors."""
-    sat = saturate(d, normalize(elhi_view(o)))
+    sat = saturate(d, normalize(o))
     return None if sat.clashes(o) else sat
 
 

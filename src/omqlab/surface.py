@@ -16,6 +16,13 @@ line, UTF-8, LF or CRLF):
 ``exists`` binds tighter than ``&``.  A bare ``X <= Y`` line is read as a
 role inclusion when either side occurs in a role position elsewhere in
 the file, and as a concept inclusion otherwise.
+
+Each line is read in one scan.  An ontology line is one ``findall`` of
+its token texts, parsed by recursive descent over those strings, which
+raises its errors too: only an error scans the line again, for its
+tokens' columns.  A rule line is matched by two patterns; a rule line
+they reject goes to the token walk (``Token``, ``_Cursor``), which is
+kept only to raise that line's error with its line and column.
 """
 
 from __future__ import annotations
@@ -81,6 +88,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+# the same tokens, as one findall of a line's token texts without its
+# comment; a bad character gives the empty string
+_SCAN_RE = re.compile(r"(<=|:-|[A-Za-z_][A-Za-z0-9_-]*|[().,&:])|\S")
 
 
 class Token:
@@ -130,11 +140,6 @@ class _Cursor:
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(tok.span, f"trailing input {tok.text!r}")
-
 
 _KEYWORDS = {"top", "bot", "exists", "inv", "range", "func", "disjoint-roles", "dialect"}
 
@@ -147,149 +152,53 @@ def _name(tok: Token) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Concept / role parsing
-
-
-def _parse_role(cur: _Cursor, role_idents: set[str]) -> Role:
-    tok = cur.next("ident")
-    if tok.kind != "ident":
-        raise ParseError(tok.span, f"expected role, got {tok.text!r}", ("IDENT", "inv("))
-    if tok.text == "inv":
-        cur.next("(")
-        name = _name(cur.next("ident"))
-        cur.next(")")
-        role_idents.add(name)
-        return Role(name, True)
-    role_idents.add(_name(tok))
-    return Role(tok.text)
-
-
-def _parse_concept(cur: _Cursor, role_idents: set[str], concept_idents: set[str]) -> Concept:
-    parts = [_parse_unary(cur, role_idents, concept_idents)]
-    while (tok := cur.peek()) is not None and tok.text == "&":
-        cur.next("&")
-        parts.append(_parse_unary(cur, role_idents, concept_idents))
-    return conj(*parts)
-
-
-def _parse_unary(cur: _Cursor, role_idents: set[str], concept_idents: set[str]) -> Concept:
-    tok = cur.peek()
-    if tok is None:
-        raise ParseError((cur.lineno, cur.line_len + 1), "expected a concept",
-                         ("top", "bot", "IDENT", "exists", "("))
-    if tok.text == "(":
-        cur.next("(")
-        c = _parse_concept(cur, role_idents, concept_idents)
-        cur.next(")")
-        return c
-    if tok.text == "exists":
-        cur.next("exists")
-        role = _parse_role(cur, role_idents)
-        cur.next(".")
-        filler = _parse_unary(cur, role_idents, concept_idents)
-        return Exists(role, filler)
-    if tok.text == "top":
-        cur.next("top")
-        return TOP
-    if tok.text == "bot":
-        cur.next("bot")
-        return BOT
-    if tok.kind == "ident" and tok.text not in _KEYWORDS:
-        cur.next("ident")
-        concept_idents.add(_name(tok))
-        return Atomic(tok.text)
-    raise ParseError(tok.span, f"expected a concept, got {tok.text!r}",
-                     ("top", "bot", "IDENT", "exists", "("))
-
-
-# ---------------------------------------------------------------------------
 # Ontologies
 
 
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIALECTS = frozenset(d.value for d in Dialect)
+_CONCEPT_START = ("top", "bot", "IDENT", "exists", "(")
+
+
 def parse_ontology(text: str) -> Ontology:
-    """Parse a ``.dl`` ontology.  Raises :class:`ParseError` on bad input."""
+    """Parse a ``.dl`` ontology.  Raises :class:`ParseError` on bad input.
+
+    A first pass scans every line, and a line with a bad character goes to
+    the tokenizer, which raises its error before any other line's."""
+    reader = _LineReader()
     declared: Dialect | None = None
     # the identifiers the other lines use as roles and as concepts decide
     # the bare ``X <= Y`` lines, which are read last
-    role_idents: set[str] = set()
-    concept_idents: set[str] = set()
-    ambiguous: list[tuple[int, str, list[Token]]] = []
-    plain: list[tuple[int, str, list[Token]]] = []
+    ambiguous: list[tuple[int, str, list[str]]] = []
+    plain: list[tuple[int, str, list[str]]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        tokens = _tokenize_line(line, lineno)
-        if (len(tokens) == 3 and tokens[0].kind == "ident" and tokens[1].text == "<="
-                and tokens[2].kind == "ident"
-                and tokens[0].text not in _KEYWORDS and tokens[2].text not in _KEYWORDS):
-            ambiguous.append((lineno, line, tokens))
-        elif tokens:
-            plain.append((lineno, line, tokens))
+        ts = _SCAN_RE.findall(line.partition("#")[0])
+        if "" in ts:  # a bad character
+            _tokenize_line(line, lineno)
+        if not ts:
+            continue
+        ts.append("")  # the end of the line
+        if (len(ts) == 4 and ts[1] == "<=" and _is_ident(ts[0]) and _is_ident(ts[2])
+                and ts[0] not in _KEYWORDS and ts[2] not in _KEYWORDS):
+            ambiguous.append((lineno, line, ts))
+        else:
+            plain.append((lineno, line, ts))
 
     axioms: list[Axiom] = []
+    for lineno, line, ts in plain:
+        ax = reader.start(lineno, line, ts).axiom()
+        if isinstance(ax, Dialect):
+            declared = ax
+        else:
+            axioms.append(ax)
 
-    for lineno, line, tokens in plain:
-        cur = _Cursor(tokens, lineno, len(line))
-        head = cur.peek()
-        assert head is not None
-        if head.text == "dialect":
-            cur.next("dialect")
-            cur.next(":")
-            name = cur.next("ident")
-            cur.expect_end()
-            try:
-                declared = Dialect(name.text)
-            except ValueError:
-                raise ParseError(name.span, f"unknown dialect {name.text!r}",
-                                 tuple(d.value for d in Dialect)) from None
-            continue
-        if head.text == "func":
-            cur.next("func")
-            role = cur.next("ident")
-            cur.expect_end()
-            role_idents.add(_name(role))
-            axioms.append(Functionality(role.text))
-            continue
-        if head.text == "range":
-            cur.next("range")
-            role = cur.next("ident")
-            role_idents.add(_name(role))
-            cur.next("<=")
-            filler = _parse_concept(cur, role_idents, concept_idents)
-            cur.expect_end()
-            axioms.append(RangeRestriction(role.text, filler))
-            continue
-        if head.text == "disjoint-roles":
-            cur.next("disjoint-roles")
-            roles = [_name(cur.next("ident"))]
-            while not cur.at_end():
-                cur.next(",")
-                roles.append(_name(cur.next("ident")))
-            if len(roles) < 2:
-                raise ParseError(head.span, "disjoint-roles needs at least two roles")
-            role_idents.update(roles)
-            axioms.append(RoleDisjointness(tuple(roles)))
-            continue
-        texts = {t.text for t in tokens}
-        # role inclusion with an explicit inv(...) on either side
-        if {"<=", "inv"} <= texts and "exists" not in texts:
-            lhs = _parse_role(cur, role_idents)
-            cur.next("<=")
-            rhs = _parse_role(cur, role_idents)
-            cur.expect_end()
-            axioms.append(RoleInclusion(lhs, rhs))
-            continue
-        lhs = _parse_concept(cur, role_idents, concept_idents)
-        cur.next("<=")
-        rhs = _parse_concept(cur, role_idents, concept_idents)
-        cur.expect_end()
-        axioms.append(ConceptInclusion(lhs, rhs))
-
-    for lineno, line, tokens in ambiguous:
-        a, b = _name(tokens[0]), _name(tokens[2])
-        as_role = a in role_idents or b in role_idents
-        as_concept = a in concept_idents or b in concept_idents
+    for lineno, line, ts in ambiguous:
+        a, b = reader.start(lineno, line, ts).name(0), reader.name(2)
+        as_role = a in reader.roles or b in reader.roles
+        as_concept = a in reader.concepts or b in reader.concepts
         if as_role and as_concept:
-            raise ParseError(tokens[1].span, f"{a} <= {b} mixes role and concept names")
+            reader.fail(1, f"{a} <= {b} mixes role and concept names")
         if as_role:
             axioms.append(RoleInclusion(Role(a), Role(b)))
         else:
@@ -298,6 +207,152 @@ def parse_ontology(text: str) -> Ontology:
     if declared is None:
         return infer_ontology(axioms)
     return Ontology(axioms, declared)
+
+
+def _is_ident(t: str) -> bool:
+    """Is the token text ``t`` an identifier (``""``, the end, is not)?"""
+    return t[:1] in _NAME_START
+
+
+class _LineReader:
+    """Recursive descent over the token texts ``ts`` of one ontology line,
+    which end in ``""`` (the end of the line); each method takes the index
+    it starts at and returns what it read and the index after it.  The
+    reader collects the names used as roles and as concepts across lines,
+    and raises each error at its token's column."""
+
+    def __init__(self):
+        self.roles: set[str] = set()
+        self.concepts: set[str] = set()
+
+    def start(self, lineno: int, line: str, ts: list[str]) -> _LineReader:
+        self.lineno, self.line, self.ts = lineno, line, ts
+        return self
+
+    def fail(self, i: int, message: str, expected: tuple = ()) -> NoReturn:
+        # the columns only an error needs: a second scan of the line
+        cols = [m.start(1) + 1 for m in _SCAN_RE.finditer(self.line.partition("#")[0])]
+        cols.append(len(self.line) + 1)
+        raise ParseError((self.lineno, cols[i]), message, expected)
+
+    def unexpected(self, i: int, *expected: str) -> NoReturn:
+        t = self.ts[i]
+        self.fail(i, f"unexpected {t!r}" if t else "unexpected end of line", expected)
+
+    def end(self, i: int) -> None:
+        if self.ts[i]:
+            self.fail(i, f"trailing input {self.ts[i]!r}")
+
+    def name(self, i: int) -> str:
+        """Plain identifier; hyphens are reserved for keywords and dialect names."""
+        t = self.ts[i]
+        if "-" in t:
+            self.fail(i, f"bad identifier {t!r}")
+        return t
+
+    def axiom(self) -> Axiom | Dialect:
+        """The line's axiom, or the dialect it declares."""
+        ts = self.ts
+        head = ts[0]
+        if head == "dialect":
+            if ts[1] != ":":
+                self.unexpected(1, ":")
+            if not _is_ident(ts[2]):
+                self.unexpected(2, "ident")
+            self.end(3)
+            if ts[2] not in _DIALECTS:
+                self.fail(2, f"unknown dialect {ts[2]!r}", tuple(d.value for d in Dialect))
+            return Dialect(ts[2])
+        if head == "func":
+            if not _is_ident(ts[1]):
+                self.unexpected(1, "ident")
+            self.end(2)
+            self.roles.add(self.name(1))
+            return Functionality(ts[1])
+        if head == "range":
+            if not _is_ident(ts[1]):
+                self.unexpected(1, "ident")
+            self.roles.add(self.name(1))
+            if ts[2] != "<=":
+                self.unexpected(2, "<=")
+            filler, i = self.concept(3)
+            self.end(i)
+            return RangeRestriction(ts[1], filler)
+        if head == "disjoint-roles":
+            names, i = [], 1
+            while True:
+                if not _is_ident(ts[i]):
+                    self.unexpected(i, "ident")
+                names.append(self.name(i))
+                if not ts[i + 1]:
+                    break
+                if ts[i + 1] != ",":
+                    self.unexpected(i + 1, ",")
+                i += 2
+            if len(names) < 2:
+                self.fail(0, "disjoint-roles needs at least two roles")
+            self.roles.update(names)
+            return RoleDisjointness(tuple(names))
+        # a role inclusion has an explicit inv(...) on either side
+        of_roles = "<=" in ts and "inv" in ts and "exists" not in ts
+        part = self.role if of_roles else self.concept
+        lhs, i = part(0)
+        if ts[i] != "<=":
+            self.unexpected(i, "<=")
+        rhs, i = part(i + 1)
+        self.end(i)
+        return RoleInclusion(lhs, rhs) if of_roles else ConceptInclusion(lhs, rhs)
+
+    def role(self, i: int) -> tuple[Role, int]:
+        ts = self.ts
+        if not _is_ident(ts[i]):
+            self.unexpected(i, "ident")
+        if ts[i] != "inv":
+            self.roles.add(self.name(i))
+            return Role(ts[i]), i + 1
+        if ts[i + 1] != "(":
+            self.unexpected(i + 1, "(")
+        if not _is_ident(ts[i + 2]):
+            self.unexpected(i + 2, "ident")
+        name = self.name(i + 2)
+        if ts[i + 3] != ")":
+            self.unexpected(i + 3, ")")
+        self.roles.add(name)
+        return Role(name, True), i + 4
+
+    def concept(self, i: int) -> tuple[Concept, int]:
+        c, i = self.unary(i)
+        if self.ts[i] != "&":
+            return c, i
+        parts = [c]
+        while self.ts[i] == "&":
+            c, i = self.unary(i + 1)
+            parts.append(c)
+        return conj(*parts), i
+
+    def unary(self, i: int) -> tuple[Concept, int]:
+        ts = self.ts
+        t = ts[i]
+        if t == "(":
+            c, i = self.concept(i + 1)
+            if ts[i] != ")":
+                self.unexpected(i, ")")
+            return c, i + 1
+        if t == "exists":
+            role, i = self.role(i + 1)
+            if ts[i] != ".":
+                self.unexpected(i, ".")
+            filler, i = self.unary(i + 1)
+            return Exists(role, filler), i
+        if t == "top":
+            return TOP, i + 1
+        if t == "bot":
+            return BOT, i + 1
+        if _is_ident(t) and t not in _KEYWORDS:
+            self.concepts.add(self.name(i))
+            return Atomic(t), i + 1
+        self.fail(i, f"expected a concept, got {t!r}" if t else "expected a concept",
+                  _CONCEPT_START)
 
 
 def serialize_ontology(o: Ontology) -> str:

@@ -51,7 +51,6 @@ from .chase import canonical_model_of
 from .entailment import (
     clash_free_saturation,
     consistent_saturation,
-    elhi_view,
     is_consistent,
     normalize,
     role_closure,
@@ -361,7 +360,7 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     database gives every tuple).  Anything else is "unknown"."""
     o1, o2 = Q1.ontology, Q2.ontology
     if Q1.schema.full and not (
-            o2 == o1 or _entails(o2, elhi_view(o2), o1.concept_inclusions(), o1)):
+            o2 == o1 or _entails(o2, o1.concept_inclusions(), o1)):
         raise OmqlabError("containment under two ontologies needs the right-hand "
                           "ontology to entail the left-hand one")
     if Q1.arity != Q2.arity:
@@ -369,8 +368,7 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     if Q1.schema.full:
         cex = _uncontained_disjunct(Q1.query.disjuncts, Q2)
         return Verdict("yes") if cex is None else Verdict("no", counterexample=cex)
-    view1, view2 = elhi_view(o1), elhi_view(o2)
-    onorm = normalize(view1)
+    onorm = normalize(o1)
     sat = saturate(Database(f for n in Q1.schema.names
                             for f in (ConceptFact(n, "a"), RoleFact(n, "a", "a"))), onorm)
     cm = canonical_model_of(sat, chase_steps(Q1.query))
@@ -381,15 +379,15 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     reach = {t for seed in sat.types.values() for t in onorm.reachable_types(seed)}
     fires = [ci for ci in o1.concept_inclusions()
              if any(onorm.defname.get(ci.lhs) in t for t in reach)]
-    if ((o2 == o1 or _entails(o2, view2, fires, o1))
+    if ((o2 == o1 or _entails(o2, fires, o1))
             and _uncontained_disjunct(live, Q2) is None):
         return Verdict("yes")
     roles = {at.name for q in (*Q1.query, *Q2.query) for at in q.atoms
              if isinstance(at, RoleFact)}
-    for o, view in ((o1, view1), (o2, view2)):
-        roles |= {r.name for r in role_closure(view)} | o.functional_roles() | {
+    for o in (o1, o2):
+        roles |= {r.name for r in role_closure(normalize(o).source)} | o.functional_roles() | {
             r for dis in o.role_disjointness() for r in dis.roles}
-    for d in _candidate_databases(Q1, view1, roles):
+    for d in _candidate_databases(Q1, onorm, roles):
         if (budget is None or len(d.dom) <= budget) and (
                 evaluate_naive(Q1, d).answers - evaluate_naive(Q2, d).answers):
             return Verdict("no", counterexample=d)
@@ -397,13 +395,13 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     return Verdict("unknown", note=f"no separating database{bound}")
 
 
-def _entails(o: Ontology, view: Ontology, inclusions: Iterable, other: Ontology) -> bool:
-    """Does ``o``, whose ``elhi_view`` is ``view``, entail the concept
-    inclusions ``inclusions`` and every other axiom of ``other``?  Concept
-    inclusions are decided by ``subsumes``, role inclusions by ``o``'s role
-    closure; functionality and disjointness axioms must occur in ``o``."""
+def _entails(o: Ontology, inclusions: Iterable, other: Ontology) -> bool:
+    """Does ``o`` entail the concept inclusions ``inclusions`` and every
+    other axiom of ``other``?  Concept inclusions are decided by
+    ``subsumes``, role inclusions by ``o``'s role closure; functionality
+    and disjointness axioms must occur in ``o``."""
     sup = role_closure(o)
-    return (all(subsumes(view, ci.lhs, ci.rhs) for ci in inclusions)
+    return (all(subsumes(o, ci.lhs, ci.rhs) for ci in inclusions)
             and all(ri.rhs in sup.get(ri.lhs, frozenset({ri.lhs}))
                     for ri in other.role_inclusions())
             and all(ax in o.axioms for ax in other.axioms
@@ -435,9 +433,9 @@ def _uncontained_disjunct(disjuncts: Iterable[CQ], Q2: OMQ) -> Optional[Database
     return None
 
 
-def _candidate_databases(Q: OMQ, view: Ontology, roles: set):
+def _candidate_databases(Q: OMQ, onorm, roles: set):
     """Candidate S-databases separating Q from another OMQ, S its schema,
-    ``view`` the ``elhi_view`` of its ontology O: first each disjunct's
+    ``onorm`` the normal form of its ontology O: first each disjunct's
     contractions without their facts outside S, one per isomorphism class;
     then ``_clash_witnesses``; then each contraction candidate without the
     facts its other facts entail under O (``_without_entailed``), when
@@ -450,7 +448,7 @@ def _candidate_databases(Q: OMQ, view: Ontology, roles: set):
     swapped); at an end whose other end occurs nowhere else, also by such
     a concept entailing ``exists r . top``, r the atom's role from there.
     A disjunct over more than 10 variables exceeds the cap."""
-    o, schema = Q.ontology, Q.schema
+    o, schema, view = Q.ontology, Q.schema, onorm.source
     sources = [Atomic(b) for b in sorted(o.concept_names() | Q.query.names())
                if schema.admits(b) and b not in roles]
     sources += sorted({ci.lhs for ci in view.concept_inclusions()
@@ -459,7 +457,7 @@ def _candidate_databases(Q: OMQ, view: Ontology, roles: set):
     sources += [TOP] if schema.names else []
     sup = role_closure(view)
     sub_roles = sorted(s for s in sup if not s.inverted and schema.admits(s.name))
-    entails = functools.cache(functools.partial(subsumes, view))
+    entails = functools.cache(functools.partial(subsumes, o))
     seen: set = set()
     found: list = []
     for cq in Q.query.disjuncts:
@@ -499,8 +497,7 @@ def _candidate_databases(Q: OMQ, view: Ontology, roles: set):
                     seen.add(key)
                     found.append(d)
                     yield d
-    yield from _clash_witnesses(o, view, schema, roles)
-    onorm = normalize(view)
+    yield from _clash_witnesses(o, view, schema, roles, Q.arity)
     for d in found:
         d = _without_entailed(d, onorm)
         if (key := canonical_form(d.facts)) not in seen:
@@ -525,12 +522,16 @@ def _fact_on(name: str, x: str, roles: set, fresh: FreshVars):
     return RoleFact(name, x, fresh.next()) if name in roles else ConceptFact(name, x)
 
 
-def _clash_witnesses(o: Ontology, view: Ontology, schema: Schema, roles: set):
+def _clash_witnesses(o: Ontology, view: Ontology, schema: Schema, roles: set,
+                     arity: int):
     """Small databases over ``schema`` inconsistent with ``o`` (whose
     ``elhi_view`` is ``view``), where every tuple is a certain answer: the
     tree of each bot inclusion's left side, one fact per schema name
-    (``_fact_on``), two role facts per role disjointness and three per
-    functional role."""
+    (``_fact_on``), a role fact per role of each role disjointness and two
+    per functional role.  With ``arity`` above 0, then each of them again
+    with one fresh constant carrying one fact over a schema name (one
+    database per name): a tuple over that constant may be one the other
+    OMQ does not answer."""
     fresh = FreshVars("_w")
     found = [cq_as_database(concept_as_cq(ax.lhs, fresh=fresh))
              for ax in view.concept_inclusions()
@@ -541,8 +542,14 @@ def _clash_witnesses(o: Ontology, view: Ontology, schema: Schema, roles: set):
               for dis in o.role_disjointness()]
     found += [Database([RoleFact(r, "w0", "w1"), RoleFact(r, "w0", "w2")])
               for r in sorted(o.functional_roles())]
-    yield from (d for d in found
-                if d.dom and d.uses_only(schema) and not is_consistent(d, o))
+    witnesses = []
+    for d in found:
+        if d.dom and d.uses_only(schema) and not is_consistent(d, o):
+            witnesses.append(d)
+            yield d
+    for d in witnesses if arity else ():
+        for n in sorted(schema.names):
+            yield Database([*d.facts, _fact_on(n, fresh.next(), roles, fresh)])
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +604,7 @@ def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
     left side whose answer variable is its root; its variables are named
     ``_e<k>``, skipping the query's variables."""
     q = Q.query.disjuncts[0]
-    sat = saturate(cq_as_database(q), normalize(elhi_view(Q.ontology)))
+    sat = saturate(cq_as_database(q), normalize(Q.ontology))
     xs = sorted(q.variables() if variables is None else variables)
     fresh = FreshVars("_e", q.variables())
     seen: set = set()

@@ -79,9 +79,10 @@ from omqlab.model import (
     RoleDisjointness,
     _check_dllite_inclusion,
     axiom_key,
+    infer_ontology,
 )
 from omqlab.pebble import ReachSystem, _check_pebble_input, _prepare_game
-from omqlab.surface import ParseError, _Cursor, _name, _tokenize_line
+from omqlab.surface import _KEYWORDS, ParseError, _Cursor, _name, _tokenize_line
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +738,160 @@ def _update_node(onorm, current, parent, via, memo, visited, changed):
 
 
 # ---------------------------------------------------------------------------
-# Surface references: the token-cursor query parser and the dialect
-# inference that checks every axiom of every dialect in sorted order
+# Surface references: the token-cursor ontology and query parsers and the
+# dialect inference that checks every axiom of every dialect in sorted order
+
+
+def _expect_end(cur: _Cursor) -> None:
+    tok = cur.peek()
+    if tok is not None:
+        raise ParseError(tok.span, f"trailing input {tok.text!r}")
+
+
+def _parse_role(cur: _Cursor, role_idents: set[str]) -> Role:
+    tok = cur.next("ident")
+    if tok.kind != "ident":
+        raise ParseError(tok.span, f"expected role, got {tok.text!r}", ("IDENT", "inv("))
+    if tok.text == "inv":
+        cur.next("(")
+        name = _name(cur.next("ident"))
+        cur.next(")")
+        role_idents.add(name)
+        return Role(name, True)
+    role_idents.add(_name(tok))
+    return Role(tok.text)
+
+
+def _parse_concept(cur: _Cursor, role_idents: set[str], concept_idents: set[str]) -> Concept:
+    parts = [_parse_unary(cur, role_idents, concept_idents)]
+    while (tok := cur.peek()) is not None and tok.text == "&":
+        cur.next("&")
+        parts.append(_parse_unary(cur, role_idents, concept_idents))
+    return conj(*parts)
+
+
+def _parse_unary(cur: _Cursor, role_idents: set[str], concept_idents: set[str]) -> Concept:
+    tok = cur.peek()
+    if tok is None:
+        raise ParseError((cur.lineno, cur.line_len + 1), "expected a concept",
+                         ("top", "bot", "IDENT", "exists", "("))
+    if tok.text == "(":
+        cur.next("(")
+        c = _parse_concept(cur, role_idents, concept_idents)
+        cur.next(")")
+        return c
+    if tok.text == "exists":
+        cur.next("exists")
+        role = _parse_role(cur, role_idents)
+        cur.next(".")
+        filler = _parse_unary(cur, role_idents, concept_idents)
+        return Exists(role, filler)
+    if tok.text == "top":
+        cur.next("top")
+        return TOP
+    if tok.text == "bot":
+        cur.next("bot")
+        return BOT
+    if tok.kind == "ident" and tok.text not in _KEYWORDS:
+        cur.next("ident")
+        concept_idents.add(_name(tok))
+        return Atomic(tok.text)
+    raise ParseError(tok.span, f"expected a concept, got {tok.text!r}",
+                     ("top", "bot", "IDENT", "exists", "("))
+
+
+def parse_ontology_by_cursor(text: str) -> Ontology:
+    """``parse_ontology`` by a cursor over each line's tokens."""
+    declared: Dialect | None = None
+    # the identifiers the other lines use as roles and as concepts decide
+    # the bare ``X <= Y`` lines, which are read last
+    role_idents: set[str] = set()
+    concept_idents: set[str] = set()
+    ambiguous: list[tuple[int, str, list]] = []
+    plain: list[tuple[int, str, list]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        tokens = _tokenize_line(line, lineno)
+        if (len(tokens) == 3 and tokens[0].kind == "ident" and tokens[1].text == "<="
+                and tokens[2].kind == "ident"
+                and tokens[0].text not in _KEYWORDS and tokens[2].text not in _KEYWORDS):
+            ambiguous.append((lineno, line, tokens))
+        elif tokens:
+            plain.append((lineno, line, tokens))
+
+    axioms: list = []
+
+    for lineno, line, tokens in plain:
+        cur = _Cursor(tokens, lineno, len(line))
+        head = cur.peek()
+        assert head is not None
+        if head.text == "dialect":
+            cur.next("dialect")
+            cur.next(":")
+            name = cur.next("ident")
+            _expect_end(cur)
+            try:
+                declared = Dialect(name.text)
+            except ValueError:
+                raise ParseError(name.span, f"unknown dialect {name.text!r}",
+                                 tuple(d.value for d in Dialect)) from None
+            continue
+        if head.text == "func":
+            cur.next("func")
+            role = cur.next("ident")
+            _expect_end(cur)
+            role_idents.add(_name(role))
+            axioms.append(Functionality(role.text))
+            continue
+        if head.text == "range":
+            cur.next("range")
+            role = cur.next("ident")
+            role_idents.add(_name(role))
+            cur.next("<=")
+            filler = _parse_concept(cur, role_idents, concept_idents)
+            _expect_end(cur)
+            axioms.append(RangeRestriction(role.text, filler))
+            continue
+        if head.text == "disjoint-roles":
+            cur.next("disjoint-roles")
+            roles = [_name(cur.next("ident"))]
+            while not cur.at_end():
+                cur.next(",")
+                roles.append(_name(cur.next("ident")))
+            if len(roles) < 2:
+                raise ParseError(head.span, "disjoint-roles needs at least two roles")
+            role_idents.update(roles)
+            axioms.append(RoleDisjointness(tuple(roles)))
+            continue
+        texts = {t.text for t in tokens}
+        # role inclusion with an explicit inv(...) on either side
+        if {"<=", "inv"} <= texts and "exists" not in texts:
+            lhs = _parse_role(cur, role_idents)
+            cur.next("<=")
+            rhs = _parse_role(cur, role_idents)
+            _expect_end(cur)
+            axioms.append(RoleInclusion(lhs, rhs))
+            continue
+        lhs = _parse_concept(cur, role_idents, concept_idents)
+        cur.next("<=")
+        rhs = _parse_concept(cur, role_idents, concept_idents)
+        _expect_end(cur)
+        axioms.append(ConceptInclusion(lhs, rhs))
+
+    for lineno, line, tokens in ambiguous:
+        a, b = _name(tokens[0]), _name(tokens[2])
+        as_role = a in role_idents or b in role_idents
+        as_concept = a in concept_idents or b in concept_idents
+        if as_role and as_concept:
+            raise ParseError(tokens[1].span, f"{a} <= {b} mixes role and concept names")
+        if as_role:
+            axioms.append(RoleInclusion(Role(a), Role(b)))
+        else:
+            axioms.append(ConceptInclusion(Atomic(a), Atomic(b)))
+
+    if declared is None:
+        return infer_ontology(axioms)
+    return Ontology(axioms, declared)
 
 
 def parse_query_by_cursor(text: str) -> UCQ:

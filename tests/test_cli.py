@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -6,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import omqlab
-from omqlab.cli import main
+from omqlab.cli import _COMMANDS, _read_direct, build_parser, main
 from omqlab.surface import parse_query
 from omqlab.treelike import canonical_form
 from fixtures import FIG2_TEXT, Q1
@@ -674,6 +676,12 @@ DISPATCH_ARGV = [
     ["frobnicate", "--query", "fig2.cq"],  # unknown command
     ["--query", "fig2.cq"],
     [],
+    # the edges of main's own read of exact option strings
+    ["treewidth", "--query", "fig2.cq", "--query", "unary.cq"],  # a repeated option
+    ["treewidth", "--query", "fig2.cq", "--json", "--json"],  # a flag given twice
+    ["approx", "--query", "fig2.cq", "-k", "-1"],  # a value starting with -
+    ["tw-equiv", "--query", "fig2.cq", "-k", "1", "--budget", "x"],  # bad type
+    ["tw-equiv", "--json", "--query", "fig2.cq", "-k", "1", "--budget", "2"],
 ]
 
 
@@ -694,6 +702,112 @@ def test_main_dispatch_matches_the_two_level_parse(files, capsys, monkeypatch, a
         out = capsys.readouterr()
         seen.append((code, out.out, out.err))
     assert seen[0] == seen[1]
+
+
+def _dispatch_outcomes(argv, monkeypatch, capsys) -> list:
+    """(exit code, stdout, stderr) of ``main`` and of ``_two_level_main``."""
+    seen = []
+    for entry in (main, _two_level_main):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(FIG2_TEXT + "\n"))
+        try:
+            code = entry(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        seen.append((code, out.out, out.err))
+    return seen
+
+
+# values for the options that take one: files that exist, parse or do
+# not, stdin and names; integers good and bad; choices and a bad one; and
+# output prefixes that cannot overwrite an input
+_OPTION_VALUES = ["ex1.dl", "func.dl", "fig2.cq", "unary.cq", "bad.cq", "d.db",
+                  "s.schema", "full", "-", "missing.cq", "a,b", "1"]
+_INT_VALUES = ["0", "1", "2", "-1", "x"]
+_OUTPUT_VALUES = {"out": ["w", "no/such"], "provenance": ["p.json", "no/such.json"]}
+
+
+def _values(action) -> list:
+    if action.type is int:
+        return _INT_VALUES
+    if action.choices:
+        return [*action.choices, "slow"]
+    return _OUTPUT_VALUES.get(action.dest, _OPTION_VALUES)
+
+
+@st.composite
+def _command_argvs(draw):
+    """argv built from one command's actions: a random subset in random
+    order.  Half the time it has every required option and each option is
+    followed by its value; otherwise it may have repeats, ``=`` and joined
+    forms, abbreviations, missing values and a stray token."""
+    build_parser()
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    actions = [a for a in _COMMANDS[name].actions if a.dest != argparse.SUPPRESS]
+    plain = draw(st.booleans())
+    picks = draw(st.lists(st.sampled_from(actions), unique=True))
+    if plain or draw(st.booleans()):
+        picks += [a for a in actions if a.required and a not in picks]
+    if picks and not plain and draw(st.integers(0, 3)) == 0:
+        picks.append(draw(st.sampled_from(picks)))
+    argv = [name]
+    for action in draw(st.permutations(picks)):
+        opt = draw(st.sampled_from(action.option_strings))
+        if len(opt) > 3 and not plain and draw(st.integers(0, 3)) == 0:
+            opt = opt[:draw(st.integers(3, len(opt) - 1))]
+        if action.nargs == 0:
+            argv.append(opt)
+            continue
+        value = draw(st.sampled_from(_values(action)))
+        form = "apart" if plain else draw(st.sampled_from(["apart", "=", "joined", "missing"]))
+        argv += {"apart": [opt, value], "=": [f"{opt}={value}"],
+                 "joined": [opt + value], "missing": [opt]}[form]
+    if not plain and draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--", "x", "-h"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_argvs())
+def test_main_matches_the_two_level_parse_on_drawn_argv(files, capsys, monkeypatch, argv):
+    # whether main reads argv itself or hands it to argparse, a user sees
+    # what the full two-level parse gives; where it reads argv itself, its
+    # namespace is the one the command's parser builds
+    (files / "func.dl").write_text("func r\n")
+    (files / "bad.cq").write_text("q(x) :- A(x,\n")
+    (files / "s.schema").write_text("A2\nr\n")
+    monkeypatch.chdir(files)
+    seen = _dispatch_outcomes(argv, monkeypatch, capsys)
+    assert seen[0] == seen[1]
+    command = _COMMANDS[argv[0]]
+    direct = _read_direct(command, argv[1:])
+    if direct is not None:
+        assert command.parse_known_args(argv[1:]) == (direct, [])
+
+
+def test_main_reads_the_benchmark_argv_without_argparse(files, capsys, monkeypatch):
+    # the argv shapes the benchmark sends never reach argparse's parse;
+    # help and an --opt=value form still do
+    (files / "func.dl").write_text("func r\n")
+    monkeypatch.chdir(files)
+    build_parser()
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("argparse parsed argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in (["eval", "--onto", "ex1.dl", "--query", "unary.cq", "--db", "d.db",
+                  "--algo", "pebble", "-k", "1", "--json"],
+                 ["tw-equiv", "--query", "fig2.cq", "-k", "1", "--budget", "5", "--json"],
+                 ["tw-equiv", "--onto", "ex1.dl", "--query", "fig2.cq", "-k", "2",
+                  "--budget", "5", "--json"],
+                 ["dlf-equiv1", "--onto", "func.dl", "--query", "fig2.cq", "--json"]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.startswith("{")
+    for argv in (["eval", "--help"], ["treewidth", "--query=fig2.cq"]):
+        with pytest.raises(RuntimeError, match="argparse parsed argv"):
+            main(argv)
 
 
 @pytest.mark.parametrize("algo", ["naive", "fpt", "pebble"])

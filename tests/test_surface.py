@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omqlab.model import Dialect, Ontology, RoleInclusion, Role
+from omqlab.model import Dialect, OmqlabError, Ontology, RoleInclusion, Role
 from omqlab.surface import (
     ParseError,
     parse_database,
@@ -17,7 +17,8 @@ from omqlab.surface import (
     serialize_query,
 )
 from fixtures import D1, FIG2_TEXT, omega2
-from oracles import parse_answers, parse_query_by_cursor
+from gen import rand_dllite_ontology, rand_elhdr_ontology
+from oracles import parse_answers, parse_ontology_by_cursor, parse_query_by_cursor
 
 
 def test_parse_single_inclusion():
@@ -259,11 +260,43 @@ def _near_rules(draw):
 def _parse_outcome(parse, text):
     try:
         return parse(text)
-    except ParseError as e:
-        return str(e)
+    except OmqlabError as e:
+        return f"{type(e).__name__}: {e}"
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_near_rules(), st.lists(_rule_pieces, max_size=20).map("".join)))
 def test_parse_query_matches_the_cursor_parser(text):
     assert _parse_outcome(parse_query, text) == _parse_outcome(parse_query_by_cursor, text)
+
+
+# strings near the axiom grammar: serialized random ontologies, with or
+# without their dialect line, with a few pieces inserted or deleted, and
+# runs of grammar pieces
+_axiom_pieces = st.sampled_from([
+    "A", "r", "x-y", "inv", "exists", "top", "bot", "func", "range", "disjoint-roles",
+    "dialect", "DL-LiteR", "EL_bot", "(", ")", ".", "&", ",", ":", "<=", ":-", "-", "<",
+    " ", "\t", "# c", "\r", "\n", "\r\n", "1", "$", "\u00a0"])
+
+
+@st.composite
+def _near_ontologies(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        o = rand_elhdr_ontology(rng, rng.randint(1, 6))
+    else:
+        o = rand_dllite_ontology(rng, rng.randint(1, 6), horn=rng.random() < 0.5)
+    text = serialize_ontology(o)
+    if draw(st.booleans()):
+        text = text.partition("\n")[2]
+    for pos, piece, delete in draw(st.lists(
+            st.tuples(st.integers(0, len(text)), _axiom_pieces, st.booleans()), max_size=3)):
+        text = text[:pos] + ("" if delete else piece) + text[pos + delete:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_near_ontologies(), st.lists(_axiom_pieces, max_size=20).map(" ".join)))
+def test_parse_ontology_matches_the_cursor_parser(text):
+    assert (_parse_outcome(parse_ontology, text)
+            == _parse_outcome(parse_ontology_by_cursor, text))

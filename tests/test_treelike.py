@@ -853,13 +853,27 @@ def test_contained_agrees_with_the_brute_force(kind, right, schema, atoms, arity
 
 def test_contained_agrees_with_the_brute_force_on_a_fixed_sweep():
     # 400 pairs, DL-LiteR(-horn) and ELHI_bot alternately (seed 2525): 291
-    # "yes", 102 "no" and 7 "unknown", none of them with a separating
+    # "yes", 103 "no" and 6 "unknown", none of them with a separating
     # database on two constants
     rng = random.Random(2525)
     outcomes = [_check_containment_verdict(*rand_containment_pair(
         rng, "dllite" if i % 2 else "elhi")) for i in range(400)]
-    assert outcomes.count("unknown") <= 7
+    assert outcomes.count("unknown") <= 6
     assert {"yes", "no", "unknown"} <= set(outcomes)
+
+
+def test_contained_adds_a_constant_to_a_clash_witness():
+    # pair 270 of rand_containment_pair at seed 2525: B <= bot makes B(c)
+    # a clash, where the left OMQ answers c and so does the right one,
+    # q(x0) :- B(x0); one more constant with a schema fact is answered by
+    # the left OMQ only
+    rng = random.Random(2525)
+    for i in range(271):
+        Q1, Q2 = rand_containment_pair(rng, "dllite" if i % 2 else "elhi")
+    assert Q2.query == parse_query("q(x0) :- B(x0)") and not Q2.ontology.axioms
+    v = contained(Q1, Q2)
+    assert (v.outcome, v.counterexample) == ("no", parse_database("A(_w4)\nB(_w0)"))
+    _check_containment_verdict(Q1, Q2)
 
 
 def test_contained_drops_the_facts_a_candidate_entails():

@@ -17,12 +17,11 @@ line, UTF-8, LF or CRLF):
 role inclusion when either side occurs in a role position elsewhere in
 the file, and as a concept inclusion otherwise.
 
-Each line is read in one scan.  An ontology line is one ``findall`` of
-its token texts, parsed by recursive descent over those strings, which
-raises its errors too: only an error scans the line again, for its
-tokens' columns.  A rule line is matched by two patterns; a rule line
-they reject goes to the token walk (``Token``, ``_Cursor``), which is
-kept only to raise that line's error with its line and column.
+Every ``.dl`` and ``.cq`` line is read the same way: one ``_SCAN_RE``
+``findall`` of its token texts, read by one recursive descent
+(``_LineReader``), which raises the line's errors too, each at the column
+of the token it names.  Only an error scans its line again, for the
+columns.
 """
 
 from __future__ import annotations
@@ -71,84 +70,24 @@ class ParseError(OmqlabError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 
-# whitespace is skipped as each token's prefix; a comment runs to the end
-# of the line, and ``bad`` catches any other character
-_TOKEN_RE = re.compile(
-    r"""
-    \s*
-    (?:
-        (?P<comment>\#)
-      | (?P<arrow><=|:-)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
-      | (?P<punct>[().,&:])
-      | (?P<bad>\S)
-    )
-    """,
-    re.VERBOSE,
-)
-# the same tokens, as one findall of a line's token texts without its
-# comment; a bad character gives the empty string
-_SCAN_RE = re.compile(r"(<=|:-|[A-Za-z_][A-Za-z0-9_-]*|[().,&:])|\S")
-
-
-class Token:
-    """A token of one line and its 1-based (line, column) position."""
-
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: tuple[int, int]):
-        self.kind = kind
-        self.text = text
-        self.span = span
-
-
-def _tokenize_line(line: str, lineno: int) -> list[Token]:
-    out: list[Token] = []
-    for m in _TOKEN_RE.finditer(line):
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        if kind == "bad":
-            raise ParseError((lineno, m.start(kind) + 1),
-                             f"unexpected character {m.group(kind)!r}")
-        out.append(Token(kind, m.group(kind), (lineno, m.start(kind) + 1)))
-    return out
-
-
-class _Cursor:
-    def __init__(self, tokens: list[Token], lineno: int, line_len: int):
-        self.tokens = tokens
-        self.i = 0
-        self.lineno = lineno
-        self.line_len = line_len
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self, *expected: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError((self.lineno, self.line_len + 1),
-                             "unexpected end of line", expected)
-        if expected and tok.text not in expected and tok.kind not in expected:
-            raise ParseError(tok.span, f"unexpected {tok.text!r}", expected)
-        self.i += 1
-        return tok
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
-
+# a line's token texts without its comment, as one findall; a bad
+# character gives the empty string
+_SCAN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_-]*|[().,&]|:-?|<=)|\S")
 _KEYWORDS = {"top", "bot", "exists", "inv", "range", "func", "disjoint-roles", "dialect"}
 
 
-def _name(tok: Token) -> str:
-    """Plain identifier; hyphens are reserved for keywords and dialect names."""
-    if "-" in tok.text:
-        raise ParseError(tok.span, f"bad identifier {tok.text!r}")
-    return tok.text
+def _scan(lineno: int, line: str) -> list[str]:
+    """The token texts of ``line`` before its comment, then ``""`` (the end
+    of the line).  A bad character raises its error at its column."""
+    code = line.partition("#")[0]
+    ts = _SCAN_RE.findall(code)
+    if "" in ts:
+        bad = next(m for m in _SCAN_RE.finditer(code) if not m[1])
+        raise ParseError((lineno, bad.start() + 1), f"unexpected character {bad[0]!r}")
+    ts.append("")
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +102,8 @@ _CONCEPT_START = ("top", "bot", "IDENT", "exists", "(")
 def parse_ontology(text: str) -> Ontology:
     """Parse a ``.dl`` ontology.  Raises :class:`ParseError` on bad input.
 
-    A first pass scans every line, and a line with a bad character goes to
-    the tokenizer, which raises its error before any other line's."""
+    A first pass scans every line, so a bad character raises its error
+    before any other line's."""
     reader = _LineReader()
     declared: Dialect | None = None
     # the identifiers the other lines use as roles and as concepts decide
@@ -173,12 +112,9 @@ def parse_ontology(text: str) -> Ontology:
     plain: list[tuple[int, str, list[str]]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        ts = _SCAN_RE.findall(line.partition("#")[0])
-        if "" in ts:  # a bad character
-            _tokenize_line(line, lineno)
-        if not ts:
+        ts = _scan(lineno, line)
+        if not ts[0]:
             continue
-        ts.append("")  # the end of the line
         if (len(ts) == 4 and ts[1] == "<=" and _is_ident(ts[0]) and _is_ident(ts[2])
                 and ts[0] not in _KEYWORDS and ts[2] not in _KEYWORDS):
             ambiguous.append((lineno, line, ts))
@@ -215,11 +151,12 @@ def _is_ident(t: str) -> bool:
 
 
 class _LineReader:
-    """Recursive descent over the token texts ``ts`` of one ontology line,
-    which end in ``""`` (the end of the line); each method takes the index
-    it starts at and returns what it read and the index after it.  The
-    reader collects the names used as roles and as concepts across lines,
-    and raises each error at its token's column."""
+    """Recursive descent over the token texts ``ts`` of one ``.dl`` or
+    ``.cq`` line, which end in ``""`` (the end of the line); each ontology
+    method takes the index it starts at and returns what it read and the
+    index after it.  The reader collects the names an ontology uses as
+    roles and as concepts across lines, and raises each error at its
+    token's column."""
 
     def __init__(self):
         self.roles: set[str] = set()
@@ -244,9 +181,13 @@ class _LineReader:
             self.fail(i, f"trailing input {self.ts[i]!r}")
 
     def name(self, i: int) -> str:
-        """Plain identifier; hyphens are reserved for keywords and dialect names."""
+        """The plain identifier at ``i``; hyphens are reserved for keywords
+        and dialect names."""
         t = self.ts[i]
-        if "-" in t:
+        # of the scan's tokens, exactly the identifiers without a hyphen
+        if not t.isidentifier():
+            if not _is_ident(t):
+                self.unexpected(i, "ident")
             self.fail(i, f"bad identifier {t!r}")
         return t
 
@@ -270,8 +211,6 @@ class _LineReader:
             self.roles.add(self.name(1))
             return Functionality(ts[1])
         if head == "range":
-            if not _is_ident(ts[1]):
-                self.unexpected(1, "ident")
             self.roles.add(self.name(1))
             if ts[2] != "<=":
                 self.unexpected(2, "<=")
@@ -281,8 +220,6 @@ class _LineReader:
         if head == "disjoint-roles":
             names, i = [], 1
             while True:
-                if not _is_ident(ts[i]):
-                    self.unexpected(i, "ident")
                 names.append(self.name(i))
                 if not ts[i + 1]:
                     break
@@ -304,16 +241,13 @@ class _LineReader:
         return RoleInclusion(lhs, rhs) if of_roles else ConceptInclusion(lhs, rhs)
 
     def role(self, i: int) -> tuple[Role, int]:
+        name = self.name(i)
+        if name != "inv":
+            self.roles.add(name)
+            return Role(name), i + 1
         ts = self.ts
-        if not _is_ident(ts[i]):
-            self.unexpected(i, "ident")
-        if ts[i] != "inv":
-            self.roles.add(self.name(i))
-            return Role(ts[i]), i + 1
         if ts[i + 1] != "(":
             self.unexpected(i + 1, "(")
-        if not _is_ident(ts[i + 2]):
-            self.unexpected(i + 2, "ident")
         name = self.name(i + 2)
         if ts[i + 3] != ")":
             self.unexpected(i + 3, ")")
@@ -353,6 +287,54 @@ class _LineReader:
             return Atomic(t), i + 1
         self.fail(i, f"expected a concept, got {t!r}" if t else "expected a concept",
                   _CONCEPT_START)
+
+    def rule(self, arity: dict[str, int]) -> CQ:
+        """The line's rule.  ``arity`` holds the arity of each atom name
+        read so far, across the rules."""
+        ts, name = self.ts, self.name
+        name(0)
+        if ts[1] != "(":
+            self.unexpected(1, "(")
+        avs: list[str] = []
+        i = 2
+        if ts[2] and ts[2] != ")":
+            avs.append(name(2))
+            i = 3
+            while ts[i] == ",":
+                avs.append(name(i + 1))
+                i += 2
+        if ts[i] != ")":
+            self.unexpected(i, ")")
+        if ts[i + 1] != ":-":
+            self.unexpected(i + 1, ":-")
+        if len(set(avs)) != len(avs):
+            self.fail(0, f"repeated answer variable in {tuple(avs)}")
+        atoms: list[Fact] = []
+        i += 2
+        while True:
+            at, pred = i, name(i)
+            if ts[i + 1] != "(":
+                self.unexpected(i + 1, "(")
+            a = name(i + 2)
+            if ts[i + 3] == ",":
+                b = name(i + 4)
+                atom, n, i = RoleFact(pred, a, b), 2, i + 5
+            else:
+                atom, n, i = ConceptFact(pred, a), 1, i + 3
+            if ts[i] != ")":
+                self.unexpected(i, ")")
+            if arity.setdefault(pred, n) != n:
+                self.fail(at, f"{pred} used with both arity 1 and 2")
+            atoms.append(atom)
+            if not ts[i + 1]:
+                break
+            if ts[i + 1] != ",":
+                self.unexpected(i + 1, ",")
+            i += 2
+        for x in avs:
+            if all(x not in atom.terms() for atom in atoms):
+                self.fail(0, f"answer variable {x} not bound in the body")
+        return CQ(avs, atoms)
 
 
 def serialize_ontology(o: Ontology) -> str:
@@ -397,109 +379,32 @@ def serialize_database(d: Database) -> str:
 # Queries
 
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-# a rule line without its comment: the head, then one atom at a time, each
-# followed by a comma or by the end of the line
-_HEAD_RE = re.compile(rf"\s*({_IDENT})\s*\(\s*((?:{_IDENT}\s*(?:,\s*{_IDENT}\s*)*)?)\)\s*:-")
-_ATOM_RE = re.compile(rf"\s*({_IDENT})\s*\(\s*({_IDENT})\s*(?:,\s*({_IDENT})\s*)?\)\s*(,?)")
-
-
 def parse_query(text: str) -> UCQ:
-    """Parse a ``.cq`` query.  A rule line that the patterns reject, or
-    that fails a check, goes to ``_rule_error``, which raises its error."""
-    heads: list[tuple] = []
+    """Parse a ``.cq`` query.  Raises :class:`ParseError` on bad input."""
+    reader = _LineReader()
+    lines: list[tuple[int, str, list[str]]] = []
     disjuncts: list[CQ] = []
     arity: dict[str, int] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        code = line.partition("#")[0]
-        if code.isspace() or not code:
-            continue
-        col, avs, atoms = _match_rule(code, arity) or _rule_error(line, lineno, arity)
-        heads.append(((lineno, col), avs))
-        disjuncts.append(CQ(avs, atoms))
+        ts = _scan(lineno, line)
+        if ts[0]:
+            disjuncts.append(reader.start(lineno, line, ts).rule(arity))
+            lines.append((lineno, line, ts))
     if not disjuncts:
         raise ParseError((1, 1), "no query rules found")
-    first = heads[0][1]
-    for span, avs in heads[1:]:
-        if avs != first:
-            raise ParseError(span, f"rule heads disagree: {first} vs {avs}")
+    first = disjuncts[0].answer_vars
+    for (lineno, line, ts), d in zip(lines, disjuncts):
+        if d.answer_vars != first:
+            reader.start(lineno, line, ts).fail(
+                0, f"rule heads disagree: {first} vs {d.answer_vars}")
     return UCQ(disjuncts)
-
-
-def _match_rule(code: str, arity: dict) -> tuple | None:
-    """The head column, answer variables and atoms of one rule, or None
-    when the rule is malformed or fails a check."""
-    head = _HEAD_RE.match(code)
-    if head is None:
-        return None
-    avs = tuple(head[2].replace(",", " ").split())
-    atoms: list[Fact] = []
-    terms: set[str] = set()
-    pos, comma = head.end(), ","
-    while comma:
-        m = _ATOM_RE.match(code, pos)
-        if m is None:
-            return None
-        name, a, b, comma = m.groups()
-        n = 1 if b is None else 2
-        if arity.setdefault(name, n) != n:
-            return None
-        atoms.append(ConceptFact(name, a) if b is None else RoleFact(name, a, b))
-        terms.update((a, b))
-        pos = m.end()
-    if pos != len(code) or len(set(avs)) != len(avs) or not terms.issuperset(avs):
-        return None
-    return head.start(1) + 1, avs, atoms
-
-
-def _rule_error(line: str, lineno: int, arity: dict) -> NoReturn:
-    """Raise the error of a rule line that ``_match_rule`` rejected, by
-    walking its tokens in reading order.  ``arity`` may already hold the
-    line's atoms before the one that failed; they agree with the walk."""
-    cur = _Cursor(_tokenize_line(line, lineno), lineno, len(line))
-    head = cur.next("ident")
-    _name(head)
-    avs: list[str] = []
-    cur.next("(")
-    if (tok := cur.peek()) is not None and tok.text != ")":
-        avs.append(_name(cur.next("ident")))
-        while (tok := cur.peek()) is not None and tok.text == ",":
-            cur.next(",")
-            avs.append(_name(cur.next("ident")))
-    cur.next(")")
-    cur.next(":-")
-    if len(set(avs)) != len(avs):
-        raise ParseError(head.span, f"repeated answer variable in {tuple(avs)}")
-    terms = set()
-    while True:
-        name = cur.next("ident")
-        _name(name)
-        cur.next("(")
-        terms.add(_name(cur.next("ident")))
-        n = 1
-        if (tok := cur.peek()) is not None and tok.text == ",":
-            cur.next(",")
-            terms.add(_name(cur.next("ident")))
-            n = 2
-        cur.next(")")
-        if arity.setdefault(name.text, n) != n:
-            raise ParseError(name.span, f"{name.text} used with both arity 1 and 2")
-        if cur.at_end():
-            break
-        cur.next(",")
-    for x in avs:
-        if x not in terms:
-            raise ParseError(head.span, f"answer variable {x} not bound in the body")
-    raise AssertionError(f"line {lineno} is a well-formed rule")
 
 
 def serialize_query(q: UCQ) -> str:
     lines = []
     for d in q.disjuncts:
         body = ", ".join(str(a) for a in d.sorted_atoms())
-        if not body:
-            body = ""
         lines.append(f"q({','.join(d.answer_vars)}) :- {body}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -509,17 +414,18 @@ def serialize_query(q: UCQ) -> str:
 
 
 def parse_schema(text: str) -> Schema:
+    """One name per line, or the single word ``full``."""
     names = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line == "full":
-            return Schema.full_schema()
+        if names and "full" in (line, names[0]):
+            raise ParseError((lineno, 1), "'full' must be a schema's only line")
         if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", line):
             raise ParseError((lineno, 1), f"bad schema name {line!r}")
         names.append(line)
-    return Schema.of(names)
+    return Schema.full_schema() if names == ["full"] else Schema.of(names)
 
 
 def serialize_answers(consistent: bool, answers) -> str:

@@ -630,7 +630,11 @@ def _attach_trees(q: CQ, atoms: Iterable, trees) -> CQ:
 def rewriting(Q: OMQ) -> OMQ:
     """A rewriting: pick a maximum contraction, follow a homomorphism into
     the chase of the query database, restrict the query to its range, and
-    re-attach the entailed concept trees."""
+    re-attach the entailed concept trees.  When that leaves no atom (the
+    homomorphism may land in the anonymous part that a ``top`` left side
+    builds, and ``entailed_concept_trees`` attaches no tree for those), the
+    rewriting is the maximum contraction itself, equivalent to the query
+    by construction."""
     if not Q.schema.full:
         raise OmqlabError("rewritings require the full schema")
     if len(Q.query.disjuncts) != 1:
@@ -657,7 +661,7 @@ def rewriting(Q: OMQ) -> OMQ:
             p = cm.provenance.get(p.parent)
     out = _attach_trees(q, q.restrict(kept).atoms,
                         entailed_concept_trees(Q, kept | below))
-    return Q.with_query(UCQ((out,)))
+    return Q.with_query(UCQ((out if out.atoms else qc,)))
 
 
 # ---------------------------------------------------------------------------

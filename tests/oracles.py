@@ -18,6 +18,7 @@ tests check against the program.
 import functools
 import itertools
 import json
+import re
 
 from omqlab.chase import canonical_model, oblivious_chase
 from omqlab.dllitef import decide_ubcq1_equiv
@@ -82,7 +83,7 @@ from omqlab.model import (
     infer_ontology,
 )
 from omqlab.pebble import ReachSystem, _check_pebble_input, _prepare_game
-from omqlab.surface import _KEYWORDS, ParseError, _Cursor, _name, _tokenize_line
+from omqlab.surface import _KEYWORDS, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +741,78 @@ def _update_node(onorm, current, parent, via, memo, visited, changed):
 # ---------------------------------------------------------------------------
 # Surface references: the token-cursor ontology and query parsers and the
 # dialect inference that checks every axiom of every dialect in sorted order
+
+
+# whitespace is skipped as each token's prefix; a comment runs to the end
+# of the line, and ``bad`` catches any other character
+_TOKEN_RE = re.compile(
+    r"""
+    \s*
+    (?:
+        (?P<comment>\#)
+      | (?P<arrow><=|:-)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
+      | (?P<punct>[().,&:])
+      | (?P<bad>\S)
+    )
+    """,
+    re.VERBOSE,
+)
+
+
+class Token:
+    """A token of one line and its 1-based (line, column) position."""
+
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: tuple[int, int]):
+        self.kind = kind
+        self.text = text
+        self.span = span
+
+
+def _tokenize_line(line: str, lineno: int) -> list[Token]:
+    out: list[Token] = []
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "comment":
+            break
+        if kind == "bad":
+            raise ParseError((lineno, m.start(kind) + 1),
+                             f"unexpected character {m.group(kind)!r}")
+        out.append(Token(kind, m.group(kind), (lineno, m.start(kind) + 1)))
+    return out
+
+
+class _Cursor:
+    def __init__(self, tokens: list[Token], lineno: int, line_len: int):
+        self.tokens = tokens
+        self.i = 0
+        self.lineno = lineno
+        self.line_len = line_len
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self, *expected: str) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError((self.lineno, self.line_len + 1),
+                             "unexpected end of line", expected)
+        if expected and tok.text not in expected and tok.kind not in expected:
+            raise ParseError(tok.span, f"unexpected {tok.text!r}", expected)
+        self.i += 1
+        return tok
+
+    def at_end(self) -> bool:
+        return self.i >= len(self.tokens)
+
+
+def _name(tok: Token) -> str:
+    """Plain identifier; hyphens are reserved for keywords and dialect names."""
+    if "-" in tok.text:
+        raise ParseError(tok.span, f"bad identifier {tok.text!r}")
+    return tok.text
 
 
 def _expect_end(cur: _Cursor) -> None:

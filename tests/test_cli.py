@@ -492,6 +492,15 @@ def test_rewrite_command(files, capsys):
     assert out.startswith("q() :-")
 
 
+def test_rewrite_prints_a_query_that_parses_back(files, capsys):
+    (files / "top.dl").write_text("top <= exists r . top\n")
+    (files / "b.cq").write_text("q() :- r(x,y)\n")
+    code, out, err = run(capsys, "rewrite", "--onto", str(files / "top.dl"),
+                         "--query", str(files / "b.cq"))
+    assert (code, out, err) == (0, "q() :- r(x,y)\n", "")
+    assert parse_query(out) == parse_query("q() :- r(x,y)")
+
+
 def test_unravel_command(files, capsys):
     (files / "cyc.db").write_text("r(a,b)\nr(b,a)\n")
     code, out, _ = run(capsys, "unravel", "--db", str(files / "cyc.db"),

@@ -112,6 +112,13 @@ def test_schema_files():
     assert parse_schema("full").full
 
 
+@pytest.mark.parametrize("text", ["A\nfull", "full\nA"])
+def test_full_schema_stands_alone(text):
+    with pytest.raises(ParseError) as e:
+        parse_schema(text)
+    assert str(e.value) == "line 2, column 1: 'full' must be a schema's only line"
+
+
 def test_parser_total_on_junk():
     for junk in ["<= <=", "A &", "exists . B", "q( :-", "\x00\x01", "disjoint-roles r"]:
         with pytest.raises(ParseError):
@@ -226,6 +233,11 @@ def test_ontology_parse_error_positions(text, message):
     # a CRLF file: the carriage return ends the line, it is not its last column
     ("q(x) :- A(x)\r\nq(x) :- A(x) B(x)\r\n", "line 2, column 14: unexpected 'B' (expected ,)"),
     ("q(x) :- A(x)\r\n  q(y) :- A(y)\r\n", "line 2, column 3: rule heads disagree: ('x',) vs ('y',)"),
+    # a bad character beats the grammar error on its own line, and an
+    # earlier line's error beats both
+    ("q(x) :- A(x) B(x) %", "line 1, column 19: unexpected character '%'"),
+    ("q(x) :- A(x) B(x)\nq(x) :- A(x) %", "line 1, column 14: unexpected 'B' (expected ,)"),
+    ("q(x) :- A(x)\nq(x) :- A(x) %\nq(x :- A(x)", "line 2, column 14: unexpected character '%'"),
 ])
 def test_query_parse_error_positions(text, message):
     with pytest.raises(ParseError) as e:

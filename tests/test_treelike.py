@@ -642,6 +642,15 @@ def test_rewriting_empty_ontology_is_core_like():
     assert len(rw.query.disjuncts[0].variables()) == 1
 
 
+def test_rewriting_without_atoms_falls_back_to_the_maximum_contraction():
+    # the homomorphism lands in the anonymous part that top <= exists r . top
+    # builds, and no tree is attached for a top left side
+    Q = OMQ(parse_ontology("top <= exists r . top"), FULL_SCHEMA, parse_query("q() :- r(x,y)"))
+    rw = rewriting(Q)
+    assert rw.query == Q.query
+    assert equivalent_full_schema(rw, Q)
+
+
 def test_rewriting_example1():
     rw = rewriting(Q1)
     assert cq_treewidth(rw.query.disjuncts[0]) <= 1

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import surface
-from .model import EMPTY_ONTOLOGY, FULL_SCHEMA, OMQ, OmqlabError, Schema
+from .model import EMPTY_ONTOLOGY, FULL_SCHEMA, OMQ, UCQ, OmqlabError, Schema
 from .chase import canonical_model, oblivious_chase
 from .entailment import is_consistent
 from .evaluation import evaluate_fpt, evaluate_naive
@@ -55,6 +55,14 @@ def _write(path: str, text: str) -> None:
             f.write(text)
     except OSError as e:
         raise OmqlabError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _write_witness(args, verdict) -> None:
+    """With ``--out``, write a "yes" verdict's witness OMQ and say so."""
+    if verdict.outcome == "yes" and args.out:
+        _write(args.out + ".cq", surface.serialize_query(verdict.witness.query))
+        _write(args.out + ".dl", surface.serialize_ontology(verdict.witness.ontology))
+        print(f"witness written to {args.out}.cq / {args.out}.dl", file=sys.stderr)
 
 
 def _load_schema(arg: str | None) -> Schema:
@@ -166,7 +174,6 @@ def cmd_treewidth(args) -> int:
 
 def cmd_core(args) -> int:
     q = surface.parse_query(_read(args.query))
-    from .model import UCQ
     return _emit_query(args, UCQ(tuple(core(cq) for cq in q.disjuncts)))
 
 
@@ -194,10 +201,7 @@ def cmd_tw_equiv(args) -> int:
             print("counterexample:", file=sys.stderr)
             print(surface.serialize_database(verdict.counterexample),
                   end="", file=sys.stderr)
-    if verdict.outcome == "yes" and args.out:
-        _write(args.out + ".cq", surface.serialize_query(verdict.witness.query))
-        _write(args.out + ".dl", surface.serialize_ontology(verdict.witness.ontology))
-        print(f"witness written to {args.out}.cq / {args.out}.dl", file=sys.stderr)
+    _write_witness(args, verdict)
     return EXIT_OK if verdict.outcome != "unknown" else EXIT_UNKNOWN
 
 
@@ -246,9 +250,7 @@ def cmd_dlf_equiv1(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(verdict.outcome.upper())
-    if verdict.outcome == "yes" and args.out:
-        _write(args.out + ".cq", surface.serialize_query(verdict.witness.query))
-        _write(args.out + ".dl", surface.serialize_ontology(verdict.witness.ontology))
+    _write_witness(args, verdict)
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ databases, and the width-1 equivalence decision.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable
 
@@ -17,6 +18,7 @@ from .model import (
     Dialect,
     FULL_SCHEMA,
     FreshVars,
+    Functionality,
     OMQ,
     OmqlabError,
     Ontology,
@@ -31,8 +33,8 @@ from .model import (
 from .entailment import elhi_view
 from .evaluation import evaluate_naive
 from .graphalg import is_minor
-from .homtools import contractions, functional_quotient
-from .treelike import Verdict, canonical_form, decide_tw_equiv_general
+from .homtools import canonical_form, contractions, functional_quotient
+from .treelike import Verdict, decide_tw_equiv_general
 
 REW_VARIABLE_CAP = 10
 
@@ -46,7 +48,6 @@ class FunctionalSplit:
 def split_ontology(o: Ontology) -> FunctionalSplit:
     if o.dialect not in (Dialect.DLLITE_F, Dialect.DLLITE_F_EQ):
         raise OmqlabError(f"functional split expects DL-LiteF, got {o.dialect.value}")
-    from .model import Functionality
     rest = [ax for ax in o.sorted_axioms() if not isinstance(ax, Functionality)]
     return FunctionalSplit(Ontology(rest, Dialect.DLLITE_F),
                            frozenset(o.functional_roles()))
@@ -147,30 +148,20 @@ def rewrite_family(o: Ontology, p: CQ) -> list[CQ]:
     g_p = gaifman_graph(cq_as_database(p))
     onames = elhi_view(o)
     q_names = p.names()
-    gen_cache: dict = {}
 
+    @functools.cache
     def tree_generators(atoms: frozenset, root: str) -> list:
-        key = (atoms, root)
-        if key in gen_cache:
-            return gen_cache[key]
         sub = CQ((root,), atoms)
         fresh = FreshVars("_g", p.variables())
-        out = [at for at in _generator_atoms(o, q_names, root, fresh)
-               if generates(onames, at, sub, rooted=True)]
-        gen_cache[key] = out
-        return out
+        return [at for at in _generator_atoms(o, q_names, root, fresh)
+                if generates(onames, at, sub, rooted=True)]
 
-    det_cache: dict = {}
-
+    @functools.cache
     def detached_generators(atoms: frozenset) -> list:
-        if atoms in det_cache:
-            return det_cache[atoms]
         sub = CQ((), atoms)
         fresh = FreshVars("_g", p.variables())
-        out = [at for at in _generator_atoms(o, q_names, "_d0", fresh)
-               if generates(onames, at, sub, rooted=False)]
-        det_cache[atoms] = out
-        return out
+        return [at for at in _generator_atoms(o, q_names, "_d0", fresh)
+                if generates(onames, at, sub, rooted=False)]
 
     for pc, _ in contractions(p):
         trees = _trees_in(pc, protected)
@@ -209,9 +200,9 @@ def rewrite_family(o: Ontology, p: CQ) -> list[CQ]:
     return [results[k] for k in sorted(results)]
 
 
-def _instantiate_generator(g, x: str, fresh: FreshVars):
+def _instantiate_generator(g, x: str | None, fresh: FreshVars):
     """A copy of a generator atom anchored at ``x`` whose other term, if
-    any, is fresh."""
+    any, is fresh; with ``x`` None, every term is fresh."""
     return g.rename({t: fresh.next() for t in g.terms() if t != x})
 
 
@@ -253,14 +244,8 @@ def _detached_variants(base: CQ, detached_generators,
                 atoms = set(base.atoms)
                 for (comp_atoms, _), g in zip(combo, choice):
                     atoms -= comp_atoms
-                    atoms.add(_rename_detached(g, fresh))
+                    atoms.add(_instantiate_generator(g, None, fresh))
                 yield CQ(base.answer_vars, atoms)
-
-
-def _rename_detached(g, fresh: FreshVars):
-    if isinstance(g, ConceptFact):
-        return ConceptFact(g.name, fresh.next())
-    return RoleFact(g.name, fresh.next(), fresh.next())
 
 
 def rew(Q: OMQ) -> UCQ:

@@ -9,12 +9,14 @@ guards against accidental blowups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
 from .model import (
     CQ,
     CapExceeded,
+    ConceptFact,
     Database,
     Fact,
     FreshVars,
@@ -25,9 +27,10 @@ from .model import (
     gaifman_graph,
     record,
 )
-from .homtools import merge_to_fixpoint
+from .homtools import canonical_form, merge_to_fixpoint, refined_colours
 
 TREEWIDTH_VERTEX_CAP = 25
+UNRAVEL_NODE_CAP = 500000
 MINOR_VERTEX_CAP = 12
 
 
@@ -145,9 +148,7 @@ def _elimination_dp(adj: dict) -> tuple[list, int]:
     nbr_bits = {v: sum(bits[w] for w in adj[v]) for v in vertices}
     full = (1 << n) - 1
 
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
+    @functools.cache
     def reach_degree(eliminated: int, v: str) -> int:
         # vertices outside `eliminated` reachable from v through eliminated ones
         seen = bits[v]
@@ -326,25 +327,46 @@ class Unraveling:
         return {n.constant: n.projection for n in self.nodes}
 
 
-def _automorphisms(d: Database, fixed: set) -> list[dict]:
-    """All renamings of non-fixed constants preserving the fact set."""
-    movable = sorted(set(d.dom) - fixed)
-    autos = []
-    for perm in itertools.permutations(movable):
-        m = dict(zip(movable, perm))
-        if all(f.rename(m) in d.facts for f in d.facts):
-            autos.append(m)
-    return autos
+def _bag_orbits(d: Database):
+    """``orbit(pinned, bag)``, memoized, for sorted tuples of constants of
+    ``d``: two bags get one key exactly when an automorphism of ``d``
+    fixing each pinned constant maps one onto the other.  The key is the
+    canonical form of ``d`` with the bag marked and the pinned constants
+    pinned, as an isomorphism between two such sets maps facts onto facts
+    and marks onto marks.  When the stable colouring is discrete the only
+    such automorphism is the identity, and the bag is its own key."""
+
+    @functools.cache
+    def rigid(pinned: tuple) -> bool:
+        colour = refined_colours(d.facts, pinned)[1]
+        return len(set(colour.values())) == len(colour)
+
+    @functools.cache
+    def orbit(pinned: tuple, comb: tuple) -> tuple:
+        if rigid(pinned):
+            return comb
+        # the mark holds a dot, which no user's name can
+        return canonical_form(d.facts.union(ConceptFact("_bag.", c) for c in comb), pinned)
+
+    return orbit
 
 
-def _grow_bags(dom: list, src: Database, autos: list, k: int, rounds: int,
-               root: dict, fresh: FreshVars) -> tuple[set, list]:
+def _grow_bags(d: Database, fixed: set, k: int, rounds: int,
+               root: dict) -> tuple[set, list]:
     """The bag loop shared by the unravelings: for ``rounds`` generations
     from the root bag, whose constants ``root`` maps to themselves or to
-    nothing, one child bag per automorphism orbit of at most ``k + 1``
-    constants of ``dom`` not already in the parent's image, with fresh
-    copies of the new constants, named by ``fresh``, and the facts of
-    ``src`` over them.  Returns the copied facts and the fresh nodes."""
+    nothing, one child bag per orbit of at most ``k + 1`` constants of
+    ``d`` outside ``fixed``, not all in the parent's image, under the
+    automorphisms fixing ``fixed`` and that image.  The orbit key, a
+    canonical form (``_bag_orbits``), is exact at every size of ``d``, so
+    automorphic siblings are generated once.  A child gets fresh ``_u``
+    copies of its new constants and the facts of ``d`` over them.  Returns
+    the copied facts and the nodes."""
+    dom = sorted(d.dom - fixed)
+    # the facts a bag can hold, each with its constants
+    src = [(ts, f) for f in d.facts if not (ts := set(f.terms())) & fixed]
+    fresh = FreshVars("_u", d.dom)
+    orbit = _bag_orbits(d)
     facts: set[Fact] = set()
     nodes: list[UnravelNode] = []
     # frontier entries: {original constant -> copy} of one bag
@@ -352,18 +374,17 @@ def _grow_bags(dom: list, src: Database, autos: list, k: int, rounds: int,
     for _ in range(rounds):
         next_frontier: list[dict] = []
         for proj in frontier:
-            image = set(proj)
-            stable = [m for m in autos if all(m.get(p, p) == p for p in image)]
+            pinned = tuple(sorted(fixed.union(proj)))
             seen_children: set = set()
             for size in range(1, k + 2):
                 for comb in itertools.combinations(dom, size):
                     cset = set(comb)
-                    if cset <= image:
+                    if cset <= proj.keys():
                         continue  # nothing fresh; the parent bag covers it
-                    orbit = min(tuple(sorted(m.get(c, c) for c in comb)) for m in stable)
-                    if orbit in seen_children:
+                    key = orbit(pinned, comb)
+                    if key in seen_children:
                         continue
-                    seen_children.add(orbit)
+                    seen_children.add(key)
                     mapping: dict = {}
                     for c in comb:
                         if c in proj:
@@ -372,9 +393,9 @@ def _grow_bags(dom: list, src: Database, autos: list, k: int, rounds: int,
                             copy = fresh.next()
                             mapping[c] = copy
                             nodes.append(UnravelNode(copy, c))
-                    for f in src.facts:
-                        if set(f.terms()) <= cset:
-                            facts.add(f.rename(mapping))
+                    if len(nodes) > UNRAVEL_NODE_CAP:
+                        raise CapExceeded(f"unraveling limited to {UNRAVEL_NODE_CAP} nodes")
+                    facts.update(f.rename(mapping) for ts, f in src if ts <= cset)
                     next_frontier.append(mapping)
         frontier = next_frontier
     return facts, nodes
@@ -392,10 +413,11 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
     most ``k + 1`` constants, and crossing facts are re-attached along the
     projection.  ``depth`` counts bag generations below the synthetic root.
 
-    Child bags that are automorphic images of a sibling (over the parent
-    overlap) are generated once; the duplicates are homomorphically
-    redundant.  Constants adjacent only to tuple constants still receive
-    (fact-free) bag copies; dropping them would lose certain answers.
+    Child bags that are automorphic images of a sibling (over the tuple and
+    the parent overlap) are generated once, at every size of ``d``; the
+    duplicates are homomorphically redundant.  Constants adjacent only to
+    tuple constants still receive (fact-free) bag copies; dropping them
+    would lose certain answers.
     """
     if k < 1:
         raise QueryError(f"the unraveling needs k >= 1, got {k}")
@@ -403,13 +425,7 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
         raise QueryError(f"the unraveling needs depth >= 0, got {depth}")
     _check_anchors(d, a)
     anchors = set(a)
-    base = Database([f for f in d.facts if not (set(f.terms()) & anchors)])
-    base_dom = sorted(set(d.dom) - anchors)
-    autos = _automorphisms(d, anchors) if len(base_dom) <= 7 else [
-        {c: c for c in base_dom}]
-
-    facts, nodes = _grow_bags(base_dom, base, autos, k, depth + 1, {},
-                              FreshVars("_u", d.dom))
+    facts, nodes = _grow_bags(d, anchors, k, depth + 1, {})
     facts |= {f for f in d.facts if set(f.terms()) <= anchors}
 
     # re-attach crossing facts along the projection
@@ -418,15 +434,9 @@ def k_unravel(d: Database, a: tuple, k: int, depth: int) -> Unraveling:
         proj_all.setdefault(n.projection, []).append(n.constant)
     for f in d.facts:
         ts = set(f.terms())
-        if ts <= anchors or not (ts & anchors):
-            continue
-        if isinstance(f, RoleFact):
-            if f.a in anchors:
-                for c in proj_all.get(f.b, ()):
-                    facts.add(RoleFact(f.name, f.a, c))
-            else:
-                for c in proj_all.get(f.a, ()):
-                    facts.add(RoleFact(f.name, c, f.b))
+        if ts & anchors and not ts <= anchors:  # a role fact with one anchor
+            other = f.b if f.a in anchors else f.a
+            facts.update(f.rename({other: c}) for c in proj_all.get(other, ()))
     return Unraveling(Database(facts), tuple(nodes))
 
 
@@ -434,10 +444,7 @@ def unravel1_at(d: Database, a: str, depth: int) -> Unraveling:
     """Treewidth-1 unraveling started at ``a`` (the root constant is ``a``
     itself), truncated after ``depth`` extra bag generations."""
     _check_anchors(d, (a,))
-    dom = sorted(d.dom)
-    autos = _automorphisms(d, set()) if len(dom) <= 7 else [{c: c for c in dom}]
-    facts, nodes = _grow_bags(dom, d, autos, 1, depth, {a: a},
-                              FreshVars("_u", d.dom))
+    facts, nodes = _grow_bags(d, set(), 1, depth, {a: a})
     facts |= {f for f in d.facts if set(f.terms()) <= {a}}
     return Unraveling(Database(facts), (UnravelNode(a, a), *nodes))
 

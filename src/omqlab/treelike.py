@@ -8,8 +8,7 @@ witnesses are deterministic.  Contractions are found by walking the
 partition lattice of a query's variables from the identity, one merge of
 two blocks at a time: to the finest ones of width at most k, and to the
 maximum ones that preserve equivalence.  Isomorphic queries and
-databases are recognised by one exact canonical form, built by
-individualization and refinement.
+databases are recognised by ``homtools.canonical_form``.
 """
 
 from __future__ import annotations
@@ -60,8 +59,10 @@ from .entailment import (
 from .evaluation import chase_steps, evaluate_naive
 from .graphalg import cq_treewidth, treewidth
 from .homtools import (
+    canonical_form,
     contraction,
     contractions,
+    distinct_up_to_isomorphism,
     find_homomorphism,
     functional_quotient,
 )
@@ -76,122 +77,6 @@ class Verdict:
 
     def is_yes(self) -> bool:
         return self.outcome == "yes"
-
-
-# ---------------------------------------------------------------------------
-# Canonical forms (isomorphism dedup)
-
-
-def canonical_form(atoms: Iterable, pinned: tuple = ()) -> tuple:
-    """The canonical form of a set of atoms (or facts) under renamings of
-    its terms that fix each term of ``pinned``, by individualization and
-    refinement (McKay and Piperno, JSC 2014).  Starting from the stable
-    colouring of ``_refined_colours``: while a colour class holds two or
-    more terms, take the class with the least colour, and for each member
-    in turn give it a colour below the rest of the class and refine again.
-    At a discrete colouring the leaf is the pinned names, their colours
-    and the sorted atoms as ``(name, colour, ...)``; the form is the least
-    leaf.
-
-    Two sets get equal forms exactly when a bijection of their terms that
-    fixes the pinned ones maps one onto the other.  Every step reads only
-    colours, the sorted positions of signatures that name no term but a
-    pinned one, so such an isomorphism maps one search tree onto the
-    other, leaf onto equal leaf.  Conversely, a leaf is its set's image
-    under a bijection of the terms onto integers, the same on the pinned
-    terms in equal leaves, and one bijection followed by the inverse of
-    the other is an isomorphism.  Terms that are not pinned appear only as
-    integers, so no name can collide with them."""
-    atoms = frozenset(atoms)
-    _, colour, edges = _refined_colours(atoms, pinned)
-    return _least_leaf(colour, edges, atoms, pinned)
-
-
-def _least_leaf(colour: dict, edges: dict, atoms: frozenset, pinned: tuple) -> tuple:
-    """The least leaf below the stable colouring ``colour``.  A member v
-    of the cell is skipped when swapping v with a member u already tried
-    maps ``atoms`` onto itself: u and v share a colour and no pinned term
-    is either, so the swap is an isomorphism that keeps ``colour`` and
-    maps u's subtree onto v's, leaf onto equal leaf."""
-    members: dict[int, list] = {}
-    for x, c in colour.items():
-        members.setdefault(c, []).append(x)
-    cell = min((c for c, xs in members.items() if len(xs) > 1), default=None)
-    if cell is None:
-        return (tuple(pinned), tuple(colour[x] for x in pinned),
-                tuple(sorted((at.name, *(colour[t] for t in at.terms())) for at in atoms)))
-    tried: list = []
-    for v in members[cell]:
-        swaps = ({u: v, v: u} for u in tried)
-        if not any(all(at.rename(m) in atoms for at in atoms) for m in swaps):
-            tried.append(v)
-    return min(_least_leaf(_refine({x: (c, x != v) for x, c in colour.items()}, edges)[0],
-                           edges, atoms, pinned)
-               for v in tried)
-
-
-def _refined_colours(atoms: Iterable, pinned: tuple) -> tuple[tuple, dict, dict]:
-    """Colour refinement over the terms of ``atoms`` and ``pinned``.  A
-    term starts from its name if pinned, otherwise from ``""``, with its
-    concepts and self-loop roles.  Returns an isomorphism invariant (the
-    pinned terms and the signatures of every round), the stable colouring,
-    and each term's edges as (role, direction, other term)."""
-    terms = {t for at in atoms for t in at.terms()}.union(pinned)
-    labels: dict[str, list] = {x: [] for x in terms}
-    edges: dict[str, list] = {x: [] for x in terms}
-    for at in atoms:
-        ts = at.terms()
-        if len(ts) == 1 or ts[0] == ts[1]:
-            labels[ts[0]].append((len(ts), at.name))
-        else:
-            edges[ts[0]].append((at.name, 0, ts[1]))
-            edges[ts[1]].append((at.name, 1, ts[0]))
-    pins = set(pinned)
-    colour, rounds = _refine(
-        {x: (x if x in pins else "", tuple(sorted(ls))) for x, ls in labels.items()}, edges)
-    return (tuple(pinned), rounds), colour, edges
-
-
-def _refine(sig: dict, edges: dict) -> tuple[dict, tuple]:
-    """Colour refinement (1-WL) from the signatures ``sig`` to the stable
-    colouring, and the sorted signatures of every round.  Each round
-    renumbers the signatures by their sorted position, so colours depend
-    on no renaming, and gives each term its colour with the multiset of
-    (role, direction, colour) over its edges."""
-    rounds = []
-    classes = 0
-    while True:
-        palette = sorted(set(sig.values()))
-        rounds.append(tuple(sorted(sig.values())))
-        colour = {s: c for c, s in enumerate(palette)}
-        now = {x: colour[s] for x, s in sig.items()}
-        if len(palette) == classes:
-            return now, tuple(rounds)
-        classes = len(palette)
-        sig = {x: (now[x], tuple(sorted((r, d, now[y]) for r, d, y in edges[x])))
-               for x in now}
-
-
-def distinct_up_to_isomorphism(cqs: list[CQ]) -> list[CQ]:
-    """The first CQ of each isomorphism class of ``cqs`` (renamings of
-    quantified variables), in their order.  The candidates are grouped by
-    the signatures of colour refinement first; the canonical form is
-    computed only inside a group of two or more."""
-    if len(cqs) < 2:
-        return list(cqs)
-    groups: dict[tuple, list[int]] = {}
-    for i, q in enumerate(cqs):
-        groups.setdefault(_refined_colours(q.atoms, q.answer_vars)[0], []).append(i)
-    keep = []
-    for members in groups.values():
-        if len(members) == 1:
-            keep.extend(members)
-            continue
-        first: dict = {}
-        for i in members:
-            first.setdefault(canonical_form(cqs[i].atoms, cqs[i].answer_vars), i)
-        keep.extend(first.values())
-    return [cqs[i] for i in sorted(keep)]
 
 
 # ---------------------------------------------------------------------------

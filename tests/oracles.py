@@ -2,9 +2,9 @@
 
 These deliberately take the dumb route: fact lookups by scanning every
 fact, bounded oblivious chase plus plain homomorphism search, with a
-depth-stability re-check, isomorphism keys that try every permutation,
-maximum contractions by a scan of every partition, an exhaustive
-subquery search for tree-likeness, the UCQ_k-approximation over
+depth-stability re-check, isomorphism keys and automorphisms that try
+every permutation, maximum contractions by a scan of every partition,
+an exhaustive subquery search for tree-likeness, the UCQ_k-approximation over
 every contraction, the pebble game with supports over every overlap
 of two pebble sets, its tables built through pair maps, reach
 systems by one search per guarded pair and per representative, and
@@ -571,6 +571,19 @@ def ditree_root_by_walk(d: Database, root_loops: bool):
                 seen.add(w)
                 stack.append(w)
     return root if seen == set(d.dom) else None
+
+
+def automorphisms_by_permutation(d: Database, fixed: set) -> list[dict]:
+    """Every renaming of the constants of ``d`` outside ``fixed`` that maps
+    the fact set onto itself, by trying each permutation: the reference
+    for the orbits of ``graphalg._bag_orbits``."""
+    movable = sorted(set(d.dom) - set(fixed))
+    autos = []
+    for perm in itertools.permutations(movable):
+        m = dict(zip(movable, perm))
+        if all(f.rename(m) in d.facts for f in d.facts):
+            autos.append(m)
+    return autos
 
 
 def is_pendant_tree_by_walk(atoms, root: str) -> bool:

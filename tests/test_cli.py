@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import omqlab
+from omqlab import graphalg
 from omqlab.cli import _COMMANDS, _read_direct, build_parser, main
+from omqlab.homtools import canonical_form
 from omqlab.surface import parse_query
-from omqlab.treelike import canonical_form
 from fixtures import FIG2_TEXT, Q1
 from oracles import equivalent_full_schema, full_ucq_k_approximation
 
@@ -71,6 +72,19 @@ def test_tw_equiv_writes_witness(files, capsys):
     assert code == 0
     assert out.strip() == "YES"
     assert (files / "w.cq").exists() and (files / "w.dl").exists()
+
+
+def test_dlf_equiv1_writes_witness(files, capsys):
+    (files / "f.dl").write_text("func r\n")
+    (files / "q.cq").write_text("q() :- r(x,y), A(y)\n")
+    args = ("dlf-equiv1", "--onto", str(files / "f.dl"), "--query", str(files / "q.cq"))
+    code, out, err = run(capsys, *args, "--out", str(files / "w"))
+    assert (code, out) == (0, "YES\n")
+    assert err == f"witness written to {files / 'w'}.cq / {files / 'w'}.dl\n"
+    assert (files / "w.cq").read_text() == "q() :- A(y), r(x,y)\n"
+    assert (files / "w.dl").read_text() == "dialect: DL-LiteF-eq\nfunc r\n"
+    assert run(capsys, *args, "--json", "--out", str(files / "v"))[1] == \
+        run(capsys, *args, "--json")[1]
 
 
 def test_tw_equiv_no(files, capsys):
@@ -264,6 +278,15 @@ def test_unravel_copies_skip_the_data_constants(files, capsys):
                        "--depth", "0", "--tuple", "_u0")
     assert code == 0
     assert out.splitlines() == ["A(_u1)", "r(_u0,_u1)"]
+
+
+def test_unravel_past_the_node_cap_exits_5(files, capsys, monkeypatch):
+    monkeypatch.setattr(graphalg, "UNRAVEL_NODE_CAP", 100)
+    (files / "tri.db").write_text("r(a,b)\nr(b,c)\nr(c,a)\n")
+    code, out, err = run(capsys, "unravel", "--db", str(files / "tri.db"), "-k", "1",
+                         "--depth", "4")
+    assert (code, out) == (5, "")
+    assert err == "cap exceeded: unraveling limited to 100 nodes\n"
 
 
 @pytest.mark.parametrize("algo", ["naive", "fpt", "pebble"])

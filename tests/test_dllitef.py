@@ -127,7 +127,7 @@ def test_rew_empty_ontology_contains_self():
     q = parse_query("q() :- r(x,y), r(y,z)")
     o = Ontology((), Dialect.DLLITE_F)
     out = rew(OMQ(o, FULL_SCHEMA, q))
-    from omqlab.treelike import canonical_form
+    from omqlab.homtools import canonical_form
     assert canonical_form(q.disjuncts[0].atoms) in {canonical_form(d.atoms)
                                                     for d in out.disjuncts}
 

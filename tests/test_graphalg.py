@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from omqlab import graphalg
 from omqlab.graphalg import (
     CapExceeded,
     TreeDecomposition,
+    _bag_orbits,
     _ditree_root,
     cq_treewidth,
     dtree,
@@ -26,7 +29,8 @@ from omqlab.model import (
 )
 from omqlab.surface import parse_database, parse_query
 from fixtures import D1, fig2_cq
-from oracles import ditree_root_by_walk, is_ditree
+from gen import rand_database
+from oracles import automorphisms_by_permutation, ditree_root_by_walk, is_ditree
 
 
 def _cycle(n=4):
@@ -208,6 +212,59 @@ def test_unravel1_prop4_neighborhood():
     assert "B1" in names
     # one level of role neighbours is present
     assert any("b1" in f.terms() for f in u.database.role_facts())
+
+
+def _symmetric_databases():
+    """Databases of at most six constants with many automorphisms: a few
+    fixed ones, and random ones over one concept and one role made of a
+    piece, its renamed twin and a little noise."""
+    out = [Database([RoleFact("r", f"c{i}", f"c{(i + 1) % 6}") for i in range(6)]),
+           Database([ConceptFact("A", f"c{i}") for i in range(6)]),
+           parse_database("r(a,b)\nr(b,c)\nr(c,a)\nr(d,e)\nr(e,f)\nr(f,d)"),
+           parse_database("r(a,b)\nr(a,c)\nr(a,d)\nA(b)\nA(c)\nr(e,f)")]
+    rng = random.Random(30)
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        piece = rand_database(rng, n // 2, names=["A"], roles=["r"], n_facts=rng.randint(1, n))
+        twin = {c: c.replace("c", "e") for c in piece.dom}
+        noise = rand_database(rng, n, names=["A"], roles=["r"], n_facts=rng.randint(0, 2))
+        out.append(Database(piece.facts | {f.rename(twin) for f in piece.facts} | noise.facts))
+    return out
+
+
+def test_bag_orbits_match_the_permutation_automorphisms():
+    # for every pinned set, two bags of at most three constants share an
+    # orbit key exactly when an automorphism fixing the pinned constants
+    # maps one onto the other
+    for d in _symmetric_databases():
+        dom = sorted(d.dom)
+        autos = automorphisms_by_permutation(d, set())
+        orbit = _bag_orbits(d)
+        combs = [c for size in (1, 2, 3) for c in itertools.combinations(dom, size)]
+        for n in range(len(dom) + 1):
+            for pinned in itertools.combinations(dom, n):
+                stable = [m for m in autos if all(m[p] == p for p in pinned)]
+                pairs = {(orbit(pinned, c), min(tuple(sorted(m[x] for x in c))
+                                                for m in stable)) for c in combs}
+                keys, refs = zip(*pairs)
+                assert len(pairs) == len(set(keys)) == len(set(refs)), (d, pinned)
+
+
+def test_k_unravel_dedups_siblings_past_seven_constants():
+    cycle = Database([RoleFact("r", f"c{i}", f"c{(i + 1) % 8}") for i in range(8)])
+    assert len(k_unravel(cycle, (), 1, 2).nodes) == 8521
+    lone = Database([ConceptFact("A", f"c{i}") for i in range(8)])
+    assert len(k_unravel(lone, (), 1, 2).nodes) == 45
+
+
+def test_unravel_node_cap(monkeypatch):
+    monkeypatch.setattr(graphalg, "UNRAVEL_NODE_CAP", 100)
+    triangle = parse_database("r(a,b)\nr(b,c)\nr(c,a)")
+    assert len(k_unravel(triangle, (), 1, 2).nodes) <= 100
+    with pytest.raises(CapExceeded, match="unraveling limited to 100 nodes"):
+        k_unravel(triangle, (), 1, 4)
+    with pytest.raises(CapExceeded):
+        unravel1_at(triangle, "a", 5)
 
 
 def test_is_minor():

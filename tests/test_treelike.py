@@ -7,7 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 from omqlab.entailment import elhi_view
 from omqlab.evaluation import evaluate_naive
 from omqlab.graphalg import cq_treewidth
-from omqlab.homtools import contraction, contractions, core, restricted_growth_strings
+from omqlab.homtools import (
+    canonical_form,
+    contraction,
+    contractions,
+    core,
+    distinct_up_to_isomorphism,
+    refined_colours,
+    restricted_growth_strings,
+)
 from omqlab.entailment import is_consistent
 from omqlab.model import (
     BOT,
@@ -47,11 +55,8 @@ from omqlab.treelike import (
     _coarsens,
     _finest_contractions,
     _quotient_width,
-    _refined_colours,
-    canonical_form,
     contained,
     decide_tw_equiv_general,
-    distinct_up_to_isomorphism,
     entailed_concept_trees,
     maximum_contractions,
     rewriting,
@@ -192,7 +197,7 @@ def test_colour_refinement_dedup_falls_back_to_the_exact_key():
         return CQ((), atoms)
 
     hexagon, triangles = cycles(6), cycles(3, 3)
-    assert _refined_colours(hexagon.atoms, ())[0] == _refined_colours(triangles.atoms, ())[0]
+    assert refined_colours(hexagon.atoms, ())[0] == refined_colours(triangles.atoms, ())[0]
     assert distinct_up_to_isomorphism([hexagon, triangles]) == [hexagon, triangles]
     renamed = [cycles(6, prefix="y"), cycles(3, 3, prefix="z")]
     assert distinct_up_to_isomorphism([hexagon, triangles, *renamed]) == [hexagon, triangles]
@@ -282,10 +287,10 @@ def test_canonical_form_keeps_apart_names_like_the_old_placeholders():
 def test_canonical_form_skips_swaps_that_fix_the_atoms(monkeypatch):
     # nine interchangeable variables: one refinement to start, then one per
     # individualized variable, instead of one per node of a 9!-leaf tree
-    import omqlab.treelike as treelike
+    import omqlab.homtools as homtools
     calls = []
-    refine = treelike._refine
-    monkeypatch.setattr(treelike, "_refine", lambda *a: calls.append(1) or refine(*a))
+    refine = homtools._refine
+    monkeypatch.setattr(homtools, "_refine", lambda *a: calls.append(1) or refine(*a))
     atoms = [ConceptFact("A", f"x{i}") for i in range(9)]
     form = canonical_form(atoms)
     assert len(calls) == 9

@@ -23,8 +23,8 @@ for const, prov in sorted(chased.provenance.items()):
         print(f"  {const}: parent={prov.parent} depth={prov.depth}")
 
 # The canonical model swaps unbounded chasing for per-type copies plus a
-# fixed number of witnessed successor rounds.  Matches of queries up to
-# the round count agree with the infinite model.
+# fixed number of witnessed successor rounds.  With N rounds, matches of
+# queries of at most N + 1 variables agree with the infinite model.
 cm = canonical_model(db, onto, steps=2)
 print("\ncanonical model size:", len(cm.facts.dom), "constants")
 # ada's type: the sub-concepts of the ontology that hold at ada.

@@ -1,5 +1,9 @@
 """The oblivious chase with provenance and a depth bound, and the truncated
-canonical model (saturation, type copies, then bounded successor rounds).
+canonical model (saturation, shared type copies, then bounded successor
+rounds).  ``canonical_model_of`` alone decides how much of the model a
+query needs: its rounds and its roles come from the query itself, and
+every pipeline and decision procedure builds the model through it.
+``canonical_model`` takes explicit rounds and keeps every role.
 
 Fresh constants are numbered deterministically (`_n<k>` for chase nodes,
 `_t<k>` for type copies), skipping the names the input uses, so identical
@@ -23,6 +27,7 @@ from .model import (
     Ontology,
     Role,
     RoleFact,
+    UCQ,
     concept_as_cq,
     concept_extension,
     record,
@@ -152,22 +157,64 @@ def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict,
 
 def canonical_model(d: Database, o: Ontology, steps: int) -> ChaseDb:
     """Saturate ``d``, add one copy per maximal implied type, then run the
-    witnessed-successor rule for ``steps`` rounds.  Query matches of size
-    up to ``steps`` over the original constants then agree with the full
-    universal model.  On data inconsistent with ``o``, functionality
-    included, the result is the saturation alone."""
+    witnessed-successor rule for ``steps`` rounds along every role.  It
+    answers queries of at most ``steps + 1`` variables exactly: their
+    matches over the original constants agree with the full universal
+    model's (see ``canonical_model_of``).  On data inconsistent with
+    ``o``, functionality included, the result is the saturation alone."""
     if steps < 0:
         raise OmqlabError(f"the canonical model needs steps >= 0, got {steps}")
     sat = consistent_saturation(d, o)
     if sat is None:
         return ChaseDb(saturate(d, o).database,
                        {a: Provenance("original") for a in d.dom})
-    return canonical_model_of(sat, steps)
+    return _truncated_model(sat, steps, None)
 
 
-def canonical_model_of(sat: Saturation, steps: int,
-                       share_copies: bool = True) -> ChaseDb:
-    """``canonical_model`` past the saturation step; ``sat`` must be clash-free."""
+def canonical_model_of(sat: Saturation, query: UCQ) -> ChaseDb:
+    """The part of the canonical model of ``sat`` (which must be clash-free)
+    that ``query`` needs: its disjuncts, matched into the result with their
+    answer variables at original constants, match exactly when they match
+    the full universal model.  The rounds are max |vars(cq)| - 1 over the
+    disjuncts, and successors are built only along roles with a super-role
+    that a role atom of ``query`` names.
+
+    The result maps into the universal model fixing the original
+    constants, so only the converse needs proof.  An anonymous element of
+    the universal model has edges only to its parent and its children.
+    Fix a match into it and a connected component C of a disjunct.
+
+    (a) C's image meets an original constant.  The image is connected,
+    so with an anonymous element at depth d it holds the d elements above
+    it and the edges between them: d + 1 images of distinct variables of
+    C, and d <= |C| - 1.
+    (b) C's image is all anonymous.  Its topmost element e has a type
+    below some maximal reachable type t.  Child types grow with the
+    parent's type, so the copy of t demands, round by round, children
+    whose types contain those of e's children: C maps below the copy,
+    with e at it, within |C| - 1 rounds.
+
+    The bound is tight: under ``B <= exists r . B`` with data ``B(c0)``,
+    the r-path of n variables starting at c0 needs n - 1 rounds.  An edge
+    built for role R carries exactly the names of R's super-roles, so no
+    atom maps onto it when none of them is named.  In (a) every edge above
+    an image element, and in (b) every edge of C's image below the copy, is
+    an atom's image, so no match needs a skipped successor, nor anything
+    below one.  Skipping one never changes which other demands are
+    witnessed: only edges of the demanded role's sub-roles witness it,
+    and a sub-role of a kept role is kept.  Type copies are built for
+    every maximal type, since they serve one-variable components, and
+    shared: any fully anonymous match works below any copy of its type."""
+    roles = frozenset(at.name for cq in query.disjuncts for at in cq.atoms
+                      if isinstance(at, RoleFact))
+    steps = max(len(cq.variables()) for cq in query.disjuncts) - 1
+    return _truncated_model(sat, max(steps, 0), roles)
+
+
+def _truncated_model(sat: Saturation, steps: int, roles) -> ChaseDb:
+    """Type copies and ``steps`` successor rounds over the clash-free
+    ``sat``, the rounds only along roles with a super-role named in
+    ``roles`` (None: every role)."""
     onorm = sat.onorm
     facts: set[Fact] = set(sat.database.facts)
     types: dict[str, frozenset] = dict(sat.types)
@@ -177,8 +224,7 @@ def canonical_model_of(sat: Saturation, steps: int,
 
     # type copies: one fresh constant per maximal implied type (projected to
     # the ontology's sub-concepts; names outside sub(O) cannot hold at
-    # anonymous elements anyway).  Copies are shared across constants: any
-    # fully anonymous match works below any copy of the same type.
+    # anonymous elements anyway), shared across constants
     copied: dict[frozenset, str] = {}
     for a in sorted(sat.types):
         reach = onorm.reachable_types(sat.types[a])
@@ -188,7 +234,7 @@ def canonical_model_of(sat: Saturation, steps: int,
         projected.discard(frozenset())
         maximal = [t for t in projected if not any(t < u for u in projected)]
         for t in sorted(maximal, key=sorted):
-            if share_copies and t in copied:
+            if t in copied:
                 continue
             c = tnames.next()
             copied[t] = c
@@ -213,6 +259,12 @@ def canonical_model_of(sat: Saturation, steps: int,
         if isinstance(f, RoleFact):
             index_fact(f)
 
+    def supers(role: Role) -> frozenset:
+        return onorm.super_roles.get(role, frozenset({role}))
+
+    def kept(role: Role) -> bool:
+        return roles is None or any(sup.name in roles for sup in supers(role))
+
     # each round visits the elements the previous one added: an element
     # visited once has every demanded successor witnessed after its round,
     # and stays so, since its type is fixed and its successors only grow
@@ -222,7 +274,8 @@ def canonical_model_of(sat: Saturation, steps: int,
         for a in frontier:
             by_role: dict[Role, list] = {}
             for role, child in onorm.children(types[a]):
-                by_role.setdefault(role, []).append(child)
+                if kept(role):
+                    by_role.setdefault(role, []).append(child)
             for role in sorted(by_role, key=str):
                 # only inclusion-maximal successor types are demanded
                 cands = by_role[role]
@@ -245,7 +298,7 @@ def canonical_model_of(sat: Saturation, steps: int,
             frontier.append(b)
             types[b] = child
             prov[b] = Provenance("anonymous", parent=a, depth=prov[a].depth + 1)
-            for sup in sorted(onorm.super_roles.get(role, frozenset({role})), key=str):
+            for sup in sorted(supers(role), key=str):
                 f = (RoleFact(sup.name, b, a) if sup.inverted
                      else RoleFact(sup.name, a, b))
                 facts.add(f)

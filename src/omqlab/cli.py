@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--canonical", action="store_true",
                     help="build the truncated canonical model instead")
     sp.add_argument("--steps", type=int, default=3,
-                    help="successor rounds for --canonical")
+                    help="successor rounds for --canonical; N rounds answer "
+                         "queries of at most N + 1 variables exactly")
     sp.add_argument("--provenance", help="write the JSON provenance sidecar here")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_chase)

@@ -2,7 +2,9 @@
 over the truncated canonical model: naive (homomorphism search) and
 width-k (a bottom-up join over a tree decomposition of each disjunct, in
 which every variable is bound by an atom or a child's table, never by
-ranging over the domain).  The pebble game lives in ``pebble``.
+ranging over the domain).  How much of the canonical model a query needs
+is decided by ``chase.canonical_model_of``, not here.  The pebble game
+lives in ``pebble``.
 
 An inconsistent database has every tuple as a certain answer; results
 carry an explicit ``consistent`` flag so the caller can surface this.
@@ -17,7 +19,6 @@ from .model import (
     Database,
     OMQ,
     OmqlabError,
-    UCQ,
     record,
 )
 from .chase import canonical_model_of
@@ -39,14 +40,6 @@ def _check_schema(Q: OMQ, d: Database) -> None:
     if not d.uses_only(Q.schema):
         extra = sorted(n for n in d.names() if not Q.schema.admits(n))
         raise OmqlabError(f"database uses names outside the schema: {extra}")
-
-
-def chase_steps(q: UCQ) -> int:
-    """Successor rounds generous enough for any disjunct-sized match: a
-    connected image inside an anonymous tree spans at most as many levels
-    as the query has variables, and components starting deep are covered
-    by the type copies."""
-    return max(len(cq.variables()) for cq in q.disjuncts) + 1
 
 
 def certain_answers(Q: OMQ, d: Database, prepare) -> EvalResult:
@@ -71,10 +64,11 @@ def certain_answers(Q: OMQ, d: Database, prepare) -> EvalResult:
 
 def _over_canonical_model(Q: OMQ, d: Database, per_disjunct) -> EvalResult:
     """The naive and fpt pipelines: the truncated canonical model is built
-    once, from the saturation of ``d``, and ``per_disjunct(cq, target)``
+    once, from the saturation of ``d`` and as far as ``Q``'s query needs
+    (``chase.canonical_model_of``), and ``per_disjunct(cq, target)``
     prepares each disjunct against it."""
     def prepare(sat: Saturation):
-        target = canonical_model_of(sat, chase_steps(Q.query)).facts
+        target = canonical_model_of(sat, Q.query).facts
         return lambda cq: per_disjunct(cq, target)
     return certain_answers(Q, d, prepare)
 

@@ -56,7 +56,7 @@ from .entailment import (
     saturate,
     subsumes,
 )
-from .evaluation import chase_steps, evaluate_naive
+from .evaluation import evaluate_naive
 from .graphalg import cq_treewidth, treewidth
 from .homtools import (
     canonical_form,
@@ -66,6 +66,9 @@ from .homtools import (
     find_homomorphism,
     functional_quotient,
 )
+
+
+CONTRACTION_WALK_CAP = 200000
 
 
 @record
@@ -130,7 +133,8 @@ def _finest_contractions(q: CQ, k: int) -> list[tuple]:
     lies on an earlier level, so each finest fitting partition is reached
     and kept, and every coarsening of it is skipped.  Widths are measured
     on the quotient graph (``_quotient_width``); only the kept partitions
-    are contracted."""
+    are contracted.  Past ``CONTRACTION_WALK_CAP`` visited partitions the
+    walk raises ``CapExceeded``."""
     var = sorted(q.variables())
     index = {x: i for i, x in enumerate(var)}
     answer_at = [x in q.answer_vars for x in var]
@@ -138,7 +142,9 @@ def _finest_contractions(q: CQ, k: int) -> list[tuple]:
              if isinstance(at, RoleFact) and at.a != at.b}
     kept: list[tuple] = []
     level = {tuple(range(len(var)))}
+    visited = 0
     while level:
+        visited = _walked(visited, level)
         below: set = set()
         for rgs in level:
             if any(_coarsens(rgs, done) for done in kept):
@@ -179,6 +185,15 @@ def _quotient_width(var: list, answer_at: list, pairs: set, rgs: tuple) -> int:
         if bi != bj and bi not in held and bj not in held:
             g.add_edge(rep[bi], rep[bj])
     return max(1, treewidth(g)[0])
+
+
+def _walked(visited: int, level: set) -> int:
+    """``visited`` plus the partitions of the next ``level`` of a
+    contraction walk; past ``CONTRACTION_WALK_CAP`` the walk stops."""
+    visited += len(level)
+    if visited > CONTRACTION_WALK_CAP:
+        raise CapExceeded(f"contraction walk limited to {CONTRACTION_WALK_CAP} partitions")
+    return visited
 
 
 def _merges(rgs: tuple, answer_at: list):
@@ -256,7 +271,7 @@ def contained(Q1: OMQ, Q2: OMQ, budget: Optional[int] = None) -> Verdict:
     onorm = normalize(o1)
     sat = saturate(Database(f for n in Q1.schema.names
                             for f in (ConceptFact(n, "a"), RoleFact(n, "a", "a"))), onorm)
-    cm = canonical_model_of(sat, chase_steps(Q1.query))
+    cm = canonical_model_of(sat, Q1.query)
     live = [q for q in Q1.query.disjuncts
             if find_homomorphism(q, cm.facts, dict.fromkeys(q.answer_vars, "a")) is not None]
     if not (live or sat.clashes(o1) or o1.functional_roles() & Q1.schema.names):
@@ -302,7 +317,6 @@ def _uncontained_disjunct(disjuncts: Iterable[CQ], Q2: OMQ) -> Optional[Database
     disjointness clash of the merged database carries over to every
     database the disjunct matches in, where every tuple is then a certain
     answer of Q2, so the disjunct is contained."""
-    steps = chase_steps(Q2.query)
     funcs = Q2.ontology.functional_roles()
     for q1 in disjuncts:
         merge = functional_quotient(q1, funcs)
@@ -310,7 +324,7 @@ def _uncontained_disjunct(disjuncts: Iterable[CQ], Q2: OMQ) -> Optional[Database
         sat = clash_free_saturation(d1, Q2.ontology)
         if sat is None:
             continue
-        cm = canonical_model_of(sat, steps)
+        cm = canonical_model_of(sat, Q2.query)
         answers = [merge.get(x, x) for x in q1.answer_vars]
         if not any(find_homomorphism(q2, cm.facts, dict(zip(q2.answer_vars, answers)))
                    is not None for q2 in Q2.query.disjuncts):
@@ -454,7 +468,9 @@ def maximum_contractions(Q: OMQ) -> list[OMQ]:
     and the walk expands only those, level by level.  A preserving
     partition with a preserving proper coarsening has a preserving merge
     (of two blocks the coarsening joins), so it is maximal exactly when
-    none of its merges preserves equivalence."""
+    none of its merges preserves equivalence.  Past
+    ``CONTRACTION_WALK_CAP`` tested partitions the walk raises
+    ``CapExceeded``."""
     if not Q.schema.full:
         raise OmqlabError("maximum contractions require the full schema")
     if len(Q.query.disjuncts) != 1:
@@ -463,14 +479,16 @@ def maximum_contractions(Q: OMQ) -> list[OMQ]:
     sat = consistent_saturation(cq_as_database(q), Q.ontology)
     if sat is None:
         raise QueryError("maximum contractions need a non-empty input")
-    cm = canonical_model_of(sat, chase_steps(Q.query))
+    cm = canonical_model_of(sat, Q.query)
     var = sorted(q.variables())
     answer_at = [x in q.answer_vars for x in var]
     fixed = {x: x for x in q.answer_vars}
     maximal = []
     level = {tuple(range(len(var)))}
+    visited = 0
     while level:
         merges = {m for rgs in level for m in _merges(rgs, answer_at)}
+        visited = _walked(visited, merges)
         above = {m for m in merges if find_homomorphism(
             contraction(q, var, m)[0], cm.facts, fixed) is not None}
         maximal += [rgs for rgs in level if above.isdisjoint(_merges(rgs, answer_at))]
@@ -527,10 +545,9 @@ def rewriting(Q: OMQ) -> OMQ:
     q = Q.query.disjuncts[0]
     maxes = maximum_contractions(Q)
     qc = maxes[0].query.disjuncts[0]
-    # maximum_contractions has refused a query inconsistent with the ontology;
-    # per-constant copies keep the provenance walk attributable
+    # maximum_contractions has refused a query inconsistent with the ontology
     cm = canonical_model_of(consistent_saturation(cq_as_database(q), Q.ontology),
-                            chase_steps(UCQ((qc,))), share_copies=False)
+                            maxes[0].query)
     h = find_homomorphism(qc, cm.facts, {x: x for x in qc.answer_vars})
     if h is None:
         raise AssertionError("maximum contraction lost its witnessing homomorphism")

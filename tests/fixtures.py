@@ -81,3 +81,14 @@ phi2 = parse_query("q() :- r(x2,x1), r(x4,x1), A1(x1), A3(x1), A2(x2), A4(x4)")
 # A database on which the one-axiom OMQ has a positive answer only through
 # the derived concept.
 d_example1 = parse_database("A1(a)\nA2(b)\nA3(c)\nr(b,a)\nr(b,c)")
+
+
+def branching_family(n: int, extra: str = ""):
+    """The branching family, as an OMQ and its database: the ontology
+    ``A <= exists r . A``, ``A <= exists s . A`` plus the axiom lines
+    ``extra``, the data ``A(c0)`` to ``A(c3)``, and ``q(x0) :-`` an
+    r-path of ``n`` atoms ending in ``C(xn)``."""
+    o = parse_ontology("A <= exists r . A\nA <= exists s . A\n" + extra)
+    path = ", ".join(f"r(x{i},x{i + 1})" for i in range(n))
+    q = parse_query(f"q(x0) :- {path}, C(x{n})")
+    return OMQ(o, FULL_SCHEMA, q), parse_database("\n".join(f"A(c{i})" for i in range(4)))

@@ -23,7 +23,7 @@ import re
 from omqlab.chase import canonical_model, oblivious_chase
 from omqlab.dllitef import decide_ubcq1_equiv
 from omqlab.entailment import TOP_NAME, elhi_view, is_consistent, normalize, saturate
-from omqlab.evaluation import certain_answers, chase_steps, evaluate_naive
+from omqlab.evaluation import certain_answers, evaluate_naive
 from omqlab.graphalg import _directed_pairs, cq_treewidth, treewidth
 from omqlab.homtools import (
     HomError,
@@ -194,6 +194,13 @@ def all_answers(q: UCQ | CQ, d: Database, restrict_to=None) -> set:
     return out
 
 
+def generous_steps(q: UCQ) -> int:
+    """Successor rounds for the oracles' canonical models: the largest
+    disjunct's variables + 1, two more than ``chase.canonical_model_of``
+    derives, so together with every role they stay a deeper reference."""
+    return max(len(cq.variables()) for cq in q.disjuncts) + 1
+
+
 def oracle_answers(Q, d: Database, depth: int = 6) -> frozenset:
     """Answers by generous oblivious chase, with stability re-check."""
     a1 = frozenset(all_answers(Q.query, oblivious_chase(d, Q.ontology, depth).facts,
@@ -240,7 +247,7 @@ def maximum_contractions_by_scan(Q: OMQ) -> list[OMQ]:
     variables (a Bell number of them) and keeping those that no other
     equivalence-preserving partition coarsens."""
     q = Q.query.disjuncts[0]
-    cm = canonical_model(cq_as_database(q), Q.ontology, chase_steps(Q.query))
+    cm = canonical_model(cq_as_database(q), Q.ontology, generous_steps(Q.query))
     var = sorted(q.variables())
     equiv = []
     for rgs in restricted_growth_strings(len(var)):
@@ -303,7 +310,7 @@ def disjunct_contained(o: Ontology, q1: CQ, q2: CQ) -> bool:
     d1 = cq_as_database(q1)
     if not is_consistent(d1, o):
         return True
-    cm = canonical_model(d1, o, chase_steps(UCQ((q2,))))
+    cm = canonical_model(d1, o, generous_steps(UCQ((q2,))))
     fixed = dict(zip(q2.answer_vars, q1.answer_vars))
     return find_homomorphism(q2, cm.facts, fixed) is not None
 
@@ -377,7 +384,7 @@ def decide_tw_equiv_full(Q: OMQ, k: int) -> Verdict:
             dq = cq_as_database(cand)
             if not is_consistent(dq, Q.ontology):
                 continue
-            cm = canonical_model(dq, Q.ontology, chase_steps(UCQ((p,))))
+            cm = canonical_model(dq, Q.ontology, generous_steps(UCQ((p,))))
             fixed = {x: x for x in p.answer_vars}
             if find_homomorphism(p, cm.facts, fixed) is not None:
                 hit = cand

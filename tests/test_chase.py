@@ -2,9 +2,10 @@ import random
 
 from omqlab.chase import (
     canonical_model,
+    canonical_model_of,
     oblivious_chase,
 )
-from omqlab.entailment import is_consistent, saturate
+from omqlab.entailment import consistent_saturation, is_consistent, saturate
 from omqlab.graphalg import treewidth
 from omqlab.homtools import find_homomorphism
 from omqlab.model import (
@@ -21,7 +22,7 @@ from omqlab.model import (
     gaifman_graph,
 )
 from omqlab.surface import parse_database, parse_ontology, parse_query
-from fixtures import d_example1, omega1, omega2
+from fixtures import branching_family, d_example1, omega1, omega2
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
@@ -139,6 +140,33 @@ def test_canonical_model_of_inconsistent_data_is_its_saturation():
     assert set(cm.provenance) == d.dom
     assert cm.facts == saturate(d, o).database
     assert ConceptFact("B", "a") in cm.facts.facts
+
+
+def test_canonical_model_rounds_are_tight():
+    # under B <= exists r . B with B(c0), the r-path of n variables pinned
+    # at c0 matches with the derived n - 1 rounds and not with n - 2
+    d, o = parse_database("B(c0)"), parse_ontology("B <= exists r . B")
+    sat = consistent_saturation(d, o)
+    for n in range(2, 6):
+        path = ", ".join(f"r(x{i},x{i + 1})" for i in range(n - 1))
+        q = parse_query(f"q(x0) :- {path}")
+        cq = q.disjuncts[0]
+        assert len(cq.variables()) == n
+        assert find_homomorphism(cq, canonical_model_of(sat, q).facts,
+                                 {"x0": "c0"}) is not None
+        assert find_homomorphism(cq, canonical_model(d, o, n - 2).facts,
+                                 {"x0": "c0"}) is None
+
+
+def test_canonical_model_builds_only_the_query_roles():
+    # the branching family at n = 10: an r-chain of 10 below each of the
+    # four constants and the one shared type copy, no s-successor (12
+    # rounds along both roles would build 40,955 constants)
+    Q, d = branching_family(10)
+    cm = canonical_model_of(consistent_saturation(d, Q.ontology), Q.query)
+    assert len(cm.provenance) <= 60
+    assert {f.name for f in cm.facts.role_facts()} == {"r"}
+    assert [a for a, p in cm.provenance.items() if p.kind == "type_copy"] == ["_t0"]
 
 
 def test_canonical_agrees_with_deep_chase():

@@ -272,6 +272,17 @@ def test_chase_fresh_elements_skip_the_data_constants(taken_names, capsys):
     assert got["provenance"]["_n1"]["kind"] == "anonymous"
 
 
+def test_tw_equiv_past_the_contraction_walk_cap_exits_5(files, capsys, monkeypatch):
+    # the Boolean 2 x 3 grid has tree width 2, so -k 1 walks its contractions
+    from omqlab import treelike
+    monkeypatch.setattr(treelike, "CONTRACTION_WALK_CAP", 10)
+    (files / "grid.cq").write_text(
+        "q() :- r(x0,x1), r(x1,x2), r(y0,y1), r(y1,y2), s(x0,y0), s(x1,y1), s(x2,y2)\n")
+    code, out, err = run(capsys, "tw-equiv", "--query", str(files / "grid.cq"), "-k", "1")
+    assert (code, out) == (5, "")
+    assert err == "cap exceeded: contraction walk limited to 10 partitions\n"
+
+
 def test_unravel_copies_skip_the_data_constants(files, capsys):
     (files / "u.db").write_text("r(_u0,b)\nA(b)\n")
     code, out, _ = run(capsys, "unravel", "--db", str(files / "u.db"), "-k", "1",

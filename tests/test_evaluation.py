@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from omqlab.evaluation import (
     _WidthPlan,
-    chase_steps,
     evaluate_fpt,
     evaluate_naive,
 )
@@ -16,11 +15,17 @@ from omqlab.graphalg import cq_decomposition, cq_treewidth
 from omqlab.pebble import evaluate_pebble
 from omqlab.model import (
     CQ,
+    Atomic,
     ConceptFact,
+    ConceptInclusion,
     Database,
+    Dialect,
+    Exists,
     FULL_SCHEMA,
     OMQ,
     OmqlabError,
+    Ontology,
+    Role,
     RoleFact,
     Schema,
     UCQ,
@@ -32,6 +37,7 @@ from fixtures import (
     D2,
     Q1,
     Q16,
+    branching_family,
     d_example1,
     fig2,
     fig2_cq,
@@ -230,11 +236,11 @@ _CONSTS = [f"c{i}" for i in range(5)]
 _NAMES = ["A1", "A2", "B1"]
 
 
-def _facts(terms):
+def _facts(terms, roles=("r", "s")):
     return st.lists(st.one_of(
         st.tuples(st.sampled_from(_NAMES), st.sampled_from(terms)).map(
             lambda t: ConceptFact(*t)),
-        st.tuples(st.sampled_from(["r", "s"]), st.sampled_from(terms),
+        st.tuples(st.sampled_from(roles), st.sampled_from(terms),
                   st.sampled_from(terms)).map(lambda t: RoleFact(*t))),
         min_size=1, max_size=7)
 
@@ -272,7 +278,7 @@ def test_naive_fpt_and_the_chase_oracle_agree_on_elhi(o, facts, disjuncts, arity
     # refuses: the width-k join at the largest disjunct width and the
     # oblivious chase, at least as deep as the canonical model's rounds,
     # against plain homomorphism search into the canonical model
-    from oracles import oracle_answers
+    from oracles import generous_steps, oracle_answers
     shared = sorted(set.intersection(*({t for at in atoms for t in at.terms()}
                                        for atoms in disjuncts)))
     assume(len(shared) >= arity)
@@ -283,7 +289,51 @@ def test_naive_fpt_and_the_chase_oracle_agree_on_elhi(o, facts, disjuncts, arity
     assume(is_consistent(d, o))
     expected = evaluate_naive(Q, d)
     assert evaluate_fpt(Q, d, k) == expected
-    assert oracle_answers(Q, d, depth=chase_steps(q)) == expected.answers
+    assert oracle_answers(Q, d, depth=generous_steps(q)) == expected.answers
+
+
+@settings(max_examples=200, deadline=None)
+@given(o=elhi_ontologies(names=_NAMES, leaves=2, max_axioms=4),
+       lhs=st.sampled_from(_NAMES), inverted=st.booleans(), filler=st.sampled_from(_NAMES),
+       facts=_facts(_CONSTS[:4]),
+       disjuncts=st.lists(_facts(_QVARS, roles=["r"]), min_size=1, max_size=2),
+       arity=st.integers(0, 2))
+def test_successors_along_roles_the_query_does_not_name_are_skipped_soundly(
+        o, lhs, inverted, filler, facts, disjuncts, arity):
+    # the query names r alone and the ontology also generates s-successors,
+    # inverse ones included; they are built only when a role inclusion
+    # makes r a super-role.  The oracle chases every role, two levels
+    # deeper than the canonical model's rounds.
+    from oracles import generous_steps, oracle_answers
+    o = Ontology([*o.axioms, ConceptInclusion(
+        Atomic(lhs), Exists(Role("s", inverted), Atomic(filler)))], Dialect.ELHI_BOT)
+    shared = sorted(set.intersection(*({t for at in atoms for t in at.terms()}
+                                       for atoms in disjuncts)))
+    assume(len(shared) >= arity)
+    q = UCQ(CQ(tuple(shared[:arity]), atoms) for atoms in disjuncts)
+    k = max(1, *(cq_treewidth(cq) for cq in q.disjuncts))
+    assume(k <= 2)
+    Q, d = OMQ(o, FULL_SCHEMA, q), Database(facts)
+    assume(is_consistent(d, o))
+    expected = evaluate_naive(Q, d)
+    assert evaluate_fpt(Q, d, k) == expected
+    assert oracle_answers(Q, d, depth=generous_steps(q)) == expected.answers
+
+
+def test_pipelines_agree_on_the_branching_family():
+    # naive and fpt build an r-chain per constant, no s-successor; without
+    # C nothing answers, and with A <= C every constant does (the chase
+    # oracle is checked on that variant while it stays small)
+    from oracles import generous_steps, oracle_answers
+    everyone = frozenset((f"c{i}",) for i in range(4))
+    for n in range(4, 11):
+        Q, d = branching_family(n)
+        assert evaluate_naive(Q, d).answers == evaluate_fpt(Q, d, 1).answers \
+            == oracle_answers(Q, d) == frozenset()
+        Q, d = branching_family(n, "A <= C")
+        assert evaluate_naive(Q, d).answers == evaluate_fpt(Q, d, 1).answers == everyone
+        if n <= 6:
+            assert oracle_answers(Q, d, depth=generous_steps(Q.query) - 1) == everyone
 
 
 def _elhdr_omq(n_axioms, onto_seed, disjuncts, arity):

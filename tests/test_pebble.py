@@ -348,7 +348,6 @@ def test_hom_induced_labelings_validate():
     # pass the conditions (the certificate direction)
     from omqlab.chase import canonical_model_of
     from omqlab.entailment import consistent_saturation
-    from omqlab.evaluation import chase_steps
     from omqlab.homtools import iter_homomorphisms
 
     rng = random.Random(67)
@@ -362,8 +361,7 @@ def test_hom_induced_labelings_validate():
         if not d.dom or not is_consistent(d, o):
             continue
         Q = OMQ(o, FULL_SCHEMA, UCQ((q,)))
-        cm = canonical_model_of(consistent_saturation(d, o), chase_steps(Q.query),
-                                share_copies=False)
+        cm = canonical_model_of(consistent_saturation(d, o), Q.query)
         h = None
         for cand in iter_homomorphisms(q, cm.facts):
             h = cand

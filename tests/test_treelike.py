@@ -20,6 +20,7 @@ from omqlab.entailment import is_consistent
 from omqlab.model import (
     BOT,
     CQ,
+    CapExceeded,
     TOP,
     Atomic,
     ConceptFact,
@@ -639,6 +640,22 @@ def test_maximum_contractions_test_only_the_merges_they_reach(monkeypatch):
             parse_query(f"q() :- A(x0), {ring}"))
     (m,) = maximum_contractions(Q)
     assert m.query == Q.query and len(calls) == 36
+
+
+def test_contraction_walks_stop_at_the_cap(monkeypatch):
+    # both partition-lattice walks raise CapExceeded past the cap, which
+    # sits above Bell(10) = 115,975, so every walk over at most 10
+    # variables finishes; the Boolean 2 x 3 grid has tree width 2
+    import omqlab.treelike as treelike
+    assert treelike.CONTRACTION_WALK_CAP > 115975
+    q = parse_query("q() :- r(x0,x1), r(x1,x2), r(y0,y1), r(y1,y2), "
+                    "s(x0,y0), s(x1,y1), s(x2,y2)").disjuncts[0]
+    Q = OMQ(parse_ontology("A <= exists r . A"), FULL_SCHEMA, UCQ((q,)))
+    assert _finest_contractions(q, 1) and maximum_contractions(Q)
+    monkeypatch.setattr(treelike, "CONTRACTION_WALK_CAP", 10)
+    for walk in (lambda: _finest_contractions(q, 1), lambda: maximum_contractions(Q)):
+        with pytest.raises(CapExceeded, match="contraction walk limited to 10 partitions"):
+            walk()
 
 
 def test_rewriting_empty_ontology_is_core_like():

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .model import (
-    Atomic,
     Axiom,
     CapExceeded,
     Concept,
@@ -78,7 +77,9 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
     """The two-rule chase, applied fairly in rounds; a concept-inclusion
     firing attaches a fresh tree even when the conclusion already holds.
     Fresh trees are only attached at constants whose forest depth is below
-    ``depth``; each (constant, axiom) pair fires at most once."""
+    ``depth``; at the others a firing adds the conclusion's concept names
+    at the constant itself and no fresh constant.  Each (constant, axiom)
+    pair fires at most once."""
     if depth < 0:
         raise OmqlabError(f"the chase needs depth >= 0, got {depth}")
     o = elhi_view(o)
@@ -111,10 +112,15 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
                 continue
             ext = concept_extension(current, ax.lhs)
             for a in sorted(ext):
-                if (a, ax) in fired or prov[a].depth >= depth:
+                if (a, ax) in fired:
                     continue
                 fired.add((a, ax))
                 changed = True
+                if prov[a].depth >= depth:
+                    q = concept_as_cq(ax.rhs)
+                    facts.update(ConceptFact(at.name, a) for at in q.atoms
+                                 if at.terms() == q.answer_vars)
+                    continue
                 _attach_concept(ax.rhs, a, ax, facts, prov, fresh)
                 if len(prov) > CHASE_NODE_CAP:
                     raise CapExceeded("chase grew past the node cap")
@@ -240,10 +246,7 @@ def _truncated_model(sat: Saturation, steps: int, roles) -> ChaseDb:
             copied[t] = c
             types[c] = onorm.close(t)
             prov[c] = Provenance("type_copy", parent=a)
-            for n in sorted(t):
-                cc = onorm.name_concept.get(n)
-                if isinstance(cc, Atomic):
-                    facts.add(ConceptFact(n, c))
+            facts.update(ConceptFact(n, c) for n in onorm.fact_names(t))
 
     # not the Database index: this map grows while the rounds below read it
     succ_index: dict[tuple, set] = {}
@@ -303,11 +306,7 @@ def _truncated_model(sat: Saturation, steps: int, roles) -> ChaseDb:
                      else RoleFact(sup.name, a, b))
                 facts.add(f)
                 index_fact(f)
-            for n in sorted(child):
-                cc = onorm.name_concept.get(n)
-                # TOP_NAME names top, not a concept name, and stays out
-                if cc is None or isinstance(cc, Atomic):
-                    facts.add(ConceptFact(n, b))
+            facts.update(ConceptFact(n, b) for n in onorm.fact_names(child))
             if len(types) > CHASE_NODE_CAP:
                 raise CapExceeded("canonical model grew past the node cap")
         frontier.sort()

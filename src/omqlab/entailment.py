@@ -31,7 +31,15 @@ with the same children it meets the equation of the seed X(s).  So each
 solved type is also kept under itself, and the children and reachable
 types of a type met before are lookups.  Every map lives on the
 ``NormalOntology``, which ``normalize`` caches per process, and stops
-growing at 100,000 entries.
+growing at 100,000 entries.  The names an edge of each role forces
+(``_flow``'s pairs) and the inverse of each successor rule's role are
+kept there too.
+
+``saturate`` closes a database's types over its role facts grouped by
+role and direction, so each existential premise reads only its own
+role's pairs.  ``Saturation.names`` bounds from above the names that
+facts of the universal model carry, which lets evaluation skip
+disjuncts that cannot match.
 """
 
 from __future__ import annotations
@@ -123,6 +131,8 @@ class NormalOntology:
 
         self.super_roles = role_closure(source)
         self._dedupe()
+        self._inverse = {r.role: r.role.inverse() for r in self.succ_rules}
+        self._flows: dict[Role, tuple] = {}             # role -> (filler, head)s
         self._types: dict[frozenset, frozenset] = {}    # seed -> X(seed)
         self._children: dict[frozenset, list] = {}      # type -> children
         self._reachable: dict[frozenset, frozenset] = {}
@@ -172,6 +182,13 @@ class NormalOntology:
         out.discard(TOP)
         return frozenset(out)
 
+    def fact_names(self, t: Iterable[str]) -> list:
+        """The names of the type ``t`` that its element carries as concept
+        facts, sorted: concept names, including a database's names outside
+        sub(O); definitional names and top stay out."""
+        return [n for n in sorted(t)
+                if (c := self.name_concept.get(n)) is None or isinstance(c, Atomic)]
+
     # -- the type engine -----------------------------------------------------
 
     def close(self, names: frozenset) -> frozenset:
@@ -189,12 +206,16 @@ class NormalOntology:
         """Names forced on an element with a ``role`` edge to an element of
         type ``t``: upward from a child reached by ``role``, and downward,
         as ``_flow(parent, role.inverse())``, onto that child."""
-        sups = self.super_roles.get(role, frozenset({role}))
-        return frozenset(r.head for r in self.exists_rules
-                         if r.role in sups and r.filler in t)
+        pairs = self._flows.get(role)
+        if pairs is None:
+            sups = self.super_roles.get(role, frozenset({role}))
+            pairs = tuple((r.filler, r.head) for r in self.exists_rules
+                          if r.role in sups)
+            _keep(self._flows, role, pairs)
+        return frozenset(head for filler, head in pairs if filler in t)
 
     def _child_seed(self, t: frozenset, rule: SuccRule) -> frozenset:
-        return self._flow(t, rule.role.inverse()) | {rule.succ}
+        return self._flow(t, self._inverse[rule.role]) | {rule.succ}
 
     def root_type(self, seed: Iterable[str]) -> frozenset:
         """X(seed): the type of the canonical root of ``seed``."""
@@ -354,6 +375,30 @@ class Saturation:
                 return True
         return any(self.onorm.is_unsat(t) for t in self.types.values())
 
+    def names(self) -> frozenset:
+        """Every name that a fact of the universal model of the saturated
+        data can carry: the names of the saturated facts, the
+        ``fact_names`` of every type reachable from a constant's type, and
+        the names of the super-roles of those types' child roles.
+
+        It is a superset.  An anonymous element hangs below a constant, and
+        its type lies inside a reachable type of that constant's type:
+        child types grow with the parent's type, so by induction on depth
+        an element below one of type u has the role and a type inside that
+        of a child of u, and u's children are reachable.  An edge to it
+        carries exactly the super-roles of its child role.  So a disjunct
+        naming anything else has no match in the universal model."""
+        onorm = self.onorm
+        reach: set = set()
+        for t in self.types.values():
+            reach |= onorm.reachable_types(t)
+        out = set(self.database.names())
+        for t in reach:
+            out.update(onorm.fact_names(t))
+            for role, _ in onorm.children(t):
+                out.update(s.name for s in onorm.super_roles.get(role, (role,)))
+        return frozenset(out)
+
 
 def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
     """Close a database under consequence: concept facts entailed by each
@@ -381,7 +426,14 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
             g = RoleFact(s.name, f.b, f.a) if s.inverted else RoleFact(s.name, f.a, f.b)
             if g not in closed:
                 frontier.append(g)
-    roles = Database(closed).index
+    # the closed role facts as (source, target) pairs per role name and
+    # direction, so that each exists rule visits only its own role's pairs
+    along: dict[tuple, list] = {}
+    for f in closed:
+        along.setdefault((f.name, False), []).append((f.a, f.b))
+        along.setdefault((f.name, True), []).append((f.b, f.a))
+    rules = [(rule.filler, rule.head, pairs) for rule in onorm.exists_rules
+             if (pairs := along.get((rule.role.name, rule.role.inverted)))]
 
     changed = True
     while changed:
@@ -391,23 +443,15 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
             if not t <= types[a]:
                 types[a] |= t
                 changed = True
-        for rule in onorm.exists_rules:
-            along = roles.pred if rule.role.inverted else roles.succ
-            for (name, a), bs in along.items():
-                if name != rule.role.name:
-                    continue
-                if rule.head not in types.get(a, set()):
-                    if any(rule.filler in types.get(b, set()) for b in bs):
-                        types.setdefault(a, set()).add(rule.head)
-                        changed = True
+        for filler, head, pairs in rules:
+            for a, b in pairs:
+                if filler in types[b] and head not in types[a]:
+                    types[a].add(head)
+                    changed = True
 
     db_facts: set[Fact] = set(closed)
     for a, t in types.items():
-        for n in sorted(t):
-            c = onorm.name_concept.get(n)
-            # concept names, including database names outside sub(O)
-            if c is None or isinstance(c, Atomic):
-                db_facts.add(ConceptFact(n, a))
+        db_facts.update(ConceptFact(n, a) for n in onorm.fact_names(t))
     return Saturation(Database(db_facts),
                       {a: frozenset(t) for a, t in types.items()}, onorm)
 

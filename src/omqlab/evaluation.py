@@ -4,7 +4,9 @@ width-k (a bottom-up join over a tree decomposition of each disjunct, in
 which every variable is bound by an atom or a child's table, never by
 ranging over the domain).  How much of the canonical model a query needs
 is decided by ``chase.canonical_model_of``, not here.  The pebble game
-lives in ``pebble``.
+lives in ``pebble``.  A disjunct that names something outside the
+saturation's names (``Saturation.names``) has no match and is evaluated
+by no pipeline; the canonical model is sized by the others.
 
 An inconsistent database has every tuple as a certain answer; results
 carry an explicit ``consistent`` flag so the caller can surface this.
@@ -19,6 +21,7 @@ from .model import (
     Database,
     OMQ,
     OmqlabError,
+    UCQ,
     record,
 )
 from .chase import canonical_model_of
@@ -43,18 +46,33 @@ def _check_schema(Q: OMQ, d: Database) -> None:
 
 
 def certain_answers(Q: OMQ, d: Database, prepare) -> EvalResult:
-    """The one certain-answers loop of the three pipelines.  ``prepare(sat)``
-    runs on the saturation of ``d`` once ``d`` is known consistent with the
-    ontology and returns the per-disjunct preparation, which runs once per
-    disjunct and returns the test for one candidate tuple."""
+    """The one certain-answers loop of the three pipelines.  Once ``d`` is
+    known consistent with the ontology, the live disjuncts are those whose
+    names all lie in ``Saturation.names()``; the others have no match in
+    the universal model, so none is evaluated.  ``prepare(sat, live)``
+    runs on the saturation of ``d`` and the UCQ of the live disjuncts, when
+    there is one, and returns the per-disjunct preparation, which runs
+    once per live disjunct and returns the test for one candidate tuple.
+
+    Skipping a dead disjunct gives each pipeline's own answer on it, the
+    pebble game's at every k included.  A window of the game that holds a
+    dead atom has no labeling: with both terms at constants the atom needs
+    its fact; ``EXIST`` needs a tree witness that holds somewhere; and an
+    anchored label comes from a system whose dtree holds the atom, and so
+    holds at no anchor.  So the table of the atom's variables is empty,
+    and Duplicator loses."""
     _check_schema(Q, d)
     candidates = list(itertools.product(sorted(d.dom), repeat=Q.arity))
     sat = consistent_saturation(d, Q.ontology)
     if sat is None:
         return EvalResult(False, frozenset(candidates))
-    per_disjunct = prepare(sat)
+    names = sat.names()
+    live = [cq for cq in Q.query.disjuncts if cq.names() <= names]
+    if not live:
+        return EvalResult(True, frozenset())
+    per_disjunct = prepare(sat, UCQ(live))
     answers: set = set()
-    for cq in Q.query.disjuncts:
+    for cq in live:
         holds = per_disjunct(cq)
         for a in candidates:
             if a not in answers and holds(a):
@@ -64,11 +82,11 @@ def certain_answers(Q: OMQ, d: Database, prepare) -> EvalResult:
 
 def _over_canonical_model(Q: OMQ, d: Database, per_disjunct) -> EvalResult:
     """The naive and fpt pipelines: the truncated canonical model is built
-    once, from the saturation of ``d`` and as far as ``Q``'s query needs
-    (``chase.canonical_model_of``), and ``per_disjunct(cq, target)``
-    prepares each disjunct against it."""
-    def prepare(sat: Saturation):
-        target = canonical_model_of(sat, Q.query).facts
+    once, from the saturation of ``d`` and as far as the live disjuncts
+    need (``chase.canonical_model_of``), and ``per_disjunct(cq, target)``
+    prepares each live disjunct against it."""
+    def prepare(sat: Saturation, live: UCQ):
+        target = canonical_model_of(sat, live).facts
         return lambda cq: per_disjunct(cq, target)
     return certain_answers(Q, d, prepare)
 

@@ -407,7 +407,7 @@ def evaluate_pebble(Q: OMQ, d: Database, k: int) -> EvalResult:
     if k < 1:
         raise OmqlabError(f"the game needs k >= 1, got {k}")
 
-    def prepare(sat: Saturation):
+    def prepare(sat: Saturation, _live):
         return lambda cq: _prepare_game(cq, Q.ontology, d, sat, k)
     return certain_answers(Q, d, prepare)
 

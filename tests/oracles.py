@@ -1139,7 +1139,7 @@ def evaluate_pebble_all_overlaps(Q: OMQ, d: Database, k: int):
     ``pebble._play``; the per-disjunct preparation is the program's."""
     _check_pebble_input(Q)
 
-    def prepare(sat):
+    def prepare(sat, _live):
         def per_disjunct(cq):
             game = _prepare_game(cq, Q.ontology, d, sat, k)
             if not isinstance(game, functools.partial):

@@ -26,7 +26,12 @@ from fixtures import branching_family, d_example1, omega1, omega2
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
-from gen import rand_database, rand_eli_ontology
+from gen import (
+    rand_database,
+    rand_dllite_ontology,
+    rand_elhi_ontology,
+    rand_eli_ontology,
+)
 
 
 def test_chase_single_firing():
@@ -48,6 +53,19 @@ def test_chase_depth_bound():
     anon = [p for p in ch.provenance.values() if p.kind == "anonymous"]
     assert len(anon) == 3
     assert sorted(p.depth for p in anon) == [1, 2, 3]
+
+
+def test_chase_adds_the_conclusions_names_at_the_depth_bound():
+    # at the bound no fresh tree is attached, but the concept names of the
+    # conclusion still land on the deepest constants
+    o = parse_ontology("A <= exists r . A\nA <= C\nA <= exists s . (B & D)")
+    ch = oblivious_chase(parse_database("A(c0)"), o, 1)
+    assert sorted(map(str, ch.facts.facts)) == [
+        "A(_n0)", "A(c0)", "B(_n1)", "C(_n0)", "C(c0)", "D(_n1)",
+        "r(c0,_n0)", "s(c0,_n1)"]
+    assert sorted(ch.provenance) == ["_n0", "_n1", "c0"]
+    ch = oblivious_chase(parse_database("A(c0)"), o, 0)
+    assert sorted(map(str, ch.facts.facts)) == ["A(c0)", "C(c0)"]
 
 
 def test_chase_restriction():
@@ -188,3 +206,34 @@ def test_canonical_agrees_with_deep_chase():
         assert evaluate_naive(Q, d).answers == oracle_answers(Q, d)
         checked += 1
     assert checked >= 15
+
+
+def test_saturation_names_hold_every_name_of_the_universal_model():
+    # canonical models and oblivious chases only approximate the universal
+    # model from below, so every name they put on a fact must be one that
+    # Saturation.names() admits.  ELHI_bot draws carry role inclusions and
+    # inverse roles, DL-Lite draws role disjointness, and the third family
+    # names s only as a super-role of r; the data's names are few, so that
+    # most names come from the ontology
+    drawn = 0
+    for n in range(300):
+        rng = random.Random(n)
+        if n % 3 == 0:
+            o = rand_dllite_ontology(rng, rng.randint(1, 6), names=("A", "B", "C"))
+        elif n % 3 == 1:
+            o = rand_elhi_ontology(rng, rng.randint(1, 6))
+        else:
+            o = Ontology([*rand_eli_ontology(rng, rng.randint(1, 4), roles=["r"]).axioms,
+                          RoleInclusion(Role("r", rng.random() < 0.5),
+                                        Role("s", rng.random() < 0.5))], Dialect.ELHI_BOT)
+        d = rand_database(rng, rng.randint(1, 4), names=["A", "D"], roles=["r", "t"])
+        sat = consistent_saturation(d, o)
+        if sat is None:
+            continue
+        drawn += 1
+        names = sat.names()
+        for steps in range(4):
+            assert canonical_model(d, o, steps).facts.names() <= names, (n, steps)
+        for depth in range(1, 4):
+            assert oblivious_chase(d, o, depth).facts.names() <= names, (n, depth)
+    assert drawn >= 200

@@ -122,6 +122,22 @@ def test_tw_equiv_is_exact_under_any_schema_when_no_disjunct_is_wider(files, cap
                                   "witness": "q(x) :- B1(y), r(x,y)\n"}
 
 
+def test_fpt_refuses_a_wide_disjunct_even_when_it_is_dead(files, capsys):
+    # the width check runs on every disjunct before any is skipped: D and s
+    # occur nowhere in the universal model, yet the triangle of quantified
+    # variables still exits 3
+    (files / "dead.cq").write_text(
+        "q(x) :- A2(x)\nq(x) :- s(x,y), s(y,z), s(z,w), s(w,y), D(y)\n")
+    argv = ["eval", "--onto", str(files / "ex1.dl"), "--query", str(files / "dead.cq"),
+            "--db", str(files / "d.db")]
+    code, out, err = run(capsys, *argv, "--algo", "fpt", "-k", "1")
+    assert code == 3
+    assert out == "" and "disjunct has tree width 2 > 1" in err
+    for algo in ("naive", "pebble"):
+        code, out, _ = run(capsys, *argv, "--algo", algo)
+        assert code == 0 and out.strip() == "b", algo
+
+
 def test_tw_equiv_rejects_functional_roles(files, capsys):
     # disjunct databases that violate func r must not count as inconsistent:
     # the width-1 approximation misses A(b) r(a,b) r(b,c) r(c,d) s(c,a)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from omqlab.evaluation import (
+    EvalResult,
     _WidthPlan,
     evaluate_fpt,
     evaluate_naive,
@@ -199,6 +200,39 @@ def test_pipelines_agree_on_multi_disjunct_ucqs():
     assert wider_than_each >= 3
 
 
+def test_pipelines_agree_beyond_the_signature():
+    # the queries draw from a concept and a role that neither the ontology
+    # nor the data use, so disjuncts die; all three pipelines against the
+    # chase oracle on UCQs whose disjuncts are all dead, all live or mixed
+    from oracles import oracle_answers
+    from omqlab.entailment import consistent_saturation
+    names, roles = ["A1", "A2", "B1"], ["r", "s"]
+    rng = random.Random(33)
+    seen = {"dead": 0, "live": 0, "mixed": 0}
+    answered = {"dead": 0, "live": 0, "mixed": 0}
+    while min(seen.values()) < 25:
+        o = rand_elhdr_ontology(rng, rng.randint(1, 5), names=names, roles=roles)
+        d = rand_database(rng, rng.randint(2, 4), names=names, roles=roles)
+        q = rand_ucq(rng, rng.randint(1, 3), 4, rng.choice([0, 1]),
+                     names=names + ["Z"], roles=roles + ["t"], max_tw=2)
+        sat = consistent_saturation(d, o)
+        if not d.dom or sat is None:
+            continue
+        live = sum(cq.names() <= sat.names() for cq in q.disjuncts)
+        kind = "dead" if not live else "live" if live == len(q) else "mixed"
+        if seen[kind] >= 25:
+            continue
+        seen[kind] += 1
+        Q = OMQ(o, FULL_SCHEMA, q)
+        k = max(1, max(cq_treewidth(cq) for cq in q.disjuncts))
+        answers = oracle_answers(Q, d)
+        answered[kind] += bool(answers)
+        for name, evaluate in _pipelines(k):
+            assert evaluate(Q, d) == EvalResult(True, answers), (name, kind)
+    assert answered["dead"] == 0
+    assert min(answered["live"], answered["mixed"]) >= 10
+
+
 def test_each_evaluation_saturates_its_data_once(monkeypatch):
     # the data once per call; pebble adds the query database once per disjunct
     import omqlab.chase
@@ -229,6 +263,47 @@ def test_each_evaluation_saturates_its_data_once(monkeypatch):
         assert evaluate(Q).answers == frozenset({("a",)})
         assert len(calls) == expected, (Q, expected)
         assert calls[0] == d
+
+
+def test_dead_disjuncts_do_no_evaluation_work(monkeypatch):
+    # a disjunct naming something no fact of the universal model carries
+    # is skipped: no canonical model, no game, and the model is sized by
+    # the live disjuncts alone
+    import omqlab.evaluation
+    import omqlab.pebble
+    from omqlab.entailment import consistent_saturation
+    models, games = [], []
+    model_of, prepare_game = omqlab.evaluation.canonical_model_of, omqlab.pebble._prepare_game
+
+    def counted_model(sat, query):
+        models.append(model_of(sat, query))
+        return models[-1]
+
+    def counted_game(q, *rest):
+        games.append(q)
+        return prepare_game(q, *rest)
+
+    monkeypatch.setattr(omqlab.evaluation, "canonical_model_of", counted_model)
+    monkeypatch.setattr(omqlab.pebble, "_prepare_game", counted_game)
+    o = parse_ontology("A <= exists r . A\nA <= B\n")
+    d = parse_database("A(a)\n")
+    dead = parse_query("q(x) :- r(x,y1), r(y1,y2), r(y2,y3), D(y3)\n"
+                       "q(x) :- s(x,y), A(y)\n")
+    for name, evaluate in _pipelines(1):
+        assert evaluate(OMQ(o, FULL_SCHEMA, dead), d) == \
+            EvalResult(True, frozenset()), name
+    assert models == games == []
+
+    live = parse_query("q(x) :- r(x,y), B(y)").disjuncts[0]
+    mixed = OMQ(o, FULL_SCHEMA, UCQ((dead.disjuncts[0], live)))
+    sat = consistent_saturation(d, o)
+    for name, evaluate in _pipelines(3):
+        assert evaluate(mixed, d).answers == {("a",)}, name
+    assert games == [live]
+    assert len(models) == 2
+    sized = model_of(sat, UCQ((live,))).facts
+    assert all(m.facts == sized for m in models)
+    assert len(sized.dom) < len(model_of(sat, mixed.query).facts.dom)
 
 
 _QVARS = [f"x{i}" for i in range(5)]
@@ -321,8 +396,9 @@ def test_successors_along_roles_the_query_does_not_name_are_skipped_soundly(
 
 
 def test_pipelines_agree_on_the_branching_family():
-    # naive and fpt build an r-chain per constant, no s-successor; without
-    # C nothing answers, and with A <= C every constant does (the chase
+    # without C the query names a concept no fact carries, so nothing is
+    # built and nothing answers; with A <= C naive and fpt build an r-chain
+    # per constant, no s-successor, and every constant answers (the chase
     # oracle is checked on that variant while it stays small)
     from oracles import generous_steps, oracle_answers
     everyone = frozenset((f"c{i}",) for i in range(4))

@@ -3,7 +3,12 @@ canonical model (saturation, shared type copies, then bounded successor
 rounds).  ``canonical_model_of`` alone decides how much of the model a
 query needs: its rounds and its roles come from the query itself, and
 every pipeline and decision procedure builds the model through it.
-``canonical_model`` takes explicit rounds and keeps every role.
+``canonical_model`` takes explicit rounds and keeps every role.  The
+model is a function of the saturation, the rounds and the roles, so the
+saturation keeps the last one built from it (``Saturation.model``):
+naive and fpt on the same data and query build it once, and it goes
+when ``saturate``'s memo drops the saturation.  A result is read-only:
+``provenance`` is a read-only mapping.
 
 Fresh constants are numbered deterministically (`_n<k>` for chase nodes,
 `_t<k>` for type copies), skipping the names the input uses, so identical
@@ -12,6 +17,7 @@ inputs produce identical output.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Optional
 
 from .model import (
@@ -60,7 +66,7 @@ class ChaseDb:
     facts and each constant's provenance."""
 
     facts: Database
-    provenance: dict
+    provenance: MappingProxyType
 
     def original_constants(self) -> frozenset:
         return frozenset(a for a, p in self.provenance.items() if p.kind == "original")
@@ -124,7 +130,7 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
                 _attach_concept(ax.rhs, a, ax, facts, prov, fresh)
                 if len(prov) > CHASE_NODE_CAP:
                     raise CapExceeded("chase grew past the node cap")
-    return ChaseDb(Database(facts), prov)
+    return ChaseDb(Database(facts), MappingProxyType(prov))
 
 
 def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict,
@@ -173,7 +179,7 @@ def canonical_model(d: Database, o: Ontology, steps: int) -> ChaseDb:
     sat = consistent_saturation(d, o)
     if sat is None:
         return ChaseDb(saturate(d, o).database,
-                       {a: Provenance("original") for a in d.dom})
+                       MappingProxyType({a: Provenance("original") for a in d.dom}))
     return _truncated_model(sat, steps, None)
 
 
@@ -213,8 +219,8 @@ def canonical_model_of(sat: Saturation, query: UCQ) -> ChaseDb:
     shared: any fully anonymous match works below any copy of its type."""
     roles = frozenset(at.name for cq in query.disjuncts for at in cq.atoms
                       if isinstance(at, RoleFact))
-    steps = max(len(cq.variables()) for cq in query.disjuncts) - 1
-    return _truncated_model(sat, max(steps, 0), roles)
+    steps = max(max(len(cq.variables()) for cq in query.disjuncts) - 1, 0)
+    return sat.model((steps, roles), lambda: _truncated_model(sat, steps, roles))
 
 
 def _truncated_model(sat: Saturation, steps: int, roles) -> ChaseDb:
@@ -311,4 +317,4 @@ def _truncated_model(sat: Saturation, steps: int, roles) -> ChaseDb:
                 raise CapExceeded("canonical model grew past the node cap")
         frontier.sort()
 
-    return ChaseDb(Database(facts), prov)
+    return ChaseDb(Database(facts), MappingProxyType(prov))

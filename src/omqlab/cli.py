@@ -38,15 +38,29 @@ EXIT_UNKNOWN = 4
 
 
 def _read(path: str) -> str:
+    """The text of ``path``, or of stdin for ``-``: its bytes decoded once
+    as UTF-8, with universal newlines as text mode reads them.  A byte
+    that is not UTF-8 is a parse error at its line and column."""
     if path == "-":
-        return sys.stdin.read()
-    # the builtin open: Path.read_text adds about as much time per file as
-    # parsing a small query takes
+        data = sys.stdin.buffer.read()
+    else:
+        # the builtin open: Path.read_bytes adds about as much time per
+        # file as parsing a small query takes
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError as e:
+            raise OmqlabError(f"cannot read {path}: {e.strerror}") from None
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as e:
-        raise OmqlabError(f"cannot read {path}: {e.strerror}") from None
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        lines = _newlines(data[:e.start].decode("utf-8")).split("\n")
+        raise surface.ParseError((len(lines), len(lines[-1]) + 1),
+                                 f"invalid UTF-8 byte {data[e.start]:#04x}") from None
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path: str, text: str) -> None:

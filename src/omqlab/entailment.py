@@ -29,23 +29,29 @@ derivable names only, so they stay below it, and both stop only where
 every type meets its equation.  And X(X(s)) = X(s): X(s) holds s, and
 with the same children it meets the equation of the seed X(s).  So each
 solved type is also kept under itself, and the children and reachable
-types of a type met before are lookups.  Every map lives on the
-``NormalOntology``, which ``normalize`` caches per process, and stops
-growing at 100,000 entries.  The names an edge of each role forces
-(``_flow``'s pairs) and the inverse of each successor rule's role are
-kept there too.
+types of a type met before are lookups.  Every map of the type engine
+lives on the ``NormalOntology``, which ``normalize`` caches per process,
+and stops growing at 100,000 entries.  The names an edge of each role
+forces (``_flow``'s pairs) and the inverse of each successor rule's role
+are kept there too.
 
 ``saturate`` closes a database's types over its role facts grouped by
 role and direction, so each existential premise reads only its own
-role's pairs.  ``Saturation.names`` bounds from above the names that
-facts of the universal model carry, which lets evaluation skip
-disjuncts that cannot match.
+role's pairs.  The result depends on the normal form and the database
+alone, so ``saturate`` keeps the SATURATION_MEMO_CAP most recently used
+saturations per process, keyed by both: the pipelines, the query
+saturations and the containment search all share them.  A saturation is
+read-only, and keeps what is derived from it alone: its ``names``, which
+bound from above the names that facts of the universal model carry (so
+evaluation skips disjuncts that cannot match), and the last canonical
+model ``chase`` built from it (``Saturation.model``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Optional
 
 from .model import (
     Atomic,
@@ -71,6 +77,7 @@ from .model import (
 )
 
 TOP_NAME = "_top."
+SATURATION_MEMO_CAP = 8
 
 
 @record
@@ -357,10 +364,12 @@ def subsumes(o: Ontology, c: Concept, d: Concept) -> bool:
 
 @record
 class Saturation:
-    """Result of saturating a database: closed facts and per-constant types."""
+    """Result of saturating a database: closed facts and per-constant
+    types.  ``saturate`` shares it between its callers, so nothing may
+    change it: ``types`` is a read-only mapping."""
 
     database: Database                 # role facts + concept-name facts, closed
-    types: dict                        # constant -> frozenset of names
+    types: MappingProxyType            # constant -> frozenset of names
     onorm: NormalOntology
 
     def clashes(self, o: Ontology) -> bool:
@@ -387,7 +396,11 @@ class Saturation:
         an element below one of type u has the role and a type inside that
         of a child of u, and u's children are reachable.  An edge to it
         carries exactly the super-roles of its child role.  So a disjunct
-        naming anything else has no match in the universal model."""
+        naming anything else has no match in the universal model.  It is
+        computed once per saturation."""
+        kept = self.__dict__.get("_names")
+        if kept is not None:
+            return kept
         onorm = self.onorm
         reach: set = set()
         for t in self.types.values():
@@ -397,15 +410,41 @@ class Saturation:
             out.update(onorm.fact_names(t))
             for role, _ in onorm.children(t):
                 out.update(s.name for s in onorm.super_roles.get(role, (role,)))
-        return frozenset(out)
+        kept = self.__dict__["_names"] = frozenset(out)
+        return kept
+
+    def model(self, key, build: Callable):
+        """``build()``, the model that ``chase`` makes of this saturation
+        for ``key``; the last one is kept with the saturation, so a second
+        pipeline on the same data and query reuses it."""
+        kept = self.__dict__.get("_model")
+        if kept is None or kept[0] != key:
+            kept = self.__dict__["_model"] = (key, build())
+        return kept[1]
+
+
+_SATURATIONS: dict = {}     # (NormalOntology, Database) -> Saturation, by use
 
 
 def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
     """Close a database under consequence: concept facts entailed by each
     constant's conjunction, existential premises along explicit role
-    facts, and the role hierarchy."""
+    facts, and the role hierarchy.  The saturation is a function of the
+    normal form and ``d`` alone; the SATURATION_MEMO_CAP most recently
+    used ones are kept, and the least recently used goes first."""
     onorm = o if isinstance(o, NormalOntology) else normalize(o)
+    key = (onorm, d)
+    sat = _SATURATIONS.pop(key, None)
+    if sat is None:
+        sat = _saturated(d, onorm)
+        if len(_SATURATIONS) >= SATURATION_MEMO_CAP:
+            del _SATURATIONS[next(iter(_SATURATIONS))]
+    _SATURATIONS[key] = sat
+    return sat
 
+
+def _saturated(d: Database, onorm: NormalOntology) -> Saturation:
+    """The saturation of ``d`` under ``onorm``, computed."""
     role_facts: set[RoleFact] = set()
     types: dict[str, set] = {a: set() for a in d.dom}
     for f in d.facts:
@@ -453,7 +492,8 @@ def saturate(d: Database, o: Ontology | NormalOntology) -> Saturation:
     for a, t in types.items():
         db_facts.update(ConceptFact(n, a) for n in onorm.fact_names(t))
     return Saturation(Database(db_facts),
-                      {a: frozenset(t) for a, t in types.items()}, onorm)
+                      MappingProxyType({a: frozenset(t) for a, t in types.items()}),
+                      onorm)
 
 
 def elhi_view(o: Ontology) -> Ontology:

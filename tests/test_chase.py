@@ -237,3 +237,22 @@ def test_saturation_names_hold_every_name_of_the_universal_model():
         for depth in range(1, 4):
             assert oblivious_chase(d, o, depth).facts.names() <= names, (n, depth)
     assert drawn >= 200
+
+
+def test_shared_saturations_and_models_are_read_only():
+    # saturate shares its results between callers, so neither a saturation's
+    # types nor a model's provenance can be written
+    import pytest
+    o = parse_ontology("A <= exists r . B\n")
+    d = parse_database("A(a)\n")
+    sat = consistent_saturation(d, o)
+    model = canonical_model_of(sat, parse_query("q(x) :- r(x,y), B(y)"))
+    assert saturate(d, o) is sat
+    assert canonical_model_of(sat, parse_query("q(y) :- r(y,z), B(z)")) is model
+    with pytest.raises(TypeError):
+        sat.types["a"] = frozenset()
+    with pytest.raises(TypeError):
+        model.provenance["a"] = None
+    with pytest.raises(TypeError):
+        oblivious_chase(d, o, 1).provenance["a"] = None
+    assert model.provenance["a"].kind == "original" and "_n0" in model.provenance

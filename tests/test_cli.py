@@ -703,6 +703,12 @@ def _two_level_main(argv) -> int:
         return e.exit_code
 
 
+def _stdin(text: str) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` holding ``text``, with the byte
+    ``buffer`` that the CLI reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 DISPATCH_ARGV = [
     ["eval", "--onto", "ex1.dl", "--query", "unary.cq", "--db", "d.db"],
     ["consistent", "--onto", "ex1.dl", "--db", "d.db", "--json"],
@@ -753,7 +759,7 @@ def test_main_dispatch_matches_the_two_level_parse(files, capsys, monkeypatch, a
     monkeypatch.chdir(files)
     seen = []
     for entry in (main, _two_level_main):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(FIG2_TEXT + "\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(FIG2_TEXT + "\n"))
         try:
             code = entry(list(argv))
         except SystemExit as e:
@@ -767,7 +773,7 @@ def _dispatch_outcomes(argv, monkeypatch, capsys) -> list:
     """(exit code, stdout, stderr) of ``main`` and of ``_two_level_main``."""
     seen = []
     for entry in (main, _two_level_main):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(FIG2_TEXT + "\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(FIG2_TEXT + "\n"))
         try:
             code = entry(list(argv))
         except SystemExit as e:
@@ -1060,3 +1066,44 @@ def test_cli_import_loads_no_dataclasses_and_the_same_modules():
         f"omqlab.{m}" for m in ("cli", "surface", "model", "entailment", "chase",
                                 "evaluation", "graphalg", "homtools", "pebble",
                                 "treelike")}
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_a_non_utf8_input_is_a_parse_error(files, capsys, monkeypatch, from_stdin):
+    # the grammar says UTF-8: the first bad byte is a parse error (exit 2)
+    # at its line and column, from a file and from stdin alike
+    data = b"A2(a)\r\nA2(c\xff)\n"
+    (files / "bad.db").write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    db = "-" if from_stdin else str(files / "bad.db")
+    assert run(capsys, "eval", "--query", str(files / "unary.cq"), "--db", db) == (
+        2, "", "parse error: line 2, column 5: invalid UTF-8 byte 0xff\n")
+
+
+def test_warm_calls_print_what_cold_ones_print(tmp_path, capsys, monkeypatch):
+    # every process-scope cache (normal forms, saturations and their models,
+    # treewidths, the parser) leaves output as a fresh process prints it
+    (tmp_path / "o.dl").write_text("A <= exists r . B\nexists r . B <= C\n")
+    (tmp_path / "d.db").write_text("A(a)\nr(a,b)\nB(c)\nC(d)\n")
+    (tmp_path / "u.cq").write_text("q(x) :- C(x)\nq(x) :- r(x,y), B(y)\n")
+    (tmp_path / "b.cq").write_text("q() :- r(x,y), r(y,z), r(z,x), B(z)\n")
+    (tmp_path / "c.cq").write_text("q(x) :- A(x)\n")
+    (tmp_path / "s.schema").write_text("A\nr\nB\n")
+    onto, db = ["--onto", "o.dl"], ["--db", "d.db"]
+    calls = [["eval", *onto, "--query", "u.cq", *db, "--algo", algo]
+             for algo in ("naive", "fpt", "pebble")]
+    calls += [["tw-equiv", *onto, "--query", "b.cq", "-k", "1", "--json"],
+              ["contain", *onto, "--query", "u.cq", "--query2", "c.cq"],
+              ["contain", *onto, "--query", "u.cq", "--query2", "c.cq",
+               "--schema", "s.schema"]]
+    src = str(Path(omqlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cold = [subprocess.run([sys.executable, "-m", "omqlab.cli", *argv], cwd=tmp_path,
+                           env=env, capture_output=True, text=True, timeout=60)
+            for argv in calls]
+    cold = [(res.returncode, res.stdout, res.stderr) for res in cold]
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == cold
+    assert cold[0][1] == "a\nd\n" and cold[4][0] == 0

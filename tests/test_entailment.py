@@ -226,3 +226,32 @@ def test_a_solved_seed_answers_for_its_whole_structure_without_solving(monkeypat
             onorm.reachable_types(t)
             onorm.is_unsat(t)
         assert not calls, n
+
+
+def test_saturate_keeps_the_most_recently_used_saturations(monkeypatch):
+    # a saturation is computed once per (normal form, database) while it is
+    # among the SATURATION_MEMO_CAP most recently used; the oldest goes first
+    import omqlab.entailment as entailment
+    from omqlab.entailment import SATURATION_MEMO_CAP, saturate
+    computed = []
+    saturated = entailment._saturated
+
+    def counted(d, onorm):
+        computed.append(d)
+        return saturated(d, onorm)
+
+    monkeypatch.setattr(entailment, "_saturated", counted)
+    monkeypatch.setattr(entailment, "_SATURATIONS", {})
+    o = parse_ontology("A <= exists r . B\nexists r . B <= C\n")
+    dbs = [parse_database(f"A(c{i})\n") for i in range(SATURATION_MEMO_CAP + 1)]
+    first = saturate(dbs[0], o)
+    for d in dbs[1:-1]:
+        saturate(d, o)
+    assert saturate(parse_database("A(c0)\n"), o) is first   # a hit, now the newest
+    saturate(dbs[-1], o)                                      # evicts dbs[1]
+    assert computed == dbs
+    assert len(entailment._SATURATIONS) == SATURATION_MEMO_CAP
+    assert saturate(dbs[0], o) is first
+    saturate(dbs[1], o)
+    assert computed == dbs + [dbs[1]]
+    assert len(entailment._SATURATIONS) == SATURATION_MEMO_CAP

@@ -558,3 +558,31 @@ def test_fpt_binds_uncovered_bag_variables_through_children(onto, query, db, hol
     assert time.perf_counter() - t0 < 2.0
     assert res == evaluate_naive(Q, d)
     assert res.boolean() == holds
+
+
+def test_pipelines_share_one_saturation_and_one_model(monkeypatch):
+    # naive, fpt and pebble on one (O, D) saturate D once, and naive and fpt
+    # build one canonical model
+    import omqlab.chase
+    import omqlab.entailment
+    computed, built = [], []
+    saturated, truncated = omqlab.entailment._saturated, omqlab.chase._truncated_model
+
+    def counted_saturation(d, onorm):
+        computed.append(d)
+        return saturated(d, onorm)
+
+    def counted_model(*args):
+        built.append(args)
+        return truncated(*args)
+
+    monkeypatch.setattr(omqlab.entailment, "_saturated", counted_saturation)
+    monkeypatch.setattr(omqlab.entailment, "_SATURATIONS", {})
+    monkeypatch.setattr(omqlab.chase, "_truncated_model", counted_model)
+    o = parse_ontology("A <= exists r . B\nexists r . B <= C\n")
+    d = parse_database("A(a)\nr(a,b)\nB(c)\n")
+    Q = OMQ(o, FULL_SCHEMA, parse_query("q(x) :- C(x)\nq(x) :- r(x,y), B(y)"))
+    for name, evaluate in _pipelines(1):
+        assert evaluate(Q, d) == EvalResult(True, frozenset({("a",)})), name
+    assert computed.count(d) == 1
+    assert len(built) == 1

@@ -1001,3 +1001,32 @@ def test_entailed_concept_trees_match_per_pair_entailment():
         assert list(entailed_concept_trees(Q)) == want
         pairs_seen += len(want)
     assert pairs_seen > 0
+
+
+def test_contained_under_one_ontology_saturates_each_candidate_once(monkeypatch):
+    # with O2 = O1, Q1 and Q2 evaluated on a candidate database share its
+    # saturation
+    import omqlab.entailment
+    import omqlab.treelike
+    computed, evaluated = [], []
+    saturated, naive = omqlab.entailment._saturated, omqlab.treelike.evaluate_naive
+
+    def counted_saturation(d, onorm):
+        computed.append(d)
+        return saturated(d, onorm)
+
+    def counted_naive(Q, d):
+        evaluated.append(d)
+        return naive(Q, d)
+
+    monkeypatch.setattr(omqlab.entailment, "_saturated", counted_saturation)
+    monkeypatch.setattr(omqlab.entailment, "_SATURATIONS", {})
+    monkeypatch.setattr(omqlab.treelike, "evaluate_naive", counted_naive)
+    o = parse_ontology("A <= exists r . B\n")
+    schema = Schema(False, frozenset({"A", "r", "B"}))
+    Q1 = OMQ(o, schema, parse_query("q(x) :- A(x)\nq(x) :- r(x,y), B(y)"))
+    Q2 = OMQ(o, schema, parse_query("q(x) :- A(x)"))
+    assert contained(Q1, Q2).outcome == "no"
+    candidates = set(evaluated)
+    assert len(evaluated) == 2 * len(candidates) >= 4
+    assert all(computed.count(d) == 1 for d in candidates)

@@ -12,7 +12,9 @@ when ``saturate``'s memo drops the saturation.  A result is read-only:
 
 Fresh constants are numbered deterministically (`_n<k>` for chase nodes,
 `_t<k>` for type copies), skipping the names the input uses, so identical
-inputs produce identical output.
+inputs produce identical output.  The oblivious chase lays each fired
+right-hand side through ``model.concept_tree``, so a tree's nodes are
+numbered depth first.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .model import (
     Role,
     RoleFact,
     UCQ,
-    concept_as_cq,
+    concept_tree,
     concept_extension,
     record,
     restrict_database,
@@ -123,9 +125,8 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
                 fired.add((a, ax))
                 changed = True
                 if prov[a].depth >= depth:
-                    q = concept_as_cq(ax.rhs)
-                    facts.update(ConceptFact(at.name, a) for at in q.atoms
-                                 if at.terms() == q.answer_vars)
+                    tree = concept_tree(ax.rhs, a, FreshVars(avoid=frozenset({a})))
+                    facts.update(at for at in tree if at.terms() == (a,))
                     continue
                 _attach_concept(ax.rhs, a, ax, facts, prov, fresh)
                 if len(prov) > CHASE_NODE_CAP:
@@ -135,32 +136,14 @@ def oblivious_chase(d: Database, o: Ontology, depth: int) -> ChaseDb:
 
 def _attach_concept(c: Concept, root: str, ax, facts: set, prov: dict,
                     fresh: FreshVars) -> None:
-    """Attach the tree-shaped database of ``c`` with its root glued to ``root``."""
-    q = concept_as_cq(c)
-    rename = {q.answer_vars[0]: root}
-    order = sorted(q.variables() - {q.answer_vars[0]})
-    for v in order:
-        rename[v] = fresh.next()
-    for at in q.sorted_atoms():
-        facts.add(at.rename(rename))
-    # provenance and depths: tree distance from the root
-    depths = {q.answer_vars[0]: prov[root].depth}
-    pending = [at for at in q.sorted_atoms() if isinstance(at, RoleFact)]
-    while pending:
-        rest = []
-        for at in pending:
-            if at.a in depths and at.b not in depths:
-                depths[at.b] = depths[at.a] + 1
-            elif at.b in depths and at.a not in depths:
-                depths[at.a] = depths[at.b] + 1
-            elif at.a not in depths and at.b not in depths:
-                rest.append(at)
-        if len(rest) == len(pending):
-            break
-        pending = rest
-    for v in order:
-        prov[rename[v]] = Provenance("anonymous", parent=root, via=ax,
-                                     depth=depths.get(v, prov[root].depth + 1))
+    """Attach the tree of ``c`` with its root glued to ``root``; a node's
+    depth is its parent's plus one."""
+    for at in concept_tree(c, root, fresh):
+        facts.add(at)
+        if isinstance(at, RoleFact):
+            up, node = (at.a, at.b) if at.b not in prov else (at.b, at.a)
+            prov[node] = Provenance("anonymous", parent=root, via=ax,
+                                    depth=prov[up].depth + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import surface
@@ -89,16 +88,6 @@ def _load_omq(args) -> OMQ:
     onto = surface.parse_ontology(_read(args.onto)) if args.onto else EMPTY_ONTOLOGY
     query = surface.parse_query(_read(args.query))
     return OMQ(onto, _load_schema(args.schema), query)
-
-
-def _default_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("OMQLAB_BUDGET") or "5"
-    try:
-        return int(env)
-    except ValueError:
-        raise OmqlabError(f"OMQLAB_BUDGET is not an integer: {env!r}") from None
 
 
 def _emit_answers(args, result, arity: int) -> None:
@@ -198,8 +187,7 @@ def cmd_approx(args) -> int:
 
 def cmd_tw_equiv(args) -> int:
     Q = _load_omq(args)
-    budget = _default_budget(args)
-    verdict = decide_tw_equiv_general(Q, args.k, budget=budget)
+    verdict = decide_tw_equiv_general(Q, args.k, budget=args.budget)
     if args.json:
         payload = {"outcome": verdict.outcome}
         if verdict.witness is not None:
@@ -358,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tw-equiv", help="decide width-k equivalence")
     common(sp, k=True)
-    sp.add_argument("--budget", type=int,
-                    help="counterexample search budget (constants); "
-                         "OMQLAB_BUDGET overrides the default of 5")
+    sp.add_argument("--budget", type=int, default=5,
+                    help="counterexample search budget in constants (default 5)")
     sp.add_argument("--out", help="prefix for witness .cq/.dl files")
     sp.set_defaults(func=cmd_tw_equiv)
 

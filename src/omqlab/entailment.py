@@ -12,6 +12,10 @@ directions, so membership of a complex concept at an element is always
 readable off the element's name type.  Definitional names (``_n.<k>``)
 and the name of top (``_top.``) hold a dot, which no name in an
 ontology, database or query file can, so they never meet a user's name.
+``NormalOntology.left_sides`` maps each inclusion's left side (``top``
+excluded) to its name, in sorted-inclusion order: it is the one list of
+left sides, which the rewriting, the containment search and the pebble
+game read.
 
 Subsumption and friends are answered from the canonical structure of a
 seed: a tree where a node of type t has one child per successor rule
@@ -135,6 +139,8 @@ class NormalOntology:
             else:
                 self.conj_rules.append(
                     (frozenset({self.defname[ci.lhs]}), self.defname[ci.rhs]))
+        self.left_sides: dict[Concept, str] = {
+            ci.lhs: self.defname[ci.lhs] for ci in inclusions if not isinstance(ci.lhs, Top)}
 
         self.super_roles = role_closure(source)
         self._dedupe()

@@ -3,6 +3,8 @@
 Everything in this module is immutable and hashable.  Conjunctions are
 flattened and kept in a canonical (sorted) order so that structurally
 equal concepts compare equal regardless of how they were written down.
+A concept is a tree-shaped query, and ``concept_tree`` is the one place
+that turns it into atoms, laid at a given term.
 """
 
 from __future__ import annotations
@@ -983,18 +985,23 @@ class FreshVars:
                 return s
 
 
-def concept_as_cq(c: Concept, fresh: Optional[FreshVars] = None) -> CQ:
-    """Tree-shaped CQ representing ``c``, its root the answer variable.
-
-    ``top`` yields a single fresh variable with no atoms.
-    """
+def concept_tree(c: Concept, root: str, fresh: FreshVars) -> list[Fact]:
+    """The atoms of ``c``'s tree with its root at the term ``root``: every
+    other node is the next name of ``fresh``, depth first, and the role
+    atom into a node comes before the atoms below it.  ``top`` has no
+    atoms."""
     if c.contains_bot():
         raise QueryError("bot admits no query representation")
-    fresh = fresh or FreshVars()
-    root = fresh.next()
     atoms: list[Fact] = []
     _concept_atoms(c, root, fresh, atoms)
-    return CQ((root,), atoms)
+    return atoms
+
+
+def concept_as_cq(c: Concept) -> CQ:
+    """``c``'s tree as a CQ, its root ``_v0`` the answer variable."""
+    fresh = FreshVars()
+    root = fresh.next()
+    return CQ((root,), concept_tree(c, root, fresh))
 
 
 def _concept_atoms(c: Concept, node: str, fresh: FreshVars, out: list) -> None:

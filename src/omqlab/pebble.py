@@ -42,7 +42,6 @@ from .model import (
     QueryError,
     Role,
     RoleFact,
-    Top,
     cq_as_database,
     cq_components,
     record,
@@ -423,14 +422,14 @@ def _prepare_game(q: CQ, o: Ontology, d: Database, sat: Saturation, k: int):
         return lambda a: False
     # Entailed concept copies are folded into per-variable requirements
     # instead of fresh atoms, so the game runs on the original variable
-    # set: a variable's constant must hold the left-hand sides that the
-    # query database entails at the variable, read off its saturated type.
-    # Over these dialects the one left-hand side with an edge into its root
-    # is a range restriction's exists inv(r) . top, which a type holds only
-    # at constants with an r-predecessor.  It is entailed at x only through
-    # a role atom of the query into x, which demands that predecessor too.
-    lhs = {qsat.onorm.defname[ci.lhs] for ci in qsat.onorm.source.concept_inclusions()
-           if not isinstance(ci.lhs, Top)}
+    # set: a variable's constant must hold the left-hand sides (the names
+    # of ``NormalOntology.left_sides``) that the query database entails at
+    # the variable, read off its saturated type.  Over these dialects the
+    # one left-hand side with an edge into its root is a range
+    # restriction's exists inv(r) . top, which a type holds only at
+    # constants with an r-predecessor.  It is entailed at x only through a
+    # role atom of the query into x, which demands that predecessor too.
+    lhs = frozenset(qsat.onorm.left_sides.values())
     ctx = LabelContext(q, sat, {x: lhs & t for x, t in qsat.types.items()})
 
     quantified = sorted(q.quantified_vars())

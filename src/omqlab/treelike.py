@@ -42,6 +42,7 @@ from .model import (
     UCQ,
     UndirectedGraph,
     concept_as_cq,
+    concept_tree,
     cq_as_database,
     conj,
     record,
@@ -347,14 +348,13 @@ def _candidate_databases(Q: OMQ, onorm, roles: set):
     swapped); at an end whose other end occurs nowhere else, also by such
     a concept entailing ``exists r . top``, r the atom's role from there.
     A disjunct over more than 10 variables exceeds the cap."""
-    o, schema, view = Q.ontology, Q.schema, onorm.source
+    o, schema = Q.ontology, Q.schema
     sources = [Atomic(b) for b in sorted(o.concept_names() | Q.query.names())
                if schema.admits(b) and b not in roles]
-    sources += sorted({ci.lhs for ci in view.concept_inclusions()
-                       if not isinstance(ci.lhs, (Atomic, Top)) and not ci.lhs.contains_bot()
-                       and concept_as_cq(ci.lhs).names() <= schema.names})
+    sources += sorted(c for c in onorm.left_sides
+                      if not isinstance(c, Atomic) and concept_as_cq(c).names() <= schema.names)
     sources += [TOP] if schema.names else []
-    sup = role_closure(view)
+    sup = role_closure(onorm.source)
     sub_roles = sorted(s for s in sup if not s.inverted and schema.admits(s.name))
     entails = functools.cache(functools.partial(subsumes, o))
     seen: set = set()
@@ -371,8 +371,7 @@ def _candidate_databases(Q: OMQ, onorm, roles: set):
             def rooted_at(c: Concept, x: str) -> tuple:
                 if isinstance(c, Top):
                     return (_fact_on(min(schema.names), x, roles, fresh),)
-                tree = concept_as_cq(c, fresh=fresh)
-                return tuple(at.rename({tree.answer_vars[0]: x}) for at in tree.atoms)
+                return tuple(concept_tree(c, x, fresh))
 
             options: list[list] = []
             for x in sorted({f.a for f in out if isinstance(f, ConceptFact)}):
@@ -396,7 +395,7 @@ def _candidate_databases(Q: OMQ, onorm, roles: set):
                     seen.add(key)
                     found.append(d)
                     yield d
-    yield from _clash_witnesses(o, view, schema, roles, Q.arity)
+    yield from _clash_witnesses(o, onorm, schema, roles, Q.arity)
     for d in found:
         d = _without_entailed(d, onorm)
         if (key := canonical_form(d.facts)) not in seen:
@@ -421,10 +420,9 @@ def _fact_on(name: str, x: str, roles: set, fresh: FreshVars):
     return RoleFact(name, x, fresh.next()) if name in roles else ConceptFact(name, x)
 
 
-def _clash_witnesses(o: Ontology, view: Ontology, schema: Schema, roles: set,
-                     arity: int):
+def _clash_witnesses(o: Ontology, onorm, schema: Schema, roles: set, arity: int):
     """Small databases over ``schema`` inconsistent with ``o`` (whose
-    ``elhi_view`` is ``view``), where every tuple is a certain answer: the
+    normal form is ``onorm``), where every tuple is a certain answer: the
     tree of each bot inclusion's left side, one fact per schema name
     (``_fact_on``), a role fact per role of each role disjointness and two
     per functional role.  With ``arity`` above 0, then each of them again
@@ -432,9 +430,8 @@ def _clash_witnesses(o: Ontology, view: Ontology, schema: Schema, roles: set,
     database per name): a tuple over that constant may be one the other
     OMQ does not answer."""
     fresh = FreshVars("_w")
-    found = [cq_as_database(concept_as_cq(ax.lhs, fresh=fresh))
-             for ax in view.concept_inclusions()
-             if ax.rhs.contains_bot() and not ax.lhs.contains_bot()]
+    found = [Database(concept_tree(c, fresh.next(), fresh))
+             for c, name in onorm.left_sides.items() if name in onorm.bot_names]
     found += [Database([_fact_on(n, fresh.next(), roles, fresh)])
               for n in sorted(schema.names)]
     found += [Database([RoleFact(r, "w0", "w1") for r in dis.roles])
@@ -500,33 +497,27 @@ def maximum_contractions(Q: OMQ) -> list[OMQ]:
 
 
 def entailed_concept_trees(Q: OMQ, variables: Optional[Iterable[str]] = None):
-    """(variable, rooted tree) for every axiom left side, neither top nor
-    containing bot, that the chase of the query database satisfies at a
-    variable (of ``variables``, by default of the query): sorted axioms,
-    then sorted variables, each pair once.  The tree is a fresh copy of the
-    left side whose answer variable is its root; its variables are named
+    """(variable, tree atoms) for every left side of the ontology
+    (``NormalOntology.left_sides``) that the chase of the query database
+    satisfies at a variable (of ``variables``, by default of the query):
+    left sides in order, then sorted variables.  The tree is a fresh copy
+    of the left side rooted at the variable; its other nodes are named
     ``_e<k>``, skipping the query's variables."""
     q = Q.query.disjuncts[0]
     sat = saturate(cq_as_database(q), normalize(Q.ontology))
     xs = sorted(q.variables() if variables is None else variables)
     fresh = FreshVars("_e", q.variables())
-    seen: set = set()
-    for ci in sat.onorm.source.concept_inclusions():
-        c = ci.lhs
-        if c in seen or c.contains_bot() or isinstance(c, Top):
-            continue
-        seen.add(c)
+    for c, name in sat.onorm.left_sides.items():
         for x in xs:
-            if sat.onorm.defname[c] in sat.types.get(x, ()):
-                yield x, concept_as_cq(c, fresh=fresh)
+            if name in sat.types.get(x, ()):
+                yield x, concept_tree(c, x, fresh)
 
 
 def _attach_trees(q: CQ, atoms: Iterable, trees) -> CQ:
-    """``q``'s answer tuple over ``atoms`` plus each tree, its root
-    identified with its variable."""
+    """``q``'s answer tuple over ``atoms`` plus the atoms of each tree."""
     out = set(atoms)
-    for x, tree in trees:
-        out.update(at.rename({tree.answer_vars[0]: x}) for at in tree.atoms)
+    for _, tree in trees:
+        out.update(tree)
     return CQ(q.answer_vars, out)
 
 

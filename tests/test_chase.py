@@ -42,6 +42,26 @@ def test_chase_single_firing():
     assert ch.provenance["_n0"].depth == 1
 
 
+def test_chase_names_a_tree_depth_first():
+    # eleven nodes: _n10 follows _n9, where a sort by name would put it
+    # second, after _n1
+    rhs = "exists r . " * 11 + "B"
+    ch = oblivious_chase(parse_database("A(a)"), parse_ontology(f"A <= {rhs}"), 1)
+    nodes = ["a"] + [f"_n{k}" for k in range(11)]
+    assert ch.facts == Database([ConceptFact("A", "a"), ConceptFact("B", "_n10")]
+                                + [RoleFact("r", x, y) for x, y in zip(nodes, nodes[1:])])
+    assert {c: p.depth for c, p in ch.provenance.items()} == {
+        "a": 0, **{f"_n{k}": k + 1 for k in range(11)}}
+
+
+def test_chase_depth_is_tree_distance_through_an_inverse_edge():
+    ch = oblivious_chase(parse_database("A(a)"),
+                         parse_ontology("A <= exists inv(r) . (B & exists s . C)"), 1)
+    assert {RoleFact("r", "_n0", "a"), RoleFact("s", "_n0", "_n1")} <= ch.facts.facts
+    assert [(p.depth, p.parent) for p in map(ch.provenance.get, ("_n0", "_n1"))] == [
+        (1, "a"), (2, "a")]
+
+
 def test_chase_role_inclusion():
     o = Ontology([RoleInclusion(Role("r"), Role("s"))], Dialect.ELH_BOT)
     ch = oblivious_chase(parse_database("r(a,b)"), o, 2)

@@ -98,11 +98,15 @@ def test_tw_equiv_unknown_exit_code(files, capsys):
     (files / "s.schema").write_text("A2\nA3\nA4\nB1\nB2\nr\n")
     (files / "om2.dl").write_text(
         "B1 <= A1\nB2 <= A1\nexists r . B1 <= A4\nB2 <= A3\n")
-    code, out, _ = run(capsys, "tw-equiv", "--onto", str(files / "om2.dl"),
-                       "--query", str(files / "fig2.cq"), "-k", "1",
-                       "--schema", str(files / "s.schema"), "--budget", "4")
+    argv = ["tw-equiv", "--onto", str(files / "om2.dl"), "--query", str(files / "fig2.cq"),
+            "-k", "1", "--schema", str(files / "s.schema"), "--budget", "4"]
+    code, out, _ = run(capsys, *argv)
     assert code == 4
     assert out.strip() == "UNKNOWN"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 4
+    assert out == ('{"note": "no separating database within 4 constants", '
+                   '"outcome": "unknown"}\n')
 
 
 def test_tw_equiv_is_exact_under_any_schema_when_no_disjunct_is_wider(files, capsys):
@@ -212,7 +216,7 @@ def test_pebble_input_checks_precede_the_data(files, capsys, onto, schema, db):
     assert out == ""
 
 
-def test_input_errors_exit_3(files, capsys, monkeypatch):
+def test_input_errors_exit_3(files, capsys):
     (files / "b.cq").write_text("q() :- r(x,y), B(y)\n")
     onto, query = ["--onto", str(files / "ex1.dl")], ["--query", str(files / "b.cq")]
     code, out, err = run(capsys, "dlf-rew", *onto, *query)
@@ -222,9 +226,6 @@ def test_input_errors_exit_3(files, capsys, monkeypatch):
     code, out, err = run(capsys, "eval", *onto, *query, "--db", str(files / "d.db"),
                          "--algo", "pebble", "-k", "-3")
     assert (code, out) == (3, "") and "k >= 1" in err
-    monkeypatch.setenv("OMQLAB_BUDGET", "five")
-    code, out, err = run(capsys, "tw-equiv", *onto, *query, "-k", "1")
-    assert (code, out) == (3, "") and "OMQLAB_BUDGET" in err
 
 
 @pytest.mark.parametrize("argv, out, err", [
@@ -356,14 +357,6 @@ def test_width_k_approximation_rejects_width_below_1(files, capsys, command, k):
 def test_out_of_range_numbers_exit_3(files, capsys, argv, err):
     code, out, got = run(capsys, *(a.format(d=files) for a in argv))
     assert (code, out, got) == (3, "", f"error: {err}\n")
-
-
-def test_negative_budget_from_the_environment_exits_3(files, capsys, monkeypatch):
-    monkeypatch.setenv("OMQLAB_BUDGET", "-2")
-    code, out, err = run(capsys, "tw-equiv", "--onto", str(files / "ex1.dl"),
-                         "--query", str(files / "fig2.cq"), "-k", "1")
-    assert (code, out) == (3, "")
-    assert err == "error: the counterexample search needs budget >= 0, got -2\n"
 
 
 def test_unravel_rejects_anchor_outside_the_data(files, capsys):
@@ -899,7 +892,7 @@ def _printed_forms(text: str) -> list:
 
 @pytest.mark.parametrize("command, onto, query, name", [
     # rewrite attaches a copy of exists r . B at x, named _e<k>
-    ("rewrite", "exists r . B <= C\n", "q(x) :- r(x,y), B(y), D({v}), s(x,{v})\n", "_e1"),
+    ("rewrite", "exists r . B <= C\n", "q(x) :- r(x,y), B(y), D({v}), s(x,{v})\n", "_e0"),
     # dlf-rew re-attaches r(x,_f0) for the pendant tree r(x,y)
     ("dlf-rew", "dialect: DL-LiteF\nB <= exists r . top\nfunc s\n",
      "q() :- D({v}), r({v},y)\n", "_gx"),
@@ -924,6 +917,21 @@ def test_eval_reports_inconsistent_data_on_stderr(tmp_path, capsys):
     code, out, err = run(capsys, "eval", "--onto", str(tmp_path / "o.dl"),
                          "--query", str(tmp_path / "q.cq"), "--db", str(tmp_path / "d.db"))
     assert (code, out, err) == (0, "a\nb\n", "inconsistent: every tuple is a certain answer\n")
+
+
+@pytest.mark.parametrize("algo", ["naive", "fpt", "pebble"])
+@pytest.mark.parametrize("query", ["q(x) :- A(x), B(x)\n", "q() :- r(x,y), A(y), B(y)\n"],
+                         ids=["unary", "boolean"])
+def test_eval_of_a_query_whose_own_database_clashes(tmp_path, capsys, algo, query):
+    # consistent data, but no database consistent with the ontology
+    # matches the query, so nothing is a certain answer
+    (tmp_path / "o.dl").write_text("A & B <= bot\nA <= exists r . A\n")
+    (tmp_path / "q.cq").write_text(query)
+    (tmp_path / "d.db").write_text("A(a)\nB(b)\nr(a,b)\n")
+    code, out, err = run(capsys, "eval", "--onto", str(tmp_path / "o.dl"),
+                         "--query", str(tmp_path / "q.cq"), "--db", str(tmp_path / "d.db"),
+                         "--algo", algo, "--json")
+    assert (code, out, err) == (0, '{"consistent": true, "answers": []}\n', "")
 
 
 @pytest.mark.parametrize("onto, expected", [
